@@ -13,7 +13,9 @@ import statistics
 import sys
 from pathlib import Path
 
-from .data import FactorModel, Hyperparams, extract_triplets, predict_rating
+import numpy as np
+
+from .data import FactorModel, Hyperparams, extract_triplets, predict_many
 from .experiments import (
     SplitSpec,
     SyntheticSpec,
@@ -32,6 +34,7 @@ from .fileio import (
     load_dataset,
     load_id_map,
     load_model,
+    load_ratings_with_maps,
     save_id_map,
     save_model,
     save_ratings,
@@ -243,9 +246,9 @@ def _nb_eval(train, test, graph, variant, p, q):
         if graph is None:
             raise ValueError(f"{variant} needs a social graph")
         sets = build_propagated_sets(graph, p=p or 1, q=q or 1)
-    pairs = []
-    for u, i, actual in zip(test.users, test.items, test.values):
-        pairs.append((float(actual), nb_predict(table, sims, sets, int(u), int(i), variant)))
+    pred = [nb_predict(table, sims, sets, int(u), int(i), variant)
+            for u, i in zip(test.users, test.items)]
+    pairs = np.column_stack((test.values, pred))
     return mae_metric(pairs), rmse_metric(pairs)
 
 
@@ -329,33 +332,20 @@ def _cmd_eval(args):
     model = load_model(model_path)
     user_map = load_id_map(model_path.parent / "user_ids.tsv")
     item_map = load_id_map(model_path.parent / "item_ids.tsv")
-    test = load_ratings_with_maps(args.ratings, user_map, item_map, model)
-    pairs = []
-    skipped = 0
-    for u, i, actual in test:
-        if u is None or i is None or u >= model.n or i >= model.m:
-            skipped += 1
-            continue
-        pairs.append((actual, predict_rating(model, u, i, clamp=not args.no_clamp)))
+    users, items, values = load_ratings_with_maps(args.ratings, user_map, item_map)
+    known = (users >= 0) & (users < model.n) & (items >= 0) & (items < model.m)
+    skipped = int(np.count_nonzero(~known))
     if skipped:
         print(f"warning: skipped {skipped} pairs with ids unknown to the model", file=sys.stderr)
-    if not pairs:
+    if not known.any():
         raise ValueError("no evaluable pairs")
+    pred = predict_many(model, users[known], items[known], clamp=not args.no_clamp)
+    pairs = np.column_stack((values[known], pred))
     m, r = mae_metric(pairs), rmse_metric(pairs)
     write_csv(out / "eval.csv", ["pairs", "skipped", "mae", "rmse"],
               [[len(pairs), skipped, m, r]])
     print(f"MAE {m:.4f}  RMSE {r:.4f} on {len(pairs)} pairs; results in {out}")
     return 0
-
-
-def load_ratings_with_maps(path, user_map, item_map, model):
-    """(user_idx|None, item_idx|None, rating) rows mapped through saved ids."""
-    from .fileio import _read_rating_rows
-    rows = _read_rating_rows(path, 1.0, 5.0)
-    out = []
-    for user, item, rating in rows:
-        out.append((user_map.index.get(user), item_map.index.get(item), rating))
-    return out
 
 
 def _cmd_split(args):

@@ -53,6 +53,8 @@ class SparseRatings:
             raise ValueError("users, items, values must have equal length")
         if self.r_min >= self.r_max:
             raise ValueError("r_min must be smaller than r_max")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("ratings must be finite numbers")
         if self.nnz:
             if self.users.min() < 0 or self.users.max() >= self.n:
                 raise ValueError("user index out of range")
@@ -89,16 +91,14 @@ class SparseRatings:
 
     @cached_property
     def user_counts(self) -> np.ndarray:
-        counts = np.zeros(self.n, dtype=np.int64)
-        np.add.at(counts, self.users, 1)
+        counts = np.bincount(self.users, minlength=self.n)
         counts.setflags(write=False)
         return counts
 
     @cached_property
     def user_means(self) -> np.ndarray:
         """Mean rating per user; users with no ratings get the global mean."""
-        sums = np.zeros(self.n)
-        np.add.at(sums, self.users, self.values)
+        sums = np.bincount(self.users, weights=self.values, minlength=self.n)
         counts = self.user_counts
         means = np.where(counts > 0, sums / np.maximum(counts, 1), self.global_mean)
         means.setflags(write=False)
@@ -387,11 +387,10 @@ class Hyperparams:
     social: str = "none"
 
     def __post_init__(self):
-        for name in ("lambda_u", "lambda_v", "lambda_s", "alpha", "beta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.eta0 < 0:
-            raise ValueError("eta0 must be non-negative")
+        for name in ("lambda_u", "lambda_v", "lambda_s", "alpha", "beta", "eta0"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:

@@ -11,15 +11,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    FactorModel,
     Hyperparams,
     SocialGraph,
     SparseRatings,
     TripletStore,
     extract_triplets,
-    predict_many,
 )
-from .metrics import RankedList, average_precision, mae, ndcg_at_k, precision_recall_at_k, rmse
+from .metrics import (
+    RankedList,
+    average_precision,
+    evaluate_model,
+    ndcg_at_k,
+    precision_recall_at_k,
+)
 from .neighborhood import RatingTable, _pcc_from_dicts
 from .optimize import fit_gd, fit_sgd
 from .seeding import substream
@@ -101,16 +105,7 @@ def cold_start_split(ratings: SparseRatings, user_fraction: float, seed: int = 0
 
 
 # ---------------------------------------------------------------------------
-# model evaluation helpers
-
-
-def evaluate_model(model: FactorModel, test: SparseRatings, clamp: bool = True):
-    """(MAE, RMSE) of the model on a held-out rating set."""
-    if test.nnz == 0:
-        raise ValueError("empty test set")
-    pred = predict_many(model, test.users, test.items, clamp, test.r_min, test.r_max)
-    pairs = list(zip(test.values.tolist(), pred.tolist()))
-    return mae(pairs), rmse(pairs)
+# model fitting helpers
 
 
 def fit_method(train: SparseRatings, store: TripletStore | None, hp: Hyperparams,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 import struct
 from dataclasses import dataclass
 
@@ -123,6 +124,16 @@ def load_ratings(path, r_min: float = 1.0, r_max: float = 5.0,
     item_map = IdMap() if item_map is None else item_map
     rows = _read_rating_rows(path, r_min, r_max)
     return _build_ratings(rows, user_map, item_map, 0, 0, r_min, r_max)
+
+
+def load_ratings_with_maps(path, user_map: IdMap, item_map: IdMap):
+    """(users, items, values) arrays of a ratings file mapped through saved
+    id maps; an id the map lacks becomes index -1. Rows are kept as read."""
+    rows = _read_rating_rows(path, 1.0, 5.0)
+    users = np.array([user_map.index.get(user, -1) for user, _, _ in rows], dtype=np.int64)
+    items = np.array([item_map.index.get(item, -1) for _, item, _ in rows], dtype=np.int64)
+    values = np.array([rating for _, _, rating in rows], dtype=np.float64)
+    return users, items, values
 
 
 def _build_graph(rows, user_map, n):
@@ -253,12 +264,17 @@ def load_model(path) -> FactorModel:
         if version != MODEL_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
         n, m, k = struct.unpack("<QQQ", _read_exact(handle, 24, path))
+        # check the header against the file before sizing any read by it
+        need = 8 + 24 + 8 * (n + m) * k + 8
+        size = os.fstat(handle.fileno()).st_size
+        if size < need:
+            raise ValueError(f"{path}: unexpected end of model file "
+                             f"(header n={n} m={m} k={k} needs {need} bytes, file has {size})")
+        if size > need:
+            raise ValueError(f"{path}: trailing bytes after model payload")
         U = np.frombuffer(_read_exact(handle, 8 * n * k, path), dtype="<f8").reshape(n, k)
         V = np.frombuffer(_read_exact(handle, 8 * m * k, path), dtype="<f8").reshape(m, k)
         (seed,) = struct.unpack("<Q", _read_exact(handle, 8, path))
-        extra = handle.read(1)
-        if extra:
-            raise ValueError(f"{path}: trailing bytes after model payload")
     return FactorModel(U.copy(), V.copy(), int(k), int(seed))
 
 

@@ -5,21 +5,37 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .data import FactorModel, SparseRatings, predict_many
+
+
+def _errors(pairs) -> np.ndarray:
+    """actual - predicted over an (N, 2) array-like of (actual, predicted)."""
+    pairs = np.asarray(pairs, dtype=np.float64)
+    if pairs.size == 0:
+        raise ValueError("empty prediction set")
+    return pairs[:, 0] - pairs[:, 1]
+
 
 def mae(pairs) -> float:
     """Mean absolute error over (actual, predicted) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("empty prediction set")
-    return sum(abs(a - p) for a, p in pairs) / len(pairs)
+    return float(np.mean(np.abs(_errors(pairs))))
 
 
 def rmse(pairs) -> float:
     """Root mean squared error over (actual, predicted) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("empty prediction set")
-    return math.sqrt(sum((a - p) ** 2 for a, p in pairs) / len(pairs))
+    errors = _errors(pairs)
+    return math.sqrt(float(np.mean(errors * errors)))
+
+
+def evaluate_model(model: FactorModel, test: SparseRatings, clamp: bool = True):
+    """(MAE, RMSE) of the model on a rating set, clamped to the set's own bounds."""
+    if test.nnz == 0:
+        raise ValueError("empty test set")
+    pred = predict_many(model, test.users, test.items, clamp, test.r_min, test.r_max)
+    pairs = np.column_stack((test.values, pred))
+    return mae(pairs), rmse(pairs)
 
 
 @dataclass(frozen=True)

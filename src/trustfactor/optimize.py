@@ -14,17 +14,10 @@ from .data import (
     SparseRatings,
     TripletStore,
     init_model,
-    predict_many,
     sample_triplets,
 )
-from .metrics import mae, rmse
-from .objective import (
-    PAPER_LITERAL,
-    objective_value,
-    rating_gradients,
-    social_gradient,
-    triplet_batch_gradient,
-)
+from .metrics import evaluate_model
+from .objective import PAPER_LITERAL, triplet_batch_gradient, value_and_grad
 from .seeding import substream
 
 DIVERGENCE_LIMIT = 1e8
@@ -104,12 +97,6 @@ def early_stop_monitor(val_rmse_window, patience: int) -> bool:
     return False
 
 
-def _evaluate(model, ratings, clamp, r_min, r_max):
-    pred = predict_many(model, ratings.users, ratings.items, clamp, r_min, r_max)
-    pairs = list(zip(ratings.values.tolist(), pred.tolist()))
-    return mae(pairs), rmse(pairs)
-
-
 def _diverged(model) -> bool:
     return (
         not np.all(np.isfinite(model.U))
@@ -118,23 +105,30 @@ def _diverged(model) -> bool:
     )
 
 
-def _run(ratings, store, hp, validation, seed, social_grad_fn,
-         patience, eval_every, model0):
+def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model0):
+    """Descent loop shared by GD and SGD.
+
+    step(model) returns (value, gU, gV) for the next update, taken at the
+    current model; value is the full objective there when the same pass
+    yields it, else None, and a value-only pass supplies it when recorded.
+    """
     if model0 is not None:
         model = model0.copy()
     else:
         model = init_model(ratings.n, ratings.m, hp.k, seed)
     schedule = StepSchedule(hp.schedule, hp.eta0)
-    report = FitReport(initial_objective=objective_value(model, ratings, store, hp))
+
+    def objective(value):
+        if value is None:
+            return value_and_grad(model, ratings, store, hp, need_grad=False)[0]
+        return value
+
+    value, gU, gV = step(model) if hp.epochs else (None, None, None)
+    report = FitReport(initial_objective=objective(value))
     start = time.perf_counter()
     val_history = []
-    previous = None
     for t in range(1, hp.epochs + 1):
         previous = (model.U.copy(), model.V.copy())
-        gU, gV = rating_gradients(model, ratings)
-        gU += hp.lambda_u * model.U
-        gV += hp.lambda_v * model.V
-        gU += social_grad_fn(model.U, t)
         eta = schedule.rate(t)
         model.U -= eta * gU
         model.V -= eta * gV
@@ -142,18 +136,13 @@ def _run(ratings, store, hp, validation, seed, social_grad_fn,
             model.U, model.V = previous
             report.stop_reason = STOP_DIVERGENCE
             break
+        rec = None
         if t % eval_every == 0 or t == hp.epochs:
-            train_mae_, train_rmse_ = _evaluate(
-                model, ratings, hp.clamp_predictions, ratings.r_min, ratings.r_max)
-            rec = IterationRecord(
-                iteration=t,
-                objective=objective_value(model, ratings, store, hp),
-                train_rmse=train_rmse_,
-                elapsed=time.perf_counter() - start,
-            )
+            _, train_rmse = evaluate_model(model, ratings, hp.clamp_predictions)
+            rec = IterationRecord(iteration=t, objective=np.nan, train_rmse=train_rmse)
             if validation is not None and validation.nnz:
-                rec.val_mae, rec.val_rmse = _evaluate(
-                    model, validation, hp.clamp_predictions, ratings.r_min, ratings.r_max)
+                rec.val_mae, rec.val_rmse = evaluate_model(
+                    model, validation, hp.clamp_predictions)
                 val_history.append(rec.val_rmse)
             report.records.append(rec)
             if (
@@ -162,7 +151,14 @@ def _run(ratings, store, hp, validation, seed, social_grad_fn,
                 and early_stop_monitor(val_history, patience)
             ):
                 report.stop_reason = STOP_EARLY
-                break
+        last = t == hp.epochs or report.stop_reason == STOP_EARLY
+        # the pass for step t + 1 is taken at the model this record describes
+        value, gU, gV = (None, None, None) if last else step(model)
+        if rec is not None:
+            rec.objective = objective(value)
+            rec.elapsed = time.perf_counter() - start
+        if last:
+            break
     return model, report
 
 
@@ -175,13 +171,8 @@ def fit_gd(ratings: SparseRatings, store: TripletStore | None, hp: Hyperparams,
     The triplet-margin social term needs a materialized store here, since the
     full gradient enumerates every constraint.
     """
-    if hp.social == "triplet-margin" and store is not None and store.mode == LAZY:
-        raise ValueError("full gradient requires materialized triplets")
-
-    def social_grad_fn(U, t):
-        return social_gradient(U, store, hp)
-
-    return _run(ratings, store, hp, validation, seed, social_grad_fn,
+    return _run(ratings, store, hp, validation, seed,
+                lambda model: value_and_grad(model, ratings, store, hp),
                 patience, eval_every, model0)
 
 
@@ -209,10 +200,12 @@ def fit_sgd(ratings: SparseRatings, store: TripletStore | None, hp: Hyperparams,
         if sample_mode == "enumerate" and store.mode == LAZY:
             raise ValueError("enumeration requires materialized triplets")
     rng = substream(seed if sample_seed is None else sample_seed, "sgd")
+    exact_hp = hp.replace(social="none") if use_triplets else hp
 
-    def social_grad_fn(U, t):
+    def step(model):
+        value, gU, gV = value_and_grad(model, ratings, store, exact_hp)
         if not use_triplets:
-            return social_gradient(U, store, hp)
+            return value, gU, gV
         if sample_mode == "enumerate":
             batch = store.triplets
         else:
@@ -220,7 +213,8 @@ def fit_sgd(ratings: SparseRatings, store: TripletStore | None, hp: Hyperparams,
         scale = hp.lambda_s / len(batch)
         if hp.sign_convention == PAPER_LITERAL:
             scale /= store.total
-        return triplet_batch_gradient(U, batch, hp, scale)
+        gU += triplet_batch_gradient(model.U, batch, hp, scale)
+        return None, gU, gV
 
-    return _run(ratings, store, hp, validation, seed, social_grad_fn,
+    return _run(ratings, store, hp, validation, seed, step,
                 patience, eval_every, model0)

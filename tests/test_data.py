@@ -55,6 +55,11 @@ class TestSparseRatings:
         with pytest.raises(ValueError, match="out of range"):
             SparseRatings.from_entries(1, 1, [(1, 0, 3.0)])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_rating(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SparseRatings.from_entries(2, 1, [(0, 0, 3.0), (1, 0, bad)])
+
     def test_user_means(self):
         r = SparseRatings.from_entries(3, 2, [(0, 0, 2.0), (0, 1, 4.0), (1, 0, 5.0)])
         assert r.user_means[0] == 3.0
@@ -210,6 +215,12 @@ class TestHyperparams:
             Hyperparams(loss="huber")
         with pytest.raises(ValueError):
             Hyperparams(batch_size=0)
+
+    @pytest.mark.parametrize("name", ["lambda_u", "lambda_v", "lambda_s", "alpha", "beta", "eta0"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            Hyperparams(**{name: bad})
 
     def test_replace(self):
         hp = Hyperparams().replace(lambda_s=2.5, social="triplet-margin")

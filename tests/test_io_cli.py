@@ -1,5 +1,6 @@
 import csv
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -153,6 +154,21 @@ class TestRoundtrips:
         with pytest.raises(ValueError, match="unexpected end"):
             load_model(tmp_path / "cut.bin")
 
+    @pytest.mark.parametrize("dims", [(2**62, 2**62, 1), (10**5, 10**5, 64)])
+    def test_header_dims_checked_against_file_size(self, tmp_path, capsys, dims):
+        model = init_model(2, 2, 1, seed=0)
+        save_model(model, tmp_path / "m.bin")
+        blob = bytearray((tmp_path / "m.bin").read_bytes())
+        blob[8:32] = struct.pack("<QQQ", *dims)
+        (tmp_path / "m.bin").write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="unexpected end"):
+            load_model(tmp_path / "m.bin")
+        code = run_cli(["eval", "--ratings", write(tmp_path / "r.tsv", "u\ti\t3\n"),
+                        "--model", str(tmp_path / "m.bin"), "--out", str(tmp_path / "ev")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "bad.bin").write_bytes(b"NOPE" + b"\x00" * 60)
         with pytest.raises(ValueError, match="magic"):
@@ -221,6 +237,24 @@ class TestCli:
         table = read_csv(eval_dir / "eval.csv")
         assert table[0] == ["pairs", "skipped", "mae", "rmse"]
         assert float(table[1][2]) >= 0.0
+
+    def test_eval_skips_unknown_ids(self, tmp_path, capsys):
+        model = FactorModel(np.array([[1.0, 0.5], [2.0, -1.0]]),
+                            np.array([[1.5, 1.0], [0.2, 3.0]]), 2, seed=4)
+        save_model(model, tmp_path / "model.bin")
+        save_id_map(tmp_path / "user_ids.tsv", IdMap(["a", "b"]))
+        save_id_map(tmp_path / "item_ids.tsv", IdMap(["x", "y"]))
+        ratings = write(tmp_path / "r.tsv", "a\tx\t2\nb\ty\t1\nc\tx\t3\na\tz\t4\nb\tx\t5\n")
+        code = run_cli(["eval", "--ratings", ratings, "--model", str(tmp_path / "model.bin"),
+                        "--out", str(tmp_path / "ev")])
+        assert code == 0
+        assert "skipped 2 pairs" in capsys.readouterr().err
+        # oracle: clamped dot products of the three known pairs (a,x), (b,y), (b,x)
+        errors = [2 - 2.0, 1 - 1.0, 5 - 2.0]
+        table = read_csv(tmp_path / "ev" / "eval.csv")
+        assert table[1][:2] == ["3", "2"]
+        assert float(table[1][2]) == pytest.approx(np.mean(np.abs(errors)), rel=1e-5)
+        assert float(table[1][3]) == pytest.approx(np.sqrt(np.mean(np.square(errors))), rel=1e-5)
 
     def test_nb_method_warns_on_optimizer(self, tmp_path, capsys):
         out = _synth_dir(tmp_path)

@@ -12,6 +12,7 @@ from trustfactor.data import (
     lazy_triplets,
 )
 from trustfactor.objective import (
+    _scatter,
     grad,
     loss_value,
     margin_argument,
@@ -129,6 +130,19 @@ class TestLossValue:
         assert loss_value("logistic", 100.0) >= 0.0
 
 
+class TestScatter:
+    @pytest.mark.parametrize("size", [0, 1, 7, 500])
+    def test_equals_add_at_bit_for_bit(self, rng, size):
+        n, k = 9, 4
+        for index in (rng.integers(0, n, size), np.full(size, 3), np.sort(rng.integers(0, n, size))):
+            rows = rng.normal(0, 1, (size, k)) * 10.0 ** rng.integers(-8, 8, (size, 1))
+            expected = np.zeros((n, k))
+            np.add.at(expected, index, rows)
+            got = _scatter(n, index, rows)
+            assert got.dtype == np.float64 and got.shape == (n, k)
+            assert got.tobytes() == expected.tobytes()
+
+
 class TestTripletTerm:
     U = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
 
@@ -214,11 +228,14 @@ class TestObjectiveValue:
         store = extract_triplets(graph)
         U = rng.normal(0, 1, (graph.n, 3))
         shifted = U + rng.normal(0, 2, 3)
+        # no ratings and no Frobenius weights: the objective is the social term alone
+        no_ratings = SparseRatings(graph.n, 1, [], [], [])
+        V = np.zeros((1, 3))
         for social in ("trust-pull", "distrust-push", "triplet-margin"):
             hp = Hyperparams(k=3, social=social, alpha=0.7, beta=0.4, lambda_s=1.3)
-            from trustfactor.objective import social_objective
-            assert social_objective(U, store, hp) == pytest.approx(
-                social_objective(shifted, store, hp), rel=1e-9, abs=1e-9)
+            assert objective_value(FactorModel(U, V, 3), no_ratings, store, hp) == pytest.approx(
+                objective_value(FactorModel(shifted, V, 3), no_ratings, store, hp),
+                rel=1e-9, abs=1e-9)
 
     def test_lazy_and_materialized_agree(self, rng):
         graph = random_graph(rng, n_max=9)

@@ -12,7 +12,8 @@ from trustfactor.data import (
     sample_triplets,
 )
 from trustfactor.experiments import SyntheticSpec, synth_generate
-from trustfactor.objective import social_gradient, triplet_batch_gradient
+from trustfactor import optimize
+from trustfactor.objective import objective_value, social_gradient, triplet_batch_gradient
 from trustfactor.optimize import (
     StepSchedule,
     early_stop_monitor,
@@ -111,6 +112,22 @@ class TestFitGd:
         assert report.stop_reason == "divergence"
         assert np.all(np.isfinite(model.U)) and np.all(np.isfinite(model.V))
 
+    @pytest.mark.parametrize("social", ["trust-pull", "triplet-margin"])
+    def test_record_objectives_are_at_the_recorded_models(self, social):
+        # a record's objective comes from the pass that computes the next
+        # step's gradient, the last one from a value-only pass after the loop
+        ratings, graph = social_instance()
+        store = extract_triplets(graph)
+        hp = Hyperparams(k=3, social=social, lambda_s=1.5, alpha=0.2,
+                         lambda_u=0.1, lambda_v=0.1, eta0=0.01, epochs=13)
+        _, report = fit_gd(ratings, store, hp, seed=4, eval_every=1)
+        assert report.initial_objective == objective_value(
+            init_model(ratings.n, ratings.m, 3, seed=4), ratings, store, hp)
+        for t in (1, 2, 5, 13):
+            model, short = fit_gd(ratings, store, hp.replace(epochs=t), seed=4)
+            assert short.records[-1].objective == objective_value(model, ratings, store, hp)
+            assert report.records[t - 1].objective == short.records[-1].objective
+
     def test_lazy_store_refused_for_margin(self):
         ratings, graph = social_instance()
         hp = Hyperparams(k=2, social="triplet-margin", lambda_s=1.0, epochs=2)
@@ -207,6 +224,39 @@ class TestFitSgd:
         step_default = np.linalg.norm(m_default.U - plain.U)
         step_literal = np.linalg.norm(m_literal.U - plain.U)
         assert step_literal < step_default or step_default == 0.0
+
+
+def count_passes(monkeypatch):
+    """Record (social, need_grad) of every objective pass the fit loop makes."""
+    calls = []
+    kernel = optimize.value_and_grad
+
+    def counting(model, ratings, store, hp, need_grad=True):
+        calls.append((hp.social, need_grad))
+        return kernel(model, ratings, store, hp, need_grad)
+
+    monkeypatch.setattr(optimize, "value_and_grad", counting)
+    return calls
+
+
+class TestObjectivePasses:
+    def test_gd_one_pass_per_iteration_and_one_value_pass(self, monkeypatch):
+        calls = count_passes(monkeypatch)
+        ratings, graph = social_instance()
+        hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.0, epochs=6)
+        fit_gd(ratings, extract_triplets(graph), hp, seed=1, eval_every=1)
+        assert calls == [("triplet-margin", True)] * 6 + [("triplet-margin", False)]
+
+    def test_sgd_never_takes_the_full_social_gradient(self, monkeypatch):
+        calls = count_passes(monkeypatch)
+        ratings, graph = social_instance()
+        hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.0, epochs=6,
+                         batch_size=4)
+        fit_sgd(ratings, lazy_triplets(graph), hp, seed=1, eval_every=3)
+        assert ("triplet-margin", True) not in calls
+        # value-only passes: the initial model and the two evaluations
+        assert calls.count(("triplet-margin", False)) == 3
+        assert calls.count(("none", True)) == 6
 
 
 class TestDeterminism:
