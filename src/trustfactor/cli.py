@@ -199,9 +199,6 @@ def _hyperparams(args, method):
 
 
 def _load_bundle(args):
-    if getattr(args, "social", None) is None and getattr(args, "trust", None) is None \
-            and getattr(args, "distrust", None) is None:
-        return load_dataset(args.ratings)
     return load_dataset(args.ratings, social_path=getattr(args, "social", None),
                         trust_path=getattr(args, "trust", None),
                         distrust_path=getattr(args, "distrust", None))
@@ -211,12 +208,6 @@ def _require_graph(bundle, command):
     if bundle.graph is None:
         raise ValueError(f"{command} needs a social graph (--social/--trust/--distrust)")
     return bundle.graph
-
-
-def _store_for(graph, hp):
-    if graph is None:
-        return None
-    return extract_triplets(graph)
 
 
 def _outdir(args) -> Path:
@@ -260,7 +251,7 @@ def _fit_one(train, test, graph, args, method, optimizer, seed, patience=None):
     if args.p is not None or args.q is not None:
         print(f"warning: propagation depths ignored for {method}", file=sys.stderr)
     hp = _hyperparams(args, method)
-    store = _store_for(graph, hp)
+    store = None if graph is None else extract_triplets(graph)
     model, _ = fit_method(train, store, hp, optimizer or "gd",
                           seed=seed, patience=patience)
     return model, evaluate_model(model, test, hp.clamp_predictions)
@@ -384,7 +375,7 @@ def _cmd_grid(args):
     train, validation = split_ratings(
         train_all, SplitSpec(1.0 - args.val_frac, args.seed + 1, 1))
     hp = _hyperparams(args, args.method)
-    store = _store_for(graph, hp)
+    store = extract_triplets(graph)
     result = grid_search(train, validation, store, hp, second_param,
                          ls_values, second_values,
                          optimizer=args.optimizer or "gd", seed=args.seed)

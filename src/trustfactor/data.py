@@ -116,62 +116,104 @@ class SparseRatings:
 
 @dataclass(frozen=True)
 class SocialGraph:
-    """Signed directed graph over users: per-user trust and distrust lists.
+    """Signed directed graph over users in CSR form, one array pair per sign.
 
-    Adjacency order is preserved from construction; it defines the
-    deterministic order of extracted triplets.
+    User u trusts trust_targets[trust_offsets[u]:trust_offsets[u + 1]], and
+    likewise for distrust. Each user's list keeps its construction order,
+    which fixes the deterministic order of extracted triplets.
     """
 
     n: int
-    trust_adj: tuple
-    distrust_adj: tuple
+    trust_offsets: np.ndarray
+    trust_targets: np.ndarray
+    distrust_offsets: np.ndarray
+    distrust_targets: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "trust_adj", tuple(tuple(a) for a in self.trust_adj))
-        object.__setattr__(self, "distrust_adj", tuple(tuple(a) for a in self.distrust_adj))
-        if len(self.trust_adj) != self.n or len(self.distrust_adj) != self.n:
-            raise ValueError("adjacency length must equal user count")
-        for u in range(self.n):
-            plus, minus = self.trust_adj[u], self.distrust_adj[u]
-            for v in plus + minus:
-                if not 0 <= v < self.n:
-                    raise ValueError(f"neighbor index {v} out of range")
-                if v == u:
-                    raise ValueError(f"self-edge at user {u}")
-            if len(set(plus)) != len(plus) or len(set(minus)) != len(minus):
-                raise ValueError(f"duplicate neighbor for user {u}")
-            if set(plus) & set(minus):
-                raise ValueError(f"user {u} both trusts and distrusts {set(plus) & set(minus)}")
+        keys = []
+        for sign in ("trust", "distrust"):
+            offsets = _frozen_array(getattr(self, f"{sign}_offsets"), np.int64)
+            targets = _frozen_array(getattr(self, f"{sign}_targets"), np.int64)
+            object.__setattr__(self, f"{sign}_offsets", offsets)
+            object.__setattr__(self, f"{sign}_targets", targets)
+            if (len(offsets) != self.n + 1 or offsets[0] != 0
+                    or offsets[-1] != len(targets) or np.any(np.diff(offsets) < 0)):
+                raise ValueError(f"{sign} offsets must rise from 0 to {len(targets)} "
+                                 f"in {self.n + 1} entries")
+            u, v = getattr(self, f"{sign}_edge_array").T
+            bad = np.flatnonzero((v < 0) | (v >= self.n))
+            if len(bad):
+                raise ValueError(f"{sign} edge ({u[bad[0]]}, {v[bad[0]]}): "
+                                 f"neighbor index {v[bad[0]]} out of range")
+            if np.any(u == v):
+                raise ValueError(f"self-edge at user {u[u == v][0]}")
+            key = np.sort(u * self.n + v)
+            repeated = key[1:][key[1:] == key[:-1]]
+            if len(repeated):
+                raise ValueError(f"duplicate neighbor for user {repeated[0] // self.n}")
+            keys.append(key)
+        common = np.intersect1d(*keys)
+        if len(common):
+            u = common[0] // self.n
+            both_ways = set((common[common // self.n == u] % self.n).tolist())
+            raise ValueError(f"user {u} both trusts and distrusts {both_ways}")
 
     @classmethod
     def from_edges(cls, n, trust_edges=(), distrust_edges=()):
-        """Build from (source, target) edge lists, preserving input order."""
-        plus = [[] for _ in range(n)]
-        minus = [[] for _ in range(n)]
-        for u, v in trust_edges:
-            plus[u].append(v)
-        for u, v in distrust_edges:
-            minus[u].append(v)
-        return cls(n, plus, minus)
+        """Build from (source, target) pair lists or (E, 2) arrays; each
+        user's targets keep their input order."""
+        csr = []
+        for sign, edges in (("trust", trust_edges), ("distrust", distrust_edges)):
+            edges = np.asarray(edges, dtype=np.int64)
+            if edges.size == 0:
+                edges = edges.reshape(0, 2)
+            if edges.ndim != 2 or edges.shape[1] != 2:
+                raise ValueError(f"{sign} edges must be (source, target) pairs")
+            bad = np.flatnonzero((edges[:, 0] < 0) | (edges[:, 0] >= n))
+            if len(bad):
+                u, v = edges[bad[0]]
+                raise ValueError(f"{sign} edge ({u}, {v}): source index {u} out of range")
+            degrees = np.bincount(edges[:, 0], minlength=n)
+            csr += [np.concatenate(([0], np.cumsum(degrees))),
+                    edges[np.argsort(edges[:, 0], kind="stable"), 1]]
+        return cls(n, *csr)
 
     @cached_property
     def trust_edge_array(self) -> np.ndarray:
-        """(E, 2) array of directed trust edges in adjacency order."""
-        edges = [(u, v) for u in range(self.n) for v in self.trust_adj[u]]
-        return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        """(E, 2) read-only array of directed trust edges in adjacency order."""
+        return _edge_array(self.trust_offsets, self.trust_targets)
 
     @cached_property
     def distrust_edge_array(self) -> np.ndarray:
-        edges = [(u, v) for u in range(self.n) for v in self.distrust_adj[u]]
-        return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        return _edge_array(self.distrust_offsets, self.distrust_targets)
 
     @property
     def trust_count(self) -> int:
-        return sum(len(a) for a in self.trust_adj)
+        return len(self.trust_targets)
 
     @property
     def distrust_count(self) -> int:
-        return sum(len(a) for a in self.distrust_adj)
+        return len(self.distrust_targets)
+
+    @cached_property
+    def trust_adj(self) -> tuple:
+        """Per-user trusted lists as read-only slices of trust_targets."""
+        return tuple(np.split(self.trust_targets, self.trust_offsets[1:])[:-1])
+
+    @cached_property
+    def distrust_adj(self) -> tuple:
+        return tuple(np.split(self.distrust_targets, self.distrust_offsets[1:])[:-1])
+
+
+def _edge_array(offsets, targets):
+    sources = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    return _frozen_array(np.column_stack((sources, targets)), np.int64)
+
+
+def _ranges(starts, lengths):
+    """Concatenation of arange(s, s + l) over paired starts s and lengths l."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
 @dataclass(frozen=True)
@@ -200,64 +242,43 @@ class TripletStore:
         if self.mode == MATERIALIZED and len(self.triplets) != self.total:
             raise ValueError("materialized triplet count mismatch")
 
-    @cached_property
-    def _cumulative(self) -> np.ndarray:
-        return np.cumsum(self.counts)
-
     def iter_blocks(self):
-        """Yield (i, j, k) index-array blocks covering the whole set.
+        """Yield (i, j, k) blocks covering the whole set.
 
-        Materialized: one block. Lazy: one block per user with c(u) > 0, in
-        the same deterministic order, without keeping more than one user's
-        cartesian product alive.
+        Materialized: one block of index arrays. Lazy: one block per user u
+        with c(u) > 0, in the same deterministic order, with i the scalar u,
+        without keeping more than one user's cartesian product alive.
         """
         if self.total == 0:
             return
         if self.mode == MATERIALIZED:
             yield self.triplets[:, 0], self.triplets[:, 1], self.triplets[:, 2]
             return
-        for u in range(self.graph.n):
-            plus = self.graph.trust_adj[u]
-            minus = self.graph.distrust_adj[u]
-            if not plus or not minus:
-                continue
-            j = np.repeat(np.asarray(plus, dtype=np.int64), len(minus))
-            k = np.tile(np.asarray(minus, dtype=np.int64), len(plus))
-            yield np.full(len(j), u, dtype=np.int64), j, k
-
-
-def _triplet_counts(graph: SocialGraph) -> np.ndarray:
-    return np.asarray(
-        [len(graph.trust_adj[u]) * len(graph.distrust_adj[u]) for u in range(graph.n)],
-        dtype=np.int64,
-    )
+        g = self.graph
+        for u in np.flatnonzero(self.counts).tolist():
+            plus = g.trust_targets[g.trust_offsets[u]:g.trust_offsets[u + 1]]
+            minus = g.distrust_targets[g.distrust_offsets[u]:g.distrust_offsets[u + 1]]
+            yield u, np.repeat(plus, len(minus)), np.tile(minus, len(plus))
 
 
 def extract_triplets(graph: SocialGraph) -> TripletStore:
     """Materialize every (i, j, k) with j in N+(i) and k in N-(i).
 
-    Order is deterministic: i ascending, then j, then k in adjacency order.
+    Order is deterministic: i ascending, then j, then k in adjacency order;
+    each trust edge (i, j) is repeated once per k in N-(i).
     """
-    counts = _triplet_counts(graph)
-    total = int(counts.sum())
-    rows = np.empty((total, 3), dtype=np.int64)
-    pos = 0
-    for u in range(graph.n):
-        c = counts[u]
-        if c == 0:
-            continue
-        plus = np.asarray(graph.trust_adj[u], dtype=np.int64)
-        minus = np.asarray(graph.distrust_adj[u], dtype=np.int64)
-        rows[pos : pos + c, 0] = u
-        rows[pos : pos + c, 1] = np.repeat(plus, len(minus))
-        rows[pos : pos + c, 2] = np.tile(minus, len(plus))
-        pos += c
-    return TripletStore(MATERIALIZED, graph, counts, total, rows)
+    offsets = graph.distrust_offsets
+    sources, targets = graph.trust_edge_array.T
+    reps = np.diff(offsets)[sources]
+    rows = np.column_stack((np.repeat(sources, reps), np.repeat(targets, reps),
+                            graph.distrust_targets[_ranges(offsets[sources], reps)]))
+    counts = np.diff(graph.trust_offsets) * np.diff(offsets)
+    return TripletStore(MATERIALIZED, graph, counts, len(rows), rows)
 
 
 def lazy_triplets(graph: SocialGraph) -> TripletStore:
     """Constraint set in lazy mode: counts only, sampling without enumeration."""
-    counts = _triplet_counts(graph)
+    counts = np.diff(graph.trust_offsets) * np.diff(graph.distrust_offsets)
     return TripletStore(LAZY, graph, counts, int(counts.sum()))
 
 
@@ -274,15 +295,14 @@ def sample_triplets(store: TripletStore, rng: np.random.Generator, size: int) ->
         idx = rng.integers(0, store.total, size=size)
         return store.triplets[idx]
     flat = rng.integers(0, store.total, size=size)
-    users = np.searchsorted(store._cumulative, flat, side="right")
-    out = np.empty((size, 3), dtype=np.int64)
-    for row, u in enumerate(users):
-        plus = store.graph.trust_adj[u]
-        minus = store.graph.distrust_adj[u]
-        out[row, 0] = u
-        out[row, 1] = plus[rng.integers(0, len(plus))]
-        out[row, 2] = minus[rng.integers(0, len(minus))]
-    return out
+    users = np.searchsorted(np.cumsum(store.counts), flat, side="right")
+    g = store.graph
+    plus, minus = g.trust_offsets[users], g.distrust_offsets[users]
+    # row-major draws: j then k for each row, the stream order of a per-row loop
+    picks = rng.integers(0, np.column_stack((g.trust_offsets[users + 1] - plus,
+                                             g.distrust_offsets[users + 1] - minus)))
+    return np.column_stack((users, g.trust_targets[plus + picks[:, 0]],
+                            g.distrust_targets[minus + picks[:, 1]]))
 
 
 def sample_triplet(store: TripletStore, rng: np.random.Generator):

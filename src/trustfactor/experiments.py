@@ -15,6 +15,7 @@ from .data import (
     SocialGraph,
     SparseRatings,
     TripletStore,
+    _ranges,
     extract_triplets,
 )
 from .metrics import (
@@ -195,9 +196,11 @@ def consistency_eval(ratings: SparseRatings, graph: SocialGraph, relation: str =
     if relation not in ("trust", "distrust"):
         raise ValueError("relation must be 'trust' or 'distrust'")
     table = RatingTable(ratings)
+    offsets, targets = ((graph.trust_offsets, graph.trust_targets) if relation == "trust"
+                        else (graph.distrust_offsets, graph.distrust_targets))
     per_bin = {}
     for u in range(ratings.n):
-        relevant_set = set(graph.trust_adj[u] if relation == "trust" else graph.distrust_adj[u])
+        relevant_set = set(targets[offsets[u]:offsets[u + 1]].tolist())
         candidates = set()
         for item in table.by_user[u]:
             candidates.update(table.raters_of[item])
@@ -266,62 +269,45 @@ def majority_vote_eval(graph: SocialGraph, holdout_fraction: float = 0.3,
     fraction of votes agreeing with the true sign; the tie row has no
     alignment value.
     """
-    edges = [(u, v, 1) for u, v in graph.trust_edge_array.tolist()]
-    edges += [(u, v, -1) for u, v in graph.distrust_edge_array.tolist()]
-    if not edges:
+    trust, distrust = graph.trust_edge_array, graph.distrust_edge_array
+    edges = np.concatenate((trust, distrust))
+    if not len(edges):
         raise ValueError("empty social graph")
     rng = substream(seed, "vote")
     n_hold = int(round(holdout_fraction * len(edges)))
     n_hold = min(max(n_hold, 1), len(edges) - 1) if len(edges) > 1 else 1
-    order = rng.permutation(len(edges))
-    held = {int(idx) for idx in order[:n_hold]}
-    train_trust = [[] for _ in range(graph.n)]
-    train_distrust = [[] for _ in range(graph.n)]
-    for idx, (u, v, sign) in enumerate(edges):
-        if idx in held:
-            continue
-        (train_trust if sign > 0 else train_distrust)[u].append(v)
-    trust_sets = [set(a) for a in train_trust]
-    distrust_sets = [set(a) for a in train_distrust]
+    held = np.sort(rng.permutation(len(edges))[:n_hold])
+    kept = ~np.isin(np.arange(len(edges)), held)
+    train = SocialGraph.from_edges(graph.n, trust[kept[:len(trust)]], distrust[kept[len(trust):]])
 
-    records = []
-    for idx in sorted(held):
-        u, w, sign = edges[idx]
-        n_plus = sum(1 for v in train_trust[u] if w in trust_sets[v])
-        n_minus = sum(1 for v in train_trust[u] if w in distrust_sets[v])
-        if n_plus > n_minus:
-            predicted = 1
-        elif n_minus > n_plus:
-            predicted = -1
-        else:
-            predicted = 0
-        aligned = (predicted == sign) if predicted != 0 else None
-        records.append(VoteRecord(u, w, sign, n_plus, n_minus, predicted, aligned))
+    # each held-out (u, w) asks every v that u trusts in training about w
+    u, w = edges[held].T
+    offsets = train.trust_offsets
+    reps = offsets[u + 1] - offsets[u]
+    asked = train.trust_targets[_ranges(offsets[u], reps)] * graph.n + np.repeat(w, reps)
+    voter_of = np.repeat(np.arange(n_hold), reps)
+    n_plus, n_minus = (
+        np.bincount(voter_of[np.isin(asked, e[:, 0] * graph.n + e[:, 1])], minlength=n_hold)
+        for e in (train.trust_edge_array, train.distrust_edge_array))
+    actual = np.where(held < len(trust), 1, -1)
+    predicted = np.sign(n_plus - n_minus)
+    records = [VoteRecord(source, target, sign, plus, minus, vote, (vote == sign) if vote else None)
+               for (source, target), sign, plus, minus, vote in zip(
+                   edges[held].tolist(), actual.tolist(), n_plus.tolist(), n_minus.tolist(),
+                   predicted.tolist())]
 
-    total = len(records)
     rows = []
-    for setting, sign_filter in (("n+>n-", 1), ("n+>n-", -1), ("n+<n-", 1), ("n+<n-", -1)):
-        if setting == "n+>n-":
-            cell = [r for r in records if r.n_plus > r.n_minus and r.actual == sign_filter]
-        else:
-            cell = [r for r in records if r.n_plus < r.n_minus and r.actual == sign_filter]
-        share = 100.0 * len(cell) / total
-        if cell:
-            fractions = [
-                (r.n_plus if r.actual > 0 else r.n_minus) / (r.n_plus + r.n_minus)
-                for r in cell
-            ]
-            alignment = 100.0 * sum(fractions) / len(fractions)
-        else:
-            alignment = None
-        rows.append((setting, "+" if sign_filter > 0 else "-", share, alignment))
-    ties = [r for r in records if r.n_plus == r.n_minus]
-    rows.append(("n+=n-", "any", 100.0 * len(ties) / total, None))
-    decided = [r for r in records if r.predicted != 0]
-    accuracy = (
-        sum(1 for r in decided if r.aligned) / len(decided) if decided else None
-    )
-    return MajorityVoteResult(rows, records, total, accuracy)
+    for setting, side in (("n+>n-", predicted > 0), ("n+<n-", predicted < 0)):
+        for sign in (1, -1):
+            cell = side & (actual == sign)
+            agreeing = (n_plus if sign > 0 else n_minus)[cell] / (n_plus + n_minus)[cell]
+            alignment = 100.0 * sum(agreeing.tolist()) / len(agreeing) if len(agreeing) else None
+            rows.append((setting, "+" if sign > 0 else "-", 100.0 * int(cell.sum()) / n_hold,
+                         alignment))
+    rows.append(("n+=n-", "any", 100.0 * int(np.sum(predicted == 0)) / n_hold, None))
+    decided = int(np.sum(predicted != 0))
+    accuracy = int(np.sum(predicted == actual)) / decided if decided else None
+    return MajorityVoteResult(rows, records, n_hold, accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +317,6 @@ def majority_vote_eval(graph: SocialGraph, holdout_fraction: float = 0.3,
 @dataclass
 class TradeoffResult:
     rows: list  # (method, trust fraction, distrust fraction, mae, rmse)
-
-
-def _subsample_edges(edges, fraction, rng):
-    count = int(round(fraction * len(edges)))
-    order = rng.permutation(len(edges))
-    return [tuple(edges[int(i)]) for i in sorted(order[:count])]
 
 
 def distrust_tradeoff_run(ratings: SparseRatings, graph: SocialGraph, hp: Hyperparams,
@@ -350,16 +330,16 @@ def distrust_tradeoff_run(ratings: SparseRatings, graph: SocialGraph, hp: Hyperp
     row. Distrust subsets are nested so the sweep isolates the added edges.
     """
     train, test = split_ratings(ratings, SplitSpec(train_fraction, seed, 1))
-    trust_edges = graph.trust_edge_array.tolist()
-    distrust_edges = graph.distrust_edge_array.tolist()
-    kept_trust = _subsample_edges(trust_edges, trust_keep, substream(seed, "sweep:trust"))
+    trust_edges, distrust_edges = graph.trust_edge_array, graph.distrust_edge_array
+    trust_order = substream(seed, "sweep:trust").permutation(len(trust_edges))
+    kept_trust = trust_edges[np.sort(trust_order[:int(round(trust_keep * len(trust_edges)))])]
     distrust_order = substream(seed, "sweep:distrust").permutation(len(distrust_edges))
 
     rows = []
 
     def run_fraction(fraction):
         count = int(round(fraction * len(distrust_edges)))
-        kept = [tuple(distrust_edges[int(i)]) for i in np.sort(distrust_order[:count])]
+        kept = distrust_edges[np.sort(distrust_order[:count])]
         sub = SocialGraph.from_edges(graph.n, kept_trust, kept)
         store = extract_triplets(sub)
         point_hp = hp.replace(social="triplet-margin")
@@ -437,6 +417,14 @@ class SyntheticSpec:
         return (1.0 - f * self.light_density_scale) / (1.0 - f)
 
 
+def _locate(index, block_sizes):
+    """Block of each position in the concatenation of blocks of the given
+    sizes, and the position's offset inside its block."""
+    ends = np.cumsum(block_sizes)
+    block = np.searchsorted(ends, index, side="right")
+    return block, index - ends[block] + block_sizes[block]
+
+
 def synth_generate(spec: SyntheticSpec):
     """Seeded synthetic instance: (ratings, graph, (U_star, V_star)).
 
@@ -451,7 +439,6 @@ def synth_generate(spec: SyntheticSpec):
     u_star[np.arange(spec.n), assignment] = 1.0
     v_star = rng.integers(spec.item_low, spec.item_high + 1, size=(spec.m, spec.rank)).astype(float)
 
-    full = u_star @ v_star.T
     per_user = np.full(spec.n, spec.density)
     if spec.light_user_fraction > 0:
         n_light = int(spec.light_user_fraction * spec.n)
@@ -461,32 +448,28 @@ def synth_generate(spec: SyntheticSpec):
     mask = rng.random((spec.n, spec.m)) < per_user[:, None]
     users, items = np.nonzero(mask)
     noise = rng.normal(0.0, spec.noise_sigma, size=len(users)) if spec.noise_sigma > 0 else 0.0
-    values = np.clip(np.rint(full[users, items] + noise), spec.r_min, spec.r_max)
+    # the planted rating U*[u] . V*[i] is V*[i, cluster of u], as U* rows are one-hot
+    values = np.clip(np.rint(v_star[items, assignment[users]] + noise), spec.r_min, spec.r_max)
     ratings = SparseRatings(spec.n, spec.m, users, items, values, spec.r_min, spec.r_max)
 
-    members = [np.flatnonzero(assignment == c) for c in range(spec.clusters)]
-    intra = [
-        (int(a), int(b))
-        for c in range(spec.clusters)
-        for a in members[c]
-        for b in members[c]
-        if a != b
-    ]
-    inter = [
-        (int(a), int(b))
-        for ca in range(spec.clusters)
-        for cb in range(spec.clusters)
-        if ca != cb
-        for a in members[ca]
-        for b in members[cb]
-    ]
-    if spec.n_trust > len(intra):
-        raise ValueError(f"cannot place {spec.n_trust} trust edges; only {len(intra)} intra-cluster pairs")
-    if spec.n_distrust > len(inter):
-        raise ValueError(f"cannot place {spec.n_distrust} distrust edges; only {len(inter)} inter-cluster pairs")
-    trust_idx = rng.choice(len(intra), size=spec.n_trust, replace=False)
-    distrust_idx = rng.choice(len(inter), size=spec.n_distrust, replace=False)
-    trust_edges = [intra[int(i)] for i in np.sort(trust_idx)]
-    distrust_edges = [inter[int(i)] for i in np.sort(distrust_idx)]
+    # Candidate pairs are numbered in enumeration order without being listed:
+    # intra-cluster (c, a, b != a) and inter-cluster (ca, cb != ca, a, b), with
+    # a, b member positions inside the contiguous cluster blocks.
+    sizes = np.bincount(assignment, minlength=spec.clusters)
+    starts = np.cumsum(sizes) - sizes
+    ca, cb = np.nonzero(~np.eye(spec.clusters, dtype=bool))
+    n_intra, n_inter = int(np.sum(sizes * (sizes - 1))), int(np.sum(sizes[ca] * sizes[cb]))
+    if spec.n_trust > n_intra:
+        raise ValueError(f"cannot place {spec.n_trust} trust edges; only {n_intra} intra-cluster pairs")
+    if spec.n_distrust > n_inter:
+        raise ValueError(f"cannot place {spec.n_distrust} distrust edges; only {n_inter} inter-cluster pairs")
+    trust_idx = rng.choice(n_intra, size=spec.n_trust, replace=False)
+    distrust_idx = rng.choice(n_inter, size=spec.n_distrust, replace=False)
+    c, local = _locate(np.sort(trust_idx), sizes * (sizes - 1))
+    a, b = np.divmod(local, sizes[c] - 1)
+    trust_edges = np.column_stack((starts[c] + a, starts[c] + b + (b >= a)))  # b skips a
+    block, local = _locate(np.sort(distrust_idx), sizes[ca] * sizes[cb])
+    a, b = np.divmod(local, sizes[cb[block]])
+    distrust_edges = np.column_stack((starts[ca[block]] + a, starts[cb[block]] + b))
     graph = SocialGraph.from_edges(spec.n, trust_edges, distrust_edges)
     return ratings, graph, (u_star, v_star)

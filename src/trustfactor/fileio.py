@@ -137,24 +137,23 @@ def load_ratings_with_maps(path, user_map: IdMap, item_map: IdMap):
 
 
 def _build_graph(rows, user_map, n):
-    signed = {}
-    duplicates = 0
-    for u, v, s, where in rows:
-        key = (user_map.intern(u), user_map.intern(v))
-        if key in signed:
-            if signed[key][0] != s:
-                raise ValueError(
-                    f"{where}: contradicts {signed[key][1]}: "
-                    f"{u!r} cannot both trust and distrust {v!r}")
-            duplicates += 1
-            continue
-        signed[key] = (s, where)
-    if duplicates:
-        log.warning("%d duplicate social edges dropped", duplicates)
-    n = max(n, len(user_map))
-    trust = [(u, v) for (u, v), (s, _) in signed.items() if s > 0]
-    distrust = [(u, v) for (u, v), (s, _) in signed.items() if s < 0]
-    return SocialGraph.from_edges(n, trust, distrust)
+    """Signed graph of the social rows; a repeated (u, v) keeps its first row
+    and must repeat its sign."""
+    pairs = np.array([(user_map.intern(u), user_map.intern(v)) for u, v, _, _ in rows],
+                     dtype=np.int64).reshape(-1, 2)
+    signs = np.array([s for _, _, s, _ in rows], dtype=np.int64)
+    _, first, key = np.unique(pairs[:, 0] * len(user_map) + pairs[:, 1],
+                              return_index=True, return_inverse=True)
+    clash = np.flatnonzero(signs != signs[first[key]])
+    if len(clash):
+        u, v, _, where = rows[clash[0]]
+        raise ValueError(f"{where}: contradicts {rows[first[key[clash[0]]]][3]}: "
+                         f"{u!r} cannot both trust and distrust {v!r}")
+    if len(first) < len(rows):
+        log.warning("%d duplicate social edges dropped", len(rows) - len(first))
+    keep = np.sort(first)
+    pairs, signs = pairs[keep], signs[keep]
+    return SocialGraph.from_edges(max(n, len(user_map)), pairs[signs > 0], pairs[signs < 0])
 
 
 def load_social(path, user_map: IdMap | None = None, sign: int | None = None) -> SocialGraph:
@@ -208,11 +207,10 @@ def save_ratings(path, ratings: SparseRatings, user_map: IdMap, item_map: IdMap)
 
 
 def save_social(path, graph: SocialGraph, user_map: IdMap):
+    ids = user_map.ids
     with open(path, "w", encoding="utf-8") as handle:
-        for u, v in graph.trust_edge_array.tolist():
-            handle.write(f"{user_map[u]}\t{user_map[v]}\t1\n")
-        for u, v in graph.distrust_edge_array.tolist():
-            handle.write(f"{user_map[u]}\t{user_map[v]}\t-1\n")
+        for sign, edges in (("1", graph.trust_edge_array), ("-1", graph.distrust_edge_array)):
+            handle.writelines(f"{ids[u]}\t{ids[v]}\t{sign}\n" for u, v in edges.tolist())
 
 
 def save_id_map(path, id_map: IdMap):

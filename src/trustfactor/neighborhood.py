@@ -123,6 +123,7 @@ def propagate_trust(graph: SocialGraph, p: int):
     Returns one set per user, never containing the user itself."""
     if p < 1:
         raise ValueError("propagation depth must be at least 1")
+    targets, offsets = graph.trust_targets.tolist(), graph.trust_offsets.tolist()
     out = []
     for u in range(graph.n):
         seen = {u}
@@ -132,7 +133,7 @@ def propagate_trust(graph: SocialGraph, p: int):
             node, depth = frontier.popleft()
             if depth == p:
                 continue
-            for v in graph.trust_adj[node]:
+            for v in targets[offsets[node]:offsets[node + 1]]:
                 if v not in seen:
                     seen.add(v)
                     reached.add(v)
@@ -148,11 +149,12 @@ def propagate_distrust(graph: SocialGraph, q: int):
     if q < 1:
         raise ValueError("propagation depth must be at least 1")
     trust_reach = propagate_trust(graph, q - 1) if q > 1 else [set() for _ in range(graph.n)]
+    targets, offsets = graph.distrust_targets.tolist(), graph.distrust_offsets.tolist()
     out = []
     for u in range(graph.n):
-        distrusted = set(graph.distrust_adj[u])
-        for v in trust_reach[u]:
-            distrusted.update(graph.distrust_adj[v])
+        distrusted = set()
+        for v in (u, *trust_reach[u]):
+            distrusted.update(targets[offsets[v]:offsets[v + 1]])
         distrusted.discard(u)
         out.append(distrusted)
     return out
@@ -189,7 +191,9 @@ def neighbor_pool(sims: SimilarityCache, sets: PropagatedSets | None, u: int, va
     if variant == "nb-td-d":
         # debugging: drop propagated admissions contradicted by a direct
         # distrust edge from u
-        return set(sets.trusted[u]) - set(sets.graph.distrust_adj[u])
+        graph = sets.graph
+        direct = graph.distrust_targets[graph.distrust_offsets[u]:graph.distrust_offsets[u + 1]]
+        return set(sets.trusted[u]) - set(direct.tolist())
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -48,7 +48,7 @@ def _loss(kind, z, need_slope=False):
 
 def _margin(U, i, j, k, convention):
     """Signed squared-distance gap z of triplet (i, j, k), or of each triplet
-    when i, j, k are index arrays.
+    when j, k (and i, unless one row is shared by all) are index arrays.
 
     figure1:       z = ||U_i - U_k||^2 - ||U_i - U_j||^2
     paper-literal: z = ||U_i - U_j||^2 - ||U_i - U_k||^2

@@ -82,11 +82,47 @@ class TestSocialGraph:
         with pytest.raises(ValueError, match="trusts and distrusts"):
             SocialGraph.from_edges(2, [(0, 1)], [(0, 1)])
 
+    def test_rejects_duplicate_neighbor(self):
+        with pytest.raises(ValueError, match="duplicate neighbor for user 1"):
+            SocialGraph.from_edges(3, [(0, 2)], [(1, 0), (1, 2), (1, 0)])
+
+    @pytest.mark.parametrize("sign", ["trust", "distrust"])
+    @pytest.mark.parametrize("target", [3, -1])
+    def test_rejects_target_out_of_range(self, sign, target):
+        edges = {"trust_edges": [], "distrust_edges": [], f"{sign}_edges": [(1, 0), (1, target)]}
+        with pytest.raises(ValueError, match=rf"^{sign} edge \(1, {target}\): neighbor index "
+                                             rf"{target} out of range$"):
+            SocialGraph.from_edges(3, **edges)
+
+    @pytest.mark.parametrize("source", [-1, 3])
+    def test_rejects_source_out_of_range(self, source):
+        with pytest.raises(ValueError, match=rf"^trust edge \({source}, 1\): source index "
+                                             rf"{source} out of range$"):
+            SocialGraph.from_edges(3, [(0, 1), (source, 1)], [])
+
+    def test_rejects_malformed_input(self):
+        with pytest.raises(ValueError, match="pairs"):
+            SocialGraph.from_edges(3, [(0, 1, 2)], [])
+        with pytest.raises(ValueError, match="trust offsets"):
+            SocialGraph(2, [0, 1], [1], [0, 0, 0], [])
+
     def test_edge_arrays(self):
         g = figure_graph()
         assert g.trust_count == 4
         assert g.distrust_count == 2
         assert g.trust_edge_array.shape == (4, 2)
+
+    def test_csr_keeps_each_users_input_order(self):
+        trust = [(2, 0), (0, 3), (2, 1), (0, 1)]
+        for edges in (trust, np.array(trust)):
+            g = SocialGraph.from_edges(4, edges, [(3, 0)])
+            assert g.trust_offsets.tolist() == [0, 2, 2, 4, 4]
+            assert g.trust_targets.tolist() == [3, 1, 0, 1]
+            assert g.trust_edge_array.tolist() == [[0, 3], [0, 1], [2, 0], [2, 1]]
+            assert g.distrust_offsets.tolist() == [0, 0, 0, 0, 1]
+            assert [a.tolist() for a in g.trust_adj] == [[3, 1], [], [0, 1], []]
+        with pytest.raises(ValueError):
+            g.trust_adj[0][0] = 2
 
 
 class TestExtractTriplets:
@@ -115,6 +151,15 @@ class TestExtractTriplets:
             assert store.total == sum(
                 len(g.trust_adj[u]) * len(g.distrust_adj[u]) for u in range(g.n))
 
+    def test_lazy_blocks_cover_the_materialized_set(self, rng):
+        for _ in range(20):
+            g = random_graph(rng)
+            blocks = list(lazy_triplets(g).iter_blocks())
+            assert all(isinstance(i, int) for i, _, _ in blocks)
+            rows = [np.column_stack((np.full(len(j), i), j, k)) for i, j, k in blocks]
+            expected = extract_triplets(g).triplets
+            assert np.array_equal(np.concatenate(rows or [np.empty((0, 3), int)]), expected)
+
     def test_sign_conditions_hold(self, rng):
         g = random_graph(rng)
         store = extract_triplets(g)
@@ -123,7 +168,40 @@ class TestExtractTriplets:
             assert k in g.distrust_adj[i]
 
 
+def hub_graph(rng, n=400, cap=80):
+    """Zipf out-degrees capped at `cap`, each edge's sign a fair coin."""
+    trust, distrust = [], []
+    for u in range(n):
+        degree = min(int(rng.zipf(1.8)), cap)
+        others = np.delete(np.arange(n), u)
+        for v in rng.choice(others, size=degree, replace=False).tolist():
+            (trust if rng.random() < 0.5 else distrust).append((u, v))
+    return SocialGraph.from_edges(n, trust, distrust)
+
+
+def per_row_sample(store, rng, size):
+    """Reference lazy sampler: a user draw per row, then j and k per row."""
+    flat = rng.integers(0, store.total, size=size)
+    users = np.searchsorted(np.cumsum(store.counts), flat, side="right")
+    out = np.empty((size, 3), dtype=np.int64)
+    for row, u in enumerate(users):
+        plus, minus = store.graph.trust_adj[u], store.graph.distrust_adj[u]
+        out[row] = u, plus[rng.integers(0, len(plus))], minus[rng.integers(0, len(minus))]
+    return out
+
+
 class TestSampling:
+    def test_lazy_equals_per_row_loop(self):
+        store = lazy_triplets(hub_graph(np.random.default_rng(5)))
+        assert np.sum(store.counts == 1) > 0 and store.counts.max() > 1000
+        for seed in range(5):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            for size in (4096, 1, 0, 7, 4096):
+                got = sample_triplets(store, fast, size)
+                assert got.dtype == np.int64 and got.shape == (size, 3)
+                assert np.array_equal(got, per_row_sample(store, slow, size))
+            assert fast.integers(0, 2**62) == slow.integers(0, 2**62)
+
     def test_single_triplet_store(self):
         g = SocialGraph.from_edges(3, [(0, 1)], [(0, 2)])
         store = extract_triplets(g)

@@ -22,6 +22,7 @@ from trustfactor.experiments import (
 )
 from trustfactor.metrics import RankedList, average_precision
 from trustfactor.optimize import fit_gd
+from trustfactor.seeding import substream
 
 from conftest import random_ratings
 
@@ -296,7 +297,60 @@ class TestWorkerParallelism:
         assert results[0].best == results[1].best
 
 
+def enumerated_synth(spec):
+    """Reference generator: the dense planted matrix and explicit lists of
+    every intra- and inter-cluster pair, drawn from in list order."""
+    rng = substream(spec.seed, "synth")
+    assignment = np.sort(np.arange(spec.n) % spec.clusters)
+    u_star = np.zeros((spec.n, spec.rank))
+    u_star[np.arange(spec.n), assignment] = 1.0
+    v_star = rng.integers(spec.item_low, spec.item_high + 1, size=(spec.m, spec.rank)).astype(float)
+    full = u_star @ v_star.T
+    per_user = np.full(spec.n, spec.density)
+    if spec.light_user_fraction > 0:
+        light = rng.permutation(spec.n)[:int(spec.light_user_fraction * spec.n)]
+        per_user *= spec._heavy_scale()
+        per_user[light] = spec.density * spec.light_density_scale
+    users, items = np.nonzero(rng.random((spec.n, spec.m)) < per_user[:, None])
+    noise = rng.normal(0.0, spec.noise_sigma, size=len(users)) if spec.noise_sigma > 0 else 0.0
+    values = np.clip(np.rint(full[users, items] + noise), spec.r_min, spec.r_max)
+    members = [np.flatnonzero(assignment == c) for c in range(spec.clusters)]
+    intra = [(a, b) for c in range(spec.clusters)
+             for a in members[c] for b in members[c] if a != b]
+    inter = [(a, b) for ca in range(spec.clusters) for cb in range(spec.clusters) if ca != cb
+             for a in members[ca] for b in members[cb]]
+    trust_idx = rng.choice(len(intra), size=spec.n_trust, replace=False)
+    distrust_idx = rng.choice(len(inter), size=spec.n_distrust, replace=False)
+    trust = [intra[i] for i in np.sort(trust_idx)]
+    distrust = [inter[i] for i in np.sort(distrust_idx)]
+    return users, items, values, trust, distrust, u_star, v_star
+
+
 class TestSynthGenerate:
+    @pytest.mark.parametrize("spec", [
+        dict(n=30, m=15, rank=2, clusters=2, density=0.5, noise_sigma=0.1, n_trust=40,
+             n_distrust=40, seed=0),
+        dict(n=25, m=10, rank=1, clusters=1, density=0.4, noise_sigma=0.0, n_trust=600,
+             n_distrust=0, seed=1),
+        dict(n=40, m=12, rank=7, clusters=7, density=0.3, noise_sigma=0.5, n_trust=100,
+             n_distrust=1300, seed=2),
+        dict(n=53, m=20, rank=5, clusters=4, density=0.2, noise_sigma=0.2, n_trust=300,
+             n_distrust=500, seed=3, light_user_fraction=0.3, light_density_scale=0.2,
+             item_low=-2, item_high=3),
+        dict(n=9, m=6, rank=3, clusters=3, density=1.0, noise_sigma=0.0, n_trust=18,
+             n_distrust=54, seed=4),
+    ])
+    def test_equals_enumerated_pairs(self, spec):
+        spec = SyntheticSpec(**spec)
+        ratings, graph, (u_star, v_star) = synth_generate(spec)
+        users, items, values, trust, distrust, u_ref, v_ref = enumerated_synth(spec)
+        assert np.array_equal(ratings.users, users) and np.array_equal(ratings.items, items)
+        assert ratings.values.tobytes() == values.tobytes()
+        for adjacency, pairs in ((graph.trust_adj, trust), (graph.distrust_adj, distrust)):
+            assert [a.tolist() for a in adjacency] == [
+                [b for a, b in pairs if a == u] for u in range(spec.n)]
+        assert np.array_equal(u_star, u_ref) and np.array_equal(v_star, v_ref)
+
     def test_constant_model(self):
         spec = SyntheticSpec(n=4, m=3, rank=1, clusters=1, density=1.0,
                              noise_sigma=0.0, n_trust=2, n_distrust=0,
@@ -321,7 +375,8 @@ class TestSynthGenerate:
         a_r, a_g, (a_u, a_v) = small_synth(seed=12)
         b_r, b_g, (b_u, b_v) = small_synth(seed=12)
         assert np.array_equal(a_r.values, b_r.values)
-        assert a_g.trust_adj == b_g.trust_adj
+        for name in ("trust_offsets", "trust_targets", "distrust_offsets", "distrust_targets"):
+            assert np.array_equal(getattr(a_g, name), getattr(b_g, name))
         assert np.array_equal(a_u, b_u) and np.array_equal(a_v, b_v)
 
     def test_infeasible_edge_count_errors(self):
