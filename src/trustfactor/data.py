@@ -28,7 +28,7 @@ def _frozen_array(values, dtype):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseRatings:
     """Partially observed user-item rating matrix in coordinate form.
 
@@ -104,6 +104,15 @@ class SparseRatings:
         means.setflags(write=False)
         return means
 
+    @cached_property
+    def by_item(self) -> tuple:
+        """Item-major view (users, values, offsets): the entries stable-sorted
+        by (item, user), item i's raters being users[offsets[i]:offsets[i + 1]]."""
+        order = np.lexsort((self.users, self.items))
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(self.items, minlength=self.m))))
+        return (_frozen_array(self.users[order], np.int64),
+                _frozen_array(self.values[order], np.float64), _frozen_array(offsets, np.int64))
+
     def subset(self, index: np.ndarray) -> "SparseRatings":
         """Ratings restricted to the given entry positions (same n, m)."""
         index = np.asarray(index, dtype=np.int64)
@@ -114,7 +123,7 @@ class SparseRatings:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SocialGraph:
     """Signed directed graph over users in CSR form, one array pair per sign.
 
@@ -216,7 +225,7 @@ def _ranges(starts, lengths):
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripletStore:
     """The social constraint set: (i, j, k) with i trusting j and distrusting k.
 

@@ -25,7 +25,7 @@ from .metrics import (
     ndcg_at_k,
     precision_recall_at_k,
 )
-from .neighborhood import RatingTable, _pcc_from_dicts
+from .neighborhood import build_similarity_cache
 from .optimize import fit_gd, fit_sgd
 from .seeding import substream
 
@@ -195,25 +195,21 @@ def consistency_eval(ratings: SparseRatings, graph: SocialGraph, relation: str =
     """
     if relation not in ("trust", "distrust"):
         raise ValueError("relation must be 'trust' or 'distrust'")
-    table = RatingTable(ratings)
-    offsets, targets = ((graph.trust_offsets, graph.trust_targets) if relation == "trust"
-                        else (graph.distrust_offsets, graph.distrust_targets))
+    edges = graph.trust_edge_array if relation == "trust" else graph.distrust_edge_array
+    sims = build_similarity_cache(ratings, min_co=1)
+    # every co-rated pair in both directions; an undefined similarity reads 0
+    a, b = sims.pairs.T
+    base = max(ratings.n, graph.n)
+    keys = edges[:, 0] * base + edges[:, 1]
+    relevant = np.concatenate((np.isin(a * base + b, keys), np.isin(b * base + a, keys)))
+    similarity = np.tile((-1.0 if relation == "trust" else 1.0) * np.nan_to_num(sims.pcc), 2)
+    users, candidates = np.concatenate((a, b)), np.concatenate((b, a))
+    del sims, a, b
+    relevant = relevant[np.lexsort((candidates, ~relevant, similarity, users))]
+    bounds = np.cumsum(np.bincount(users, minlength=ratings.n))[:-1]
     per_bin = {}
-    for u in range(ratings.n):
-        relevant_set = set(targets[offsets[u]:offsets[u + 1]].tolist())
-        candidates = set()
-        for item in table.by_user[u]:
-            candidates.update(table.raters_of[item])
-        candidates.discard(u)
-        if not candidates:
-            continue
-        scored = []
-        for v in sorted(candidates):
-            w = _pcc_from_dicts(table.by_user[u], table.by_user[v], 1)
-            scored.append((0.0 if w is None else w, v in relevant_set, v))
-        sign = -1.0 if relation == "trust" else 1.0
-        scored.sort(key=lambda t: (sign * t[0], not t[1], t[2]))
-        flags = RankedList(tuple(1 if rel else 0 for _, rel, _ in scored))
+    for u, segment in enumerate(np.split(relevant, bounds)):
+        flags = RankedList(segment.tolist())
         if flags.total_relevant == 0:
             continue
         row = {

@@ -5,47 +5,33 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .data import SocialGraph, SparseRatings
+import numpy as np
+
+from .data import SocialGraph, SparseRatings, _ranges
 
 VARIANTS = ("nb", "nb-t", "nb-td-f", "nb-td-d")
 
 MIN_CO_RATED = 3
 
 
-@dataclass(frozen=True)
-class RatingTable:
-    """Dictionary views of a SparseRatings for neighbor lookups."""
-
-    ratings: SparseRatings
-
-    @cached_property
-    def by_user(self):
-        table = [dict() for _ in range(self.ratings.n)]
-        for u, i, r in zip(self.ratings.users, self.ratings.items, self.ratings.values):
-            table[u][int(i)] = float(r)
-        return table
-
-    @cached_property
-    def raters_of(self):
-        table = [[] for _ in range(self.ratings.m)]
-        for u, i in zip(self.ratings.users, self.ratings.items):
-            table[int(i)].append(int(u))
-        return table
-
-    def user_mean(self, u):
-        return float(self.ratings.user_means[u])
-
-    @property
-    def global_mean(self):
-        return self.ratings.global_mean
+def RatingTable(ratings: SparseRatings) -> SparseRatings:
+    """The ratings themselves: nb_predict needs no table. perfbench/workloads.py
+    still builds one by this name to time predictions."""
+    return ratings
 
 
-def _pcc_from_dicts(ru: dict, rv: dict, min_co: int):
+def pearson(ratings: SparseRatings, u: int, v: int, min_co: int = MIN_CO_RATED):
+    """Pearson correlation over the co-rated items of u and v, with the means
+    taken over that co-rated set. None when there are no co-ratings or fewer
+    than `min_co`, or either side has zero variance. The scalar reference
+    for build_similarity_cache, whose weights are bit-equal to it."""
+    ru, rv = (dict(zip(ratings.items[rows].tolist(), ratings.values[rows].tolist()))
+              for rows in (ratings.users == u, ratings.users == v))
     common = sorted(set(ru) & set(rv))
-    if len(common) < min_co:
+    if not common or len(common) < min_co:
         return None
     xs = [ru[i] for i in common]
     ys = [rv[i] for i in common]
@@ -60,32 +46,36 @@ def _pcc_from_dicts(ru: dict, rv: dict, min_co: int):
     return sum(a * b for a, b in zip(dx, dy)) / math.sqrt(sx * sy)
 
 
-def pearson(ratings: SparseRatings, u: int, v: int, min_co: int = MIN_CO_RATED):
-    """Pearson correlation over the co-rated items of u and v, with the means
-    taken over that co-rated set. None when there are fewer than `min_co`
-    co-ratings or either side has zero variance."""
-    table = ratings if isinstance(ratings, RatingTable) else RatingTable(ratings)
-    return _pcc_from_dicts(table.by_user[u], table.by_user[v], min_co)
-
-
-@dataclass
+@dataclass(eq=False)
 class SimilarityCache:
-    """Sparse symmetric map of Pearson weights, built once then read-only."""
+    """Pearson weights of the co-rated user pairs, built once then read-only.
 
-    weights: dict
-    co_counts: dict
+    pairs[t] = (u, v), u < v, ascending, is the t-th pair of users sharing
+    co_counts[t] rated items, and pcc[t] their Pearson correlation, the
+    cached weight, NaN where it is undefined or they share fewer than min_co.
+    """
+
+    pairs: np.ndarray
+    co_counts: np.ndarray
+    pcc: np.ndarray
     min_co: int
-    _neighbors: dict = field(default_factory=dict)
 
-    @staticmethod
-    def _key(u, v):
-        return (u, v) if u < v else (v, u)
+    @cached_property
+    def weights(self) -> dict:
+        """(u, v) with u < v -> cached weight."""
+        cached = ~np.isnan(self.pcc)
+        return dict(zip(map(tuple, self.pairs[cached].tolist()), self.pcc[cached].tolist()))
+
+    @cached_property
+    def _neighbors(self) -> dict:
+        pairs = self.pairs[~np.isnan(self.pcc)]
+        users, others = np.concatenate((pairs, pairs[:, ::-1])).T
+        order = np.lexsort((others, users))
+        heads, starts = np.unique(users[order], return_index=True)
+        return dict(zip(heads.tolist(), map(np.ndarray.tolist, np.split(others[order], starts[1:]))))
 
     def weight(self, u, v):
-        return self.weights.get(self._key(u, v))
-
-    def co_count(self, u, v):
-        return self.co_counts.get(self._key(u, v), 0)
+        return self.weights.get((u, v) if u < v else (v, u))
 
     def neighbors(self, u):
         """Users with a cached similarity to u, in ascending index order."""
@@ -93,28 +83,35 @@ class SimilarityCache:
 
 
 def build_similarity_cache(ratings: SparseRatings, min_co: int = MIN_CO_RATED) -> SimilarityCache:
-    table = RatingTable(ratings)
-    co = {}
-    for raters in table.raters_of:
-        raters = sorted(set(raters))
-        for a in range(len(raters)):
-            for b in range(a + 1, len(raters)):
-                key = (raters[a], raters[b])
-                co[key] = co.get(key, 0) + 1
-    weights = {}
-    neighbors = {}
-    for (u, v), count in co.items():
-        if count < min_co:
-            continue
-        w = _pcc_from_dicts(table.by_user[u], table.by_user[v], min_co)
-        if w is None:
-            continue
-        weights[(u, v)] = w
-        neighbors.setdefault(u, []).append(v)
-        neighbors.setdefault(v, []).append(u)
-    for u in neighbors:
-        neighbors[u].sort()
-    return SimilarityCache(weights, co, min_co, neighbors)
+    """Pearson correlation of every co-rated user pair in one array pass.
+
+    Rater pairs are listed item by item and grouped by a stable sort, which
+    keeps each pair's co-ratings in ascending item order; bincount adds in
+    input order, so every per-pair sum runs in the order `pearson` takes and
+    the weights are bit-equal to it. Memory grows with the number of
+    (pair, item) co-ratings, the sum over items of raters squared.
+    """
+    users, values, offsets = ratings.by_item
+    # entry t pairs with the later raters of its item, at t + 1 .. (item end) - 1
+    later = np.repeat(offsets[1:], np.diff(offsets)) - np.arange(ratings.nnz) - 1
+    second = _ranges(np.arange(1, ratings.nnz + 1), later)
+    key = np.repeat(users, later) * ratings.n + users[second]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.diff(key, prepend=-1) != 0
+    keys = key[head]
+    x, y = np.repeat(values, later)[order], values[second[order]]
+    del order, second, key
+    pid = np.cumsum(head) - 1
+    counts = np.bincount(pid)
+    x -= (np.bincount(pid, x) / counts)[pid]
+    y -= (np.bincount(pid, y) / counts)[pid]
+    sx, sy, sxy = np.bincount(pid, x * x), np.bincount(pid, y * y), np.bincount(pid, x * y)
+    del x, y, pid
+    pcc = np.full(len(keys), np.nan)
+    defined = (sx != 0.0) & (sy != 0.0) & (counts >= min_co)
+    pcc[defined] = sxy[defined] / np.sqrt(sx[defined] * sy[defined])
+    return SimilarityCache(np.column_stack(np.divmod(keys, ratings.n)), counts, pcc, min_co)
 
 
 def propagate_trust(graph: SocialGraph, p: int):
@@ -197,7 +194,7 @@ def neighbor_pool(sims: SimilarityCache, sets: PropagatedSets | None, u: int, va
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def nb_predict(ratings, sims: SimilarityCache, sets: PropagatedSets | None,
+def nb_predict(ratings: SparseRatings, sims: SimilarityCache, sets: PropagatedSets | None,
                u: int, i: int, variant: str = "nb"):
     """Mean-centered weighted prediction of item i for user u.
 
@@ -206,28 +203,26 @@ def nb_predict(ratings, sims: SimilarityCache, sets: PropagatedSets | None,
     Falls back to the user mean on an empty pool, to the global mean when the
     user has no ratings, and clamps to the rating bounds.
     """
-    table = ratings if isinstance(ratings, RatingTable) else RatingTable(ratings)
-    base = table.ratings
-    if not 0 <= u < base.n:
+    if not 0 <= u < ratings.n:
         raise IndexError(f"user index {u} out of range")
-    if not 0 <= i < base.m:
+    if not 0 <= i < ratings.m:
         raise IndexError(f"item index {i} out of range")
+    raters, values, offsets = ratings.by_item
+    column = dict(zip(raters[offsets[i]:offsets[i + 1]].tolist(),
+                      values[offsets[i]:offsets[i + 1]].tolist()))
     pool = neighbor_pool(sims, sets, u, variant)
     num = 0.0
     den = 0.0
     for v in pool:
-        rating = table.by_user[v].get(i)
+        rating = column.get(v)
         if rating is None:
             continue
         w = sims.weight(u, v)
         if w is None or w <= 0.0:
             continue
-        num += w * (rating - table.user_mean(v))
+        num += w * (rating - float(ratings.user_means[v]))
         den += w
+    value = float(ratings.user_means[u])  # the global mean for a user without ratings
     if den > 0.0:
-        value = table.user_mean(u) + num / den
-    elif table.by_user[u]:
-        value = table.user_mean(u)
-    else:
-        value = table.global_mean
-    return min(max(value, base.r_min), base.r_max)
+        value += num / den
+    return min(max(value, ratings.r_min), ratings.r_max)

@@ -72,6 +72,25 @@ class TestSparseRatings:
         with pytest.raises(ValueError):
             r.values[0] = 4.0
 
+    def test_item_major_view(self):
+        r = SparseRatings.from_entries(3, 4, [(2, 1, 4.0), (0, 3, 1.0), (0, 1, 2.0),
+                                              (1, 0, 5.0), (1, 1, 3.0)])
+        users, values, offsets = r.by_item
+        assert users.tolist() == [1, 0, 1, 2, 0]
+        assert values.tolist() == [5.0, 2.0, 3.0, 4.0, 1.0]
+        assert offsets.tolist() == [0, 1, 4, 4, 5]
+
+
+def test_array_containers_compare_and_hash_by_identity():
+    made = []
+    for _ in range(2):
+        graph = SocialGraph.from_edges(3, [(0, 1)], [(0, 2)])
+        made.append((graph, SparseRatings.from_entries(2, 2, [(0, 1, 3.0)]),
+                     extract_triplets(graph)))
+    for a, b in zip(*made):
+        assert a == a and a != b
+        assert len({a, a, b}) == 2
+
 
 class TestSocialGraph:
     def test_rejects_self_edge(self):

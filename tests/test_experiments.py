@@ -20,11 +20,12 @@ from trustfactor.experiments import (
     split_ratings,
     synth_generate,
 )
-from trustfactor.metrics import RankedList, average_precision
+from trustfactor.metrics import RankedList, average_precision, ndcg_at_k, precision_recall_at_k
+from trustfactor.neighborhood import pearson
 from trustfactor.optimize import fit_gd
 from trustfactor.seeding import substream
 
-from conftest import random_ratings
+from conftest import random_graph, random_ratings
 
 
 def small_synth(seed=0, **overrides):
@@ -140,6 +141,44 @@ class TestGridSearch:
         assert result.rows[0][2] == float("inf")
 
 
+def per_user_consistency(ratings, graph, relation, bin_edges=(0, 20, 40, 60, 80)):
+    """consistency_eval's bins from a per-user loop over the scalar Pearson,
+    the reference for the ranking over the similarity cache."""
+    rated = [set(ratings.items[ratings.users == u].tolist()) for u in range(ratings.n)]
+    adj = graph.trust_adj if relation == "trust" else graph.distrust_adj
+    sign = -1.0 if relation == "trust" else 1.0
+    per_bin = {}
+    for u in range(ratings.n):
+        candidates = [v for v in range(ratings.n) if v != u and rated[u] & rated[v]]
+        relevant = set(adj[u].tolist())
+        scored = []
+        for v in candidates:
+            w = pearson(ratings, u, v, min_co=1)
+            scored.append((0.0 if w is None else w, v in relevant, v))
+        scored.sort(key=lambda t: (sign * t[0], not t[1], t[2]))
+        flags = RankedList(tuple(1 if rel else 0 for _, rel, _ in scored))
+        if flags.total_relevant == 0:
+            continue
+        count = len(rated[u])
+        label = next((f"[{lo},{hi})" for lo, hi in zip(bin_edges, bin_edges[1:])
+                      if lo <= count < hi), f">={bin_edges[-1]}")
+        per_bin.setdefault(label, []).append({
+            "ndcg@10": ndcg_at_k(flags, 10),
+            "ndcg@20": ndcg_at_k(flags, 20),
+            "recall@10": precision_recall_at_k(flags, 10)[1],
+            "recall@20": precision_recall_at_k(flags, 20)[1],
+            "recall@40": precision_recall_at_k(flags, 40)[1],
+            "ap": average_precision(flags),
+        })
+    bins = {}
+    for label, rows in per_bin.items():
+        agg = {key: sum(r[key] for r in rows) / len(rows) for key in rows[0]}
+        agg["map"] = agg.pop("ap")
+        agg["users"] = len(rows)
+        bins[label] = agg
+    return bins
+
+
 class TestConsistencyEval:
     def test_ideal_alignment(self):
         # u0 co-rates with exactly its trusted friend, perfectly correlated;
@@ -163,32 +202,24 @@ class TestConsistencyEval:
         trust = [(u, (u + 1) % 10) for u in range(10)]
         distrust = [(u, (u + 2) % 10) for u in range(10)]
         graph = SocialGraph.from_edges(10, trust, distrust)
-        result = consistency_eval(ratings, graph, "trust")
-        # brute-force recomputation of one metric over all users
-        from trustfactor.neighborhood import RatingTable, _pcc_from_dicts
-        table = RatingTable(ratings)
-        expected = []
-        for u in range(10):
-            cands = set()
-            for item in table.by_user[u]:
-                cands.update(table.raters_of[item])
-            cands.discard(u)
-            if not cands:
-                continue
-            rel_set = set(graph.trust_adj[u])
-            scored = []
-            for v in sorted(cands):
-                w = _pcc_from_dicts(table.by_user[u], table.by_user[v], 1)
-                scored.append((0.0 if w is None else w, v in rel_set, v))
-            scored.sort(key=lambda t: (-t[0], not t[1], t[2]))
-            flags = RankedList(tuple(1 if r else 0 for _, r, _ in scored))
-            if flags.total_relevant == 0:
-                continue
-            expected.append(average_precision(flags))
-        got = [agg["map"] * agg["users"] for agg in result.bins.values()]
-        assert sum(got) == pytest.approx(sum(expected))
-        assert all(0.0 <= agg["map"] <= 1.0 for agg in result.bins.values())
-        assert all(0.0 <= agg["ndcg@10"] <= 1.0 for agg in result.bins.values())
+        for relation in ("trust", "distrust"):
+            result = consistency_eval(ratings, graph, relation)
+            expected = per_user_consistency(ratings, graph, relation)
+            assert list(result.bins.items()) == list(expected.items())
+            assert all(0.0 <= agg["map"] <= 1.0 for agg in result.bins.values())
+            assert all(0.0 <= agg["ndcg@10"] <= 1.0 for agg in result.bins.values())
+
+    def test_matches_per_user_loop_with_ties(self, rng):
+        # two-level ratings on few items tie many similarities, constant
+        # raters read 0, and bin edges of 2 spread users over several bins
+        for trial in range(12):
+            graph = random_graph(rng, n_max=16, edge_prob=0.15)
+            ratings = random_ratings(rng, graph.n, int(rng.integers(2, 8)), density=0.6,
+                                     r_max=2.0 if trial % 2 else 5.0)
+            for relation in ("trust", "distrust"):
+                got = consistency_eval(ratings, graph, relation, bin_edges=(0, 2, 4))
+                expected = per_user_consistency(ratings, graph, relation, (0, 2, 4))
+                assert list(got.bins.items()) == list(expected.items())
 
     def test_cluster_signal_beats_shuffled_relevance(self):
         # trust aligns with rating clusters, so observed MAP must beat a

@@ -267,6 +267,17 @@ class TestCli:
         assert code == 0
         assert "optimizer ignored for nb" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth", [["--p", "0"], ["--q", "0"], ["--p", "-1"]])
+    def test_nb_rejects_depth_below_one(self, tmp_path, capsys, depth):
+        out = _synth_dir(tmp_path)
+        code = run_cli([
+            "fit", "--ratings", str(out / "ratings.tsv"),
+            "--social", str(out / "social.tsv"), "--method", "nb-td-f", *depth,
+            "--out", str(tmp_path / "nbfit"), "--seed", "1",
+        ])
+        assert code == 1
+        assert "propagation depth must be at least 1" in capsys.readouterr().err
+
     def test_split_deterministic(self, tmp_path):
         out = _synth_dir(tmp_path)
         args = ["split", "--ratings", str(out / "ratings.tsv"),

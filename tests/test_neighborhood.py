@@ -1,8 +1,8 @@
+import numpy as np
 import pytest
 
 from trustfactor.data import SocialGraph, SparseRatings
 from trustfactor.neighborhood import (
-    RatingTable,
     build_propagated_sets,
     build_similarity_cache,
     nb_predict,
@@ -55,6 +55,43 @@ class TestSimilarityCache:
         for u in range(8):
             for v in range(u + 1, 8):
                 assert cache.weight(u, v) == pearson(r, u, v, min_co=3)
+
+    def test_equals_pearson_on_every_pair(self, rng):
+        # constant raters, near-constant non-integer raters, single co-rated
+        # items, users with one rating or none, and the min_co boundaries
+        near = [(3, j, 3.0 + j * 1e-13) for j in range(5)]
+        instances = [
+            SparseRatings(5, 3, [], [], []),
+            SparseRatings.from_entries(4, 5, [(0, 2, 4.0), (1, 2, 2.0), (2, 0, 5.0)]),
+            SparseRatings.from_entries(5, 5, near + [
+                (0, j, 2.0) for j in range(5)] + [
+                (1, j, 1.0 + j) for j in range(4)] + [
+                (2, j, 3.0 + (j % 2) * 1e-13) for j in range(5)] + [(4, 4, 3.5)]),
+        ]
+        for _ in range(30):
+            n, m = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+            r = random_ratings(rng, n, m, density=float(rng.uniform(0.1, 0.9)))
+            if rng.random() < 0.5:
+                r = SparseRatings(n, m, r.users, r.items,
+                                  np.clip(r.values + rng.uniform(-0.5, 0.5, r.nnz), 1, 5))
+            instances.append(r)
+        instances.append(SparseRatings(
+            6, 4, *np.nonzero(np.ones((6, 4))), 3.0 + np.arange(24) % 3 * 1e-13))
+        for r in instances:
+            rated = [set(r.items[r.users == u].tolist()) for u in range(r.n)]
+            for min_co in range(5):
+                cache = build_similarity_cache(r, min_co=min_co)
+                counts = dict(zip(map(tuple, cache.pairs.tolist()), cache.co_counts.tolist()))
+                for u in range(r.n):
+                    for v in range(u + 1, r.n):
+                        assert cache.weight(u, v) == pearson(r, u, v, min_co=min_co)
+                        assert cache.weight(v, u) == cache.weight(u, v)
+                        assert counts.get((u, v), 0) == len(rated[u] & rated[v])
+                    assert cache.neighbors(u) == [
+                        v for v in range(r.n)
+                        if v != u and pearson(r, u, v, min_co=min_co) is not None]
+                assert len(counts) == len(cache.pairs)
+                assert all(c > 0 for c in counts.values())
 
     def test_neighbors_symmetric(self, rng):
         r = random_ratings(rng, 8, 10, density=0.6)
@@ -176,6 +213,32 @@ class TestPools:
                 assert neighbor_pool(sims_g, sets, u, "nb-td-d") <= base
 
 
+def dict_nb_predict(ratings, sims, sets, u, i, variant):
+    """nb_predict over per-user rating dicts, the reference for the version
+    that reads item columns from the item-major view."""
+    by_user = [{} for _ in range(ratings.n)]
+    for v, item, value in ratings.entries():
+        by_user[v][item] = value
+    num = 0.0
+    den = 0.0
+    for v in neighbor_pool(sims, sets, u, variant):
+        rating = by_user[v].get(i)
+        if rating is None:
+            continue
+        w = sims.weight(u, v)
+        if w is None or w <= 0.0:
+            continue
+        num += w * (rating - float(ratings.user_means[v]))
+        den += w
+    if den > 0.0:
+        value = float(ratings.user_means[u]) + num / den
+    elif by_user[u]:
+        value = float(ratings.user_means[u])
+    else:
+        value = ratings.global_mean
+    return min(max(value, ratings.r_min), ratings.r_max)
+
+
 class TestNbPredict:
     def worked_example(self):
         """Neighbor u1 has mean 4 and rated the target item 4; active user u0
@@ -213,9 +276,23 @@ class TestNbPredict:
             [(u, v) for u, v in g.distrust_edge_array.tolist() if max(u, v) < 10],
         )
         sets = build_propagated_sets(g, p=2, q=2)
-        table = RatingTable(r)
         for variant in ("nb", "nb-t", "nb-td-f", "nb-td-d"):
             for u in range(10):
                 for i in range(8):
-                    value = nb_predict(table, sims, sets, u, i, variant)
+                    value = nb_predict(r, sims, sets, u, i, variant)
                     assert 1.0 <= value <= 5.0
+
+    def test_equals_dict_table_predictor(self, rng):
+        for trial in range(8):
+            g = random_graph(rng)
+            r = random_ratings(rng, g.n, int(rng.integers(1, 12)), density=0.6)
+            if trial % 2:
+                r = SparseRatings(r.n, r.m, r.users, r.items,
+                                  np.clip(r.values + rng.uniform(-0.5, 0.5, r.nnz), 1, 5))
+            sims = build_similarity_cache(r, min_co=int(rng.integers(1, 4)))
+            sets = build_propagated_sets(g, p=2, q=2)
+            for variant in ("nb", "nb-t", "nb-td-f", "nb-td-d"):
+                for u in range(r.n):
+                    for i in range(r.m):
+                        assert nb_predict(r, sims, sets, u, i, variant) == \
+                            dict_nb_predict(r, sims, sets, u, i, variant)
