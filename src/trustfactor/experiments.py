@@ -37,11 +37,14 @@ def worker_count() -> int:
     raw = os.environ.get("TRUSTFACTOR_THREADS", "1")
     try:
         value = int(raw)
+        if value < 0:
+            raise ValueError
     except ValueError:
-        return 1
+        raise ValueError(f"TRUSTFACTOR_THREADS={raw!r}: expected a worker count "
+                         "(a non-negative integer, 0 for one per CPU)") from None
     if value == 0:
         return os.cpu_count() or 1
-    return max(1, value)
+    return value
 
 
 def _map_tasks(fn, args_list):

@@ -15,6 +15,7 @@ import logging
 import os
 import struct
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -27,21 +28,12 @@ MODEL_VERSION = 1
 
 
 class IdMap:
-    """Insertion-ordered bijection between external ids and dense indices."""
+    """Insertion-ordered bijection between external ids and dense indices;
+    a repeated id keeps the index of its first appearance."""
 
     def __init__(self, ids=()):
-        self.ids = []
-        self.index = {}
-        for external in ids:
-            self.intern(external)
-
-    def intern(self, external: str) -> int:
-        idx = self.index.get(external)
-        if idx is None:
-            idx = len(self.ids)
-            self.ids.append(external)
-            self.index[external] = idx
-        return idx
+        self.ids = list(dict.fromkeys(ids))
+        self.index = dict(zip(self.ids, range(len(self.ids))))
 
     def __len__(self):
         return len(self.ids)
@@ -50,116 +42,138 @@ class IdMap:
         return self.ids[idx]
 
 
-def _parse_lines(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line.split("\t")
+class _Columns:
+    """The data lines of a TSV file as columns, and the first fault found.
 
-
-def _read_rating_rows(path, r_min, r_max):
-    rows = []
-    for lineno, fields in _parse_lines(path):
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-        user, item, raw = fields
-        try:
-            rating = float(raw)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: rating {raw!r} is not a number") from None
-        if not r_min <= rating <= r_max:
-            raise ValueError(f"{path}:{lineno}: rating {rating} outside [{r_min}, {r_max}]")
-        rows.append((user, item, rating))
-    return rows
-
-
-def _read_social_rows(path, sign=None):
-    rows = []
-    for lineno, fields in _parse_lines(path):
-        if sign is not None and len(fields) == 2:
-            u, v, s = fields[0], fields[1], sign
-        elif len(fields) == 3:
-            u, v, raw = fields
-            if raw not in ("1", "-1", "+1"):
-                raise ValueError(f"{path}:{lineno}: sign {raw!r} must be 1 or -1")
-            s = 1 if raw in ("1", "+1") else -1
-            if sign is not None and s != sign:
-                raise ValueError(f"{path}:{lineno}: expected sign {sign}, got {s}")
-        else:
-            raise ValueError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
-        if u == v:
-            raise ValueError(f"{path}:{lineno}: self-edge {u!r}")
-        rows.append((u, v, s, f"{path}:{lineno}"))
-    return rows
-
-
-def _build_ratings(rows, user_map, item_map, n, m, r_min, r_max):
-    seen = {}
-    duplicates = 0
-    for user, item, rating in rows:
-        key = (user_map.intern(user), item_map.intern(item))
-        if key in seen:
-            duplicates += 1
-        seen[key] = rating
-    if duplicates:
-        log.warning("%d duplicate (user, item) rows; last occurrence wins", duplicates)
-    if not rows:
-        log.warning("no rating rows found")
-    users = [u for u, _ in seen]
-    items = [i for _, i in seen]
-    values = [seen[key] for key in seen]
-    return SparseRatings(max(n, len(user_map)), max(m, len(item_map)),
-                         users, items, values, r_min, r_max)
-
-
-def load_ratings(path, r_min: float = 1.0, r_max: float = 5.0,
-                 user_map: IdMap | None = None, item_map: IdMap | None = None) -> SparseRatings:
-    """Parse a ratings file; indices follow first-appearance order.
-
-    Passing shared IdMaps lets several files agree on the same indexing.
+    Lines end at '\\n' alone, after universal newlines ('\\r\\n', '\\r'):
+    str.splitlines() would also split ids at U+0085 or U+2028. A check sees
+    only the rows before the first fault so far, so checks applied in a
+    line's validation order leave its first failing check as the fault.
     """
-    user_map = IdMap() if user_map is None else user_map
-    item_map = IdMap() if item_map is None else item_map
-    rows = _read_rating_rows(path, r_min, r_max)
-    return _build_ratings(rows, user_map, item_map, 0, 0, r_min, r_max)
+
+    def __init__(self, path, width, width_message, pad=None):
+        """With `pad`, a line one field short gets `pad` as its last field."""
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+        kept = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines))
+                              & ~np.fromiter(map(str.startswith, lines, repeat("#")), bool, len(lines)))
+        lines = list(map(lines.__getitem__, kept.tolist()))
+        tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))
+        if pad is not None:
+            short = tabs == width - 2
+            lines = list(map(str.__add__, lines, np.where(short, "\t" + pad, "").tolist()))
+            tabs += short
+        self.path, self.linenos, self.limit, self.fault = path, kept + 1, len(lines), None
+        self.check(tabs != width - 1, lambda row: width_message(tabs[row] + 1))
+        fields = "\t".join(lines[:self.limit]).split("\t") if self.limit else []
+        self.columns = [fields[c::width] for c in range(width)]
+
+    def check(self, bad, message):
+        """Make the first row where the mask `bad` holds, if it lies before
+        the current fault, the fault, worded by message(row)."""
+        hits = np.flatnonzero(bad[:self.limit])
+        if len(hits):
+            self.limit = row = int(hits[0])
+            self.fault = f"{self.path}:{self.linenos[row]}: {message(row)}"
+
+    def raise_fault(self):
+        if self.fault is not None:
+            raise ValueError(self.fault)
 
 
-def load_ratings_with_maps(path, user_map: IdMap, item_map: IdMap):
-    """(users, items, values) arrays of a ratings file mapped through saved
-    id maps; an id the map lacks becomes index -1. Rows are kept as read."""
-    rows = _read_rating_rows(path, 1.0, 5.0)
-    users = np.array([user_map.index.get(user, -1) for user, _, _ in rows], dtype=np.int64)
-    items = np.array([item_map.index.get(item, -1) for _, item, _ in rows], dtype=np.int64)
-    values = np.array([rating for _, _, rating in rows], dtype=np.float64)
+def _rejects(convert, raw) -> bool:
+    try:
+        convert(raw)
+    except ValueError:
+        return True
+    return False
+
+
+def _read_ratings(path, r_min, r_max):
+    """(user column, item column, float64 values) of a ratings file."""
+    table = _Columns(path, 3, lambda fields: f"expected 3 tab-separated fields, got {fields}")
+    users, items, raws = table.columns
+    try:
+        values = np.fromiter(map(float, raws), np.float64, len(raws))
+    except ValueError:
+        table.check(np.fromiter(map(_rejects, repeat(float), raws), bool, len(raws)),
+                    lambda row: f"rating {raws[row]!r} is not a number")
+        values = np.fromiter(map(float, raws[:table.limit]), np.float64, table.limit)
+    table.check(~((values >= r_min) & (values <= r_max)),
+                lambda row: f"rating {float(values[row])} outside [{r_min}, {r_max}]")
+    table.raise_fault()
     return users, items, values
 
 
-def _build_graph(rows, user_map, n):
-    """Signed graph of the social rows; a repeated (u, v) keeps its first row
-    and must repeat its sign."""
-    pairs = np.array([(user_map.intern(u), user_map.intern(v)) for u, v, _, _ in rows],
-                     dtype=np.int64).reshape(-1, 2)
-    signs = np.array([s for _, _, s, _ in rows], dtype=np.int64)
+_SIGNS = {"1": 1, "+1": 1, "-1": -1}
+
+
+def _read_social(path, sign=None):
+    """(the file's _Columns, its user ids u0, v0, u1, v1, ... and its int64
+    signs) of a signed social file, or of an unsigned one with `sign`."""
+    table = _Columns(path, 3, lambda fields: "expected 2 or 3 tab-separated fields",
+                     pad=None if sign is None else str(sign))
+    us, vs, tokens = table.columns
+    signs = np.fromiter(map(_SIGNS.get, tokens, repeat(0)), np.int64, len(tokens))
+    table.check(signs == 0, lambda row: f"sign {tokens[row]!r} must be 1 or -1")
+    if sign is not None:
+        table.check(signs != sign, lambda row: f"expected sign {sign}, got {signs[row]}")
+    table.check(np.fromiter(map(str.__eq__, us, vs), bool, len(us)),
+                lambda row: f"self-edge {us[row]!r}")
+    table.raise_fault()
+    pairs = us + vs
+    pairs[0::2], pairs[1::2] = us, vs
+    return table, pairs, signs
+
+
+def _indices(id_map, ids):
+    """Index of each id; -1 for an id the map lacks."""
+    return np.fromiter(map(id_map.index.get, ids, repeat(-1)), np.int64)
+
+
+def _build_ratings(users, items, values, user_map, item_map, r_min, r_max):
+    """SparseRatings of the rating columns; a repeated (user, item) keeps its
+    first position and its last value."""
+    user_idx, item_idx = _indices(user_map, users), _indices(item_map, items)
+    keys = user_idx * len(item_map) + item_idx
+    _, first = np.unique(keys, return_index=True)
+    _, from_end = np.unique(keys[::-1], return_index=True)
+    order = np.argsort(first)
+    first, last = first[order], len(keys) - 1 - from_end[order]
+    if len(first) < len(keys):
+        log.warning("%d duplicate (user, item) rows; last occurrence wins", len(keys) - len(first))
+    if not len(keys):
+        log.warning("no rating rows found")
+    return SparseRatings(len(user_map), len(item_map), user_idx[first], item_idx[first],
+                         values[last], r_min, r_max)
+
+
+def _build_graph(files, user_map):
+    """Signed graph of the rows of the social files (as `_read_social` returns
+    them); a repeated (u, v) keeps its first row and must repeat its sign."""
+    pairs = _indices(user_map, chain.from_iterable(ids for _, ids, _ in files)).reshape(-1, 2)
+    signs = np.concatenate([signs for _, _, signs in files])
     _, first, key = np.unique(pairs[:, 0] * len(user_map) + pairs[:, 1],
                               return_index=True, return_inverse=True)
     clash = np.flatnonzero(signs != signs[first[key]])
     if len(clash):
-        u, v, _, where = rows[clash[0]]
-        raise ValueError(f"{where}: contradicts {rows[first[key[clash[0]]]][3]}: "
+        row = clash[0]
+        u, v = (user_map[int(idx)] for idx in pairs[row])
+        raise ValueError(f"{_where(files, row)}: contradicts {_where(files, first[key[row]])}: "
                          f"{u!r} cannot both trust and distrust {v!r}")
-    if len(first) < len(rows):
-        log.warning("%d duplicate social edges dropped", len(rows) - len(first))
+    if len(first) < len(pairs):
+        log.warning("%d duplicate social edges dropped", len(pairs) - len(first))
     keep = np.sort(first)
     pairs, signs = pairs[keep], signs[keep]
-    return SocialGraph.from_edges(max(n, len(user_map)), pairs[signs > 0], pairs[signs < 0])
+    return SocialGraph.from_edges(len(user_map), pairs[signs > 0], pairs[signs < 0])
 
 
-def load_social(path, user_map: IdMap | None = None, sign: int | None = None) -> SocialGraph:
-    """Parse a signed social file (or an unsigned one with `sign` supplied)."""
-    user_map = IdMap() if user_map is None else user_map
-    return _build_graph(_read_social_rows(path, sign), user_map, 0)
+def _where(files, row):
+    """`path:line` of a row of the social files taken in order."""
+    for table, _, signs in files:
+        if row < len(signs):
+            return f"{table.path}:{table.linenos[row]}"
+        row -= len(signs)
 
 
 @dataclass
@@ -179,25 +193,33 @@ def load_dataset(ratings_path, social_path=None, trust_path=None, distrust_path=
     Users appearing only in the social graph still get indices; their rows
     exist in the model even without ratings.
     """
-    user_map = IdMap()
-    item_map = IdMap()
-    rating_rows = _read_rating_rows(ratings_path, r_min, r_max)
-    social_rows = []
-    if social_path is not None:
-        social_rows += _read_social_rows(social_path)
-    if trust_path is not None:
-        social_rows += _read_social_rows(trust_path, sign=1)
-    if distrust_path is not None:
-        social_rows += _read_social_rows(distrust_path, sign=-1)
-    for user, _, _ in rating_rows:
-        user_map.intern(user)
-    for u, v, _, _ in social_rows:
-        user_map.intern(u)
-        user_map.intern(v)
-    n = len(user_map)
-    ratings = _build_ratings(rating_rows, user_map, item_map, n, 0, r_min, r_max)
-    graph = _build_graph(social_rows, user_map, n) if social_rows else None
+    users, items, values = _read_ratings(ratings_path, r_min, r_max)
+    files = [_read_social(path, sign)
+             for path, sign in ((social_path, None), (trust_path, 1), (distrust_path, -1))
+             if path is not None]
+    user_map = IdMap(chain(users, *(ids for _, ids, _ in files)))
+    item_map = IdMap(items)
+    ratings = _build_ratings(users, items, values, user_map, item_map, r_min, r_max)
+    graph = _build_graph(files, user_map) if any(ids for _, ids, _ in files) else None
     return DatasetBundle(ratings, graph, user_map, item_map)
+
+
+def load_ratings(path, r_min: float = 1.0, r_max: float = 5.0) -> SparseRatings:
+    """Parse a ratings file; indices follow first-appearance order."""
+    return load_dataset(path, r_min=r_min, r_max=r_max).ratings
+
+
+def load_ratings_with_maps(path, user_map: IdMap, item_map: IdMap):
+    """(users, items, values) arrays of a ratings file mapped through saved
+    id maps; an id the map lacks becomes index -1. Rows are kept as read."""
+    users, items, values = _read_ratings(path, 1.0, 5.0)
+    return _indices(user_map, users), _indices(item_map, items), values
+
+
+def load_social(path, sign: int | None = None) -> SocialGraph:
+    """Parse a signed social file (or an unsigned one with `sign` supplied)."""
+    social = _read_social(path, sign)
+    return _build_graph([social], IdMap(social[1]))
 
 
 def save_ratings(path, ratings: SparseRatings, user_map: IdMap, item_map: IdMap):
@@ -220,14 +242,14 @@ def save_id_map(path, id_map: IdMap):
 
 
 def load_id_map(path) -> IdMap:
-    ids = []
-    for lineno, fields in _parse_lines(path):
-        if len(fields) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields")
-        idx, external = int(fields[0]), fields[1]
-        if idx != len(ids):
-            raise ValueError(f"{path}:{lineno}: index {idx} out of order")
-        ids.append(external)
+    table = _Columns(path, 2, lambda fields: "expected 2 tab-separated fields")
+    indices, ids = table.columns
+    table.check(np.fromiter(map(_rejects, repeat(int), indices), bool, len(indices)),
+                lambda row: f"index {indices[row]!r} is not an integer")
+    table.check(np.fromiter(map(int.__ne__, map(int, indices[:table.limit]), range(table.limit)),
+                            bool, table.limit),
+                lambda row: f"index {int(indices[row])} out of order")
+    table.raise_fault()
     return IdMap(ids)
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from trustfactor.experiments import (
     majority_vote_eval,
     split_ratings,
     synth_generate,
+    worker_count,
 )
 from trustfactor.metrics import RankedList, average_precision, ndcg_at_k, precision_recall_at_k
 from trustfactor.neighborhood import pearson
@@ -314,6 +317,23 @@ class TestTradeoff:
 
 
 class TestWorkerParallelism:
+    @pytest.mark.parametrize("raw,expected", [(None, 1), ("0", os.cpu_count() or 1),
+                                              ("1", 1), ("3", 3)])
+    def test_worker_count(self, monkeypatch, raw, expected):
+        if raw is None:
+            monkeypatch.delenv("TRUSTFACTOR_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("TRUSTFACTOR_THREADS", raw)
+        assert worker_count() == expected
+
+    @pytest.mark.parametrize("raw", ["abc", "-3"])
+    def test_bad_worker_count_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("TRUSTFACTOR_THREADS", raw)
+        with pytest.raises(ValueError) as err:
+            worker_count()
+        message = str(err.value)
+        assert f"TRUSTFACTOR_THREADS={raw!r}" in message and "\n" not in message
+
     def test_grid_result_independent_of_thread_count(self, monkeypatch):
         ratings, graph, _ = small_synth(seed=9)
         train, validation = split_ratings(ratings, SplitSpec(0.8, 0))

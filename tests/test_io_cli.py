@@ -1,4 +1,5 @@
 import csv
+import logging
 import os
 import struct
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from trustfactor.cli import run_cli
-from trustfactor.data import FactorModel, init_model
+from trustfactor.data import FactorModel, SocialGraph, SparseRatings, init_model
 from trustfactor.fileio import (
     IdMap,
     load_dataset,
@@ -25,6 +26,133 @@ from trustfactor.fileio import (
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+# ---------------------------------------------------------------------------
+# reference loader: the row-at-a-time TSV reader the columnar one replaced,
+# kept as the oracle for ids, arrays, warnings and error messages
+
+
+def _ref_lines(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line or line.startswith("#"):
+                continue
+            yield lineno, line.split("\t")
+
+
+def _ref_rating_rows(path, r_min, r_max):
+    rows = []
+    for lineno, fields in _ref_lines(path):
+        if len(fields) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        user, item, raw = fields
+        try:
+            rating = float(raw)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: rating {raw!r} is not a number") from None
+        if not r_min <= rating <= r_max:
+            raise ValueError(f"{path}:{lineno}: rating {rating} outside [{r_min}, {r_max}]")
+        rows.append((user, item, rating))
+    return rows
+
+
+def _ref_social_rows(path, sign=None):
+    rows = []
+    for lineno, fields in _ref_lines(path):
+        if sign is not None and len(fields) == 2:
+            u, v, s = fields[0], fields[1], sign
+        elif len(fields) == 3:
+            u, v, raw = fields
+            if raw not in ("1", "-1", "+1"):
+                raise ValueError(f"{path}:{lineno}: sign {raw!r} must be 1 or -1")
+            s = 1 if raw in ("1", "+1") else -1
+            if sign is not None and s != sign:
+                raise ValueError(f"{path}:{lineno}: expected sign {sign}, got {s}")
+        else:
+            raise ValueError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
+        if u == v:
+            raise ValueError(f"{path}:{lineno}: self-edge {u!r}")
+        rows.append((u, v, s, f"{path}:{lineno}"))
+    return rows
+
+
+class _RefIds:
+    def __init__(self):
+        self.ids, self.index = [], {}
+
+    def intern(self, external):
+        if external not in self.index:
+            self.index[external] = len(self.ids)
+            self.ids.append(external)
+        return self.index[external]
+
+
+def _ref_ratings(rows, user_map, item_map, n, r_min, r_max, warnings):
+    seen = {}
+    duplicates = 0
+    for user, item, rating in rows:
+        key = (user_map.intern(user), item_map.intern(item))
+        if key in seen:
+            duplicates += 1
+        seen[key] = rating
+    if duplicates:
+        warnings.append(f"{duplicates} duplicate (user, item) rows; last occurrence wins")
+    if not rows:
+        warnings.append("no rating rows found")
+    return SparseRatings(max(n, len(user_map.ids)), len(item_map.ids), [u for u, _ in seen],
+                         [i for _, i in seen], list(seen.values()), r_min, r_max)
+
+
+def _ref_graph(rows, user_map, n, warnings):
+    pairs = np.array([(user_map.intern(u), user_map.intern(v)) for u, v, _, _ in rows],
+                     dtype=np.int64).reshape(-1, 2)
+    signs = np.array([s for _, _, s, _ in rows], dtype=np.int64)
+    _, first, key = np.unique(pairs[:, 0] * len(user_map.ids) + pairs[:, 1],
+                              return_index=True, return_inverse=True)
+    clash = np.flatnonzero(signs != signs[first[key]])
+    if len(clash):
+        u, v, _, where = rows[clash[0]]
+        raise ValueError(f"{where}: contradicts {rows[first[key[clash[0]]]][3]}: "
+                         f"{u!r} cannot both trust and distrust {v!r}")
+    if len(first) < len(rows):
+        warnings.append(f"{len(rows) - len(first)} duplicate social edges dropped")
+    keep = np.sort(first)
+    pairs, signs = pairs[keep], signs[keep]
+    return SocialGraph.from_edges(max(n, len(user_map.ids)), pairs[signs > 0], pairs[signs < 0])
+
+
+def ref_load_ratings(path, r_min=1.0, r_max=5.0):
+    """(ratings, user ids, item ids, warnings)"""
+    users, items, warnings = _RefIds(), _RefIds(), []
+    rows = _ref_rating_rows(path, r_min, r_max)
+    return _ref_ratings(rows, users, items, 0, r_min, r_max, warnings), users.ids, items.ids, warnings
+
+
+def ref_load_social(path, sign=None):
+    """(graph, user ids, warnings)"""
+    users, warnings = _RefIds(), []
+    return _ref_graph(_ref_social_rows(path, sign), users, 0, warnings), users.ids, warnings
+
+
+def ref_load_dataset(ratings_path, social_path=None, trust_path=None, distrust_path=None):
+    """(ratings, graph or None, user ids, item ids, warnings)"""
+    users, items, warnings = _RefIds(), _RefIds(), []
+    rating_rows = _ref_rating_rows(ratings_path, 1.0, 5.0)
+    social_rows = []
+    for path, sign in ((social_path, None), (trust_path, 1), (distrust_path, -1)):
+        if path is not None:
+            social_rows += _ref_social_rows(path, sign)
+    for user, _, _ in rating_rows:
+        users.intern(user)
+    for u, v, _, _ in social_rows:
+        users.intern(u)
+        users.intern(v)
+    n = len(users.ids)
+    ratings = _ref_ratings(rating_rows, users, items, n, 1.0, 5.0, warnings)
+    graph = _ref_graph(social_rows, users, n, warnings) if social_rows else None
+    return ratings, graph, users.ids, items.ids, warnings
 
 
 FIGURE_SOCIAL = (
@@ -111,6 +239,176 @@ class TestLoadSocial:
         assert bundle.graph.distrust_count == 1
 
 
+# ids with characters str.splitlines() would break on but the loader keeps
+ODD_IDS = ["u\x85x", "u\u2028y", "u\x0cz", "ü", " pad ", "#mid"]
+VALID_RATINGS = ["1", "2.5", "5", "3.0", " 4 ", "4e0", "+2", "0_3"]
+
+
+def _random_text(rng, rows, newline):
+    """Lines of tab-joined fields with comment and blank lines mixed in and
+    the given line end ('mixed': a random one per line)."""
+    lines = []
+    for fields in rows:
+        while rng.random() < 0.1:
+            lines.append("# comment" if rng.random() < 0.5 else "")
+        lines.append("\t".join(fields))
+    ends = ["\n", "\r\n", "\r"]
+    text = "".join(line + (ends[rng.integers(3)] if newline == "mixed" else newline)
+                   for line in lines)
+    if lines and rng.random() < 0.3:
+        text = text.rstrip("\r\n")  # no line end after the last line
+    return text
+
+
+def _random_files(tmp_path, seed):
+    """A ratings file, a signed social file and two-column trust and
+    distrust files whose (u, v) pairs keep one sign across all three."""
+    rng = np.random.default_rng(seed)
+    newline = ["\n", "\r\n", "\r", "mixed"][seed % 4]
+    pool = [f"u{j}" for j in range(int(rng.integers(2, 12)))] + ODD_IDS[: seed % 7]
+    social_pool = pool + [f"s{j}" for j in range(int(rng.integers(1, 6)))]
+    items = [f"i{j}" for j in range(int(rng.integers(1, 8)))] + ODD_IDS[:2]
+    empty = seed % 5 == 4
+
+    def pick(values, size):
+        return [values[j] for j in rng.integers(len(values), size=size)]
+
+    n_ratings = 0 if empty and seed % 2 else int(rng.integers(1, 60))
+    ratings = list(zip(pick(pool, n_ratings), pick(items, n_ratings), pick(VALID_RATINGS, n_ratings)))
+    edges = {"social": [], "trust": [], "distrust": []}
+    n_edges = 0 if empty and not seed % 2 else int(rng.integers(1, 80))
+    for u, v in zip(pick(social_pool, n_edges), pick(social_pool, n_edges)):
+        if u == v:
+            continue
+        positive = sum(map(ord, u + "|" + v)) % 2 == 0  # one sign per (u, v)
+        token = pick(["1", "+1"], 1)[0] if positive else "-1"
+        target = pick(["social", "social", "trust" if positive else "distrust"], 1)[0]
+        if target == "social" or rng.random() < 0.3:
+            edges[target].append((u, v, token))
+        else:
+            edges[target].append((u, v))
+    paths = {}
+    for name, rows in (("ratings", ratings), *edges.items()):
+        path = tmp_path / f"{name}.tsv"
+        path.write_bytes(_random_text(rng, rows, newline).encode("utf-8"))
+        paths[name] = str(path)
+    return paths
+
+
+def _warnings(caplog):
+    return [rec.getMessage() for rec in caplog.records if rec.name == "trustfactor.fileio"]
+
+
+def _assert_same_graph(graph, expected):
+    assert graph.n == expected.n
+    for name in ("trust_offsets", "trust_targets", "distrust_offsets", "distrust_targets"):
+        got, want = getattr(graph, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def _assert_same_ratings(ratings, expected):
+    assert (ratings.n, ratings.m) == (expected.n, expected.m)
+    for name in ("users", "items", "values"):
+        got, want = getattr(ratings, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+class TestLoaderOracle:
+    """The columnar loader against the row-at-a-time reference above."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_load_dataset_matches_reference(self, tmp_path, caplog, seed):
+        paths = _random_files(tmp_path, seed)
+        social = {"social_path": paths["social"], "trust_path": paths["trust"],
+                  "distrust_path": paths["distrust"]}
+        ratings, graph, user_ids, item_ids, warnings = ref_load_dataset(paths["ratings"], **social)
+        with caplog.at_level(logging.WARNING, logger="trustfactor.fileio"):
+            bundle = load_dataset(paths["ratings"], **social)
+        assert bundle.user_map.ids == user_ids
+        assert bundle.item_map.ids == item_ids
+        _assert_same_ratings(bundle.ratings, ratings)
+        assert (bundle.graph is None) == (graph is None)
+        if graph is not None:
+            _assert_same_graph(bundle.graph, graph)
+        assert _warnings(caplog) == warnings
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_single_file_loaders_match_reference(self, tmp_path, caplog, seed):
+        paths = _random_files(tmp_path, seed)
+        files = (("social", None), ("trust", 1), ("distrust", -1))
+        expected, _, _, warnings = ref_load_ratings(paths["ratings"])
+        graphs = []
+        for name, sign in files:
+            graph, _, more = ref_load_social(paths[name], sign)
+            graphs.append(graph)
+            warnings += more
+        with caplog.at_level(logging.WARNING, logger="trustfactor.fileio"):
+            _assert_same_ratings(load_ratings(paths["ratings"]), expected)
+            for (name, sign), graph in zip(files, graphs):
+                _assert_same_graph(load_social(paths[name], sign=sign), graph)
+        assert _warnings(caplog) == warnings
+
+
+# (file kind, text, message after "path:"): every file has faults on several
+# lines, and the first faulty line fails a check that a later line passes
+FIRST_FAULTS = [
+    ("ratings", "u1\ti1\tsix\nu1\ti2\n", "1: rating 'six' is not a number"),
+    ("ratings", "u1\ti1\t9\nu1\ti2\tx\n", "1: rating 9.0 outside [1.0, 5.0]"),
+    ("ratings", "u1\ti1\t3\nu1\ti2\t7\nu1\ti3\tx\nu1\n", "2: rating 7.0 outside [1.0, 5.0]"),
+    ("ratings", "# c\n\nu1\ti1\t3\t4\nu1\ti1\tzz\n", "3: expected 3 tab-separated fields, got 4"),
+    ("ratings", "u\ti\tnan\nu\ti\tq\n", "1: rating nan outside [1.0, 5.0]"),
+    ("ratings", "u1\ti1\t2\r\nu2\ti2\tbad\r\nu3\ti3\t0\r\n", "2: rating 'bad' is not a number"),
+    ("ratings", "u1\ti1\t4\ru2\ti2\t5\t\ru3\ti3\tx\r", "2: expected 3 tab-separated fields, got 4"),
+    ("social", "u1\tu2\t2\nu1\tu1\t1\nu3\n", "1: sign '2' must be 1 or -1"),
+    ("social", "u1\tu1\t1\nu2\tu3\tx\n", "1: self-edge 'u1'"),
+    ("social", "u1\tu1\tx\n", "1: sign 'x' must be 1 or -1"),
+    ("social", "u1\tu2\t1\nu3\tu4\nu5\tu5\t1\n", "2: expected 2 or 3 tab-separated fields"),
+    ("social", "u1\tu2\t1\nu1\tu2\t-1\nu3\tu3\t1\n", "3: self-edge 'u3'"),
+    ("trust", "u1\tu2\nu1\tu3\t-1\nu1\tu1\n", "2: expected sign 1, got -1"),
+    ("trust", "u1\tu2\t1\nu2\tu2\t-1\n", "2: expected sign 1, got -1"),
+    ("trust", "u1\tu2\nu2\tu3\tfoo\nu1\tu2\t1\t1\n", "2: sign 'foo' must be 1 or -1"),
+    ("trust", "a\tb\nc\td\te\tf\na\ta\n", "2: expected 2 or 3 tab-separated fields"),
+    ("distrust", "u1\tu2\t+1\nu3\n", "1: expected sign -1, got 1"),
+]
+
+
+class TestFirstFault:
+    """Each error names the first faulty line with that line's first failing
+    check, exactly as the reference loader words it."""
+
+    @pytest.mark.parametrize("kind,text,message", FIRST_FAULTS)
+    def test_first_fault_matches_reference(self, tmp_path, kind, text, message):
+        path = write(tmp_path / f"{kind}.tsv", text)
+        if kind == "ratings":
+            calls = (lambda: load_ratings(path), lambda: ref_load_ratings(path))
+        else:
+            sign = {"social": None, "trust": 1, "distrust": -1}[kind]
+            calls = (lambda: load_social(path, sign=sign), lambda: ref_load_social(path, sign))
+        with pytest.raises(ValueError) as got:
+            calls[0]()
+        with pytest.raises(ValueError) as want:
+            calls[1]()
+        assert str(got.value) == str(want.value) == f"{path}:{message}"
+
+    def test_dataset_contradiction_across_files(self, tmp_path):
+        ratings = write(tmp_path / "r.tsv", "u1\ti1\t4\n")
+        social = write(tmp_path / "s.tsv", "u3\tu4\t1\nu1\tu2\t1\n")
+        distrust = write(tmp_path / "d.tsv", "u1\tu2\n")
+        with pytest.raises(ValueError) as got:
+            load_dataset(ratings, social_path=social, distrust_path=distrust)
+        with pytest.raises(ValueError) as want:
+            ref_load_dataset(ratings, social_path=social, distrust_path=distrust)
+        assert str(got.value) == str(want.value) == (
+            f"{distrust}:1: contradicts {social}:2: 'u1' cannot both trust and distrust 'u2'")
+
+    def test_dataset_reports_ratings_before_social(self, tmp_path):
+        ratings = write(tmp_path / "r.tsv", "u1\ti1\t4\nu1\ti2\t8\n")
+        social = write(tmp_path / "s.tsv", "u1\tu1\t1\n")
+        with pytest.raises(ValueError) as got:
+            load_dataset(ratings, social_path=social)
+        assert str(got.value) == f"{ratings}:2: rating 8.0 outside [1.0, 5.0]"
+
+
 class TestRoundtrips:
     def test_dataset_roundtrip(self, tmp_path):
         ratings_path = write(tmp_path / "r.tsv", "u1\ti1\t4\nu1\ti2\t3.5\nu2\ti1\t1\n")
@@ -132,6 +430,17 @@ class TestRoundtrips:
         save_id_map(tmp_path / "ids.tsv", id_map)
         loaded = load_id_map(tmp_path / "ids.tsv")
         assert loaded.ids == id_map.ids
+
+    @pytest.mark.parametrize("text,message", [
+        ("0\tu1\nx\tu2\n", "2: index 'x' is not an integer"),
+        ("0\tu1\n2\tu2\nx\tu3\n", "2: index 2 out of order"),
+        ("0\tu1\n1\nx\tu3\n", "2: expected 2 tab-separated fields"),
+    ])
+    def test_id_map_fault_names_line(self, tmp_path, text, message):
+        path = write(tmp_path / "ids.tsv", text)
+        with pytest.raises(ValueError) as got:
+            load_id_map(path)
+        assert str(got.value) == f"{path}:{message}"
 
     def test_model_roundtrip_bit_exact(self, tmp_path):
         model = init_model(7, 5, 3, seed=123)
@@ -305,6 +614,19 @@ class TestCli:
         best = read_csv(grid_dir / "grid_best.csv")
         rmses = [float(row[2]) for row in surface[1:]]
         assert float(best[1][2]) == min(rmses)
+
+    def test_grid_rejects_bad_thread_count(self, tmp_path, capsys, monkeypatch):
+        out = _synth_dir(tmp_path)
+        monkeypatch.setenv("TRUSTFACTOR_THREADS", "abc")
+        code = run_cli([
+            "grid", "--ratings", str(out / "ratings.tsv"),
+            "--social", str(out / "social.tsv"), "--epochs", "2",
+            "--lambda-s-grid", "0,1", "--lambda-v-grid", "0.05",
+            "--out", str(tmp_path / "grid"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: TRUSTFACTOR_THREADS='abc'") and err.count("\n") == 1
 
     def test_consistency_and_vote_and_tradeoff(self, tmp_path):
         out = _synth_dir(tmp_path)
