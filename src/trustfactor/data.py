@@ -229,9 +229,9 @@ def _ranges(starts, lengths):
 class TripletStore:
     """The social constraint set: (i, j, k) with i trusting j and distrusting k.
 
-    Materialized mode holds the full (total, 3) array; lazy mode keeps only
-    per-user counts c(u) = |N+(u)| * |N-(u)| and samples on demand, so the
-    full set is never stored.
+    The graph defines the set and `counts` holds c(u) = |N+(u)| * |N-(u)|.
+    Materialized mode also lists it as the (total, 3) `triplets` for sampling
+    and enumeration; lazy mode samples from the graph and never stores it.
     """
 
     mode: str
@@ -250,24 +250,6 @@ class TripletStore:
             raise ValueError("per-user counts do not sum to total")
         if self.mode == MATERIALIZED and len(self.triplets) != self.total:
             raise ValueError("materialized triplet count mismatch")
-
-    def iter_blocks(self):
-        """Yield (i, j, k) blocks covering the whole set.
-
-        Materialized: one block of index arrays. Lazy: one block per user u
-        with c(u) > 0, in the same deterministic order, with i the scalar u,
-        without keeping more than one user's cartesian product alive.
-        """
-        if self.total == 0:
-            return
-        if self.mode == MATERIALIZED:
-            yield self.triplets[:, 0], self.triplets[:, 1], self.triplets[:, 2]
-            return
-        g = self.graph
-        for u in np.flatnonzero(self.counts).tolist():
-            plus = g.trust_targets[g.trust_offsets[u]:g.trust_offsets[u + 1]]
-            minus = g.distrust_targets[g.distrust_offsets[u]:g.distrust_offsets[u + 1]]
-            yield u, np.repeat(plus, len(minus)), np.tile(minus, len(plus))
 
 
 def extract_triplets(graph: SocialGraph) -> TripletStore:

@@ -16,6 +16,7 @@ import os
 import struct
 from dataclasses import dataclass
 from itertools import chain, repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -223,22 +224,24 @@ def load_social(path, sign: int | None = None) -> SocialGraph:
 
 
 def save_ratings(path, ratings: SparseRatings, user_map: IdMap, item_map: IdMap):
-    with open(path, "w", encoding="utf-8") as handle:
-        for u, i, r in zip(ratings.users, ratings.items, ratings.values):
-            handle.write(f"{user_map[int(u)]}\t{item_map[int(i)]}\t{format_number(float(r))}\n")
+    # ratings are finite, where format_number is the .6g format
+    Path(path).write_text("".join(map(
+        "{}\t{}\t{:.6g}\n".format, map(user_map.ids.__getitem__, ratings.users.tolist()),
+        map(item_map.ids.__getitem__, ratings.items.tolist()), ratings.values.tolist())),
+        encoding="utf-8")
 
 
 def save_social(path, graph: SocialGraph, user_map: IdMap):
-    ids = user_map.ids
-    with open(path, "w", encoding="utf-8") as handle:
-        for sign, edges in (("1", graph.trust_edge_array), ("-1", graph.distrust_edge_array)):
-            handle.writelines(f"{ids[u]}\t{ids[v]}\t{sign}\n" for u, v in edges.tolist())
+    sources, targets = np.concatenate((graph.trust_edge_array, graph.distrust_edge_array)).T
+    Path(path).write_text("".join(map(
+        "{}\t{}\t{}\n".format, map(user_map.ids.__getitem__, sources.tolist()),
+        map(user_map.ids.__getitem__, targets.tolist()),
+        ["1"] * graph.trust_count + ["-1"] * graph.distrust_count)), encoding="utf-8")
 
 
 def save_id_map(path, id_map: IdMap):
-    with open(path, "w", encoding="utf-8") as handle:
-        for idx, external in enumerate(id_map.ids):
-            handle.write(f"{idx}\t{external}\n")
+    Path(path).write_text("".join(map("{}\t{}\n".format, range(len(id_map)), id_map.ids)),
+                          encoding="utf-8")
 
 
 def load_id_map(path) -> IdMap:
@@ -249,8 +252,12 @@ def load_id_map(path) -> IdMap:
     table.check(np.fromiter(map(int.__ne__, map(int, indices[:table.limit]), range(table.limit)),
                             bool, table.limit),
                 lambda row: f"index {int(indices[row])} out of order")
+    id_map = IdMap(ids)
+    # before the first repeated id, each id's index is its row
+    table.check(_indices(id_map, ids) != np.arange(len(ids)),
+                lambda row: f"id {ids[row]!r} already has index {id_map.index[ids[row]]}")
     table.raise_fault()
-    return IdMap(ids)
+    return id_map
 
 
 # ---------------------------------------------------------------------------

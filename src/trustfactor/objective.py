@@ -1,21 +1,14 @@
-"""Loss functions, the social triplet term, and one kernel for the full
-objective and its analytic gradient.
-
-Everything here works per-triplet on the three touched rows of U; no n x n
-auxiliary matrix is ever formed.
+"""Losses, the social terms, and one kernel for the full objective and its
+analytic gradient. Every social term reads U through squared edge lengths
+||U_s - U_t||^2 and shares one edge scatter; a triplet (i, j, k) is the pair
+of its trust edge (i, j) and distrust edge (i, k), listed in bounded blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import (
-    MATERIALIZED,
-    FactorModel,
-    Hyperparams,
-    SparseRatings,
-    TripletStore,
-)
+from .data import FactorModel, Hyperparams, SocialGraph, SparseRatings, TripletStore, _ranges
 
 HINGE = "hinge"
 LOGISTIC = "logistic"
@@ -46,36 +39,19 @@ def _loss(kind, z, need_slope=False):
     return np.logaddexp(0.0, -z), -sigmoid
 
 
-def _margin(U, i, j, k, convention):
-    """Signed squared-distance gap z of triplet (i, j, k), or of each triplet
-    when j, k (and i, unless one row is shared by all) are index arrays.
-
-    figure1:       z = ||U_i - U_k||^2 - ||U_i - U_j||^2
-    paper-literal: z = ||U_i - U_j||^2 - ||U_i - U_k||^2
-    """
-    # unnamed differences let numpy square in place; holding the gathered
-    # rows instead made the lazy objective over 16M triplets ~25% slower
-    dij = np.sum((U[i] - U[j]) ** 2, axis=-1)
-    dik = np.sum((U[i] - U[k]) ** 2, axis=-1)
-    if convention == FIGURE1:
-        return dik - dij
-    if convention == PAPER_LITERAL:
-        return dij - dik
-    raise ValueError(f"unknown sign convention {convention!r}")
-
-
 def loss_value(kind: str, z: float) -> float:
-    """Margin penalty at argument z.
-
-    hinge: max(0, 1 - z). logistic: log(1 + exp(-z)), computed stably for
-    large |z|.
-    """
+    """Margin penalty at argument z: hinge max(0, 1 - z), or logistic
+    log(1 + exp(-z)) computed stably for large |z|."""
     return float(_loss(kind, np.float64(z))[0])
 
 
 def margin_argument(U, i, j, k, convention: str = FIGURE1) -> float:
-    """Signed squared-distance gap of one triplet under the convention."""
-    return float(_margin(U, i, j, k, convention))
+    """Signed squared-distance gap z of one triplet: figure1 takes
+    ||U_i - U_k||^2 - ||U_i - U_j||^2, paper-literal its negation."""
+    if convention not in (FIGURE1, PAPER_LITERAL):
+        raise ValueError(f"unknown sign convention {convention!r}")
+    a, b = np.sum((U[[i, i]] - U[[j, k]]) ** 2, axis=-1)
+    return float(b - a if convention == FIGURE1 else a - b)
 
 
 def triplet_term(U, triplet, kind: str = HINGE, convention: str = FIGURE1) -> float:
@@ -107,23 +83,63 @@ def _scatter(n: int, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _triplet_term(U, i, j, k, hp: Hyperparams, scale=None):
-    """Sum of the penalties of triplets (i[t], j[t], k[t]) and, when scale is
-    given, the gradient of scale * that sum with respect to U (else None).
+def _edge_scatter(n: int, edges: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """_scatter of rows[t] onto edge t's source row and -rows[t] onto its target."""
+    return _scatter(n, edges.T.ravel(), np.concatenate((rows, -rows)))
 
-    Each triplet touches exactly three rows. Under figure1,
-    dz/dU_i = 2(U_j - U_k), dz/dU_j = 2(U_i - U_j), dz/dU_k = 2(U_k - U_i);
-    paper-literal negates all three.
+
+_BLOCK_PAIRS = 1 << 16  # bounds a full margin pass to a few MB of transient arrays
+
+
+def _pair_blocks(graph: SocialGraph):
+    """Yield (e, f) blocks of trust and distrust edge positions, one pair per
+    triplet, in extract_triplets order; each block holds whole trust edges
+    and at most _BLOCK_PAIRS pairs unless one trust edge alone has more."""
+    offsets, sources = graph.distrust_offsets, graph.trust_edge_array[:, 0]
+    reps = np.diff(offsets)[sources]
+    ends, start = np.cumsum(reps), 0
+    while start < len(reps):
+        limit = ends[start] - reps[start] + _BLOCK_PAIRS
+        stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
+        yield (np.repeat(np.arange(start, stop), reps[start:stop]),
+               _ranges(offsets[sources[start:stop]], reps[start:stop]))
+        start = stop
+
+
+def _add_sums(out: np.ndarray, index: np.ndarray, weights: np.ndarray):
+    """out[index[t]] += weights[t], by one bincount over the span index covers."""
+    lo = index.min(initial=len(out))
+    sums = np.bincount(index - lo, weights=weights)
+    out[lo:lo + len(sums)] += sums
+
+
+def _margin_term(U, trust, distrust, pairs, hp: Hyperparams, scale=None):
+    """Sum of the penalties of the triplets that `pairs` yields, in (e, f)
+    blocks of positions in the `trust` and `distrust` edge arrays, and, when
+    scale is given, the gradient of scale * that sum wrt U (else None).
+
+    With a = ||U_i - U_j||^2 per trust edge and b = ||U_i - U_k||^2 per
+    distrust edge, z = b_f - a_e (figure1) or a_e - b_f. The loss slopes
+    summed per edge weight one edge scatter, since d||U_s - U_t||^2 / dU_s =
+    2(U_s - U_t) = -d||U_s - U_t||^2 / dU_t.
     """
-    values, slope = _loss(hp.loss, _margin(U, i, j, k, hp.sign_convention), scale is not None)
-    total = float(np.sum(values))
+    # unnamed differences let numpy square in place
+    a, b = (np.sum((U[edges[:, 0]] - U[edges[:, 1]]) ** 2, axis=-1) for edges in (trust, distrust))
+    slope_a, slope_b, total = np.zeros(len(a)), np.zeros(len(b)), 0.0
+    for e, f in pairs:
+        z = b[f] - a[e] if hp.sign_convention == FIGURE1 else a[e] - b[f]
+        values, slope = _loss(hp.loss, z, scale is not None)
+        total += float(np.sum(values))
+        if scale is not None:
+            _add_sums(slope_a, e, slope)
+            _add_sums(slope_b, f, slope)
     if scale is None:
         return total, None
-    ui, uj, uk = U[i], U[j], U[k]
-    sign = 1.0 if hp.sign_convention == FIGURE1 else -1.0
-    coeff = (sign * 2.0 * (slope * scale))[:, None]
-    rows = np.concatenate((coeff * (uj - uk), coeff * (ui - uj), coeff * (uk - ui)))
-    return total, _scatter(len(U), np.concatenate((i, j, k)), rows)
+    # figure1: dz/da = -1 and dz/db = 1; paper-literal negates both
+    weight = 2.0 * scale * (1.0 if hp.sign_convention == FIGURE1 else -1.0)
+    edges = np.concatenate((trust, distrust))
+    rows = np.concatenate((-weight * slope_a, weight * slope_b))[:, None]
+    return total, _edge_scatter(len(U), edges, rows * (U[edges[:, 0]] - U[edges[:, 1]]))
 
 
 def _social_term(U, store: TripletStore | None, hp: Hyperparams, need_grad: bool):
@@ -133,26 +149,22 @@ def _social_term(U, store: TripletStore | None, hp: Hyperparams, need_grad: bool
         return 0.0, g
     if store is None:
         raise ValueError("social term requires a triplet store (carrying the graph)")
+    graph = store.graph
     if hp.social == "triplet-margin":
         # an empty constraint set contributes nothing (no division)
         if store.total == 0:
             return 0.0, g
-        if need_grad and store.mode != MATERIALIZED:
-            raise ValueError("full gradient requires materialized triplets")
         scale = hp.lambda_s / store.total
-        acc = 0.0
-        # a materialized store is one block, so g ends up as the full gradient
-        for i, j, k in store.iter_blocks():
-            part, g = _triplet_term(U, i, j, k, hp, scale if need_grad else None)
-            acc += part
-        return scale * acc, g
+        value, g = _margin_term(U, graph.trust_edge_array, graph.distrust_edge_array,
+                                _pair_blocks(graph), hp, scale if need_grad else None)
+        return scale * value, g
     if hp.social == "trust-pull":
-        weight, edges = hp.alpha, store.graph.trust_edge_array
+        weight, edges = hp.alpha, graph.trust_edge_array
     else:
-        weight, edges = -hp.beta, store.graph.distrust_edge_array
+        weight, edges = -hp.beta, graph.distrust_edge_array
     d = U[edges[:, 0]] - U[edges[:, 1]]
     if need_grad:
-        g = _scatter(len(U), edges.T.ravel(), np.concatenate((weight * d, -weight * d)))
+        g = _edge_scatter(len(U), edges, weight * d)
     return 0.5 * weight * float(np.sum(d * d)), g
 
 
@@ -200,5 +212,7 @@ def social_gradient(U, store: TripletStore | None, hp: Hyperparams) -> np.ndarra
 
 
 def triplet_batch_gradient(U, triplets: np.ndarray, hp: Hyperparams, scale: float) -> np.ndarray:
-    """Gradient of `scale * sum of triplet penalties` over the given batch."""
-    return _triplet_term(U, triplets[:, 0], triplets[:, 1], triplets[:, 2], hp, scale)[1]
+    """Gradient of `scale * sum of triplet penalties` over the given batch:
+    row t is the pair of its own edges (i, j) and (i, k)."""
+    rows = np.arange(len(triplets))
+    return _margin_term(U, triplets[:, :2], triplets[:, ::2], [(rows, rows)], hp, scale)[1]

@@ -166,11 +166,7 @@ def fit_gd(ratings: SparseRatings, store: TripletStore | None, hp: Hyperparams,
            validation: SparseRatings | None = None, seed: int = 0,
            patience: int | None = None, eval_every: int = 1,
            model0: FactorModel | None = None):
-    """Full-gradient descent; returns (model, report).
-
-    The triplet-margin social term needs a materialized store here, since the
-    full gradient enumerates every constraint.
-    """
+    """Full-gradient descent; returns (model, report)."""
     return _run(ratings, store, hp, validation, seed,
                 lambda model: value_and_grad(model, ratings, store, hp),
                 patience, eval_every, model0)

@@ -170,15 +170,6 @@ class TestExtractTriplets:
             assert store.total == sum(
                 len(g.trust_adj[u]) * len(g.distrust_adj[u]) for u in range(g.n))
 
-    def test_lazy_blocks_cover_the_materialized_set(self, rng):
-        for _ in range(20):
-            g = random_graph(rng)
-            blocks = list(lazy_triplets(g).iter_blocks())
-            assert all(isinstance(i, int) for i, _, _ in blocks)
-            rows = [np.column_stack((np.full(len(j), i), j, k)) for i, j, k in blocks]
-            expected = extract_triplets(g).triplets
-            assert np.array_equal(np.concatenate(rows or [np.empty((0, 3), int)]), expected)
-
     def test_sign_conditions_hold(self, rng):
         g = random_graph(rng)
         store = extract_triplets(g)

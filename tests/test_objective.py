@@ -10,16 +10,24 @@ from trustfactor.data import (
     SparseRatings,
     extract_triplets,
     lazy_triplets,
+    sample_triplets,
 )
+from trustfactor import objective
 from trustfactor.objective import (
+    _loss,
+    _margin_term,
+    _pair_blocks,
     _scatter,
+    _social_term,
     grad,
     loss_value,
     margin_argument,
     objective_value,
     social_gradient,
     trace_identity_check,
+    triplet_batch_gradient,
     triplet_term,
+    value_and_grad,
 )
 
 from conftest import random_graph, random_ratings
@@ -52,6 +60,38 @@ def finite_difference_grad(model, ratings, store, hp, h=1e-5):
             out[idx] = (up - down) / (2 * h)
             it.iternext()
     return gU, gV
+
+
+def reference_margin(U, i, j, k, convention):
+    """Oracle: the margin argument z of each triplet (i[t], j[t], k[t]),
+    computed per triplet from its three gathered rows."""
+    dij = np.sum((U[i] - U[j]) ** 2, axis=-1)
+    dik = np.sum((U[i] - U[k]) ** 2, axis=-1)
+    return dik - dij if convention == "figure1" else dij - dik
+
+
+def reference_triplet_term(U, i, j, k, hp, scale=None):
+    """Oracle: the per-triplet kernel the edge-pair kernel replaced, which
+    scatters three rows per triplet (its penalty sum, and the gradient of
+    scale * that sum when scale is given)."""
+    z = reference_margin(U, i, j, k, hp.sign_convention)
+    values, slope = _loss(hp.loss, z, scale is not None)
+    total = float(np.sum(values))
+    if scale is None:
+        return total, None
+    ui, uj, uk = U[i], U[j], U[k]
+    sign = 1.0 if hp.sign_convention == "figure1" else -1.0
+    coeff = (sign * 2.0 * (slope * scale))[:, None]
+    rows = np.concatenate((coeff * (uj - uk), coeff * (ui - uj), coeff * (uk - ui)))
+    return total, _scatter(len(U), np.concatenate((i, j, k)), rows)
+
+
+def assert_matches_reference(U, triplets, hp, scale, value, gradient):
+    """Value within 1e-12 relative, gradient within 1e-12 * max |g|."""
+    ref_value, ref_grad = reference_triplet_term(
+        U, triplets[:, 0], triplets[:, 1], triplets[:, 2], hp, scale)
+    assert value == pytest.approx(scale * ref_value, rel=1e-12, abs=1e-300)
+    assert np.all(np.abs(gradient - ref_grad) <= 1e-12 * np.abs(ref_grad).max(initial=0.0))
 
 
 def small_instance(seed, social="triplet-margin", loss="hinge", convention="figure1"):
@@ -244,8 +284,8 @@ class TestObjectiveValue:
         hp = Hyperparams(k=2, social="triplet-margin", lambda_s=1.0)
         mat = extract_triplets(graph)
         laz = lazy_triplets(graph)
-        assert objective_value(model, ratings, mat, hp) == pytest.approx(
-            objective_value(model, ratings, laz, hp), rel=1e-12)
+        assert objective_value(model, ratings, mat, hp) == \
+            objective_value(model, ratings, laz, hp)
 
     def test_non_negative_variants(self, rng):
         for _ in range(20):
@@ -277,14 +317,18 @@ class TestGrad:
         hp = Hyperparams(k=2, social="triplet-margin", lambda_s=2.0)
         assert np.all(social_gradient(U, store, hp) == 0.0)
 
-    def test_lazy_store_refused(self, rng):
-        graph = random_graph(rng, n_max=6)
-        store = lazy_triplets(graph)
-        U = rng.normal(0, 1, (graph.n, 2))
-        hp = Hyperparams(k=2, social="triplet-margin", lambda_s=1.0)
-        if store.total:
-            with pytest.raises(ValueError, match="materialized"):
-                social_gradient(U, store, hp)
+    def test_lazy_store_gives_materialized_bytes(self, rng):
+        for _ in range(10):
+            graph = random_graph(rng, n_max=10)
+            ratings = random_ratings(rng, graph.n, 4)
+            model = FactorModel(rng.normal(0, 1, (graph.n, 3)), rng.normal(0, 1, (4, 3)), 3)
+            for loss in ("hinge", "logistic"):
+                hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.3, loss=loss)
+                mat = value_and_grad(model, ratings, extract_triplets(graph), hp)
+                laz = value_and_grad(model, ratings, lazy_triplets(graph), hp)
+                assert laz[0] == mat[0]
+                assert laz[1].tobytes() == mat[1].tobytes()
+                assert laz[2].tobytes() == mat[2].tobytes()
 
     @pytest.mark.parametrize("social", ["none", "trust-pull", "distrust-push", "triplet-margin"])
     @pytest.mark.parametrize("loss", ["hinge", "logistic"])
@@ -298,3 +342,135 @@ class TestGrad:
             num = np.sqrt(np.sum((gU - fU) ** 2) + np.sum((gV - fV) ** 2))
             den = max(np.sqrt(np.sum(fU ** 2) + np.sum(fV ** 2)), 1e-12)
             assert num / den < 1e-6
+
+
+class TestMarginKernel:
+    """The edge-pair margin kernel against the per-triplet oracle."""
+
+    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
+    def test_full_pass_matches_reference(self, rng, loss, convention):
+        hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.7, loss=loss,
+                         sign_convention=convention)
+        for _ in range(20):
+            graph = random_graph(rng, n_max=14, edge_prob=0.25)
+            store = extract_triplets(graph)
+            U = rng.normal(0, 1, (graph.n, 3))
+            value, g = _social_term(U, store, hp, need_grad=True)
+            if store.total:
+                assert_matches_reference(U, store.triplets, hp, hp.lambda_s / store.total,
+                                         value, g)
+            assert value == _social_term(U, store, hp, need_grad=False)[0]
+
+    @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
+    def test_margins_bit_equal_to_per_triplet(self, rng, monkeypatch, convention):
+        seen = []
+
+        def recording_loss(kind, z, need_slope=False):
+            seen.append(z.copy())
+            return _loss(kind, z, need_slope)
+
+        monkeypatch.setattr(objective, "_BLOCK_PAIRS", 5)
+        monkeypatch.setattr(objective, "_loss", recording_loss)
+        for k in [4, 10] * 5:
+            hp = Hyperparams(k=k, social="triplet-margin", lambda_s=1.0, sign_convention=convention)
+            graph = random_graph(rng, n_max=12, edge_prob=0.3)
+            store = lazy_triplets(graph)
+            U = rng.normal(0, 1, (graph.n, k))
+            seen.clear()
+            _social_term(U, store, hp, need_grad=False)
+            t = extract_triplets(graph).triplets
+            expected = reference_margin(U, t[:, 0], t[:, 1], t[:, 2], convention)
+            assert np.array_equal(np.concatenate(seen or [np.empty(0)]), expected)
+
+    def test_margin_argument_bit_equal_to_per_triplet(self, rng):
+        for k in (1, 3, 8, 13):
+            U = rng.normal(0, 1, (6, k))
+            for convention in ("figure1", "paper-literal"):
+                for i, j, kk in rng.integers(0, 6, (20, 3)).tolist():
+                    expected = reference_margin(U, np.array([i]), np.array([j]),
+                                                np.array([kk]), convention)[0]
+                    assert margin_argument(U, i, j, kk, convention) == expected
+        with pytest.raises(ValueError, match="sign convention"):
+            margin_argument(U, 0, 1, 2, "sideways")
+
+    @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
+    def test_kink_counts_as_inactive(self, rng, convention):
+        hp = Hyperparams(k=2, social="triplet-margin", lambda_s=1.0, sign_convention=convention)
+        kinks = 0
+        for _ in range(20):
+            graph = random_graph(rng, n_max=10, edge_prob=0.3)
+            store = extract_triplets(graph)
+            U = rng.integers(-1, 2, (graph.n, 2)).astype(float)
+            if not store.total:
+                continue
+            t = store.triplets
+            kinks += int(np.sum(reference_margin(U, t[:, 0], t[:, 1], t[:, 2], convention) == 1.0))
+            value, g = _social_term(U, store, hp, need_grad=True)
+            assert_matches_reference(U, t, hp, 1.0 / store.total, value, g)
+        assert kinks > 0
+
+    def test_kink_alone_has_zero_gradient(self):
+        # d2(0, 1) = 1 and d2(0, 2) = 2: z = 1 exactly under figure1
+        U = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        store = extract_triplets(SocialGraph.from_edges(3, [(0, 1)], [(0, 2)]))
+        hp = Hyperparams(k=2, social="triplet-margin", lambda_s=1.0)
+        value, g = _social_term(U, store, hp, need_grad=True)
+        assert value == 0.0 and np.all(g == 0.0)
+
+    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    def test_one_sided_users_and_empty_graph(self, rng, monkeypatch, loss):
+        # users 0-2 trust only, 3-5 distrust only, 6 carries every triplet;
+        # blocks of two pairs: one of trust edges without pairs, then one
+        # per trust edge of user 6, which has three
+        monkeypatch.setattr(objective, "_BLOCK_PAIRS", 2)
+        trust = [(0, 1), (1, 2), (2, 0), (6, 0), (6, 1)]
+        distrust = [(3, 4), (4, 5), (5, 3), (6, 3), (6, 4), (6, 5)]
+        graph = SocialGraph.from_edges(7, trust, distrust)
+        store = extract_triplets(graph)
+        assert store.total == 6
+        assert [len(e) for e, _ in _pair_blocks(graph)] == [0, 3, 3]
+        U = rng.normal(0, 1, (7, 3))
+        hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.0, loss=loss)
+        value, g = _social_term(U, store, hp, need_grad=True)
+        assert_matches_reference(U, store.triplets, hp, 1.0 / 6, value, g)
+        assert np.all(g[2] == 0.0)  # in no triplet: its edges add nothing
+        empty = SocialGraph.from_edges(4)
+        no_edges = empty.trust_edge_array
+        value, g = _margin_term(rng.normal(0, 1, (4, 3)), no_edges, no_edges,
+                                _pair_blocks(empty), hp, 1.0)
+        assert value == 0.0 and g.shape == (4, 3) and np.all(g == 0.0)
+
+    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    def test_several_blocks(self, rng, monkeypatch, loss):
+        hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.0, loss=loss)
+        graph = random_graph(np.random.default_rng(3), n_max=30, edge_prob=0.3)
+        store = extract_triplets(graph)
+        U = rng.normal(0, 1, (graph.n, 3))
+        whole = _social_term(U, store, hp, need_grad=True)
+        monkeypatch.setattr(objective, "_BLOCK_PAIRS", 7)
+        blocks = list(_pair_blocks(graph))
+        assert len(blocks) > 10
+        trust, distrust = graph.trust_edge_array, graph.distrust_edge_array
+        for e, f in blocks:
+            assert len(e) <= 7 or len(np.unique(e)) == 1
+        e, f = (np.concatenate(parts) for parts in zip(*blocks))
+        listed = np.column_stack((trust[e, 0], trust[e, 1], distrust[f, 1]))
+        assert np.array_equal(listed, store.triplets)
+        value, g = _social_term(U, store, hp, need_grad=True)
+        assert_matches_reference(U, store.triplets, hp, 1.0 / store.total, value, g)
+        assert value == pytest.approx(whole[0], rel=1e-12)
+
+    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
+    def test_sgd_batches(self, rng, loss, convention):
+        hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.0, loss=loss,
+                         sign_convention=convention)
+        graph = random_graph(np.random.default_rng(4), n_max=12, edge_prob=0.3)
+        store = lazy_triplets(graph)
+        for size in (1, 5, 64):
+            batch = sample_triplets(store, rng, size)  # may repeat a triplet
+            U = rng.normal(0, 1, (graph.n, 3))
+            got = triplet_batch_gradient(U, batch, hp, 0.3)
+            ref = reference_triplet_term(U, batch[:, 0], batch[:, 1], batch[:, 2], hp, 0.3)[1]
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref).max(initial=0.0))

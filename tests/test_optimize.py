@@ -128,11 +128,16 @@ class TestFitGd:
             assert short.records[-1].objective == objective_value(model, ratings, store, hp)
             assert report.records[t - 1].objective == short.records[-1].objective
 
-    def test_lazy_store_refused_for_margin(self):
+    def test_lazy_store_fits_like_materialized(self):
         ratings, graph = social_instance()
-        hp = Hyperparams(k=2, social="triplet-margin", lambda_s=1.0, epochs=2)
-        with pytest.raises(ValueError, match="materialized"):
-            fit_gd(ratings, lazy_triplets(graph), hp)
+        for loss in ("hinge", "logistic"):
+            hp = Hyperparams(k=2, social="triplet-margin", lambda_s=1.0, loss=loss,
+                             lambda_u=0.1, lambda_v=0.1, eta0=0.05, epochs=6)
+            mat_model, mat = fit_gd(ratings, extract_triplets(graph), hp, seed=3)
+            laz_model, laz = fit_gd(ratings, lazy_triplets(graph), hp, seed=3)
+            assert laz.signature() == mat.signature()
+            assert laz_model.U.tobytes() == mat_model.U.tobytes()
+            assert laz_model.V.tobytes() == mat_model.V.tobytes()
 
     def test_early_stop_fires(self):
         ratings, _ = social_instance()
