@@ -21,6 +21,7 @@ from .experiments import (
     SyntheticSpec,
     cold_start_split,
     consistency_eval,
+    constraint_store,
     distrust_tradeoff_run,
     evaluate_model,
     fit_method,
@@ -250,9 +251,9 @@ def _fit_one(train, test, graph, args, method, optimizer, seed, patience=None):
     if args.p is not None or args.q is not None:
         print(f"warning: propagation depths ignored for {method}", file=sys.stderr)
     hp = _hyperparams(args, method)
-    store = None if graph is None else extract_triplets(graph)
-    model, _ = fit_method(train, store, hp, optimizer or "gd",
-                          seed=seed, patience=patience)
+    optimizer = optimizer or "gd"
+    store = None if graph is None else constraint_store(graph, optimizer)
+    model, _ = fit_method(train, store, hp, optimizer, seed=seed, patience=patience)
     return model, evaluate_model(model, test, hp.clamp_predictions)
 
 
@@ -374,10 +375,10 @@ def _cmd_grid(args):
     train, validation = split_ratings(
         train_all, SplitSpec(1.0 - args.val_frac, args.seed + 1, 1))
     hp = _hyperparams(args, args.method)
-    store = extract_triplets(graph)
-    result = grid_search(train, validation, store, hp, second_param,
-                         ls_values, second_values,
-                         optimizer=args.optimizer or "gd", seed=args.seed)
+    optimizer = args.optimizer or "gd"
+    result = grid_search(train, validation, constraint_store(graph, optimizer), hp,
+                         second_param, ls_values, second_values,
+                         optimizer=optimizer, seed=args.seed)
     write_csv(out / "grid.csv", ["lambda_s", second_param, "val_rmse"], result.rows)
     write_csv(out / "grid_best.csv", ["lambda_s", second_param, "val_rmse"], [list(result.best)])
     print(f"best (lambda_s, {second_param}) = ({result.best[0]:g}, {result.best[1]:g}) "

@@ -60,8 +60,8 @@ class SparseRatings:
                 raise ValueError("user index out of range")
             if self.items.min() < 0 or self.items.max() >= self.m:
                 raise ValueError("item index out of range")
-            keys = self.users * self.m + self.items
-            if len(np.unique(keys)) != self.nnz:
+            keys = np.sort(self.users * self.m + self.items)
+            if np.any(keys[1:] == keys[:-1]):
                 raise ValueError("duplicate (user, item) pair")
             lo, hi = self.values.min(), self.values.max()
             if lo < self.r_min or hi > self.r_max:
@@ -161,7 +161,7 @@ class SocialGraph:
             if len(repeated):
                 raise ValueError(f"duplicate neighbor for user {repeated[0] // self.n}")
             keys.append(key)
-        common = np.intersect1d(*keys)
+        common = np.intersect1d(*keys, assume_unique=True)
         if len(common):
             u = common[0] // self.n
             both_ways = set((common[common // self.n == u] % self.n).tolist())
@@ -361,7 +361,7 @@ def predict_many(model: FactorModel, users, items, clamp: bool = True,
         raise IndexError("user index out of range")
     if len(items) and (items.min() < 0 or items.max() >= model.m):
         raise IndexError("item index out of range")
-    raw = np.einsum("ij,ij->i", model.U[users], model.V[items])
+    raw = np.einsum("ij,ij->i", np.take(model.U, users, axis=0), np.take(model.V, items, axis=0))
     if clamp:
         return np.clip(raw, r_min, r_max)
     return raw

@@ -137,10 +137,16 @@ def _build_ratings(users, items, values, user_map, item_map, r_min, r_max):
     first position and its last value."""
     user_idx, item_idx = _indices(user_map, users), _indices(item_map, items)
     keys = user_idx * len(item_map) + item_idx
-    _, first = np.unique(keys, return_index=True)
-    _, from_end = np.unique(keys[::-1], return_index=True)
-    order = np.argsort(first)
-    first, last = first[order], len(keys) - 1 - from_end[order]
+    # a stable sort keeps each key's rows in file order; head marks its first
+    # row, and as head[0] is set, head rolled back by one marks its last row
+    order = np.argsort(keys, kind="stable")
+    head = np.ones(len(keys), bool)
+    head[1:] = np.diff(keys[order]) != 0
+    is_first, last_of = np.zeros(len(keys), bool), np.empty(len(keys), np.int64)
+    is_first[order[head]] = True
+    last_of[order[head]] = order[np.roll(head, -1)]
+    first = np.flatnonzero(is_first)
+    last = last_of[first]
     if len(first) < len(keys):
         log.warning("%d duplicate (user, item) rows; last occurrence wins", len(keys) - len(first))
     if not len(keys):

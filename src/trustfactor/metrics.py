@@ -29,13 +29,18 @@ def rmse(pairs) -> float:
     return math.sqrt(float(np.mean(errors * errors)))
 
 
-def evaluate_model(model: FactorModel, test: SparseRatings, clamp: bool = True):
-    """(MAE, RMSE) of the model on a rating set, clamped to the set's own bounds."""
+def evaluate_predictions(test: SparseRatings, raw: np.ndarray, clamp: bool = True):
+    """(MAE, RMSE) of raw predictions of a rating set's entries, clamped to
+    the set's own bounds."""
     if test.nnz == 0:
         raise ValueError("empty test set")
-    pred = predict_many(model, test.users, test.items, clamp, test.r_min, test.r_max)
-    pairs = np.column_stack((test.values, pred))
-    return mae(pairs), rmse(pairs)
+    errors = test.values - (np.clip(raw, test.r_min, test.r_max) if clamp else raw)
+    return float(np.mean(np.abs(errors))), math.sqrt(float(np.mean(errors * errors)))
+
+
+def evaluate_model(model: FactorModel, test: SparseRatings, clamp: bool = True):
+    """(MAE, RMSE) of the model on a rating set, clamped to the set's own bounds."""
+    return evaluate_predictions(test, predict_many(model, test.users, test.items, False), clamp)
 
 
 @dataclass(frozen=True)

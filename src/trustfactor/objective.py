@@ -71,21 +71,40 @@ def trace_identity_check(U, triplet) -> float:
     return float(2.0 * (ui @ uk) + uj @ uj - uk @ uk - 2.0 * (ui @ uj))
 
 
-def _scatter(n: int, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(n, k) sums of rows[t] into row index[t], added in t order.
+def _scatter(n: int, index: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(n, k) sums of column t of the (k, N) C-contiguous cols into row
+    index[t], added in t order.
 
-    Bit-identical to unbuffered in-place addition on zeros, and several
-    times faster: one bincount per column over the whole index.
+    Bit-identical to unbuffered in-place addition of the rows cols.T on
+    zeros, and several times faster: one bincount per contiguous column.
     """
-    out = np.empty((n, rows.shape[1]))
-    for c in range(rows.shape[1]):
-        out[:, c] = np.bincount(index, weights=rows[:, c], minlength=n)
+    out = np.empty((n, len(cols)))
+    for c, col in enumerate(cols):
+        out[:, c] = np.bincount(index, weights=col, minlength=n)
     return out
 
 
-def _edge_scatter(n: int, edges: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """_scatter of rows[t] onto edge t's source row and -rows[t] onto its target."""
-    return _scatter(n, edges.T.ravel(), np.concatenate((rows, -rows)))
+def _edge_scatter(n: int, edges: np.ndarray, x: np.ndarray, w) -> np.ndarray:
+    """_scatter of w[t] * x[t] onto edge t's source row and its negation onto
+    its target, for (E, k) rows x and per-edge (or one scalar) weights w."""
+    cols = np.empty((x.shape[1], 2 * len(x)))
+    np.multiply(x.T, w, out=cols[:, :len(x)])
+    np.negative(cols[:, :len(x)], out=cols[:, len(x):])
+    return _scatter(n, edges.T.ravel(), cols)
+
+
+def _differences(U, edges: np.ndarray) -> np.ndarray:
+    """(E, k) rows U_s - U_t of the edges (s, t), each formed once."""
+    x = np.take(U, edges[:, 0], axis=0)
+    x -= np.take(U, edges[:, 1], axis=0)
+    return x
+
+
+def _columns(A, index: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """(k, N) C-contiguous columns of the rows A[index], row t scaled by e[t]."""
+    cols = np.take(A.T.copy(), index, axis=1)
+    cols *= e
+    return cols
 
 
 _BLOCK_PAIRS = 1 << 16  # bounds a full margin pass to a few MB of transient arrays
@@ -123,8 +142,8 @@ def _margin_term(U, trust, distrust, pairs, hp: Hyperparams, scale=None):
     summed per edge weight one edge scatter, since d||U_s - U_t||^2 / dU_s =
     2(U_s - U_t) = -d||U_s - U_t||^2 / dU_t.
     """
-    # unnamed differences let numpy square in place
-    a, b = (np.sum((U[edges[:, 0]] - U[edges[:, 1]]) ** 2, axis=-1) for edges in (trust, distrust))
+    x = [_differences(U, edges) for edges in (trust, distrust)]
+    a, b = (np.sum(d * d, axis=-1) for d in x)
     slope_a, slope_b, total = np.zeros(len(a)), np.zeros(len(b)), 0.0
     for e, f in pairs:
         z = b[f] - a[e] if hp.sign_convention == FIGURE1 else a[e] - b[f]
@@ -137,9 +156,8 @@ def _margin_term(U, trust, distrust, pairs, hp: Hyperparams, scale=None):
         return total, None
     # figure1: dz/da = -1 and dz/db = 1; paper-literal negates both
     weight = 2.0 * scale * (1.0 if hp.sign_convention == FIGURE1 else -1.0)
-    edges = np.concatenate((trust, distrust))
-    rows = np.concatenate((-weight * slope_a, weight * slope_b))[:, None]
-    return total, _edge_scatter(len(U), edges, rows * (U[edges[:, 0]] - U[edges[:, 1]]))
+    return total, _edge_scatter(len(U), np.concatenate((trust, distrust)), np.concatenate(x),
+                                np.concatenate((-weight * slope_a, weight * slope_b)))
 
 
 def _social_term(U, store: TripletStore | None, hp: Hyperparams, need_grad: bool):
@@ -162,10 +180,31 @@ def _social_term(U, store: TripletStore | None, hp: Hyperparams, need_grad: bool
         weight, edges = hp.alpha, graph.trust_edge_array
     else:
         weight, edges = -hp.beta, graph.distrust_edge_array
-    d = U[edges[:, 0]] - U[edges[:, 1]]
+    d = _differences(U, edges)
     if need_grad:
-        g = _edge_scatter(len(U), edges, weight * d)
+        g = _edge_scatter(len(U), edges, d, weight)
     return 0.5 * weight * float(np.sum(d * d)), g
+
+
+def _objective_pass(model: FactorModel, ratings: SparseRatings,
+                    store: TripletStore | None, hp: Hyperparams, need_grad: bool = True):
+    """value_and_grad's (value, dL/dU, dL/dV) and the raw predictions
+    U[u] . V[i] of the rating pass, in the order of the ratings."""
+    U, V = model.U, model.V
+    uu, ii = ratings.users, ratings.items
+    pred = np.einsum("ij,ij->i", np.take(U, uu, axis=0), np.take(V, ii, axis=0))
+    e = pred - ratings.values
+    value = 0.5 * float(e @ e)
+    value += 0.5 * hp.lambda_u * float(np.sum(U * U))
+    value += 0.5 * hp.lambda_v * float(np.sum(V * V))
+    social, g_social = _social_term(U, store, hp, need_grad)
+    value += social
+    if not need_grad:
+        return value, None, None, pred
+    gU = _scatter(len(U), uu, _columns(V, ii, e)) + hp.lambda_u * U
+    gU += g_social
+    gV = _scatter(len(V), ii, _columns(U, uu, e)) + hp.lambda_v * V
+    return value, gU, gV, pred
 
 
 def value_and_grad(model: FactorModel, ratings: SparseRatings,
@@ -177,21 +216,7 @@ def value_and_grad(model: FactorModel, ratings: SparseRatings,
     Residuals use raw (unclamped) predictions. Without need_grad both
     gradients are None and no loss slope is computed.
     """
-    U, V = model.U, model.V
-    uu, ii = ratings.users, ratings.items
-    u_rows, v_rows = U[uu], V[ii]
-    e = np.einsum("ij,ij->i", u_rows, v_rows) - ratings.values
-    value = 0.5 * float(e @ e)
-    value += 0.5 * hp.lambda_u * float(np.sum(U * U))
-    value += 0.5 * hp.lambda_v * float(np.sum(V * V))
-    social, g_social = _social_term(U, store, hp, need_grad)
-    value += social
-    if not need_grad:
-        return value, None, None
-    gU = _scatter(len(U), uu, e[:, None] * v_rows) + hp.lambda_u * U
-    gU += g_social
-    gV = _scatter(len(V), ii, e[:, None] * u_rows) + hp.lambda_v * V
-    return value, gU, gV
+    return _objective_pass(model, ratings, store, hp, need_grad)[:3]
 
 
 def objective_value(model: FactorModel, ratings: SparseRatings,

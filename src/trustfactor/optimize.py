@@ -16,8 +16,8 @@ from .data import (
     init_model,
     sample_triplets,
 )
-from .metrics import evaluate_model
-from .objective import PAPER_LITERAL, triplet_batch_gradient, value_and_grad
+from .metrics import evaluate_model, evaluate_predictions
+from .objective import PAPER_LITERAL, _objective_pass, triplet_batch_gradient
 from .seeding import substream
 
 DIVERGENCE_LIMIT = 1e8
@@ -108,9 +108,11 @@ def _diverged(model) -> bool:
 def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model0):
     """Descent loop shared by GD and SGD.
 
-    step(model) returns (value, gU, gV) for the next update, taken at the
-    current model; value is the full objective there when the same pass
-    yields it, else None, and a value-only pass supplies it when recorded.
+    step(model) returns (value, gU, gV, pred) for the next update, taken at
+    the current model: value is the full objective there when the same pass
+    yields it, else None, and pred holds the raw predictions of its rating
+    pass. A record reads its objective and train RMSE from the pass taken at
+    its model, or from a value-only pass when no step follows or value is None.
     """
     if model0 is not None:
         model = model0.copy()
@@ -118,13 +120,13 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
         model = init_model(ratings.n, ratings.m, hp.k, seed)
     schedule = StepSchedule(hp.schedule, hp.eta0)
 
-    def objective(value):
+    def at_model(value, pred):
         if value is None:
-            return value_and_grad(model, ratings, store, hp, need_grad=False)[0]
-        return value
+            value, _, _, pred = _objective_pass(model, ratings, store, hp, need_grad=False)
+        return value, pred
 
-    value, gU, gV = step(model) if hp.epochs else (None, None, None)
-    report = FitReport(initial_objective=objective(value))
+    value, gU, gV, pred = step(model) if hp.epochs else (None,) * 4
+    report = FitReport(initial_objective=at_model(value, pred)[0])
     start = time.perf_counter()
     val_history = []
     for t in range(1, hp.epochs + 1):
@@ -138,8 +140,7 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
             break
         rec = None
         if t % eval_every == 0 or t == hp.epochs:
-            _, train_rmse = evaluate_model(model, ratings, hp.clamp_predictions)
-            rec = IterationRecord(iteration=t, objective=np.nan, train_rmse=train_rmse)
+            rec = IterationRecord(iteration=t, objective=np.nan, train_rmse=np.nan)
             if validation is not None and validation.nnz:
                 rec.val_mae, rec.val_rmse = evaluate_model(
                     model, validation, hp.clamp_predictions)
@@ -153,9 +154,10 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
                 report.stop_reason = STOP_EARLY
         last = t == hp.epochs or report.stop_reason == STOP_EARLY
         # the pass for step t + 1 is taken at the model this record describes
-        value, gU, gV = (None, None, None) if last else step(model)
+        value, gU, gV, pred = (None,) * 4 if last else step(model)
         if rec is not None:
-            rec.objective = objective(value)
+            rec.objective, pred = at_model(value, pred)
+            rec.train_rmse = evaluate_predictions(ratings, pred, hp.clamp_predictions)[1]
             rec.elapsed = time.perf_counter() - start
         if last:
             break
@@ -168,7 +170,7 @@ def fit_gd(ratings: SparseRatings, store: TripletStore | None, hp: Hyperparams,
            model0: FactorModel | None = None):
     """Full-gradient descent; returns (model, report)."""
     return _run(ratings, store, hp, validation, seed,
-                lambda model: value_and_grad(model, ratings, store, hp),
+                lambda model: _objective_pass(model, ratings, store, hp),
                 patience, eval_every, model0)
 
 
@@ -199,9 +201,9 @@ def fit_sgd(ratings: SparseRatings, store: TripletStore | None, hp: Hyperparams,
     exact_hp = hp.replace(social="none") if use_triplets else hp
 
     def step(model):
-        value, gU, gV = value_and_grad(model, ratings, store, exact_hp)
+        value, gU, gV, pred = _objective_pass(model, ratings, store, exact_hp)
         if not use_triplets:
-            return value, gU, gV
+            return value, gU, gV, pred
         if sample_mode == "enumerate":
             batch = store.triplets
         else:
@@ -210,7 +212,7 @@ def fit_sgd(ratings: SparseRatings, store: TripletStore | None, hp: Hyperparams,
         if hp.sign_convention == PAPER_LITERAL:
             scale /= store.total
         gU += triplet_batch_gradient(model.U, batch, hp, scale)
-        return None, gU, gV
+        return None, gU, gV, pred
 
     return _run(ratings, store, hp, validation, seed, step,
                 patience, eval_every, model0)

@@ -47,6 +47,25 @@ class TestSparseRatings:
         with pytest.raises(ValueError, match="duplicate"):
             SparseRatings.from_entries(2, 2, [(0, 0, 4.0), (0, 0, 3.0)])
 
+    # (user, item) entries with one repeated pair at the named positions
+    @pytest.mark.parametrize("entries", [
+        [(1, 2), (1, 2), (0, 0), (2, 1)],          # first two
+        [(1, 2), (0, 0), (2, 1), (1, 2)],          # first and last
+        [(0, 0), (2, 1), (2, 0), (2, 0)],          # last two
+        [(0, 0), (2, 1), (0, 1), (2, 1), (1, 1)],  # middle, apart
+        [(2, 2), (2, 2), (2, 2)],                  # every entry
+        [(0, 1), (1, 0), (0, 1)],                  # keys 1 and 3 around key 1
+    ])
+    def test_rejects_duplicates_in_any_position(self, entries):
+        for order in (entries, entries[::-1]):
+            with pytest.raises(ValueError, match=r"^duplicate \(user, item\) pair$"):
+                SparseRatings.from_entries(3, 3, [(u, i, 3.0) for u, i in order])
+
+    def test_accepts_shared_users_and_items(self):
+        entries = [(u, i, 1.0 + u) for u in range(4) for i in range(3) if (u + i) % 2]
+        for order in (entries, entries[::-1]):
+            assert SparseRatings.from_entries(4, 3, order).nnz == len(entries)
+
     def test_rejects_out_of_range_rating(self):
         with pytest.raises(ValueError, match="outside"):
             SparseRatings.from_entries(1, 1, [(0, 0, 6.0)])
@@ -100,6 +119,22 @@ class TestSocialGraph:
     def test_rejects_contradiction(self):
         with pytest.raises(ValueError, match="trusts and distrusts"):
             SocialGraph.from_edges(2, [(0, 1)], [(0, 1)])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_contradiction_names_the_lowest_user(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        picked = rng.permutation(len(pairs))
+        trust = [pairs[p] for p in picked[: len(pairs) // 3]]
+        distrust = [pairs[p] for p in picked[len(pairs) // 3: 2 * len(pairs) // 3]]
+        clashes = [trust[t] for t in rng.choice(len(trust), int(rng.integers(1, 4)), replace=False)]
+        distrust += clashes
+        u = min(c[0] for c in clashes)
+        expected = f"user {u} both trusts and distrusts {set(v for s, v in clashes if s == u)}"
+        with pytest.raises(ValueError) as err:
+            SocialGraph.from_edges(n, trust, distrust)
+        assert str(err.value) == expected
 
     def test_rejects_duplicate_neighbor(self):
         with pytest.raises(ValueError, match="duplicate neighbor for user 1"):

@@ -6,8 +6,9 @@ import struct
 import numpy as np
 import pytest
 
+from trustfactor import cli, experiments
 from trustfactor.cli import run_cli
-from trustfactor.data import FactorModel, SocialGraph, SparseRatings, init_model
+from trustfactor.data import FactorModel, SocialGraph, SparseRatings, extract_triplets, init_model
 from trustfactor.fileio import (
     IdMap,
     load_dataset,
@@ -195,6 +196,21 @@ class TestLoadRatings:
         assert ratings.nnz == 1
         assert ratings.values[0] == 2.0
         assert any("duplicate" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("text", [
+        "a\tx\t1\na\tx\t2\nb\ty\t3\n",                      # first two rows
+        "a\tx\t1\nb\ty\t3\na\tx\t2\n",                      # first and last
+        "b\ty\t3\na\tx\t1\na\tx\t2\n",                      # last two
+        "a\tx\t1\nb\ty\t2\nb\ty\t3\nc\tz\t4\n",             # middle
+        "a\tx\t1\na\tx\t2\na\tx\t3\n",                      # every row
+        "a\tx\t1\nb\tx\t2\na\tx\t3\nb\tx\t4\na\ty\t5\nb\tx\t1\n",  # interleaved
+    ])
+    def test_duplicates_keep_first_position_and_last_value(self, tmp_path, caplog, text):
+        path = write(tmp_path / "r.tsv", text)
+        expected, _, _, warnings = ref_load_ratings(path)
+        with caplog.at_level(logging.WARNING, logger="trustfactor.fileio"):
+            _assert_same_ratings(load_ratings(path), expected)
+        assert _warnings(caplog) == warnings and len(warnings) == 1
 
     def test_comments_skipped(self, tmp_path):
         path = write(tmp_path / "r.tsv", "# header\nu1\ti1\t4\n")
@@ -716,6 +732,37 @@ class TestCli:
         assert table[0] == ["optimizer", "batch_size", "iteration", "test_rmse", "test_mae"]
         optimizers = {row[0] for row in table[1:]}
         assert optimizers == {"gd", "sgd-1", "sgd-8"}
+
+    def test_gd_commands_list_no_triplets(self, tmp_path, monkeypatch):
+        out = _synth_dir(tmp_path)
+        base = ["--ratings", str(out / "ratings.tsv"), "--social", str(out / "social.tsv"),
+                "--seed", "5", "--epochs", "8", "--eta", "0.02"]
+        commands = {
+            "fit": ["fit", "--method", "mf-td", *base],
+            "grid": ["grid", *base, "--lambda-s-grid", "0,1", "--lambda-v-grid", "0.05,0.5"],
+            "tradeoff": ["tradeoff", *base, "--distrust-fracs", "0.5,1.0"],
+        }
+        # every store materialized, as GD commands built them before
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "lazy_triplets", extract_triplets)
+            for name, argv in commands.items():
+                assert run_cli(argv + ["--out", str(tmp_path / "listed" / name)]) == 0
+
+        def refuse(graph):
+            raise AssertionError("a GD command listed the triplets")
+
+        monkeypatch.setattr(experiments, "extract_triplets", refuse)
+        monkeypatch.setattr(cli, "extract_triplets", refuse)
+        for name, argv in commands.items():
+            assert run_cli(argv + ["--out", str(tmp_path / "lazy" / name)]) == 0
+            listed = sorted((tmp_path / "listed" / name).iterdir())
+            assert [p.name for p in listed] == sorted(
+                p.name for p in (tmp_path / "lazy" / name).iterdir())
+            for path in listed:
+                assert path.read_bytes() == (tmp_path / "lazy" / name / path.name).read_bytes()
+        # SGD still samples from the listed set
+        with pytest.raises(AssertionError, match="listed the triplets"):
+            run_cli(commands["fit"] + ["--optimizer", "sgd", "--out", str(tmp_path / "sgd")])
 
     def test_synth_rerun_byte_identical(self, tmp_path):
         a = _synth_dir(tmp_path / "x", seed=4)

@@ -10,12 +10,16 @@ from trustfactor.data import (
     SparseRatings,
     extract_triplets,
     lazy_triplets,
+    predict_many,
     sample_triplets,
 )
 from trustfactor import objective
 from trustfactor.objective import (
+    FIGURE1,
+    _add_sums,
     _loss,
     _margin_term,
+    _objective_pass,
     _pair_blocks,
     _scatter,
     _social_term,
@@ -70,6 +74,82 @@ def reference_margin(U, i, j, k, convention):
     return dik - dij if convention == "figure1" else dij - dik
 
 
+# ---------------------------------------------------------------------------
+# reference kernel: the row-layout objective pass the column-layout one
+# replaced, kept as the oracle for values and gradient bytes
+
+
+def reference_scatter(n, index, rows):
+    """(n, k) sums of rows[t] into row index[t], one bincount per strided column."""
+    out = np.empty((n, rows.shape[1]))
+    for c in range(rows.shape[1]):
+        out[:, c] = np.bincount(index, weights=rows[:, c], minlength=n)
+    return out
+
+
+def reference_edge_scatter(n, edges, rows):
+    """reference_scatter of rows[t] onto edge t's source and -rows[t] onto its target."""
+    return reference_scatter(n, edges.T.ravel(), np.concatenate((rows, -rows)))
+
+
+def reference_margin_term(U, trust, distrust, pairs, hp, scale=None):
+    a, b = (np.sum((U[edges[:, 0]] - U[edges[:, 1]]) ** 2, axis=-1) for edges in (trust, distrust))
+    slope_a, slope_b, total = np.zeros(len(a)), np.zeros(len(b)), 0.0
+    for e, f in pairs:
+        z = b[f] - a[e] if hp.sign_convention == FIGURE1 else a[e] - b[f]
+        values, slope = _loss(hp.loss, z, scale is not None)
+        total += float(np.sum(values))
+        if scale is not None:
+            _add_sums(slope_a, e, slope)
+            _add_sums(slope_b, f, slope)
+    if scale is None:
+        return total, None
+    weight = 2.0 * scale * (1.0 if hp.sign_convention == FIGURE1 else -1.0)
+    edges = np.concatenate((trust, distrust))
+    rows = np.concatenate((-weight * slope_a, weight * slope_b))[:, None]
+    return total, reference_edge_scatter(len(U), edges, rows * (U[edges[:, 0]] - U[edges[:, 1]]))
+
+
+def reference_social_term(U, store, hp, need_grad):
+    g = np.zeros_like(U) if need_grad else None
+    if hp.social == "none":
+        return 0.0, g
+    graph = store.graph
+    if hp.social == "triplet-margin":
+        if store.total == 0:
+            return 0.0, g
+        scale = hp.lambda_s / store.total
+        value, g = reference_margin_term(U, graph.trust_edge_array, graph.distrust_edge_array,
+                                         _pair_blocks(graph), hp, scale if need_grad else None)
+        return scale * value, g
+    if hp.social == "trust-pull":
+        weight, edges = hp.alpha, graph.trust_edge_array
+    else:
+        weight, edges = -hp.beta, graph.distrust_edge_array
+    d = U[edges[:, 0]] - U[edges[:, 1]]
+    if need_grad:
+        g = reference_edge_scatter(len(U), edges, weight * d)
+    return 0.5 * weight * float(np.sum(d * d)), g
+
+
+def reference_value_and_grad(model, ratings, store, hp, need_grad=True):
+    U, V = model.U, model.V
+    uu, ii = ratings.users, ratings.items
+    u_rows, v_rows = U[uu], V[ii]
+    e = np.einsum("ij,ij->i", u_rows, v_rows) - ratings.values
+    value = 0.5 * float(e @ e)
+    value += 0.5 * hp.lambda_u * float(np.sum(U * U))
+    value += 0.5 * hp.lambda_v * float(np.sum(V * V))
+    social, g_social = reference_social_term(U, store, hp, need_grad)
+    value += social
+    if not need_grad:
+        return value, None, None
+    gU = reference_scatter(len(U), uu, e[:, None] * v_rows) + hp.lambda_u * U
+    gU += g_social
+    gV = reference_scatter(len(V), ii, e[:, None] * u_rows) + hp.lambda_v * V
+    return value, gU, gV
+
+
 def reference_triplet_term(U, i, j, k, hp, scale=None):
     """Oracle: the per-triplet kernel the edge-pair kernel replaced, which
     scatters three rows per triplet (its penalty sum, and the gradient of
@@ -83,7 +163,7 @@ def reference_triplet_term(U, i, j, k, hp, scale=None):
     sign = 1.0 if hp.sign_convention == "figure1" else -1.0
     coeff = (sign * 2.0 * (slope * scale))[:, None]
     rows = np.concatenate((coeff * (uj - uk), coeff * (ui - uj), coeff * (uk - ui)))
-    return total, _scatter(len(U), np.concatenate((i, j, k)), rows)
+    return total, reference_scatter(len(U), np.concatenate((i, j, k)), rows)
 
 
 def assert_matches_reference(U, triplets, hp, scale, value, gradient):
@@ -178,9 +258,10 @@ class TestScatter:
             rows = rng.normal(0, 1, (size, k)) * 10.0 ** rng.integers(-8, 8, (size, 1))
             expected = np.zeros((n, k))
             np.add.at(expected, index, rows)
-            got = _scatter(n, index, rows)
+            got = _scatter(n, index, np.ascontiguousarray(rows.T))
             assert got.dtype == np.float64 and got.shape == (n, k)
             assert got.tobytes() == expected.tobytes()
+            assert reference_scatter(n, index, rows).tobytes() == expected.tobytes()
 
 
 class TestTripletTerm:
@@ -342,6 +423,50 @@ class TestGrad:
             num = np.sqrt(np.sum((gU - fU) ** 2) + np.sum((gV - fV) ** 2))
             den = max(np.sqrt(np.sum(fU ** 2) + np.sum(fV ** 2)), 1e-12)
             assert num / den < 1e-6
+
+
+class TestKernelOracle:
+    """The column-layout pass against the row-layout reference, byte for byte."""
+
+    @pytest.mark.parametrize("social", ["none", "trust-pull", "distrust-push", "triplet-margin"])
+    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_value_and_gradients_bit_equal(self, social, loss, convention, k):
+        rng = np.random.default_rng([k, len(social), len(loss), len(convention)])
+        for _ in range(3):
+            graph = random_graph(rng, n_max=14, edge_prob=0.25)
+            m = int(rng.integers(3, 9))
+            ratings = random_ratings(rng, graph.n, m, density=0.4)
+            # the last user and the last item have no ratings
+            keep = (ratings.users < graph.n - 1) & (ratings.items < m - 1)
+            ratings = ratings.subset(np.flatnonzero(keep))
+            model = FactorModel(rng.normal(0, 1, (graph.n, k)), rng.normal(0, 1, (m, k)), k)
+            hp = Hyperparams(k=k, lambda_u=0.3, lambda_v=0.2, lambda_s=1.7, alpha=0.6,
+                             beta=0.4, loss=loss, sign_convention=convention, social=social)
+            for store in (extract_triplets(graph), lazy_triplets(graph)):
+                value, gU, gV, pred = _objective_pass(model, ratings, store, hp)
+                ref_value, ref_gU, ref_gV = reference_value_and_grad(model, ratings, store, hp)
+                assert value == ref_value
+                assert gU.tobytes() == ref_gU.tobytes() and gU.shape == (graph.n, k)
+                assert gV.tobytes() == ref_gV.tobytes() and gV.shape == (m, k)
+                assert pred.tobytes() == predict_many(
+                    model, ratings.users, ratings.items, clamp=False).tobytes()
+                only = _objective_pass(model, ratings, store, hp, need_grad=False)
+                assert only[0] == ref_value and only[1:3] == (None, None)
+                assert only[3].tobytes() == pred.tobytes()
+                assert value_and_grad(model, ratings, store, hp)[0] == value
+
+    def test_no_ratings_at_all(self, rng):
+        graph = random_graph(rng, n_max=8)
+        ratings = SparseRatings(graph.n, 3, [], [], [])
+        model = FactorModel(rng.normal(0, 1, (graph.n, 2)), rng.normal(0, 1, (3, 2)), 2)
+        hp = Hyperparams(k=2, lambda_u=0.5, lambda_v=0.5, lambda_s=1.0, social="triplet-margin")
+        store = lazy_triplets(graph)
+        value, gU, gV, pred = _objective_pass(model, ratings, store, hp)
+        ref_value, ref_gU, ref_gV = reference_value_and_grad(model, ratings, store, hp)
+        assert value == ref_value and len(pred) == 0
+        assert gU.tobytes() == ref_gU.tobytes() and gV.tobytes() == ref_gV.tobytes()
 
 
 class TestMarginKernel:

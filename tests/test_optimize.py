@@ -12,8 +12,13 @@ from trustfactor.data import (
     sample_triplets,
 )
 from trustfactor.experiments import SyntheticSpec, synth_generate
-from trustfactor import optimize
-from trustfactor.objective import objective_value, social_gradient, triplet_batch_gradient
+from trustfactor import metrics, optimize
+from trustfactor.objective import (
+    objective_value,
+    social_gradient,
+    triplet_batch_gradient,
+    value_and_grad,
+)
 from trustfactor.optimize import (
     StepSchedule,
     early_stop_monitor,
@@ -234,13 +239,13 @@ class TestFitSgd:
 def count_passes(monkeypatch):
     """Record (social, need_grad) of every objective pass the fit loop makes."""
     calls = []
-    kernel = optimize.value_and_grad
+    kernel = optimize._objective_pass
 
     def counting(model, ratings, store, hp, need_grad=True):
         calls.append((hp.social, need_grad))
         return kernel(model, ratings, store, hp, need_grad)
 
-    monkeypatch.setattr(optimize, "value_and_grad", counting)
+    monkeypatch.setattr(optimize, "_objective_pass", counting)
     return calls
 
 
@@ -262,6 +267,117 @@ class TestObjectivePasses:
         # value-only passes: the initial model and the two evaluations
         assert calls.count(("triplet-margin", False)) == 3
         assert calls.count(("none", True)) == 6
+
+
+    def test_gd_makes_no_training_set_prediction(self, monkeypatch):
+        ratings, graph = social_instance()
+        train, val = ratings.subset(np.arange(0, ratings.nnz, 2)), ratings.subset(
+            np.arange(1, ratings.nnz, 2))
+        seen = []
+        evaluate, predict = metrics.evaluate_model, metrics.predict_many
+
+        def counting_evaluate(model, test, clamp=True):
+            seen.append(("evaluate_model", test is train))
+            return evaluate(model, test, clamp)
+
+        def counting_predict(model, users, items, *args):
+            seen.append(("predict_many", users is train.users))
+            return predict(model, users, items, *args)
+
+        monkeypatch.setattr(optimize, "evaluate_model", counting_evaluate)
+        monkeypatch.setattr(metrics, "predict_many", counting_predict)
+        hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.0, epochs=6)
+        _, report = fit_gd(train, lazy_triplets(graph), hp, validation=val, seed=1,
+                           eval_every=1)
+        assert len(report.records) == 6
+        assert seen.count(("evaluate_model", True)) + seen.count(("predict_many", True)) == 0
+        # the validation set is still evaluated at every record
+        assert seen.count(("evaluate_model", False)) == 6
+
+
+def reference_run(ratings, store, hp, validation, seed, step, patience, eval_every):
+    """The fit loop before train RMSE came from the pass: a record's train
+    RMSE is one more evaluate_model on the training set."""
+    model = init_model(ratings.n, ratings.m, hp.k, seed)
+    schedule = StepSchedule(hp.schedule, hp.eta0)
+
+    def objective(value):
+        if value is None:
+            return value_and_grad(model, ratings, store, hp, need_grad=False)[0]
+        return value
+
+    value, gU, gV = step(model) if hp.epochs else (None, None, None)
+    report = optimize.FitReport(initial_objective=objective(value))
+    val_history = []
+    for t in range(1, hp.epochs + 1):
+        previous = (model.U.copy(), model.V.copy())
+        eta = schedule.rate(t)
+        model.U -= eta * gU
+        model.V -= eta * gV
+        if optimize._diverged(model):
+            model.U, model.V = previous
+            report.stop_reason = optimize.STOP_DIVERGENCE
+            break
+        rec = None
+        if t % eval_every == 0 or t == hp.epochs:
+            _, train_rmse = metrics.evaluate_model(model, ratings, hp.clamp_predictions)
+            rec = optimize.IterationRecord(iteration=t, objective=np.nan, train_rmse=train_rmse)
+            if validation is not None and validation.nnz:
+                rec.val_mae, rec.val_rmse = metrics.evaluate_model(
+                    model, validation, hp.clamp_predictions)
+                val_history.append(rec.val_rmse)
+            report.records.append(rec)
+            if patience is not None and val_history and early_stop_monitor(val_history, patience):
+                report.stop_reason = optimize.STOP_EARLY
+        last = t == hp.epochs or report.stop_reason == optimize.STOP_EARLY
+        value, gU, gV = (None, None, None) if last else step(model)
+        if rec is not None:
+            rec.objective = objective(value)
+        if last:
+            break
+    return model, report
+
+
+def reference_gd(ratings, store, hp, validation, seed, patience, eval_every):
+    return reference_run(ratings, store, hp, validation, seed,
+                         lambda model: value_and_grad(model, ratings, store, hp),
+                         patience, eval_every)
+
+
+def reference_sgd(ratings, store, hp, validation, seed, patience, eval_every):
+    rng = substream(seed, "sgd")
+    exact_hp = hp.replace(social="none")
+
+    def step(model):
+        value, gU, gV = value_and_grad(model, ratings, store, exact_hp)
+        batch = sample_triplets(store, rng, hp.batch_size)
+        gU += triplet_batch_gradient(model.U, batch, hp, hp.lambda_s / len(batch))
+        return None, gU, gV
+
+    return reference_run(ratings, store, hp, validation, seed, step, patience, eval_every)
+
+
+class TestAgainstReferenceLoop:
+    @pytest.mark.parametrize("optimizer", ["gd", "sgd"])
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_reports_and_factors_equal(self, optimizer, eval_every, clamp):
+        ratings, graph = social_instance(seed=3)
+        train = ratings.subset(np.flatnonzero(np.arange(ratings.nnz) % 4 != 0))
+        val = ratings.subset(np.arange(0, ratings.nnz, 4))
+        store = extract_triplets(graph)
+        fit, reference = (fit_gd, reference_gd) if optimizer == "gd" else (fit_sgd, reference_sgd)
+        # a large step overfits, so patience 2 stops some of these runs early
+        for eta0, epochs in ((0.01, 9), (0.08, 60)):
+            hp = Hyperparams(k=4, social="triplet-margin", lambda_s=1.0, lambda_u=0.01,
+                             lambda_v=0.01, eta0=eta0, epochs=epochs, batch_size=16,
+                             clamp_predictions=clamp)
+            model, report = fit(train, store, hp, validation=val, seed=2, patience=2,
+                                eval_every=eval_every)
+            ref_model, ref_report = reference(train, store, hp, val, 2, 2, eval_every)
+            assert report.signature() == ref_report.signature()
+            assert model.U.tobytes() == ref_model.U.tobytes()
+            assert model.V.tobytes() == ref_model.V.tobytes()
 
 
 class TestDeterminism:
