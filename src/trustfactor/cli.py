@@ -15,13 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FactorModel, Hyperparams, extract_triplets, predict_many
+from .data import FactorModel, Hyperparams, lazy_triplets, predict_many
 from .experiments import (
     SplitSpec,
     SyntheticSpec,
     cold_start_split,
     consistency_eval,
-    constraint_store,
     distrust_tradeoff_run,
     evaluate_model,
     fit_method,
@@ -252,7 +251,7 @@ def _fit_one(train, test, graph, args, method, optimizer, seed, patience=None):
         print(f"warning: propagation depths ignored for {method}", file=sys.stderr)
     hp = _hyperparams(args, method)
     optimizer = optimizer or "gd"
-    store = None if graph is None else constraint_store(graph, optimizer)
+    store = None if graph is None else lazy_triplets(graph)
     model, _ = fit_method(train, store, hp, optimizer, seed=seed, patience=patience)
     return model, evaluate_model(model, test, hp.clamp_predictions)
 
@@ -376,7 +375,7 @@ def _cmd_grid(args):
         train_all, SplitSpec(1.0 - args.val_frac, args.seed + 1, 1))
     hp = _hyperparams(args, args.method)
     optimizer = args.optimizer or "gd"
-    result = grid_search(train, validation, constraint_store(graph, optimizer), hp,
+    result = grid_search(train, validation, lazy_triplets(graph), hp,
                          second_param, ls_values, second_values,
                          optimizer=optimizer, seed=args.seed)
     write_csv(out / "grid.csv", ["lambda_s", second_param, "val_rmse"], result.rows)
@@ -473,7 +472,7 @@ def _cmd_batch_study(args):
     graph = _require_graph(bundle, "batch-study")
     train, test = split_ratings(bundle.ratings, SplitSpec(args.train_frac, args.seed, 1))
     hp = _hyperparams(args, "mf-td")
-    store = extract_triplets(graph)
+    store = lazy_triplets(graph)
     rows = []
     _, report = fit_method(train, store, hp, "gd", validation=test, seed=args.seed)
     for rec in report.records:

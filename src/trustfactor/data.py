@@ -229,9 +229,9 @@ def _ranges(starts, lengths):
 class TripletStore:
     """The social constraint set: (i, j, k) with i trusting j and distrusting k.
 
-    The graph defines the set and `counts` holds c(u) = |N+(u)| * |N-(u)|.
-    Materialized mode also lists it as the (total, 3) `triplets` for sampling
-    and enumeration; lazy mode samples from the graph and never stores it.
+    The graph defines the set and `counts` holds c(u) = |N+(u)| * |N-(u)|;
+    sampling and every fit read only those. Materialized mode also lists the
+    set as the (total, 3) `triplets`, for inspection; lazy mode stores nothing.
     """
 
     mode: str
@@ -268,7 +268,7 @@ def extract_triplets(graph: SocialGraph) -> TripletStore:
 
 
 def lazy_triplets(graph: SocialGraph) -> TripletStore:
-    """Constraint set in lazy mode: counts only, sampling without enumeration."""
+    """Constraint set in lazy mode: counts only, nothing listed."""
     counts = np.diff(graph.trust_offsets) * np.diff(graph.distrust_offsets)
     return TripletStore(LAZY, graph, counts, int(counts.sum()))
 
@@ -276,24 +276,21 @@ def lazy_triplets(graph: SocialGraph) -> TripletStore:
 def sample_triplets(store: TripletStore, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw `size` triplets i.i.d. uniform over the constraint set.
 
-    Lazy mode picks user u with probability c(u)/total, then j uniform in
-    N+(u) and k uniform in N-(u), which is exactly the uniform marginal over
-    the full cartesian set.
+    Each draw is an index t into the extract_triplets order, read off the
+    graph: the user u whose count range holds t, then t's offset within that
+    range split by |N-(u)| into the positions of j in N+(u) and k in N-(u).
+    The rows equal extract_triplets(store.graph).triplets[t] in either mode.
     """
     if store.total == 0:
         raise ValueError("no social constraints")
-    if store.mode == MATERIALIZED:
-        idx = rng.integers(0, store.total, size=size)
-        return store.triplets[idx]
-    flat = rng.integers(0, store.total, size=size)
-    users = np.searchsorted(np.cumsum(store.counts), flat, side="right")
+    t = rng.integers(0, store.total, size=size)
+    ends = np.cumsum(store.counts)
+    users = np.searchsorted(ends, t, side="right")
     g = store.graph
-    plus, minus = g.trust_offsets[users], g.distrust_offsets[users]
-    # row-major draws: j then k for each row, the stream order of a per-row loop
-    picks = rng.integers(0, np.column_stack((g.trust_offsets[users + 1] - plus,
-                                             g.distrust_offsets[users + 1] - minus)))
-    return np.column_stack((users, g.trust_targets[plus + picks[:, 0]],
-                            g.distrust_targets[minus + picks[:, 1]]))
+    minus = g.distrust_offsets[users]
+    j, k = np.divmod(t - ends[users] + store.counts[users], g.distrust_offsets[users + 1] - minus)
+    return np.column_stack((users, g.trust_targets[g.trust_offsets[users] + j],
+                            g.distrust_targets[minus + k]))
 
 
 def sample_triplet(store: TripletStore, rng: np.random.Generator):

@@ -16,7 +16,6 @@ from .data import (
     SparseRatings,
     TripletStore,
     _ranges,
-    extract_triplets,
     lazy_triplets,
 )
 from .metrics import (
@@ -111,12 +110,6 @@ def cold_start_split(ratings: SparseRatings, user_fraction: float, seed: int = 0
 
 # ---------------------------------------------------------------------------
 # model fitting helpers
-
-
-def constraint_store(graph: SocialGraph, optimizer: str = "gd") -> TripletStore:
-    """The constraint set for a fit: SGD samples from the listed triplets;
-    GD reads only the graph, so it gets a lazy store and lists nothing."""
-    return extract_triplets(graph) if optimizer == "sgd" else lazy_triplets(graph)
 
 
 def fit_method(train: SparseRatings, store: TripletStore | None, hp: Hyperparams,
@@ -347,7 +340,7 @@ def distrust_tradeoff_run(ratings: SparseRatings, graph: SocialGraph, hp: Hyperp
         count = int(round(fraction * len(distrust_edges)))
         kept = distrust_edges[np.sort(distrust_order[:count])]
         sub = SocialGraph.from_edges(graph.n, kept_trust, kept)
-        store = constraint_store(sub, optimizer)
+        store = lazy_triplets(sub)
         point_hp = hp.replace(social="triplet-margin")
         model, _ = fit_method(train, store, point_hp, optimizer, seed=seed)
         m, r = evaluate_model(model, test, point_hp.clamp_predictions)
@@ -357,7 +350,7 @@ def distrust_tradeoff_run(ratings: SparseRatings, graph: SocialGraph, hp: Hyperp
 
     full_trust = SocialGraph.from_edges(graph.n, trust_edges, [])
     ref_hp = hp.replace(social="trust-pull")
-    ref_store = constraint_store(full_trust, optimizer)
+    ref_store = lazy_triplets(full_trust)
     ref_model, _ = fit_method(train, ref_store, ref_hp, optimizer, seed=seed)
     m, r = evaluate_model(ref_model, test, ref_hp.clamp_predictions)
     rows.append(("mf-t", 1.0, 0.0, m, r))

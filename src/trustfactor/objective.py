@@ -112,8 +112,9 @@ _BLOCK_PAIRS = 1 << 16  # bounds a full margin pass to a few MB of transient arr
 
 def _pair_blocks(graph: SocialGraph):
     """Yield (e, f) blocks of trust and distrust edge positions, one pair per
-    triplet, in extract_triplets order; each block holds whole trust edges
-    and at most _BLOCK_PAIRS pairs unless one trust edge alone has more."""
+    triplet, in the listing order (i, then j, then k); each block holds whole
+    trust edges and at most _BLOCK_PAIRS pairs unless one trust edge alone
+    has more."""
     offsets, sources = graph.distrust_offsets, graph.trust_edge_array[:, 0]
     reps = np.diff(offsets)[sources]
     ends, start = np.cumsum(reps), 0

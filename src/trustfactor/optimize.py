@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (
-    LAZY,
     FactorModel,
     Hyperparams,
     SparseRatings,
@@ -17,7 +16,7 @@ from .data import (
     sample_triplets,
 )
 from .metrics import evaluate_model, evaluate_predictions
-from .objective import PAPER_LITERAL, _objective_pass, triplet_batch_gradient
+from .objective import PAPER_LITERAL, _objective_pass, _social_term, triplet_batch_gradient
 from .seeding import substream
 
 DIVERGENCE_LIMIT = 1e8
@@ -108,11 +107,12 @@ def _diverged(model) -> bool:
 def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model0):
     """Descent loop shared by GD and SGD.
 
-    step(model) returns (value, gU, gV, pred) for the next update, taken at
-    the current model: value is the full objective there when the same pass
-    yields it, else None, and pred holds the raw predictions of its rating
-    pass. A record reads its objective and train RMSE from the pass taken at
-    its model, or from a value-only pass when no step follows or value is None.
+    step(model, need_value) returns (value, gU, gV, pred) for the next
+    update, taken at the current model: value is the full objective there
+    (None is allowed when need_value is false), and pred holds the raw
+    predictions of its rating pass. A record reads its objective and train
+    RMSE from the step taken at its model, or from a value-only pass when no
+    step follows.
     """
     if model0 is not None:
         model = model0.copy()
@@ -125,7 +125,7 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
             value, _, _, pred = _objective_pass(model, ratings, store, hp, need_grad=False)
         return value, pred
 
-    value, gU, gV, pred = step(model) if hp.epochs else (None,) * 4
+    value, gU, gV, pred = step(model, True) if hp.epochs else (None,) * 4
     report = FitReport(initial_objective=at_model(value, pred)[0])
     start = time.perf_counter()
     val_history = []
@@ -154,7 +154,7 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
                 report.stop_reason = STOP_EARLY
         last = t == hp.epochs or report.stop_reason == STOP_EARLY
         # the pass for step t + 1 is taken at the model this record describes
-        value, gU, gV, pred = (None,) * 4 if last else step(model)
+        value, gU, gV, pred = (None,) * 4 if last else step(model, rec is not None)
         if rec is not None:
             rec.objective, pred = at_model(value, pred)
             rec.train_rmse = evaluate_predictions(ratings, pred, hp.clamp_predictions)[1]
@@ -170,49 +170,40 @@ def fit_gd(ratings: SparseRatings, store: TripletStore | None, hp: Hyperparams,
            model0: FactorModel | None = None):
     """Full-gradient descent; returns (model, report)."""
     return _run(ratings, store, hp, validation, seed,
-                lambda model: _objective_pass(model, ratings, store, hp),
+                lambda model, need_value: _objective_pass(model, ratings, store, hp),
                 patience, eval_every, model0)
 
 
 def fit_sgd(ratings: SparseRatings, store: TripletStore | None, hp: Hyperparams,
             validation: SparseRatings | None = None, seed: int = 0,
             sample_seed: int | None = None, patience: int | None = None,
-            eval_every: int = 1, model0: FactorModel | None = None,
-            sample_mode: str = "uniform"):
+            eval_every: int = 1, model0: FactorModel | None = None):
     """Mini-batch SGD: per iteration, B triplets sampled uniformly drive the
     social term; the rating residual and Frobenius gradients stay exact.
 
     The batch gradient is scaled by lambda_s / B, the unbiased estimate of the
     full term; under the paper-literal fidelity convention the scaling is
-    lambda_s / (B * total) instead. `sample_mode="enumerate"` replaces
-    sampling with the full constraint set, which reduces each step to the
-    batch GD update.
+    lambda_s / (B * total) instead. Lazy and materialized stores sample the
+    same stream.
     """
-    if sample_mode not in ("uniform", "enumerate"):
-        raise ValueError(f"unknown sample_mode {sample_mode!r}")
     use_triplets = hp.social == "triplet-margin" and store is not None and store.total > 0
-    if use_triplets:
-        if sample_mode == "uniform" and hp.batch_size > store.total:
-            raise ValueError(
-                f"batch_size {hp.batch_size} exceeds constraint count {store.total}")
-        if sample_mode == "enumerate" and store.mode == LAZY:
-            raise ValueError("enumeration requires materialized triplets")
+    if use_triplets and hp.batch_size > store.total:
+        raise ValueError(f"batch_size {hp.batch_size} exceeds constraint count {store.total}")
     rng = substream(seed if sample_seed is None else sample_seed, "sgd")
     exact_hp = hp.replace(social="none") if use_triplets else hp
 
-    def step(model):
+    def step(model, need_value):
         value, gU, gV, pred = _objective_pass(model, ratings, store, exact_hp)
         if not use_triplets:
             return value, gU, gV, pred
-        if sample_mode == "enumerate":
-            batch = store.triplets
-        else:
-            batch = sample_triplets(store, rng, hp.batch_size)
+        # the exact pass added 0.0 for the social term, so this is the full value
+        value = value + _social_term(model.U, store, hp, False)[0] if need_value else None
+        batch = sample_triplets(store, rng, hp.batch_size)
         scale = hp.lambda_s / len(batch)
         if hp.sign_convention == PAPER_LITERAL:
             scale /= store.total
         gU += triplet_batch_gradient(model.U, batch, hp, scale)
-        return None, gU, gV, pred
+        return value, gU, gV, pred
 
     return _run(ratings, store, hp, validation, seed, step,
                 patience, eval_every, model0)

@@ -224,28 +224,31 @@ def hub_graph(rng, n=400, cap=80):
     return SocialGraph.from_edges(n, trust, distrust)
 
 
-def per_row_sample(store, rng, size):
-    """Reference lazy sampler: a user draw per row, then j and k per row."""
-    flat = rng.integers(0, store.total, size=size)
-    users = np.searchsorted(np.cumsum(store.counts), flat, side="right")
-    out = np.empty((size, 3), dtype=np.int64)
-    for row, u in enumerate(users):
-        plus, minus = store.graph.trust_adj[u], store.graph.distrust_adj[u]
-        out[row] = u, plus[rng.integers(0, len(plus))], minus[rng.integers(0, len(minus))]
-    return out
-
-
 class TestSampling:
-    def test_lazy_equals_per_row_loop(self):
-        store = lazy_triplets(hub_graph(np.random.default_rng(5)))
-        assert np.sum(store.counts == 1) > 0 and store.counts.max() > 1000
-        for seed in range(5):
-            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            for size in (4096, 1, 0, 7, 4096):
-                got = sample_triplets(store, fast, size)
-                assert got.dtype == np.int64 and got.shape == (size, 3)
-                assert np.array_equal(got, per_row_sample(store, slow, size))
-            assert fast.integers(0, 2**62) == slow.integers(0, 2**62)
+    def test_draws_index_the_listing(self):
+        # oracle: a draw is the listed triplet at one uniform index, for
+        # lazy and listed stores alike, with the rng left where it would be;
+        # both graphs hold users with count 0 and with count 1, the small one
+        # on either side of a hub, with few enough rows that 4096 draws reach
+        # every one
+        small = SocialGraph.from_edges(
+            8, [(1, 2), (3, 0), (3, 4), (3, 6), (5, 7), (7, 5)],
+            [(0, 1), (3, 1), (3, 7), (5, 6), (6, 2)])
+        assert extract_triplets(small).counts.tolist() == [0, 0, 0, 6, 0, 1, 0, 0]
+        hubs = hub_graph(np.random.default_rng(5))
+        assert extract_triplets(hubs).counts.max() > 1000
+        for graph in (hubs, small):
+            listed = extract_triplets(graph)
+            assert np.sum(listed.counts == 0) > 0 and np.sum(listed.counts == 1) > 0
+            for store in (lazy_triplets(graph), listed):
+                for seed in range(5):
+                    fast, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+                    for size in (4096, 1, 0, 7, 4096):
+                        got = sample_triplets(store, fast, size)
+                        assert got.dtype == np.int64 and got.shape == (size, 3)
+                        index = oracle.integers(0, listed.total, size=size)
+                        assert np.array_equal(got, listed.triplets[index])
+                    assert fast.integers(0, 2**62) == oracle.integers(0, 2**62)
 
     def test_single_triplet_store(self):
         g = SocialGraph.from_edges(3, [(0, 1)], [(0, 2)])
@@ -275,19 +278,10 @@ class TestSampling:
         mat = extract_triplets(g)
         laz = lazy_triplets(g)
         assert laz.total == mat.total == 4
-        n = 60_000
-        a = sample_triplets(mat, substream(3, "a"), n)
-        b = sample_triplets(laz, substream(4, "b"), n)
-
-        def freqs(draws):
-            keys = (draws[:, 0] * 36 + draws[:, 1] * 6 + draws[:, 2]).tolist()
-            return {key: keys.count(key) / n for key in set(keys)}
-
-        fa, fb = freqs(a), freqs(b)
-        p = 1.0 / mat.total
-        bound = 3 * np.sqrt(2 * p * (1 - p) / n)
-        for key in set(fa) | set(fb):
-            assert abs(fa.get(key, 0.0) - fb.get(key, 0.0)) <= bound
+        # one seed, one stream: the draws themselves are equal
+        a = sample_triplets(mat, substream(3, "a"), 60_000)
+        b = sample_triplets(laz, substream(3, "a"), 60_000)
+        assert np.array_equal(a, b)
 
     def test_lazy_user_marginal(self):
         # c(0) = 1 trust * 2 distrust = 2, c(3) = 3 * 2 = 6

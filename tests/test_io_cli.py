@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from trustfactor import cli, experiments
+import trustfactor
+from trustfactor import cli, data, experiments
 from trustfactor.cli import run_cli
 from trustfactor.data import FactorModel, SocialGraph, SparseRatings, extract_triplets, init_model
 from trustfactor.fileio import (
@@ -733,26 +734,41 @@ class TestCli:
         optimizers = {row[0] for row in table[1:]}
         assert optimizers == {"gd", "sgd-1", "sgd-8"}
 
-    def test_gd_commands_list_no_triplets(self, tmp_path, monkeypatch):
+    def test_no_command_lists_triplets(self, tmp_path, monkeypatch):
         out = _synth_dir(tmp_path)
         base = ["--ratings", str(out / "ratings.tsv"), "--social", str(out / "social.tsv"),
-                "--seed", "5", "--epochs", "8", "--eta", "0.02"]
+                "--seed", "5", "--epochs", "8", "--eta", "0.02", "--batch-size", "4"]
+        sgd = ["--optimizer", "sgd"]
         commands = {
-            "fit": ["fit", "--method", "mf-td", *base],
-            "grid": ["grid", *base, "--lambda-s-grid", "0,1", "--lambda-v-grid", "0.05,0.5"],
-            "tradeoff": ["tradeoff", *base, "--distrust-fracs", "0.5,1.0"],
+            "fit-gd": ["fit", "--method", "mf-td", *base],
+            "fit-sgd": ["fit", "--method", "mf-td", *base, *sgd],
+            "grid": ["grid", *base, *sgd, "--lambda-s-grid", "0,1",
+                     "--lambda-v-grid", "0.05,0.5"],
+            "tradeoff": ["tradeoff", *base, *sgd, "--distrust-fracs", "0.5,1.0"],
+            "coldstart": ["coldstart", *base, *sgd, "--cold-frac", "0.2", "--repeats", "2"],
+            "batch-study": ["batch-study", *base, "--batch-sizes", "1,8"],
         }
-        # every store materialized, as GD commands built them before
+        # every store listed, as SGD runs and batch-study built them before
+        listings = []
+
+        def listing(graph):
+            listings.append(graph)
+            return extract_triplets(graph)
+
         with monkeypatch.context() as patch:
-            patch.setattr(experiments, "lazy_triplets", extract_triplets)
+            patch.setattr(experiments, "lazy_triplets", listing)
+            patch.setattr(cli, "lazy_triplets", listing)
             for name, argv in commands.items():
+                del listings[:]
                 assert run_cli(argv + ["--out", str(tmp_path / "listed" / name)]) == 0
+                assert listings, name
 
         def refuse(graph):
-            raise AssertionError("a GD command listed the triplets")
+            raise AssertionError("a command listed the triplets")
 
-        monkeypatch.setattr(experiments, "extract_triplets", refuse)
-        monkeypatch.setattr(cli, "extract_triplets", refuse)
+        for module in (trustfactor, data, experiments, cli):
+            monkeypatch.setattr(module, "extract_triplets", refuse, raising=False)
+        # SGD samples the same stream without the listing
         for name, argv in commands.items():
             assert run_cli(argv + ["--out", str(tmp_path / "lazy" / name)]) == 0
             listed = sorted((tmp_path / "listed" / name).iterdir())
@@ -760,9 +776,6 @@ class TestCli:
                 p.name for p in (tmp_path / "lazy" / name).iterdir())
             for path in listed:
                 assert path.read_bytes() == (tmp_path / "lazy" / name / path.name).read_bytes()
-        # SGD still samples from the listed set
-        with pytest.raises(AssertionError, match="listed the triplets"):
-            run_cli(commands["fit"] + ["--optimizer", "sgd", "--out", str(tmp_path / "sgd")])
 
     def test_synth_rerun_byte_identical(self, tmp_path):
         a = _synth_dir(tmp_path / "x", seed=4)
