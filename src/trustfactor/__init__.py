@@ -48,6 +48,7 @@ from .neighborhood import (
     build_propagated_sets,
     build_similarity_cache,
     nb_predict,
+    nb_predict_many,
     pearson,
     propagate_distrust,
     propagate_trust,
@@ -74,8 +75,8 @@ __all__ = [
     "RankedList", "average_precision", "mae", "mean_average_precision",
     "ndcg_at_k", "precision_recall_at_k", "rmse",
     "PropagatedSets", "SimilarityCache", "build_propagated_sets",
-    "build_similarity_cache", "nb_predict", "pearson", "propagate_distrust",
-    "propagate_trust",
+    "build_similarity_cache", "nb_predict", "nb_predict_many", "pearson",
+    "propagate_distrust", "propagate_trust",
     "grad", "loss_value", "objective_value", "trace_identity_check", "triplet_term",
     "FitReport", "StepSchedule", "early_stop_monitor", "fit_gd", "fit_sgd",
 ]

@@ -42,7 +42,7 @@ from .fileio import (
     write_csv,
 )
 from .metrics import mae as mae_metric, rmse as rmse_metric
-from .neighborhood import build_propagated_sets, build_similarity_cache, nb_predict
+from .neighborhood import build_propagated_sets, nb_predict_many
 from .optimize import fit_sgd
 
 MF_METHODS = ("mf", "mf-t", "mf-d", "mf-td")
@@ -230,14 +230,12 @@ def _mean_std_rows(rows, label, numeric_from):
 
 
 def _nb_eval(train, test, graph, variant, p, q):
-    sims = build_similarity_cache(train)
     sets = None
     if variant != "nb":
         if graph is None:
             raise ValueError(f"{variant} needs a social graph")
         sets = build_propagated_sets(graph, p=1 if p is None else p, q=1 if q is None else q)
-    pred = [nb_predict(train, sims, sets, int(u), int(i), variant)
-            for u, i in zip(test.users, test.items)]
+    pred = nb_predict_many(train, None, sets, test.users, test.items, variant)
     pairs = np.column_stack((test.values, pred))
     return mae_metric(pairs), rmse_metric(pairs)
 

@@ -1,10 +1,11 @@
 """Memory-based baselines: Pearson similarity, trust/distrust propagation,
-and the neighborhood predictors (plain, trust-limited, filtered, debugged)."""
+and the neighborhood predictors (plain, trust-limited, filtered, debugged).
+
+User pairs are int64 keys u * n + v throughout, kept in sorted arrays."""
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +47,36 @@ def pearson(ratings: SparseRatings, u: int, v: int, min_co: int = MIN_CO_RATED):
     return sum(a * b for a, b in zip(dx, dy)) / math.sqrt(sx * sy)
 
 
+def _find(keys, needles):
+    """Position of each needle in the sorted unique `keys`, -1 where absent."""
+    at = np.searchsorted(keys, needles)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == needles[found]
+    return np.where(found, at, -1)
+
+
+def _member(keys, needles, space):
+    """Whether each needle is in the sorted unique `keys`, all in [0, space):
+    read off a dense table when it takes no more memory than two int64 copies
+    of the needles, else found by binary search."""
+    if space > 16 * len(needles):
+        return _find(keys, needles) >= 0
+    table = np.zeros(space, dtype=bool)
+    table[keys] = True
+    return table[needles]
+
+
+def _row(keys, u, n):
+    """The v, ascending, of the sorted keys u * n + v with the given u."""
+    lo, hi = np.searchsorted(keys, (u * n, (u + 1) * n))
+    return (keys[lo:hi] - u * n).tolist()
+
+
+def _drop(keys, other):
+    """The sorted `keys` that are not in the sorted `other`."""
+    return keys[_find(other, keys) < 0]
+
+
 @dataclass(eq=False)
 class SimilarityCache:
     """Pearson weights of the co-rated user pairs, built once then read-only.
@@ -53,12 +84,18 @@ class SimilarityCache:
     pairs[t] = (u, v), u < v, ascending, is the t-th pair of users sharing
     co_counts[t] rated items, and pcc[t] their Pearson correlation, the
     cached weight, NaN where it is undefined or they share fewer than min_co.
+    n is the number of users and keys[t] = u * n + v the t-th pair's key.
     """
 
     pairs: np.ndarray
     co_counts: np.ndarray
     pcc: np.ndarray
     min_co: int
+    n: int
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        return self.pairs[:, 0] * self.n + self.pairs[:, 1]
 
     @cached_property
     def weights(self) -> dict:
@@ -66,41 +103,48 @@ class SimilarityCache:
         cached = ~np.isnan(self.pcc)
         return dict(zip(map(tuple, self.pairs[cached].tolist()), self.pcc[cached].tolist()))
 
-    @cached_property
-    def _neighbors(self) -> dict:
-        pairs = self.pairs[~np.isnan(self.pcc)]
-        users, others = np.concatenate((pairs, pairs[:, ::-1])).T
-        order = np.lexsort((others, users))
-        heads, starts = np.unique(users[order], return_index=True)
-        return dict(zip(heads.tolist(), map(np.ndarray.tolist, np.split(others[order], starts[1:]))))
-
     def weight(self, u, v):
         return self.weights.get((u, v) if u < v else (v, u))
 
+    @cached_property
+    def _linked(self) -> np.ndarray:
+        u, v = self.pairs[~np.isnan(self.pcc)].T
+        return np.sort(np.concatenate((u * self.n + v, v * self.n + u)))
+
     def neighbors(self, u):
         """Users with a cached similarity to u, in ascending index order."""
-        return self._neighbors.get(u, [])
+        return _row(self._linked, u, self.n)
 
 
 def build_similarity_cache(ratings: SparseRatings, min_co: int = MIN_CO_RATED) -> SimilarityCache:
-    """Pearson correlation of every co-rated user pair in one array pass.
+    """Pearson correlation of every co-rated user pair in one array pass."""
+    return _similarity_pass(ratings, min_co)
 
-    Rater pairs are listed item by item and grouped by a stable sort, which
-    keeps each pair's co-ratings in ascending item order; bincount adds in
-    input order, so every per-pair sum runs in the order `pearson` takes and
-    the weights are bit-equal to it. Memory grows with the number of
-    (pair, item) co-ratings, the sum over items of raters squared.
+
+def _similarity_pass(ratings: SparseRatings, min_co: int, only=None) -> SimilarityCache:
+    """The similarity cache, of only the pairs keyed in the sorted `only` if given.
+
+    Rater pairs are listed item by item, those outside `only` dropped, and the
+    rest grouped by a stable sort, which keeps each pair's co-ratings in
+    ascending item order; bincount adds in input order, so every per-pair sum
+    runs in the order `pearson` takes and the weights are bit-equal to it,
+    restricted or not. Memory grows with the number of (pair, item)
+    co-ratings, the sum over items of raters squared.
     """
     users, values, offsets = ratings.by_item
     # entry t pairs with the later raters of its item, at t + 1 .. (item end) - 1
     later = np.repeat(offsets[1:], np.diff(offsets)) - np.arange(ratings.nnz) - 1
     second = _ranges(np.arange(1, ratings.nnz + 1), later)
     key = np.repeat(users, later) * ratings.n + users[second]
+    x = np.repeat(values, later)
+    if only is not None:
+        kept = _member(only, key, ratings.n ** 2)
+        key, x, second = key[kept], x[kept], second[kept]
     order = np.argsort(key, kind="stable")
     key = key[order]
     head = np.diff(key, prepend=-1) != 0
     keys = key[head]
-    x, y = np.repeat(values, later)[order], values[second[order]]
+    x, y = x[order], values[second[order]]
     del order, second, key
     pid = np.cumsum(head) - 1
     counts = np.bincount(pid)
@@ -111,118 +155,159 @@ def build_similarity_cache(ratings: SparseRatings, min_co: int = MIN_CO_RATED) -
     pcc = np.full(len(keys), np.nan)
     defined = (sx != 0.0) & (sy != 0.0) & (counts >= min_co)
     pcc[defined] = sxy[defined] / np.sqrt(sx[defined] * sy[defined])
-    return SimilarityCache(np.column_stack(np.divmod(keys, ratings.n)), counts, pcc, min_co)
+    pairs = np.column_stack(np.divmod(keys, ratings.n))
+    return SimilarityCache(pairs, counts, pcc, min_co, ratings.n)
+
+
+def _step(keys, n, offsets, targets):
+    """Sorted distinct keys u * n + w of the edges v -> w out of each key u * n + v."""
+    sources, nodes = np.divmod(keys, n)
+    degrees = offsets[nodes + 1] - offsets[nodes]
+    keys = np.sort(np.repeat(sources, degrees) * n + targets[_ranges(offsets[nodes], degrees)])
+    return keys[np.diff(keys, prepend=-1) != 0]  # np.unique is several times slower
+
+
+def _propagate(graph: SocialGraph, p: int, q: int):
+    """Keys of (trusted, distrusted): the users reached over 1..p trust edges,
+    and those reached by a trust path of length 0..q-1 followed by exactly one
+    distrust edge (distrust is terminal, never chained); nobody is in their
+    own sets. Each depth expands only the pairs new at the depth before, so a
+    user is admitted at its shortest depth and cycles are harmless."""
+    if min(p, q) < 1:
+        raise ValueError("propagation depth must be at least 1")
+    n = graph.n
+    seen = frontier = selves = np.arange(n) * (n + 1)
+    reach = [selves]  # reach[d]: keys of the users within d trust edges
+    for _ in range(max(p, q - 1)):
+        frontier = _drop(_step(frontier, n, graph.trust_offsets, graph.trust_targets), seen)
+        seen = np.sort(np.concatenate((seen, frontier)))
+        reach.append(seen)
+    distrusted = _step(reach[q - 1], n, graph.distrust_offsets, graph.distrust_targets)
+    return _drop(reach[p], selves), _drop(distrusted, selves)
+
+
+def _by_user(keys, n):
+    """One set per user u of the v with u * n + v in the sorted `keys`."""
+    users, others = np.divmod(keys, n)
+    bounds = np.searchsorted(users, np.arange(n + 1)).tolist()
+    others = others.tolist()
+    return [set(others[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def propagate_trust(graph: SocialGraph, p: int):
-    """Breadth-first trust reachability to depth p; each user is admitted at
-    its first (shortest) depth and never revisited, so cycles are harmless.
-    Returns one set per user, never containing the user itself."""
-    if p < 1:
-        raise ValueError("propagation depth must be at least 1")
-    targets, offsets = graph.trust_targets.tolist(), graph.trust_offsets.tolist()
-    out = []
-    for u in range(graph.n):
-        seen = {u}
-        frontier = deque([(u, 0)])
-        reached = set()
-        while frontier:
-            node, depth = frontier.popleft()
-            if depth == p:
-                continue
-            for v in targets[offsets[node]:offsets[node + 1]]:
-                if v not in seen:
-                    seen.add(v)
-                    reached.add(v)
-                    frontier.append((v, depth + 1))
-        out.append(reached)
-    return out
+    """Trust reachability to depth p, one set per user."""
+    return _by_user(_propagate(graph, p, 1)[0], graph.n)
 
 
 def propagate_distrust(graph: SocialGraph, q: int):
-    """Distrusted set at depth q: users reached by a trust path of length
-    0..q-1 followed by exactly one distrust edge. Distrust is terminal and is
-    never chained."""
-    if q < 1:
-        raise ValueError("propagation depth must be at least 1")
-    trust_reach = propagate_trust(graph, q - 1) if q > 1 else [set() for _ in range(graph.n)]
-    targets, offsets = graph.distrust_targets.tolist(), graph.distrust_offsets.tolist()
-    out = []
-    for u in range(graph.n):
-        distrusted = set()
-        for v in (u, *trust_reach[u]):
-            distrusted.update(targets[offsets[v]:offsets[v + 1]])
-        distrusted.discard(u)
-        out.append(distrusted)
-    return out
+    """The distrusted set at depth q, one per user."""
+    return _by_user(_propagate(graph, 1, q)[1], graph.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropagatedSets:
-    """Per-user propagated trusted/distrusted sets plus the source graph."""
+    """Propagated trust and distrust keys (n = graph.n) plus the source graph,
+    with the per-user sets and the pools of the distrust variants as views."""
 
     graph: SocialGraph
-    trusted: tuple
-    distrusted: tuple
+    trust_keys: np.ndarray
+    distrust_keys: np.ndarray
     p: int
     q: int
 
+    @cached_property
+    def trusted(self) -> tuple:
+        return tuple(map(frozenset, _by_user(self.trust_keys, self.graph.n)))
+
+    @cached_property
+    def distrusted(self) -> tuple:
+        return tuple(map(frozenset, _by_user(self.distrust_keys, self.graph.n)))
+
+    @cached_property
+    def filtered_keys(self) -> np.ndarray:
+        """nb-td-f: trusted and not distrusted."""
+        return _drop(self.trust_keys, self.distrust_keys)
+
+    @cached_property
+    def debugged_keys(self) -> np.ndarray:
+        """nb-td-d: trusted, less the admissions contradicted by a direct
+        distrust edge."""
+        u, v = self.graph.distrust_edge_array.T
+        return _drop(self.trust_keys, np.sort(u * self.graph.n + v))
+
 
 def build_propagated_sets(graph: SocialGraph, p: int = 1, q: int = 1) -> PropagatedSets:
-    trusted = tuple(frozenset(s) for s in propagate_trust(graph, p))
-    distrusted = tuple(frozenset(s) for s in propagate_distrust(graph, q))
-    return PropagatedSets(graph, trusted, distrusted, p, q)
+    return PropagatedSets(graph, *_propagate(graph, p, q), p, q)
+
+
+def _pool_keys(sets: PropagatedSets | None, variant: str):
+    """The variant's pool keys; None for nb, whose pool is every user with a
+    cached weight."""
+    if variant == "nb":
+        return None
+    if sets is None:
+        raise ValueError(f"variant {variant!r} needs propagated sets")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return getattr(sets, {"nb-t": "trust_keys", "nb-td-f": "filtered_keys",
+                          "nb-td-d": "debugged_keys"}[variant])
 
 
 def neighbor_pool(sims: SimilarityCache, sets: PropagatedSets | None, u: int, variant: str):
     """Candidate neighbor pool for user u before the rated-item/positive-weight
     filters. Pools for the distrust variants are subsets of the trust pool."""
-    if variant == "nb":
-        return set(sims.neighbors(u))
-    if sets is None:
-        raise ValueError(f"variant {variant!r} needs propagated sets")
-    if variant == "nb-t":
-        return set(sets.trusted[u])
-    if variant == "nb-td-f":
-        return set(sets.trusted[u]) - set(sets.distrusted[u])
-    if variant == "nb-td-d":
-        # debugging: drop propagated admissions contradicted by a direct
-        # distrust edge from u
-        graph = sets.graph
-        direct = graph.distrust_targets[graph.distrust_offsets[u]:graph.distrust_offsets[u + 1]]
-        return set(sets.trusted[u]) - set(direct.tolist())
-    raise ValueError(f"unknown variant {variant!r}")
+    pool = _pool_keys(sets, variant)
+    return set(sims.neighbors(u) if pool is None else _row(pool, u, sets.graph.n))
+
+
+def nb_predict_many(ratings: SparseRatings, sims: SimilarityCache | None,
+                    sets: PropagatedSets | None, users, items, variant: str = "nb"):
+    """Mean-centered weighted predictions of items[t] for users[t], in one pass.
+
+    Neighbors are pool members who rated the item with positive cached
+    similarity:
+      prediction = mean(u) + sum w * (r_vi - mean(v)) / sum w,
+    summed in ascending neighbor order. Falls back to the user mean on an
+    empty pool, to the global mean when the user has no ratings, and clamps
+    to the rating bounds. With `sims` None, only the weights these sums read
+    are computed, each bit-equal to build_similarity_cache(ratings)'s.
+    """
+    users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
+    for name, index, size in (("user", users, ratings.n), ("item", items, ratings.m)):
+        bad = index[(index < 0) | (index >= size)]
+        if len(bad):
+            raise IndexError(f"{name} index {bad[0]} out of range")
+    pool = _pool_keys(sets, variant)
+    raters, values, offsets = ratings.by_item
+    counts = offsets[items + 1] - offsets[items]
+    rows = np.repeat(np.arange(len(users)), counts)
+    at = _ranges(offsets[items], counts)
+    u, v = users[rows], raters[at]
+    if pool is not None:
+        n = sets.graph.n
+        inside = (u < n) & (v < n)
+        kept = inside & _member(pool, np.where(inside, u * n + v, 0), n * n)
+        rows, at, u, v = rows[kept], at[kept], u[kept], v[kept]
+    # sorted by pair key, which rises with v for a fixed u: each prediction
+    # still sums in ascending neighbor order, and the weight search runs fast
+    pair = np.minimum(u, v) * ratings.n + np.maximum(u, v)
+    order = np.argsort(pair)
+    rows, at, v, pair = rows[order], at[order], v[order], pair[order]
+    if sims is None:
+        sims = _similarity_pass(ratings, MIN_CO_RATED, pair[np.diff(pair, prepend=-1) != 0])
+    found = _find(sims.keys, pair)
+    kept = found >= 0
+    kept[kept] = sims.pcc[found[kept]] > 0.0  # False where undefined (NaN)
+    rows, w = rows[kept], sims.pcc[found[kept]]
+    num = np.bincount(rows, w * (values[at[kept]] - ratings.user_means[v[kept]]), len(users))
+    den = np.bincount(rows, w, len(users))
+    # the user mean is the global mean for a user without ratings
+    value = ratings.user_means[users] + np.divide(num, den, out=np.zeros(len(users)),
+                                                  where=den > 0.0)
+    return np.minimum(np.maximum(value, ratings.r_min), ratings.r_max)
 
 
 def nb_predict(ratings: SparseRatings, sims: SimilarityCache, sets: PropagatedSets | None,
                u: int, i: int, variant: str = "nb"):
-    """Mean-centered weighted prediction of item i for user u.
-
-    Neighbors are pool members who rated i with positive cached similarity:
-      prediction = mean(u) + sum w * (r_vi - mean(v)) / sum w.
-    Falls back to the user mean on an empty pool, to the global mean when the
-    user has no ratings, and clamps to the rating bounds.
-    """
-    if not 0 <= u < ratings.n:
-        raise IndexError(f"user index {u} out of range")
-    if not 0 <= i < ratings.m:
-        raise IndexError(f"item index {i} out of range")
-    raters, values, offsets = ratings.by_item
-    column = dict(zip(raters[offsets[i]:offsets[i + 1]].tolist(),
-                      values[offsets[i]:offsets[i + 1]].tolist()))
-    pool = neighbor_pool(sims, sets, u, variant)
-    num = 0.0
-    den = 0.0
-    for v in pool:
-        rating = column.get(v)
-        if rating is None:
-            continue
-        w = sims.weight(u, v)
-        if w is None or w <= 0.0:
-            continue
-        num += w * (rating - float(ratings.user_means[v]))
-        den += w
-    value = float(ratings.user_means[u])  # the global mean for a user without ratings
-    if den > 0.0:
-        value += num / den
-    return min(max(value, ratings.r_min), ratings.r_max)
+    """The nb_predict_many prediction of item i for user u, as a float."""
+    return float(nb_predict_many(ratings, sims, sets, [u], [i], variant)[0])

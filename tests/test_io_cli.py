@@ -645,6 +645,60 @@ class TestCli:
         assert code == 1
         assert "propagation depth must be at least 1" in capsys.readouterr().err
 
+    # metrics.csv of `fit --p 2 --q 2` per nb method and coldstart.csv of the
+    # four, as the per-prediction predictor wrote them on nb_golden_inputs
+    NB_GOLDEN = {
+        "nb": b"nb,0,1,0.414625,0.540421\r\nnb-mean,,,0.414625,0.540421\r\n",
+        "nb-t": b"nb-t,0,1,0.377377,0.507127\r\nnb-t-mean,,,0.377377,0.507127\r\n",
+        "nb-td-f": b"nb-td-f,0,1,0.39409,0.561743\r\nnb-td-f-mean,,,0.39409,0.561743\r\n",
+        "nb-td-d": b"nb-td-d,0,1,0.383204,0.52377\r\nnb-td-d-mean,,,0.383204,0.52377\r\n",
+    }
+    COLDSTART_GOLDEN = b"".join(
+        b"%s,0,2,1.18498,1.35983\r\n%s,1,3,1.14508,1.304\r\n%s-mean,,,1.16503,1.33191\r\n"
+        b"%s-std,,,0.0199501,0.0279167\r\n" % ((method,) * 4)
+        for method in (b"nb", b"nb-t", b"nb-td-f", b"nb-td-d"))
+
+    def nb_golden_inputs(self, tmp_path):
+        """A synth dataset with every third edge's sign flipped, so that trust
+        and distrust cross the clusters and the four pools differ."""
+        out = tmp_path / "nbsynth"
+        assert run_cli(["synth", "--out", str(out), "--seed", "3", "--n", "60", "--m", "30",
+                        "--rank", "2", "--clusters", "2", "--density", "0.5", "--noise", "0.3",
+                        "--trust-edges", "300", "--distrust-edges", "300"]) == 0
+        rows = [line.split("\t") for line in (out / "social.tsv").read_text().splitlines()]
+        for row in rows[::3]:
+            row[2] = str(-int(row[2]))
+        (out / "mixed.tsv").write_text("".join("\t".join(row) + "\n" for row in rows))
+        return ["--ratings", str(out / "ratings.tsv"), "--social", str(out / "mixed.tsv"),
+                "--p", "2", "--q", "2"]
+
+    def run_nb_commands(self, data, out):
+        header = b"method,repetition,seed,mae,rmse\r\n"
+        for method, golden in self.NB_GOLDEN.items():
+            assert run_cli(["fit", *data, "--method", method, "--seed", "1",
+                            "--out", str(out / method)]) == 0
+            std = b"%s-std,,,0,0\r\n" % method.encode()
+            assert (out / method / "metrics.csv").read_bytes() == header + golden + std
+        assert run_cli(["coldstart", *data, "--methods", "nb,nb-t,nb-td-f,nb-td-d",
+                        "--seed", "2", "--cold-frac", "0.2", "--repeats", "2",
+                        "--out", str(out / "cold")]) == 0
+        assert (out / "cold" / "coldstart.csv").read_bytes() == header + self.COLDSTART_GOLDEN
+
+    def test_nb_outputs_match_golden_bytes(self, tmp_path):
+        self.run_nb_commands(self.nb_golden_inputs(tmp_path), tmp_path)
+
+    def test_nb_commands_take_the_batched_path(self, tmp_path, monkeypatch):
+        # neither the full similarity cache nor the per-pair predictor is used
+        data = self.nb_golden_inputs(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an nb command left the batched path")
+
+        for module in (trustfactor, trustfactor.neighborhood, cli, experiments):
+            for name in ("build_similarity_cache", "nb_predict"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        self.run_nb_commands(data, tmp_path)
+
     def test_split_deterministic(self, tmp_path):
         out = _synth_dir(tmp_path)
         args = ["split", "--ratings", str(out / "ratings.tsv"),

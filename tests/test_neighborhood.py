@@ -1,11 +1,17 @@
+from collections import deque
+from functools import partial
+
 import numpy as np
 import pytest
 
 from trustfactor.data import SocialGraph, SparseRatings
 from trustfactor.neighborhood import (
+    VARIANTS,
+    _similarity_pass,
     build_propagated_sets,
     build_similarity_cache,
     nb_predict,
+    nb_predict_many,
     neighbor_pool,
     pearson,
     propagate_distrust,
@@ -93,6 +99,29 @@ class TestSimilarityCache:
                 assert len(counts) == len(cache.pairs)
                 assert all(c > 0 for c in counts.values())
 
+    def test_restricted_pass_equals_full_cache(self, rng):
+        # any sorted subset of pair keys, never co-rated pairs and the empty
+        # set included, yields exactly the full cache's rows for those pairs
+        for trial in range(30):
+            n, m = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+            r = random_ratings(rng, n, m, density=float(rng.uniform(0.1, 0.9)))
+            if trial % 2:
+                r = SparseRatings(n, m, r.users, r.items,
+                                  np.clip(r.values + rng.uniform(-0.5, 0.5, r.nnz), 1, 5))
+            every = np.array([u * n + v for u in range(n) for v in range(u + 1, n)], dtype=np.int64)
+            for min_co in (1, 2, 3):
+                full = build_similarity_cache(r, min_co)
+                subsets = [every[:0], every, full.keys]
+                subsets += [np.sort(rng.choice(every, int(rng.integers(0, len(every) + 1)),
+                                               replace=False)) for _ in range(4)]
+                for only in subsets:
+                    part = _similarity_pass(r, min_co, only)
+                    rows = np.isin(full.keys, only)
+                    assert part.pairs.tobytes() == full.pairs[rows].tobytes()
+                    assert part.co_counts.tobytes() == full.co_counts[rows].tobytes()
+                    assert part.pcc.tobytes() == full.pcc[rows].tobytes()
+                    assert (part.min_co, part.n) == (min_co, n)
+
     def test_neighbors_symmetric(self, rng):
         r = random_ratings(rng, 8, 10, density=0.6)
         cache = build_similarity_cache(r)
@@ -146,6 +175,79 @@ class TestPropagateDistrust:
                 deep = propagate_distrust(g, q + 1)
                 for u in range(g.n):
                     assert shallow[u] <= deep[u]
+
+
+def bfs_trust(graph, p):
+    """Breadth-first trust reachability to depth p, one user at a time: the
+    reference for the frontier expansion over all users at once."""
+    targets, offsets = graph.trust_targets.tolist(), graph.trust_offsets.tolist()
+    out = []
+    for u in range(graph.n):
+        seen = {u}
+        frontier = deque([(u, 0)])
+        reached = set()
+        while frontier:
+            node, depth = frontier.popleft()
+            if depth == p:
+                continue
+            for v in targets[offsets[node]:offsets[node + 1]]:
+                if v not in seen:
+                    seen.add(v)
+                    reached.add(v)
+                    frontier.append((v, depth + 1))
+        out.append(reached)
+    return out
+
+
+def loop_distrust(graph, q):
+    """Per-user distrust propagation: the distrust targets of u and of every
+    user within q - 1 trust edges of u, less u itself."""
+    trust_reach = bfs_trust(graph, q - 1) if q > 1 else [set() for _ in range(graph.n)]
+    targets, offsets = graph.distrust_targets.tolist(), graph.distrust_offsets.tolist()
+    out = []
+    for u in range(graph.n):
+        distrusted = set()
+        for v in (u, *trust_reach[u]):
+            distrusted.update(targets[offsets[v]:offsets[v + 1]])
+        distrusted.discard(u)
+        out.append(distrusted)
+    return out
+
+
+class TestFrontierPropagation:
+    def graphs(self, rng):
+        # a trust cycle with a distrust edge back into it, isolated users,
+        # an empty graph and 100 random graphs of varying density
+        yield SocialGraph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3)], [(3, 0), (1, 4)])
+        yield SocialGraph.from_edges(4, [], [])
+        yield SocialGraph.from_edges(0, [], [])
+        for _ in range(100):
+            yield random_graph(rng, n_max=14, edge_prob=float(rng.uniform(0.02, 0.3)))
+
+    def test_equals_breadth_first_reference(self, rng):
+        for g in self.graphs(rng):
+            for p in range(1, 5):
+                assert propagate_trust(g, p) == bfs_trust(g, p)
+            for q in range(1, 4):
+                assert propagate_distrust(g, q) == loop_distrust(g, q)
+            for p in range(1, 5):
+                for q in range(1, 4):
+                    sets = build_propagated_sets(g, p, q)
+                    trusted, distrusted = bfs_trust(g, p), loop_distrust(g, q)
+                    assert sets.trusted == tuple(map(frozenset, trusted))
+                    assert sets.distrusted == tuple(map(frozenset, distrusted))
+                    for u in range(g.n):
+                        pool = partial(neighbor_pool, None, sets, u)
+                        assert pool("nb-t") == trusted[u]
+                        assert pool("nb-td-f") == trusted[u] - distrusted[u]
+                        assert pool("nb-td-d") == trusted[u] - set(g.distrust_adj[u].tolist())
+
+    def test_depth_below_one_rejected(self):
+        g = six_user_graph()
+        for call in (lambda: propagate_trust(g, 0), lambda: propagate_distrust(g, 0),
+                     lambda: build_propagated_sets(g, 1, 0), lambda: build_propagated_sets(g, 0)):
+            with pytest.raises(ValueError, match="propagation depth must be at least 1"):
+                call()
 
 
 def six_user_graph():
@@ -213,15 +315,17 @@ class TestPools:
                 assert neighbor_pool(sims_g, sets, u, "nb-td-d") <= base
 
 
-def dict_nb_predict(ratings, sims, sets, u, i, variant):
-    """nb_predict over per-user rating dicts, the reference for the version
-    that reads item columns from the item-major view."""
+def dict_nb_predict(ratings, sims, sets, u, i, variant, ascending=False):
+    """nb_predict over per-user rating dicts, summing over the pool in set
+    order or, with `ascending`, in ascending neighbor order: the reference
+    for the batched predictor."""
     by_user = [{} for _ in range(ratings.n)]
     for v, item, value in ratings.entries():
         by_user[v][item] = value
     num = 0.0
     den = 0.0
-    for v in neighbor_pool(sims, sets, u, variant):
+    pool = neighbor_pool(sims, sets, u, variant)
+    for v in sorted(pool) if ascending else pool:
         rating = by_user[v].get(i)
         if rating is None:
             continue
@@ -294,5 +398,51 @@ class TestNbPredict:
             for variant in ("nb", "nb-t", "nb-td-f", "nb-td-d"):
                 for u in range(r.n):
                     for i in range(r.m):
-                        assert nb_predict(r, sims, sets, u, i, variant) == \
-                            dict_nb_predict(r, sims, sets, u, i, variant)
+                        # the sum runs in ascending neighbor order, not set order
+                        value = nb_predict(r, sims, sets, u, i, variant)
+                        assert value == pytest.approx(
+                            dict_nb_predict(r, sims, sets, u, i, variant), rel=1e-12, abs=0)
+                        assert value == dict_nb_predict(r, sims, sets, u, i, variant, True)
+
+    def instances(self, rng):
+        """Random ratings and graphs; some users and items without ratings."""
+        for trial in range(12):
+            g = random_graph(rng, n_max=14)
+            r = random_ratings(rng, g.n, int(rng.integers(1, 12)),
+                               density=float(rng.uniform(0.2, 0.8)))
+            if trial % 2:
+                r = SparseRatings(r.n, r.m, r.users, r.items,
+                                  np.clip(r.values + rng.uniform(-0.5, 0.5, r.nnz), 1, 5))
+            if trial % 3 == 0:
+                keep = r.users != 0
+                r = SparseRatings(r.n, r.m + 1, r.users[keep], r.items[keep], r.values[keep])
+            yield r, build_propagated_sets(g, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+
+    def test_batched_equals_single_calls(self, rng):
+        for r, sets in self.instances(rng):
+            users, items = (a.ravel() for a in np.meshgrid(np.arange(r.n), np.arange(r.m)))
+            order = rng.permutation(len(users))
+            users, items = np.concatenate((users[order], users[:3])), \
+                np.concatenate((items[order], items[:3]))
+            sims = build_similarity_cache(r)
+            for variant in VARIANTS:
+                batched = nb_predict_many(r, sims, sets, users, items, variant)
+                assert batched.tolist() == [nb_predict(r, sims, sets, u, i, variant)
+                                            for u, i in zip(users.tolist(), items.tolist())]
+                # weights computed for the read pairs only equal the full cache's
+                lazy = nb_predict_many(r, None, sets, users, items, variant)
+                assert lazy.tobytes() == batched.tobytes()
+                assert nb_predict_many(r, None, sets, users[:0], items[:0], variant).shape == (0,)
+
+    def test_range_and_variant_checks(self):
+        r = self.worked_example()
+        sims = build_similarity_cache(r)
+        with pytest.raises(IndexError, match="user index 2 out of range"):
+            nb_predict(r, sims, None, 2, 0)
+        with pytest.raises(IndexError, match="item index -1 out of range"):
+            nb_predict_many(r, sims, None, [0, 1], [0, -1])
+        with pytest.raises(ValueError, match="needs propagated sets"):
+            nb_predict_many(r, None, None, [0], [3], "nb-t")
+        sets = build_propagated_sets(SocialGraph.from_edges(2, [(0, 1)], []))
+        with pytest.raises(ValueError, match="unknown variant 'nb-x'"):
+            nb_predict_many(r, None, sets, [0], [3], "nb-x")
