@@ -444,8 +444,12 @@ def synth_generate(spec: SyntheticSpec):
         light = rng.permutation(spec.n)[:n_light]
         per_user *= spec._heavy_scale()
         per_user[light] = spec.density * spec.light_density_scale
-    mask = rng.random((spec.n, spec.m)) < per_user[:, None]
-    users, items = np.nonzero(mask)
+    # drawn in blocks of about 2**20 cells: the doubles of one (n, m) draw, in order
+    step = max(1, 2**20 // max(spec.m, 1))
+    cells = [np.nonzero(rng.random((len(p), spec.m)) < p[:, None])
+             for p in np.split(per_user, range(step, spec.n, step))]
+    users = np.concatenate([u + lo for lo, (u, _) in zip(range(0, spec.n, step), cells)])
+    items = np.concatenate([i for _, i in cells])
     noise = rng.normal(0.0, spec.noise_sigma, size=len(users)) if spec.noise_sigma > 0 else 0.0
     # the planted rating U*[u] . V*[i] is V*[i, cluster of u], as U* rows are one-hot
     values = np.clip(np.rint(v_star[items, assignment[users]] + noise), spec.r_min, spec.r_max)

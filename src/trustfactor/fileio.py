@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -44,7 +45,8 @@ class IdMap:
 
 
 class _Columns:
-    """The data lines of a TSV file as columns, and the first fault found.
+    """The data rows of a TSV file, before its first width fault, as bytes
+    raw[starts[r, c]:stops[r, c]] of field c of row r, and the first fault.
 
     Lines end at '\\n' alone, after universal newlines ('\\r\\n', '\\r'):
     str.splitlines() would also split ids at U+0085 or U+2028. A check sees
@@ -54,20 +56,32 @@ class _Columns:
 
     def __init__(self, path, width, width_message, pad=None):
         """With `pad`, a line one field short gets `pad` as its last field."""
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
-        kept = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines))
-                              & ~np.fromiter(map(str.startswith, lines, repeat("#")), bool, len(lines)))
-        lines = list(map(lines.__getitem__, kept.tolist()))
-        tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))
-        if pad is not None:
-            short = tabs == width - 2
-            lines = list(map(str.__add__, lines, np.where(short, "\t" + pad, "").tolist()))
-            tabs += short
-        self.path, self.linenos, self.limit, self.fault = path, kept + 1, len(lines), None
-        self.check(tabs != width - 1, lambda row: width_message(tabs[row] + 1))
-        fields = "\t".join(lines[:self.limit]).split("\t") if self.limit else []
-        self.columns = [fields[c::width] for c in range(width)]
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        raw.decode("utf-8")  # fails as a text-mode read does, at the same byte
+        if b"\r" in raw:  # universal newlines
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raw += b"\n"
+        buf = np.frombuffer(raw, np.uint8)
+        # field f ends at separator f, and a line's first field follows a newline;
+        # tab, newline and '#' are ASCII, never inside a UTF-8 multibyte sequence
+        stops = np.flatnonzero((buf == 9) | (buf == 10))
+        starts = np.concatenate(([0], stops[:-1] + 1))
+        first = np.flatnonzero(np.concatenate(([True], buf[stops[:-1]] == 10)))
+        fields = np.diff(first, append=len(stops))
+        blank = (fields == 1) & (starts[first] == stops[first])
+        kept = np.flatnonzero(~blank & (buf[starts[first]] != ord("#")))
+        first, fields = first[kept], fields[kept]
+        short = (fields == width - 1) & (pad is not None)
+        fields += short
+        self.path, self.linenos, self.limit, self.fault = path, kept + 1, len(kept), None
+        self.check(fields != width, lambda row: width_message(fields[row]))
+        # field len(stops) is the pad, placed after the file's bytes
+        index = first[:self.limit, None] + np.arange(width)
+        index[short[:self.limit], -1] = len(stops)
+        self.raw = raw + (pad or "").encode()
+        self.starts = np.append(starts, len(raw))[index]
+        self.stops = np.append(stops, len(self.raw))[index]
 
     def check(self, bad, message):
         """Make the first row where the mask `bad` holds, if it lies before
@@ -81,103 +95,124 @@ class _Columns:
         if self.fault is not None:
             raise ValueError(self.fault)
 
+    def intern(self, columns):
+        """(codes, tokens): _intern codes of the fields of `columns`, an index or
+        a slice, shaped as the selection, and the text of each code's field."""
+        starts, stops = self.starts[:, columns], self.stops[:, columns]
+        codes, first = _intern(self.raw, starts.ravel(), stops.ravel())
+        bounds = zip(starts.ravel()[first].tolist(), stops.ravel()[first].tolist())
+        return codes.reshape(starts.shape), [self.raw[a:b].decode() for a, b in bounds]
 
-def _rejects(convert, raw) -> bool:
+
+def _intern(raw, starts, stops):
+    """_first_appearance of the byte strings raw[starts[t]:stops[t]] keyed by
+    their bytes, zero-padded and eight to a word, and their length, which
+    tells "a" from "a\\0" and from ""; up to 7 bytes, one word holds both."""
+    lengths = stops - starts
+    width = int(lengths.max(initial=1))
+    # words[p] is the little-endian word of the 8 bytes at raw[p], zeros past its
+    # end, and masks[j] keeps its low j bytes
+    words = np.ndarray((len(raw) + width,), "<u8", raw + bytes(width + 7), strides=(1,))
+    masks = np.array([(1 << 8 * j) - 1 for j in range(9)], np.uint64)
+    keys = [words[starts + at] & masks[np.clip(lengths - at, 0, 8)] for at in range(0, width, 8)]
+    return _first_appearance(keys + [lengths] if len(keys) > 1 else
+                             [keys[0] | lengths.astype(np.uint64) << np.uint64(56)])
+
+
+def _first_appearance(keys):
+    """(codes, first): rows with equal `keys` (equal-length arrays) share a
+    code, numbered by first appearance; first[code] is the code's first row."""
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+    head = np.ones(len(order), bool)  # where a new key starts in sorted order
+    head[1:] = np.any([key[1:] != key[:-1] for key in (key[order] for key in keys)], axis=0)
+    first = np.minimum.reduceat(order, np.flatnonzero(head))
+    is_first = np.zeros(len(order), bool)
+    is_first[first] = True
+    codes = np.empty(len(order), np.int64)
+    codes[order] = (np.cumsum(is_first) - 1)[first][np.cumsum(head) - 1]
+    return codes, np.flatnonzero(is_first)
+
+
+def _parse(convert, raw):
+    """convert(raw), or None where it raises ValueError."""
     try:
-        convert(raw)
+        return convert(raw)
     except ValueError:
-        return True
-    return False
+        return None
 
 
 def _read_ratings(path, r_min, r_max):
-    """(user column, item column, float64 values) of a ratings file."""
+    """((user codes, ids), (item codes, ids), float64 values) of a ratings file."""
     table = _Columns(path, 3, lambda fields: f"expected 3 tab-separated fields, got {fields}")
-    users, items, raws = table.columns
-    try:
-        values = np.fromiter(map(float, raws), np.float64, len(raws))
-    except ValueError:
-        table.check(np.fromiter(map(_rejects, repeat(float), raws), bool, len(raws)),
-                    lambda row: f"rating {raws[row]!r} is not a number")
-        values = np.fromiter(map(float, raws[:table.limit]), np.float64, table.limit)
+    codes, tokens = table.intern(2)
+    numbers = list(map(_parse, repeat(float), tokens))
+    table.check(np.equal(numbers, None)[codes],
+                lambda row: f"rating {tokens[codes[row]]!r} is not a number")
+    values = np.array(numbers, np.float64)[codes]  # NaN where None
     table.check(~((values >= r_min) & (values <= r_max)),
                 lambda row: f"rating {float(values[row])} outside [{r_min}, {r_max}]")
     table.raise_fault()
-    return users, items, values
+    return table.intern(0), table.intern(1), values
 
 
 _SIGNS = {"1": 1, "+1": 1, "-1": -1}
 
 
 def _read_social(path, sign=None):
-    """(the file's _Columns, its user ids u0, v0, u1, v1, ... and its int64
-    signs) of a signed social file, or of an unsigned one with `sign`."""
+    """(the file's _Columns, the (E, 2) codes of its (u, v) ids, the ids and
+    its int64 signs) of a signed social file, or of an unsigned one with `sign`."""
     table = _Columns(path, 3, lambda fields: "expected 2 or 3 tab-separated fields",
                      pad=None if sign is None else str(sign))
-    us, vs, tokens = table.columns
-    signs = np.fromiter(map(_SIGNS.get, tokens, repeat(0)), np.int64, len(tokens))
-    table.check(signs == 0, lambda row: f"sign {tokens[row]!r} must be 1 or -1")
+    codes, tokens = table.intern(2)
+    signs = np.array([_SIGNS.get(token, 0) for token in tokens], np.int64)[codes]
+    table.check(signs == 0, lambda row: f"sign {tokens[codes[row]]!r} must be 1 or -1")
     if sign is not None:
         table.check(signs != sign, lambda row: f"expected sign {sign}, got {signs[row]}")
-    table.check(np.fromiter(map(str.__eq__, us, vs), bool, len(us)),
-                lambda row: f"self-edge {us[row]!r}")
+    pairs, ids = table.intern(slice(0, 2))
+    table.check(pairs[:, 0] == pairs[:, 1], lambda row: f"self-edge {ids[pairs[row, 0]]!r}")
     table.raise_fault()
-    pairs = us + vs
-    pairs[0::2], pairs[1::2] = us, vs
-    return table, pairs, signs
+    return table, pairs, ids, signs
 
 
 def _indices(id_map, ids):
     """Index of each id; -1 for an id the map lacks."""
-    return np.fromiter(map(id_map.index.get, ids, repeat(-1)), np.int64)
+    return np.fromiter(map(id_map.index.get, ids, repeat(-1)), np.int64, len(ids))
 
 
-def _build_ratings(users, items, values, user_map, item_map, r_min, r_max):
-    """SparseRatings of the rating columns; a repeated (user, item) keeps its
+def _build_ratings(user_idx, item_idx, values, n, m, r_min, r_max):
+    """SparseRatings of the rating rows; a repeated (user, item) keeps its
     first position and its last value."""
-    user_idx, item_idx = _indices(user_map, users), _indices(item_map, items)
-    keys = user_idx * len(item_map) + item_idx
-    # a stable sort keeps each key's rows in file order; head marks its first
-    # row, and as head[0] is set, head rolled back by one marks its last row
-    order = np.argsort(keys, kind="stable")
-    head = np.ones(len(keys), bool)
-    head[1:] = np.diff(keys[order]) != 0
-    is_first, last_of = np.zeros(len(keys), bool), np.empty(len(keys), np.int64)
-    is_first[order[head]] = True
-    last_of[order[head]] = order[np.roll(head, -1)]
-    first = np.flatnonzero(is_first)
-    last = last_of[first]
-    if len(first) < len(keys):
-        log.warning("%d duplicate (user, item) rows; last occurrence wins", len(keys) - len(first))
-    if not len(keys):
+    codes, first = _first_appearance([user_idx * m + item_idx])
+    last = first.copy()
+    np.maximum.at(last, codes, np.arange(len(codes)))
+    if len(first) < len(codes):
+        log.warning("%d duplicate (user, item) rows; last occurrence wins", len(codes) - len(first))
+    if not len(codes):
         log.warning("no rating rows found")
-    return SparseRatings(len(user_map), len(item_map), user_idx[first], item_idx[first],
-                         values[last], r_min, r_max)
+    return SparseRatings(n, m, user_idx[first], item_idx[first], values[last], r_min, r_max)
 
 
 def _build_graph(files, user_map):
     """Signed graph of the rows of the social files (as `_read_social` returns
     them); a repeated (u, v) keeps its first row and must repeat its sign."""
-    pairs = _indices(user_map, chain.from_iterable(ids for _, ids, _ in files)).reshape(-1, 2)
-    signs = np.concatenate([signs for _, _, signs in files])
-    _, first, key = np.unique(pairs[:, 0] * len(user_map) + pairs[:, 1],
-                              return_index=True, return_inverse=True)
-    clash = np.flatnonzero(signs != signs[first[key]])
+    pairs = np.concatenate([_indices(user_map, ids)[pairs] for _, pairs, ids, _ in files])
+    signs = np.concatenate([signs for *_, signs in files])
+    codes, first = _first_appearance([pairs[:, 0] * len(user_map) + pairs[:, 1]])
+    clash = np.flatnonzero(signs != signs[first[codes]])
     if len(clash):
         row = clash[0]
         u, v = (user_map[int(idx)] for idx in pairs[row])
-        raise ValueError(f"{_where(files, row)}: contradicts {_where(files, first[key[row]])}: "
+        raise ValueError(f"{_where(files, row)}: contradicts {_where(files, first[codes[row]])}: "
                          f"{u!r} cannot both trust and distrust {v!r}")
     if len(first) < len(pairs):
         log.warning("%d duplicate social edges dropped", len(pairs) - len(first))
-    keep = np.sort(first)
-    pairs, signs = pairs[keep], signs[keep]
+    pairs, signs = pairs[first], signs[first]
     return SocialGraph.from_edges(len(user_map), pairs[signs > 0], pairs[signs < 0])
 
 
 def _where(files, row):
     """`path:line` of a row of the social files taken in order."""
-    for table, _, signs in files:
+    for table, *_, signs in files:
         if row < len(signs):
             return f"{table.path}:{table.linenos[row]}"
         row -= len(signs)
@@ -200,14 +235,14 @@ def load_dataset(ratings_path, social_path=None, trust_path=None, distrust_path=
     Users appearing only in the social graph still get indices; their rows
     exist in the model even without ratings.
     """
-    users, items, values = _read_ratings(ratings_path, r_min, r_max)
+    (users, user_ids), (items, item_ids), values = _read_ratings(ratings_path, r_min, r_max)
     files = [_read_social(path, sign)
              for path, sign in ((social_path, None), (trust_path, 1), (distrust_path, -1))
              if path is not None]
-    user_map = IdMap(chain(users, *(ids for _, ids, _ in files)))
-    item_map = IdMap(items)
-    ratings = _build_ratings(users, items, values, user_map, item_map, r_min, r_max)
-    graph = _build_graph(files, user_map) if any(ids for _, ids, _ in files) else None
+    # users are numbered in the ratings first, so their codes are their indices
+    user_map, item_map = IdMap(chain(user_ids, *(ids for _, _, ids, _ in files))), IdMap(item_ids)
+    ratings = _build_ratings(users, items, values, len(user_map), len(item_map), r_min, r_max)
+    graph = _build_graph(files, user_map) if any(len(signs) for *_, signs in files) else None
     return DatasetBundle(ratings, graph, user_map, item_map)
 
 
@@ -219,14 +254,14 @@ def load_ratings(path, r_min: float = 1.0, r_max: float = 5.0) -> SparseRatings:
 def load_ratings_with_maps(path, user_map: IdMap, item_map: IdMap):
     """(users, items, values) arrays of a ratings file mapped through saved
     id maps; an id the map lacks becomes index -1. Rows are kept as read."""
-    users, items, values = _read_ratings(path, 1.0, 5.0)
-    return _indices(user_map, users), _indices(item_map, items), values
+    (users, user_ids), (items, item_ids), values = _read_ratings(path, 1.0, 5.0)
+    return _indices(user_map, user_ids)[users], _indices(item_map, item_ids)[items], values
 
 
 def load_social(path, sign: int | None = None) -> SocialGraph:
     """Parse a signed social file (or an unsigned one with `sign` supplied)."""
     social = _read_social(path, sign)
-    return _build_graph([social], IdMap(social[1]))
+    return _build_graph([social], IdMap(social[2]))
 
 
 def save_ratings(path, ratings: SparseRatings, user_map: IdMap, item_map: IdMap):
@@ -252,18 +287,18 @@ def save_id_map(path, id_map: IdMap):
 
 def load_id_map(path) -> IdMap:
     table = _Columns(path, 2, lambda fields: "expected 2 tab-separated fields")
-    indices, ids = table.columns
-    table.check(np.fromiter(map(_rejects, repeat(int), indices), bool, len(indices)),
-                lambda row: f"index {indices[row]!r} is not an integer")
-    table.check(np.fromiter(map(int.__ne__, map(int, indices[:table.limit]), range(table.limit)),
-                            bool, table.limit),
-                lambda row: f"index {int(indices[row])} out of order")
-    id_map = IdMap(ids)
-    # before the first repeated id, each id's index is its row
-    table.check(_indices(id_map, ids) != np.arange(len(ids)),
-                lambda row: f"id {ids[row]!r} already has index {id_map.index[ids[row]]}")
+    codes, tokens = table.intern(0)
+    numbers = list(map(_parse, repeat(int), tokens))
+    table.check(np.equal(numbers, None)[codes],
+                lambda row: f"index {tokens[codes[row]]!r} is not an integer")
+    rows = np.arange(len(codes))
+    table.check(np.array(numbers, object)[codes] != rows,
+                lambda row: f"index {numbers[codes[row]]} out of order")
+    # before the first repeated id, each id's code is its row
+    codes, ids = table.intern(1)
+    table.check(codes != rows, lambda row: f"id {ids[codes[row]]!r} already has index {codes[row]}")
     table.raise_fault()
-    return id_map
+    return IdMap(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +354,9 @@ def format_number(value) -> str:
     """Locale-independent numeric formatting at 6 significant digits."""
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (int, np.integer)):  # bool too
         return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    if value != value:
-        return "nan"
-    if value in (float("inf"), float("-inf")):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.6g}"
+    return f"{float(value):.6g}"  # "nan", "inf" and "-inf" as they are
 
 
 def write_csv(path, header, rows):

@@ -131,6 +131,9 @@ def _similarity_pass(ratings: SparseRatings, min_co: int, only=None) -> Similari
     restricted or not. Memory grows with the number of (pair, item)
     co-ratings, the sum over items of raters squared.
     """
+    if only is not None and not len(only):
+        return SimilarityCache(np.zeros((0, 2), np.int64), np.zeros(0, np.int64), np.zeros(0),
+                               min_co, ratings.n)
     users, values, offsets = ratings.by_item
     # entry t pairs with the later raters of its item, at t + 1 .. (item end) - 1
     later = np.repeat(offsets[1:], np.diff(offsets)) - np.arange(ratings.nnz) - 1
@@ -279,7 +282,8 @@ def nb_predict_many(ratings: SparseRatings, sims: SimilarityCache | None,
             raise IndexError(f"{name} index {bad[0]} out of range")
     pool = _pool_keys(sets, variant)
     raters, values, offsets = ratings.by_item
-    counts = offsets[items + 1] - offsets[items]
+    # a user without ratings co-rates with nobody: no rater can weigh in
+    counts = np.where(ratings.user_counts[users] > 0, offsets[items + 1] - offsets[items], 0)
     rows = np.repeat(np.arange(len(users)), counts)
     at = _ranges(offsets[items], counts)
     u, v = users[rows], raters[at]

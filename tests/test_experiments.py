@@ -402,6 +402,27 @@ class TestSynthGenerate:
                 [b for a, b in pairs if a == u] for u in range(spec.n)]
         assert np.array_equal(u_star, u_ref) and np.array_equal(v_star, v_ref)
 
+    def test_block_draw_equals_one_dense_draw(self):
+        """At m = 3000 the observation mask is drawn 349 rows at a time, so
+        n = 1000 takes two full blocks and a short one; users, items and the
+        noise drawn after them equal those of one dense (n, m) draw."""
+        spec = SyntheticSpec(n=1000, m=3000, rank=3, clusters=3, density=0.004,
+                             noise_sigma=0.5, n_trust=30, n_distrust=30, seed=8,
+                             light_user_fraction=0.3, light_density_scale=0.1)
+        ratings, _, (_, v_star) = synth_generate(spec)
+        rng = substream(spec.seed, "synth")
+        rng.integers(spec.item_low, spec.item_high + 1, size=(spec.m, spec.rank))
+        light = rng.permutation(spec.n)[:int(spec.light_user_fraction * spec.n)]
+        per_user = np.full(spec.n, spec.density * spec._heavy_scale())
+        per_user[light] = spec.density * spec.light_density_scale
+        users, items = np.nonzero(rng.random((spec.n, spec.m)) < per_user[:, None])
+        noise = rng.normal(0.0, spec.noise_sigma, size=len(users))
+        assert np.array_equal(ratings.users, users) and np.array_equal(ratings.items, items)
+        assert users.max() >= 2 * 349
+        cluster = np.sort(np.arange(spec.n) % spec.clusters)
+        values = np.clip(np.rint(v_star[items, cluster[users]] + noise), spec.r_min, spec.r_max)
+        assert ratings.values.tobytes() == values.tobytes()
+
     def test_constant_model(self):
         spec = SyntheticSpec(n=4, m=3, rank=1, clusters=1, density=1.0,
                              noise_sigma=0.0, n_trust=2, n_distrust=0,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import trustfactor
-from trustfactor import cli, data, experiments
+from trustfactor import cli, data, experiments, fileio
 from trustfactor.cli import run_cli
 from trustfactor.data import FactorModel, SocialGraph, SparseRatings, extract_triplets, init_model
 from trustfactor.fileio import (
@@ -258,8 +258,13 @@ class TestLoadSocial:
         assert bundle.graph.distrust_count == 1
 
 
-# ids with characters str.splitlines() would break on but the loader keeps
-ODD_IDS = ["u\x85x", "u\u2028y", "u\x0cz", "ü", " pad ", "#mid"]
+# ids with characters str.splitlines() would break on but the loader keeps;
+# then ids the byte keys must tell apart: 8 to 20 bytes and 300 bytes (more
+# than one key word, a length that does not fit a byte), byte prefixes of
+# each other, multibyte characters, and the empty field
+ODD_IDS = ["u\x85x", "u\u2028y", "u\x0cz", "ü", " pad ", "#mid",
+           "abcdefgh", "user-00000012", "a-twenty-byte-userid", "x" * 300,
+           "u1", "u10", "u1\x00", "üü", "ü" * 4, ""]
 VALID_RATINGS = ["1", "2.5", "5", "3.0", " 4 ", "4e0", "+2", "0_3"]
 
 
@@ -284,9 +289,10 @@ def _random_files(tmp_path, seed):
     distrust files whose (u, v) pairs keep one sign across all three."""
     rng = np.random.default_rng(seed)
     newline = ["\n", "\r\n", "\r", "mixed"][seed % 4]
-    pool = [f"u{j}" for j in range(int(rng.integers(2, 12)))] + ODD_IDS[: seed % 7]
+    pool = [f"u{j}" for j in range(int(rng.integers(2, 12)))] + ODD_IDS[: seed % 17]
     social_pool = pool + [f"s{j}" for j in range(int(rng.integers(1, 6)))]
-    items = [f"i{j}" for j in range(int(rng.integers(1, 8)))] + ODD_IDS[:2]
+    items = [f"i{j}" for j in range(int(rng.integers(1, 8)))] + ODD_IDS[:2] + \
+        (ODD_IDS[6:] if seed % 3 else [])
     empty = seed % 5 == 4
 
     def pick(values, size):
@@ -366,6 +372,75 @@ class TestLoaderOracle:
             for (name, sign), graph in zip(files, graphs):
                 _assert_same_graph(load_social(paths[name], sign=sign), graph)
         assert _warnings(caplog) == warnings
+
+
+def _byte_tokens(rng, size, max_length):
+    """Random byte strings over a four-byte alphabet, so that many repeat or
+    are prefixes of one another."""
+    alphabet = np.array([0, ord("a"), ord("b"), 0xFF], np.uint8)
+    return [alphabet[rng.integers(4, size=int(rng.integers(max_length + 1)))].tobytes()
+            for _ in range(size)]
+
+
+class TestIntern:
+    @pytest.mark.parametrize("max_length", [0, 1, 7, 8, 20, 300])
+    def test_numbers_fields_as_dict_fromkeys(self, max_length):
+        """Codes and first rows of _intern against dict.fromkeys numbering,
+        with fields out of buffer order and gaps of stray bytes between them."""
+        rng = np.random.default_rng(max_length)
+        for size in (0, 1, 5, 400):
+            tokens = _byte_tokens(rng, size, max_length)
+            gaps = [bytes(rng.integers(256, size=int(rng.integers(3))).astype(np.uint8))
+                    for _ in tokens]
+            raw = b"".join(gap + token for gap, token in zip(gaps, tokens))
+            stops = np.cumsum([len(gap) + len(token) for gap, token in zip(gaps, tokens)],
+                              dtype=np.int64)
+            starts = stops - np.array([len(token) for token in tokens], np.int64)
+            order = rng.permutation(size)
+            fields = [tokens[t] for t in order]
+            numbering = dict(zip(dict.fromkeys(fields), range(size)))
+            codes, first = fileio._intern(raw, starts[order], stops[order])
+            assert codes.dtype == first.dtype == np.int64
+            assert codes.tolist() == [numbering[field] for field in fields]
+            assert first.tolist() == [fields.index(field) for field in numbering]
+
+
+def test_ratings_with_maps_match_per_row_lookup(tmp_path):
+    """Each id through the saved map as a per-row dict lookup would map it,
+    unknown ids -1, repeated ids and rows kept as read."""
+    rng = np.random.default_rng(5)
+    user_map = IdMap(["a", "b", "ü", "long-user-id-0001", ""])
+    item_map = IdMap(["x", "y", "x" * 30])
+    users = ["a", "b", "ü", "long-user-id-0001", "", "c", "long-user-id-0002", "üü"]
+    items = ["x", "y", "x" * 30, "z", "x" * 31, ""]
+    rows = [(users[u], items[i], str(1 + r % 5))
+            for u, i, r in zip(rng.integers(len(users), size=60),
+                               rng.integers(len(items), size=60), range(60))]
+    path = write(tmp_path / "r.tsv", "".join("\t".join(row) + "\n" for row in rows))
+    got = fileio.load_ratings_with_maps(path, user_map, item_map)
+    want = (np.array([user_map.index.get(u, -1) for u, _, _ in rows], np.int64),
+            np.array([item_map.index.get(i, -1) for _, i, _ in rows], np.int64),
+            np.array([float(r) for _, _, r in rows]))
+    for array, expected in zip(got, want):
+        assert array.dtype == expected.dtype and array.tobytes() == expected.tobytes()
+
+
+def test_non_utf8_input_fails_as_a_text_mode_read(tmp_path, capsys):
+    """The error of a file that is not UTF-8 counts its byte position in the
+    raw file, '\\r\\n' line ends included, and the CLI prints it on one line."""
+    path = tmp_path / "r.tsv"
+    path.write_bytes(b"u1\ti1\t4\r\nu2\ti\xff2\t3\r\nu3\ti1\t5\r\n")
+    with pytest.raises(UnicodeDecodeError) as want:
+        with open(path, encoding="utf-8") as handle:
+            handle.read()
+    with pytest.raises(UnicodeDecodeError) as got:
+        load_ratings(path)
+    assert str(got.value) == str(want.value)
+    social = write(tmp_path / "s.tsv", "u1\tu2\t1\n")
+    code = run_cli(["fit", "--ratings", str(path), "--social", social,
+                    "--out", str(tmp_path / "fit"), "--epochs", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {want.value}\n"
 
 
 # (file kind, text, message after "path:"): every file has faults on several
@@ -457,6 +532,7 @@ class TestRoundtrips:
         ("0\ta\n1\ta\n2\tb\n", "2: id 'a' already has index 0"),
         ("0\ta\n1\tb\n2\tc\n3\tb\n5\ta\n", "4: id 'b' already has index 1"),
         ("0\ta\n2\ta\n", "2: index 2 out of order"),
+        ("0\ta\n0\tb\n1\tc\n", "2: index 0 out of order"),
     ])
     def test_id_map_fault_names_line(self, tmp_path, text, message):
         path = write(tmp_path / "ids.tsv", text)
@@ -548,6 +624,15 @@ class TestFormatNumber:
         assert format_number(0.000123456789) == "0.000123457"
         assert format_number(3) == "3"
         assert format_number(None) == ""
+
+    @pytest.mark.parametrize("value,text", [
+        (True, "1"), (False, "0"), (np.True_, "1"), (np.int32(-7), "-7"), (2**70, str(2**70)),
+        (float("nan"), "nan"), (-float("nan"), "nan"), (np.float32("nan"), "nan"),
+        (float("inf"), "inf"), (-np.inf, "-inf"), (np.float32("-inf"), "-inf"),
+        (np.float32(0.1), "0.1"), (-0.0, "-0"), (1e-300, "1e-300"),
+    ])
+    def test_special_values_and_types(self, value, text):
+        assert format_number(value) == text
 
 
 def _synth_dir(tmp_path, seed=0):

@@ -4,7 +4,9 @@ from functools import partial
 import numpy as np
 import pytest
 
+from trustfactor import neighborhood
 from trustfactor.data import SocialGraph, SparseRatings
+from trustfactor.experiments import cold_start_split
 from trustfactor.neighborhood import (
     VARIANTS,
     _similarity_pass,
@@ -433,6 +435,43 @@ class TestNbPredict:
                 lazy = nb_predict_many(r, None, sets, users, items, variant)
                 assert lazy.tobytes() == batched.tobytes()
                 assert nb_predict_many(r, None, sets, users[:0], items[:0], variant).shape == (0,)
+
+    def test_cold_users_read_no_weights(self, rng, monkeypatch):
+        """A user without training ratings co-rates with nobody: on a
+        cold-start split the restricted pass is asked for no pair with a cold
+        user, and the predictions equal the full-cache reference bit for bit."""
+        asked = []
+
+        def spy(ratings, min_co, only=None):
+            asked.append(only)
+            return _similarity_pass(ratings, min_co, only)
+
+        monkeypatch.setattr(neighborhood, "_similarity_pass", spy)
+        for trial in range(6):
+            g = random_graph(rng, n_max=14)
+            train, test, cold = cold_start_split(random_ratings(rng, g.n, 9, density=0.6),
+                                                 0.4, seed=trial)
+            cold = np.array(sorted(cold), np.int64)
+            sims, sets = build_similarity_cache(train), build_propagated_sets(g, 2, 2)
+            warm = rng.permutation(train.nnz)[:10]
+            for users, items in ((test.users, test.items),
+                                 (np.concatenate((test.users, train.users[warm])),
+                                  np.concatenate((test.items, train.items[warm])))):
+                for variant in VARIANTS:
+                    asked.clear()
+                    got = nb_predict_many(train, None, sets, users, items, variant)
+                    (keys,) = asked
+                    assert not np.isin(np.divmod(keys, train.n), cold).any()
+                    assert got.tolist() == [
+                        dict_nb_predict(train, sims, sets, u, i, variant, ascending=True)
+                        for u, i in zip(users.tolist(), items.tolist())]
+
+    def test_empty_restriction_lists_no_pairs(self, rng, monkeypatch):
+        r = random_ratings(rng, 12, 8, density=0.7)
+        monkeypatch.setattr(neighborhood, "_ranges", None)  # the pair listing's helper
+        empty = _similarity_pass(r, 3, np.zeros(0, np.int64))
+        assert empty.pairs.shape == (0, 2) and len(empty.co_counts) == len(empty.pcc) == 0
+        assert empty.keys.dtype == np.int64
 
     def test_range_and_variant_checks(self):
         r = self.worked_example()
