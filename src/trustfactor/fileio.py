@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -61,8 +60,10 @@ class _Columns:
         raw.decode("utf-8")  # fails as a text-mode read does, at the same byte
         if b"\r" in raw:  # universal newlines
             raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        raw += b"\n"
-        buf = np.frombuffer(raw, np.uint8)
+        end, tail = len(raw) + 1, (pad or "").encode()
+        # the file and its last newline, the pad field and room for _intern's words
+        raw += b"\n" + tail + bytes(8)
+        buf = np.frombuffer(raw, np.uint8, end)
         # field f ends at separator f, and a line's first field follows a newline;
         # tab, newline and '#' are ASCII, never inside a UTF-8 multibyte sequence
         stops = np.flatnonzero((buf == 9) | (buf == 10))
@@ -79,9 +80,9 @@ class _Columns:
         # field len(stops) is the pad, placed after the file's bytes
         index = first[:self.limit, None] + np.arange(width)
         index[short[:self.limit], -1] = len(stops)
-        self.raw = raw + (pad or "").encode()
-        self.starts = np.append(starts, len(raw))[index]
-        self.stops = np.append(stops, len(self.raw))[index]
+        self.raw = raw
+        self.starts = np.append(starts, end)[index]
+        self.stops = np.append(stops, end + len(tail))[index]
 
     def check(self, bad, message):
         """Make the first row where the mask `bad` holds, if it lies before
@@ -105,18 +106,32 @@ class _Columns:
 
 
 def _intern(raw, starts, stops):
-    """_first_appearance of the byte strings raw[starts[t]:stops[t]] keyed by
-    their bytes, zero-padded and eight to a word, and their length, which
-    tells "a" from "a\\0" and from ""; up to 7 bytes, one word holds both."""
+    """_first_appearance of the byte strings raw[starts[t]:stops[t]], where raw
+    holds at least 8 bytes past every field. One word keys a field by its first
+    7 bytes, zero-padded, and its length, or 8 if longer, so "a", "a\\0" and ""
+    differ. Groups of longer fields then split by length and their next bytes
+    in steps of up to 64 words a field, a step's keys about one word per field
+    interned, so no key grows with the widest field."""
     lengths = stops - starts
-    width = int(lengths.max(initial=1))
-    # words[p] is the little-endian word of the 8 bytes at raw[p], zeros past its
-    # end, and masks[j] keeps its low j bytes
-    words = np.ndarray((len(raw) + width,), "<u8", raw + bytes(width + 7), strides=(1,))
+    # words[p] is the little-endian word of the 8 bytes at raw[p]; masks[j] keeps its low j bytes
+    words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
     masks = np.array([(1 << 8 * j) - 1 for j in range(9)], np.uint64)
-    keys = [words[starts + at] & masks[np.clip(lengths - at, 0, 8)] for at in range(0, width, 8)]
-    return _first_appearance(keys + [lengths] if len(keys) > 1 else
-                             [keys[0] | lengths.astype(np.uint64) << np.uint64(56)])
+    tags = np.minimum(lengths, 8).astype(np.uint64) << np.uint64(56)
+    codes, first = _first_appearance([words[starts] & masks[np.minimum(lengths, 7)] | tags])
+    rows, at = np.flatnonzero(lengths > 7), 7
+    while len(rows):  # a group's rows all go on or all stop, so groups split whole
+        offsets = at + 8 * np.arange(min(64, max(1, len(codes) // len(rows))))
+        key = words[np.minimum(starts[rows, None] + offsets, stops[rows, None])]
+        key &= masks[np.clip(lengths[rows, None] - offsets, 0, 8)]
+        parts, heads = _first_appearance([*key.T, lengths[rows], codes[rows]])
+        codes[rows] = len(first) + parts  # no row keeps a split group's code
+        first = np.concatenate((first, rows[heads]))
+        at += 8 * len(offsets)
+        rows = rows[lengths[rows] > at]
+    # renumber by first appearance; a split group's first row is its first part's
+    is_first = np.zeros(len(codes), bool)
+    is_first[first] = True
+    return (np.cumsum(is_first) - 1)[first[codes]], np.flatnonzero(is_first)
 
 
 def _first_appearance(keys):
@@ -354,9 +369,16 @@ def format_number(value) -> str:
     """Locale-independent numeric formatting at 6 significant digits."""
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):  # bool too
+    if isinstance(value, bool):
         return str(int(value))
-    return f"{float(value):.6g}"  # "nan", "inf" and "-inf" as they are
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    value = float(value)
+    if value != value:
+        return "nan"
+    if value in (float("inf"), float("-inf")):
+        return "inf" if value > 0 else "-inf"
+    return f"{value:.6g}"
 
 
 def write_csv(path, header, rows):

@@ -341,14 +341,11 @@ def _assert_same_ratings(ratings, expected):
 class TestLoaderOracle:
     """The columnar loader against the row-at-a-time reference above."""
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_load_dataset_matches_reference(self, tmp_path, caplog, seed):
-        paths = _random_files(tmp_path, seed)
-        social = {"social_path": paths["social"], "trust_path": paths["trust"],
-                  "distrust_path": paths["distrust"]}
-        ratings, graph, user_ids, item_ids, warnings = ref_load_dataset(paths["ratings"], **social)
+    @staticmethod
+    def _assert_loads_as_reference(caplog, ratings_path, **social):
+        ratings, graph, user_ids, item_ids, warnings = ref_load_dataset(ratings_path, **social)
         with caplog.at_level(logging.WARNING, logger="trustfactor.fileio"):
-            bundle = load_dataset(paths["ratings"], **social)
+            bundle = load_dataset(ratings_path, **social)
         assert bundle.user_map.ids == user_ids
         assert bundle.item_map.ids == item_ids
         _assert_same_ratings(bundle.ratings, ratings)
@@ -356,6 +353,57 @@ class TestLoaderOracle:
         if graph is not None:
             _assert_same_graph(bundle.graph, graph)
         assert _warnings(caplog) == warnings
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_load_dataset_matches_reference(self, tmp_path, caplog, seed):
+        paths = _random_files(tmp_path, seed)
+        self._assert_loads_as_reference(caplog, paths["ratings"], social_path=paths["social"],
+                                        trust_path=paths["trust"], distrust_path=paths["distrust"])
+
+    def test_eight_byte_ids_one_bit_apart(self, tmp_path, caplog):
+        """Ids of at most 8 bytes whose last bytes differ in bit 3 ('1', '9')."""
+        rng = np.random.default_rng(8)
+        users = ["user0001", "user0009", "user0008", "user000", "u1"]
+        items = ["3.500001", "3.500009", "item0001", "item0009"]
+        rows = [(users[u], items[i], str(1 + k % 5)) for k, (u, i) in
+                enumerate(zip(rng.integers(5, size=40), rng.integers(4, size=40)))]
+        edges = [(users[u], users[(u + d) % 5], "1" if d % 2 else "-1")
+                 for u, d in zip(rng.integers(5, size=20), rng.integers(1, 5, size=20))]
+        ratings = write(tmp_path / "r.tsv", "".join("\t".join(row) + "\n" for row in rows))
+        social = write(tmp_path / "s.tsv", "".join("\t".join(edge) + "\n" for edge in edges))
+        self._assert_loads_as_reference(caplog, ratings, social_path=social)
+
+    def test_one_long_id_among_many_short_rows(self, tmp_path, caplog, monkeypatch):
+        """Two 20 kB ids that differ in their last byte, in a few of 3,000
+        rows, load as the reference loads them, and no key sort inside
+        _intern takes more than three words per field interned."""
+        rng = np.random.default_rng(20)
+        long_ids = ["L" * 19999 + "1", "L" * 19999 + "9"]
+        users = [f"u{j}" for j in rng.integers(100, size=3000)]
+        for row in rng.choice(3000, size=8, replace=False):
+            users[row] = long_ids[row % 2]
+        rows = [(u, f"i{i}", str(1 + i % 5)) for u, i in zip(users, rng.integers(50, size=3000))]
+        edges = [(long_ids[0], "u1", "1"), ("u2", long_ids[1], "-1"), (long_ids[1], long_ids[0], "1")]
+        edges += [(f"u{u}", f"u{u + 1 + d}", "1") for u, d in
+                  zip(rng.integers(100, size=500), rng.integers(50, size=500))]
+        ratings = write(tmp_path / "r.tsv", "".join("\t".join(row) + "\n" for row in rows))
+        social = write(tmp_path / "s.tsv", "".join("\t".join(edge) + "\n" for edge in edges))
+        intern, first_appearance, fields = fileio._intern, fileio._first_appearance, []
+
+        def spy_intern(raw, starts, stops):
+            fields.append(len(starts))
+            try:
+                return intern(raw, starts, stops)
+            finally:
+                fields.pop()
+
+        def spy_first_appearance(keys):
+            assert not fields or sum(map(len, keys)) <= 3 * fields[-1]
+            return first_appearance(keys)
+
+        monkeypatch.setattr(fileio, "_intern", spy_intern)
+        monkeypatch.setattr(fileio, "_first_appearance", spy_first_appearance)
+        self._assert_loads_as_reference(caplog, ratings, social_path=social)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_single_file_loaders_match_reference(self, tmp_path, caplog, seed):
@@ -376,33 +424,53 @@ class TestLoaderOracle:
 
 def _byte_tokens(rng, size, max_length):
     """Random byte strings over a four-byte alphabet, so that many repeat or
-    are prefixes of one another."""
-    alphabet = np.array([0, ord("a"), ord("b"), 0xFF], np.uint8)
+    are prefixes of one another; '1' and '9' differ in one bit (0x08)."""
+    alphabet = np.array([0, ord("1"), ord("9"), 0xFF], np.uint8)
     return [alphabet[rng.integers(4, size=int(rng.integers(max_length + 1)))].tobytes()
             for _ in range(size)]
 
 
+def _assert_interned_as_dict_fromkeys(rng, tokens):
+    """Codes and first rows of _intern against dict.fromkeys numbering, with
+    fields out of buffer order, stray bytes between them and after the last."""
+    gaps = [bytes(rng.integers(256, size=int(rng.integers(3))).astype(np.uint8)) for _ in tokens]
+    raw = b"".join(gap + token for gap, token in zip(gaps, tokens))
+    stops = np.cumsum([len(gap) + len(token) for gap, token in zip(gaps, tokens)], dtype=np.int64)
+    starts = stops - np.array([len(token) for token in tokens], np.int64)
+    order = rng.permutation(len(tokens))
+    fields = [tokens[t] for t in order]
+    numbering = dict(zip(dict.fromkeys(fields), range(len(fields))))
+    tail = rng.integers(1, 256, size=8).astype(np.uint8).tobytes()
+    codes, first = fileio._intern(raw + tail, starts[order], stops[order])
+    assert codes.dtype == first.dtype == np.int64
+    assert codes.tolist() == [numbering[field] for field in fields]
+    assert first.tolist() == [fields.index(field) for field in numbering]
+
+
 class TestIntern:
-    @pytest.mark.parametrize("max_length", [0, 1, 7, 8, 20, 300])
+    @pytest.mark.parametrize("max_length", [0, 1, 7, 8, 9, 20, 300])
     def test_numbers_fields_as_dict_fromkeys(self, max_length):
-        """Codes and first rows of _intern against dict.fromkeys numbering,
-        with fields out of buffer order and gaps of stray bytes between them."""
         rng = np.random.default_rng(max_length)
         for size in (0, 1, 5, 400):
-            tokens = _byte_tokens(rng, size, max_length)
-            gaps = [bytes(rng.integers(256, size=int(rng.integers(3))).astype(np.uint8))
-                    for _ in tokens]
-            raw = b"".join(gap + token for gap, token in zip(gaps, tokens))
-            stops = np.cumsum([len(gap) + len(token) for gap, token in zip(gaps, tokens)],
-                              dtype=np.int64)
-            starts = stops - np.array([len(token) for token in tokens], np.int64)
-            order = rng.permutation(size)
-            fields = [tokens[t] for t in order]
-            numbering = dict(zip(dict.fromkeys(fields), range(size)))
-            codes, first = fileio._intern(raw, starts[order], stops[order])
-            assert codes.dtype == first.dtype == np.int64
-            assert codes.tolist() == [numbering[field] for field in fields]
-            assert first.tolist() == [fields.index(field) for field in numbering]
+            _assert_interned_as_dict_fromkeys(rng, _byte_tokens(rng, size, max_length))
+
+    def test_eight_byte_fields_one_bit_apart(self):
+        """The widest field has 8 bytes, the last of which differ in bit 3."""
+        tokens = [b"user0001", b"user0009", b"3.500001", b"3.500009", b"user0001", b"user000",
+                  b"3.500009", b""]
+        _assert_interned_as_dict_fromkeys(np.random.default_rng(0), tokens)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_fields_sharing_long_prefixes(self, seed):
+        """Fields that tie for hundreds of bytes, past one step's 64 words, among
+        many short ones, so the steps take one word or many."""
+        rng = np.random.default_rng(seed)
+        prefix = rng.integers(256, size=1200).astype(np.uint8).tobytes()
+        cuts = [0, 7, 8, 14, 15, 518, 519, 520, 526, 527, 1100, 1200]  # around word ends
+        tokens = [prefix[:cuts[c]] + tail for c, tail in
+                  zip(rng.integers(len(cuts), size=120), _byte_tokens(rng, 120, 2))]
+        tokens += _byte_tokens(rng, [0, 20, 1000][seed % 3], 6)
+        _assert_interned_as_dict_fromkeys(rng, [tokens[t] for t in rng.permutation(len(tokens))])
 
 
 def test_ratings_with_maps_match_per_row_lookup(tmp_path):
@@ -624,15 +692,6 @@ class TestFormatNumber:
         assert format_number(0.000123456789) == "0.000123457"
         assert format_number(3) == "3"
         assert format_number(None) == ""
-
-    @pytest.mark.parametrize("value,text", [
-        (True, "1"), (False, "0"), (np.True_, "1"), (np.int32(-7), "-7"), (2**70, str(2**70)),
-        (float("nan"), "nan"), (-float("nan"), "nan"), (np.float32("nan"), "nan"),
-        (float("inf"), "inf"), (-np.inf, "-inf"), (np.float32("-inf"), "-inf"),
-        (np.float32(0.1), "0.1"), (-0.0, "-0"), (1e-300, "1e-300"),
-    ])
-    def test_special_values_and_types(self, value, text):
-        assert format_number(value) == text
 
 
 def _synth_dir(tmp_path, seed=0):
