@@ -43,7 +43,7 @@ from .fileio import (
 )
 from .metrics import mae as mae_metric, rmse as rmse_metric
 from .neighborhood import build_propagated_sets, nb_predict_many
-from .optimize import fit_sgd
+from .optimize import STOP_MAX_ITERS, fit_sgd
 
 MF_METHODS = ("mf", "mf-t", "mf-d", "mf-td")
 NB_METHODS = ("nb", "nb-t", "nb-td-f", "nb-td-d")
@@ -250,13 +250,22 @@ def _fit_one(train, test, graph, args, method, optimizer, seed, patience=None):
     hp = _hyperparams(args, method)
     optimizer = optimizer or "gd"
     store = None if graph is None else lazy_triplets(graph)
-    model, _ = fit_method(train, store, hp, optimizer, seed=seed, patience=patience)
+    model, report = fit_method(train, store, hp, optimizer, seed=seed, patience=patience)
+    if report.stop_reason != STOP_MAX_ITERS:
+        done = report.records[-1].iteration if report.records else 0
+        print(f"warning: {method} fit (seed {seed}) stopped by {report.stop_reason} "
+              f"after {done} of {hp.epochs} iterations", file=sys.stderr)
     return model, evaluate_model(model, test, hp.clamp_predictions)
 
 
 def _check_fraction(name, value, lo=0.0, hi=1.0):
     if not lo < value < hi:
         raise ValueError(f"{name} must lie strictly between {lo} and {hi}, got {value}")
+
+
+def _check_repeats(value):
+    if value < 1:
+        raise ValueError(f"--repeats must be at least 1, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +301,7 @@ def _cmd_synth(args):
 def _cmd_fit(args):
     out = _outdir(args)
     _check_fraction("--train-frac", args.train_frac)
+    _check_repeats(args.repeats)
     bundle = _load_bundle(args)
     rows = []
     model = None
@@ -386,6 +396,7 @@ def _cmd_grid(args):
 def _cmd_coldstart(args):
     out = _outdir(args)
     _check_fraction("--cold-frac", args.cold_frac)
+    _check_repeats(args.repeats)
     bundle = _load_bundle(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     rows = []
@@ -508,7 +519,7 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, OSError, IndexError) as exc:
+    except (ValueError, OSError, IndexError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

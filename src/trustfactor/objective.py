@@ -1,7 +1,10 @@
 """Losses, the social terms, and one kernel for the full objective and its
 analytic gradient. Every social term reads U through squared edge lengths
 ||U_s - U_t||^2 and shares one edge scatter; a triplet (i, j, k) is the pair
-of its trust edge (i, j) and distrust edge (i, k), listed in bounded blocks.
+of its trust edge (i, j) and distrust edge (i, k). A full hinge pass counts
+each edge's active pairs from the lengths sorted per user and forms no pair;
+logistic full passes list the pairs in bounded blocks, and SGD batches are
+explicit pairs.
 """
 
 from __future__ import annotations
@@ -155,10 +158,70 @@ def _margin_term(U, trust, distrust, pairs, hp: Hyperparams, scale=None):
             _add_sums(slope_b, f, slope)
     if scale is None:
         return total, None
+    return total, _margin_gradient(U, trust, distrust, x, slope_a, slope_b, hp, scale)
+
+
+def _margin_gradient(U, trust, distrust, x, slope_a, slope_b, hp: Hyperparams, scale):
+    """Gradient of scale * a margin sum wrt U, from the summed loss slopes of
+    the trust and distrust edges and their (E, k) differences x."""
     # figure1: dz/da = -1 and dz/db = 1; paper-literal negates both
     weight = 2.0 * scale * (1.0 if hp.sign_convention == FIGURE1 else -1.0)
-    return total, _edge_scatter(len(U), np.concatenate((trust, distrust)), np.concatenate(x),
-                                np.concatenate((-weight * slope_a, weight * slope_b)))
+    return _edge_scatter(len(U), np.concatenate((trust, distrust)), np.concatenate(x),
+                         np.concatenate((-weight * slope_a, weight * slope_b)))
+
+
+def _hinge_threshold(p: np.ndarray) -> np.ndarray:
+    """Per length p >= 0, the least float t with fl(t - p) >= 1, so that
+    fl(q - p) < 1 iff q < t; -inf where p is NaN, active with nothing.
+
+    fl(1 + p) is never above it: its predecessor lies at least 2**-53 below
+    1 + p, so fl(predecessor - p) <= 1 - 2**-53. It may be below it, e.g.
+    fl(1 + 2**-53) = 1 while fl(1 - 2**-53) < 1, and is stepped up.
+    """
+    t = 1.0 + p
+    while np.any(low := t - p < 1.0):
+        t[low] = np.nextafter(t[low], np.inf)
+    t[np.isnan(p)] = -np.inf
+    return t
+
+
+def _hinge_term(U, graph: SocialGraph, hp: Hyperparams, scale=None):
+    """_margin_term of the hinge loss over every triplet of the graph, from
+    per-edge counts of active pairs instead of a pass over the pairs.
+
+    Write z = q - p: p = a and q = b under figure1, the reverse under
+    paper-literal. fl(q - p) rises with q, so the q-edges active with a
+    p-edge e (fl(q - p_e) < 1) are a prefix, c_e long, of its source's
+    q-edges sorted by length. A q-edge f is in c_f such prefixes. The value,
+    the sum of 1 + p - q over active pairs, is taken as sum c_e -
+    (sum c_f q_f - sum c_e p_e), which keeps a p too small to move 1 + p.
+    Each edge's slope sum is its negated count, so the gradient bytes are
+    the pair pass's.
+    """
+    trust, distrust = graph.trust_edge_array, graph.distrust_edge_array
+    x = [_differences(U, edges) for edges in (trust, distrust)]
+    a, b = (np.sum(d * d, axis=-1) for d in x)
+    figure1 = hp.sign_convention == FIGURE1
+    if figure1:
+        p, q, p_edges, q_edges, q_offsets = a, b, trust, distrust, graph.distrust_offsets
+    else:
+        p, q, p_edges, q_edges, q_offsets = b, a, distrust, trust, graph.trust_offsets
+    # q-edges by source, then length: the source offsets each length rank
+    by_length = np.argsort(q)
+    keys = np.sort(q_edges[by_length, 0] * len(q) + np.arange(len(q)))
+    shorter = np.searchsorted(q[by_length], _hinge_threshold(p))
+    starts = q_offsets[p_edges[:, 0]]
+    c_p = np.searchsorted(keys, p_edges[:, 0] * len(q) + shorter) - starts
+    # c_f: the prefixes [start, start + c_e) that cover f's sorted position
+    cover = np.bincount(starts, minlength=len(q) + 1)
+    cover -= np.bincount(starts + c_p, minlength=len(q) + 1)
+    c_q = np.empty(len(q), dtype=np.int64)
+    c_q[by_length[keys % len(q)]] = np.cumsum(cover[:-1])
+    total = float(c_p.sum()) - (float(c_q @ q) - float(c_p @ p))
+    if scale is None:
+        return total, None
+    c_a, c_b = (c_p, c_q) if figure1 else (c_q, c_p)
+    return total, _margin_gradient(U, trust, distrust, x, -c_a, -c_b, hp, scale)
 
 
 def _social_term(U, store: TripletStore | None, hp: Hyperparams, need_grad: bool):
@@ -174,8 +237,11 @@ def _social_term(U, store: TripletStore | None, hp: Hyperparams, need_grad: bool
         if store.total == 0:
             return 0.0, g
         scale = hp.lambda_s / store.total
-        value, g = _margin_term(U, graph.trust_edge_array, graph.distrust_edge_array,
-                                _pair_blocks(graph), hp, scale if need_grad else None)
+        if hp.loss == HINGE:
+            value, g = _hinge_term(U, graph, hp, scale if need_grad else None)
+        else:
+            value, g = _margin_term(U, graph.trust_edge_array, graph.distrust_edge_array,
+                                    _pair_blocks(graph), hp, scale if need_grad else None)
         return scale * value, g
     if hp.social == "trust-pull":
         weight, edges = hp.alpha, graph.trust_edge_array

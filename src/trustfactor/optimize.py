@@ -64,9 +64,6 @@ class FitReport:
     def objectives(self):
         return [r.objective for r in self.records]
 
-    def val_rmses(self):
-        return [r.val_rmse for r in self.records if r.val_rmse is not None]
-
     def signature(self):
         """Deterministic content (everything except wall-clock)."""
         return (

@@ -725,6 +725,36 @@ class TestCli:
         assert code != 0
         assert "train-frac" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "coldstart"])
+    def test_zero_repeats_rejected(self, tmp_path, capsys, command):
+        out = _synth_dir(tmp_path)
+        code = run_cli([command, "--ratings", str(out / "ratings.tsv"),
+                        "--social", str(out / "social.tsv"), "--repeats", "0",
+                        "--out", str(tmp_path / "zero")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --repeats must be at least 1, got 0\n"
+
+    def test_unallocatable_model_is_one_line(self, tmp_path, capsys):
+        # n * k * 8 bytes beyond 2**48 exceeds the address space: nothing is allocated
+        out = _synth_dir(tmp_path)
+        code = run_cli(["fit", "--ratings", str(out / "ratings.tsv"),
+                        "--social", str(out / "social.tsv"), "--k", str(2 ** 45),
+                        "--epochs", "2", "--out", str(tmp_path / "huge")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, method", [("fit", "--method"), ("coldstart", "--methods")])
+    def test_diverged_fit_warns(self, tmp_path, capsys, command, method):
+        out = _synth_dir(tmp_path)
+        base = [command, "--ratings", str(out / "ratings.tsv"), "--social", str(out / "social.tsv"),
+                method, "mf", "--epochs", "5", "--repeats", "1", "--out", str(tmp_path / "run")]
+        assert run_cli(base + ["--eta", "0.01"]) == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli(base + ["--eta", "1e300"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: mf fit (seed 0) stopped by divergence after 0 of 5 iterations\n")
+
     def test_synth_fit_eval_pipeline(self, tmp_path, capsys):
         out = _synth_dir(tmp_path)
         fit_dir = tmp_path / "fit"

@@ -17,6 +17,8 @@ from trustfactor import objective
 from trustfactor.objective import (
     FIGURE1,
     _add_sums,
+    _hinge_term,
+    _hinge_threshold,
     _loss,
     _margin_term,
     _objective_pass,
@@ -33,6 +35,7 @@ from trustfactor.objective import (
     triplet_term,
     value_and_grad,
 )
+from trustfactor.optimize import fit_gd
 
 from conftest import random_graph, random_ratings
 
@@ -444,16 +447,18 @@ class TestKernelOracle:
             model = FactorModel(rng.normal(0, 1, (graph.n, k)), rng.normal(0, 1, (m, k)), k)
             hp = Hyperparams(k=k, lambda_u=0.3, lambda_v=0.2, lambda_s=1.7, alpha=0.6,
                              beta=0.4, loss=loss, sign_convention=convention, social=social)
+            # the hinge margin sum adds per-edge counts, not pairs: another order
+            hinge = social == "triplet-margin" and loss == "hinge"
             for store in (extract_triplets(graph), lazy_triplets(graph)):
                 value, gU, gV, pred = _objective_pass(model, ratings, store, hp)
                 ref_value, ref_gU, ref_gV = reference_value_and_grad(model, ratings, store, hp)
-                assert value == ref_value
+                assert value == (pytest.approx(ref_value, rel=1e-12) if hinge else ref_value)
                 assert gU.tobytes() == ref_gU.tobytes() and gU.shape == (graph.n, k)
                 assert gV.tobytes() == ref_gV.tobytes() and gV.shape == (m, k)
                 assert pred.tobytes() == predict_many(
                     model, ratings.users, ratings.items, clamp=False).tobytes()
                 only = _objective_pass(model, ratings, store, hp, need_grad=False)
-                assert only[0] == ref_value and only[1:3] == (None, None)
+                assert only[0] == value and only[1:3] == (None, None)
                 assert only[3].tobytes() == pred.tobytes()
                 assert value_and_grad(model, ratings, store, hp)[0] == value
 
@@ -498,7 +503,9 @@ class TestMarginKernel:
         monkeypatch.setattr(objective, "_BLOCK_PAIRS", 5)
         monkeypatch.setattr(objective, "_loss", recording_loss)
         for k in [4, 10] * 5:
-            hp = Hyperparams(k=k, social="triplet-margin", lambda_s=1.0, sign_convention=convention)
+            # hinge full passes list no pairs
+            hp = Hyperparams(k=k, social="triplet-margin", lambda_s=1.0, loss="logistic",
+                             sign_convention=convention)
             graph = random_graph(rng, n_max=12, edge_prob=0.3)
             store = lazy_triplets(graph)
             U = rng.normal(0, 1, (graph.n, k))
@@ -599,3 +606,80 @@ class TestMarginKernel:
             got = triplet_batch_gradient(U, batch, hp, 0.3)
             ref = reference_triplet_term(U, batch[:, 0], batch[:, 1], batch[:, 2], hp, 0.3)[1]
             assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref).max(initial=0.0))
+
+
+def pair_pass(U, graph, hp, scale=None):
+    """Oracle: the margin sum (and gradient) over the listed pairs."""
+    return _margin_term(U, graph.trust_edge_array, graph.distrust_edge_array,
+                        _pair_blocks(graph), hp, scale)
+
+
+class TestHingeTerm:
+    """The hinge pass from per-edge counts against the pair pass."""
+
+    @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
+    def test_gradient_bytes_and_value_match_pairs(self, rng, convention):
+        hp = Hyperparams(k=3, social="triplet-margin", sign_convention=convention)
+        for trial in range(60):
+            graph = random_graph(rng, n_max=20, edge_prob=0.3)
+            # normal rows; rows on the integer grid, with margins at the kink;
+            # rows so short that every margin lies within ulps of it
+            U = (rng.normal(0, 1, (graph.n, 3)),
+                 rng.integers(-1, 2, (graph.n, 3)).astype(float),
+                 rng.normal(0, 2.0 ** -27, (graph.n, 3)))[trial % 3]
+            value, g = _hinge_term(U, graph, hp, 0.7)
+            ref_value, ref_g = pair_pass(U, graph, hp, 0.7)
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+            assert g.tobytes() == ref_g.tobytes()
+            assert _hinge_term(U, graph, hp) == (value, None)
+
+    @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
+    def test_one_ulp_below_the_kink_is_active(self, convention):
+        # edge lengths 2**-53 and 1: z = fl(1 - 2**-53) < 1, yet 1 + 2**-53
+        # rounds to 1, so searching for q < 1 + p alone finds no active pair
+        U = np.array([[0.0, 0.0], [2.0 ** -27, 2.0 ** -27], [1.0, 0.0]])
+        short, long = [(0, 1)], [(0, 2)]
+        graph = SocialGraph.from_edges(
+            3, *((short, long) if convention == "figure1" else (long, short)))
+        hp = Hyperparams(k=2, social="triplet-margin", sign_convention=convention)
+        value, g = _hinge_term(U, graph, hp, 1.0)
+        ref_value, ref_g = pair_pass(U, graph, hp, 1.0)
+        assert value == ref_value == 2.0 ** -53
+        assert g.tobytes() == ref_g.tobytes() and np.any(g != 0.0)
+
+    def test_threshold_is_the_least_float_reaching_the_margin(self, rng):
+        p = np.concatenate((rng.random(1000) * 10.0 ** rng.integers(-20, 4, 1000),
+                            np.arange(8) * 2.0 ** -54, [1e300]))
+        t = _hinge_threshold(p)
+        assert np.all(t - p >= 1.0) and np.all(np.nextafter(t, -np.inf) - p < 1.0)
+        with np.errstate(invalid="ignore"):  # inf - inf, as a pair pass meets it
+            extremes = _hinge_threshold(np.array([np.inf, np.nan]))
+        assert np.array_equal(extremes, [np.inf, -np.inf])
+
+    def test_empty_sides(self, rng):
+        hp = Hyperparams(k=3, social="triplet-margin")
+        for trust, distrust in (((), ()), ([(0, 1)], ()), ((), [(0, 1)])):
+            graph = SocialGraph.from_edges(4, trust, distrust)
+            for convention in ("figure1", "paper-literal"):
+                value, g = _hinge_term(rng.normal(0, 1, (4, 3)), graph,
+                                       hp.replace(sign_convention=convention), 1.0)
+                assert value == 0.0 and g.shape == (4, 3) and np.all(g == 0.0)
+
+    @pytest.mark.parametrize("name", ["_pair_blocks", "_loss"])
+    def test_full_hinge_passes_list_no_pairs(self, rng, monkeypatch, name):
+        graph = random_graph(np.random.default_rng(6), n_max=12, edge_prob=0.3)
+        store = lazy_triplets(graph)
+        assert store.total
+        ratings = random_ratings(rng, graph.n, 4)
+        model = FactorModel(rng.normal(0, 1, (graph.n, 3)), rng.normal(0, 1, (4, 3)), 3)
+        hp = Hyperparams(k=3, social="triplet-margin", epochs=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        monkeypatch.setattr(objective, name, refuse)
+        value_and_grad(model, ratings, store, hp)
+        objective_value(model, ratings, store, hp)
+        fit_gd(ratings, store, hp)
+        with pytest.raises(AssertionError, match=f"{name} called"):
+            value_and_grad(model, ratings, store, hp.replace(loss="logistic"))
