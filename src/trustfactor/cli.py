@@ -116,7 +116,9 @@ def build_parser():
     _add_hyper_flags(p)
     p.add_argument("--train-frac", type=float, default=0.9)
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--patience", type=int, default=None)
+    p.add_argument("--patience", type=int, default=None,
+                   help="stop when validation RMSE, on a tenth of the training side "
+                        "held out, has not improved for this many iterations")
 
     p = sub.add_parser("eval", help="evaluate a saved model on a ratings file")
     _common(p)
@@ -229,28 +231,39 @@ def _mean_std_rows(rows, label, numeric_from):
     return [[label + "-mean"] + pad + means, [label + "-std"] + pad + stds]
 
 
-def _nb_eval(train, test, graph, variant, p, q):
+def _nb_eval(train, test, graph, variant, p, q, cold=False):
+    """(MAE, RMSE) of an nb variant. On a cold-start split (`cold`) no test user
+    has a training rating, so every prediction is the user-mean fallback,
+    whatever the pool: the propagated sets are not built."""
     sets = None
     if variant != "nb":
         if graph is None:
             raise ValueError(f"{variant} needs a social graph")
-        sets = build_propagated_sets(graph, p=1 if p is None else p, q=1 if q is None else q)
-    pred = nb_predict_many(train, None, sets, test.users, test.items, variant)
+        p, q = 1 if p is None else p, 1 if q is None else q
+        if min(p, q) < 1:
+            raise ValueError("propagation depth must be at least 1")
+        if not cold:
+            sets = build_propagated_sets(graph, p, q)
+    pred = nb_predict_many(train, None, sets, test.users, test.items,
+                           "nb" if sets is None else variant)
     pairs = np.column_stack((test.values, pred))
     return mae_metric(pairs), rmse_metric(pairs)
 
 
-def _fit_one(train, test, graph, args, method, optimizer, seed, patience=None):
+def _fit_one(train, test, graph, args, method, optimizer, seed, patience=None, cold=False):
     if method in NB_METHODS:
         if optimizer is not None:
             print(f"warning: optimizer ignored for {method}", file=sys.stderr)
-        return None, _nb_eval(train, test, graph, method, args.p, args.q)
+        return None, _nb_eval(train, test, graph, method, args.p, args.q, cold)
     if args.p is not None or args.q is not None:
         print(f"warning: propagation depths ignored for {method}", file=sys.stderr)
     hp = _hyperparams(args, method)
     optimizer = optimizer or "gd"
     store = None if graph is None else lazy_triplets(graph)
-    model, report = fit_method(train, store, hp, optimizer, seed=seed, patience=patience)
+    validation = None
+    if patience is not None:  # early stopping watches a share held out as grid does
+        train, validation = split_ratings(train, SplitSpec(0.9, seed + 1, 1))
+    model, report = fit_method(train, store, hp, optimizer, validation, seed, patience)
     if report.stop_reason != STOP_MAX_ITERS:
         done = report.records[-1].iteration if report.records else 0
         print(f"warning: {method} fit (seed {seed}) stopped by {report.stop_reason} "
@@ -407,7 +420,7 @@ def _cmd_coldstart(args):
             if test.nnz == 0:
                 raise ValueError("cold-start test side is empty")
             _, (m, r) = _fit_one(train, test, bundle.graph, args, method,
-                                 args.optimizer, args.seed + rep)
+                                 args.optimizer, args.seed + rep, cold=True)
             rows.append([method, rep, args.seed + rep, m, r])
     csv_rows = []
     for method in methods:

@@ -4,6 +4,7 @@ synthetic generator that makes every protocol runnable at desk scale."""
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,14 +19,8 @@ from .data import (
     _ranges,
     lazy_triplets,
 )
-from .metrics import (
-    RankedList,
-    average_precision,
-    evaluate_model,
-    ndcg_at_k,
-    precision_recall_at_k,
-)
-from .neighborhood import build_similarity_cache
+from .metrics import evaluate_model
+from .neighborhood import _find, _similarity_blocks
 from .optimize import fit_gd, fit_sgd
 from .seeding import substream
 
@@ -190,48 +185,79 @@ def consistency_eval(ratings: SparseRatings, graph: SocialGraph, relation: str =
     ranking recovers the explicit trust (or distrust) list.
 
     Candidates are users sharing at least one co-rated item, ordered by
-    Pearson similarity, descending for trust and ascending for distrust.
-    Equal-similarity runs are ordered relevant-first (the optimistic ordering,
-    needed because bivalent relations admit no intrinsic order). Users without
-    any relevant candidate are skipped. Metrics are averaged within
-    rating-count bins.
+    Pearson similarity, descending for trust and ascending for distrust; an
+    undefined similarity reads 0. Equal-similarity runs are ordered
+    relevant-first, then by candidate index (the optimistic ordering, needed
+    because bivalent relations admit no intrinsic order). Users without any
+    relevant candidate are skipped. Metrics are averaged within rating-count
+    bins, which keep the order in which ascending users first fill them.
+
+    Every metric depends only on the ranks of the relevant candidates, so no
+    list is built: with hits the relevant count up to a rank, AP is the sum of
+    hits / rank over relevant ranks, over their number R; recall@k counts the
+    relevant ranks up to k, and DCG@k sums their discounts. The sums run in
+    rank order and the bin means in user order, the orders of the scalar
+    metrics over RankedList, so each value is bit-equal to theirs.
     """
     if relation not in ("trust", "distrust"):
         raise ValueError("relation must be 'trust' or 'distrust'")
     edges = graph.trust_edge_array if relation == "trust" else graph.distrust_edge_array
-    sims = build_similarity_cache(ratings, min_co=1)
-    # every co-rated pair in both directions; an undefined similarity reads 0
-    a, b = sims.pairs.T
-    base = max(ratings.n, graph.n)
-    keys = edges[:, 0] * base + edges[:, 1]
-    relevant = np.concatenate((np.isin(a * base + b, keys), np.isin(b * base + a, keys)))
-    similarity = np.tile((-1.0 if relation == "trust" else 1.0) * np.nan_to_num(sims.pcc), 2)
-    users, candidates = np.concatenate((a, b)), np.concatenate((b, a))
-    del sims, a, b
-    relevant = relevant[np.lexsort((candidates, ~relevant, similarity, users))]
-    bounds = np.cumsum(np.bincount(users, minlength=ratings.n))[:-1]
-    per_bin = {}
-    for u, segment in enumerate(np.split(relevant, bounds)):
-        flags = RankedList(segment.tolist())
-        if flags.total_relevant == 0:
+    user, rank = _relevant_ranks(ratings, edges, -1.0 if relation == "trust" else 1.0)
+    scored, first, total = np.unique(user, return_index=True, return_counts=True)
+    owner = np.repeat(np.arange(len(scored)), total)  # index of each rank's user
+    hits = np.arange(1, len(user) + 1) - first[owner]
+    discount = [1.0 / math.log(i + 2) for i in range(20)]
+    ideal = np.array([sum(discount[:h]) for h in range(21)])  # as ndcg_at_k sums it
+
+    def within(k):
+        return np.bincount(owner[rank <= k], minlength=len(scored))
+
+    def ndcg(k):
+        gains = np.where(rank <= k, np.array(discount)[np.minimum(rank, k) - 1], 0.0)
+        return np.bincount(owner, gains, len(scored)) / ideal[np.minimum(total, k)]
+
+    per_user = {"ndcg@10": ndcg(10), "ndcg@20": ndcg(20), "recall@10": within(10) / total,
+                "recall@20": within(20) / total, "recall@40": within(40) / total,
+                "map": np.bincount(owner, hits / rank) / total}
+    counts, at = np.unique(ratings.user_counts[scored], return_inverse=True)
+    labels = np.array([_bin_label(c, bin_edges) for c in counts.tolist()])[at]
+    names, seen, label = np.unique(labels, return_index=True, return_inverse=True)
+    size = np.bincount(label)
+    means = {key: (np.bincount(label, value) / size).tolist() for key, value in per_user.items()}
+    return ConsistencyResult(relation, {
+        str(names[b]): {**{key: mean[b] for key, mean in means.items()}, "users": int(size[b])}
+        for b in np.argsort(seen).tolist()})
+
+
+def _relevant_ranks(ratings: SparseRatings, edges, sign: float):
+    """(user, rank) of each relevant candidate, ascending, ranked among the
+    user's co-raters by sign * similarity with consistency_eval's tie order.
+
+    Co-raters are listed per block of users in both directions. A relevant
+    candidate's rank is 1 + the number of the user's candidates with a smaller
+    score + the relevant ones tied with it at a lower candidate index: one
+    sort of the block's (user, score) codes and a search per relevant one."""
+    n = ratings.n
+    edges = edges[(edges < n).all(axis=1)]
+    relevant_keys = np.sort(edges[:, 0] * n + edges[:, 1])
+    users, ranks = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for keys, _, pcc in _similarity_blocks(ratings, 1, both=True):
+        inner = relevant_keys[slice(*np.searchsorted(relevant_keys, (keys[0], keys[-1] + 1)))]
+        at = _find(keys, inner)
+        at = at[at >= 0]  # ascending: by user, then candidate
+        if not len(at):
             continue
-        row = {
-            "ndcg@10": ndcg_at_k(flags, 10),
-            "ndcg@20": ndcg_at_k(flags, 20),
-            "recall@10": precision_recall_at_k(flags, 10)[1],
-            "recall@20": precision_recall_at_k(flags, 20)[1],
-            "recall@40": precision_recall_at_k(flags, 40)[1],
-            "ap": average_precision(flags),
-        }
-        label = _bin_label(int(ratings.user_counts[u]), bin_edges)
-        per_bin.setdefault(label, []).append(row)
-    bins = {}
-    for label, rows in per_bin.items():
-        agg = {key: sum(r[key] for r in rows) / len(rows) for key in rows[0]}
-        agg["map"] = agg.pop("ap")
-        agg["users"] = len(rows)
-        bins[label] = agg
-    return ConsistencyResult(relation, bins)
+        user = keys // n
+        levels, level = np.unique(sign * np.where(np.isnan(pcc), 0.0, pcc), return_inverse=True)
+        code = (user - user[0]) * len(levels) + level  # orders by user, then score
+        codes, mine = np.sort(code), code[at]
+        tied = np.argsort(mine, kind="stable")  # rank order: ties by candidate
+        mine = mine[tied]
+        rank = (1 + np.searchsorted(codes, mine) - np.searchsorted(codes, mine - level[at][tied])
+                + np.arange(len(at)) - np.searchsorted(mine, mine))
+        users.append(user[at][tied])
+        ranks.append(rank)
+    return np.concatenate(users), np.concatenate(ranks)
 
 
 # ---------------------------------------------------------------------------

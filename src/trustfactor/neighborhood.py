@@ -122,44 +122,73 @@ def build_similarity_cache(ratings: SparseRatings, min_co: int = MIN_CO_RATED) -
 
 
 def _similarity_pass(ratings: SparseRatings, min_co: int, only=None) -> SimilarityCache:
-    """The similarity cache, of only the pairs keyed in the sorted `only` if given.
+    """The similarity cache, of only the pairs keyed in the sorted `only` if given:
+    the blocks of _similarity_blocks joined, with no pass holding all co-ratings."""
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    keys, counts, pcc = map(np.concatenate, zip(*parts, *_similarity_blocks(ratings, min_co, only)))
+    return SimilarityCache(np.column_stack(np.divmod(keys, ratings.n)), counts, pcc,
+                           min_co, ratings.n)
 
-    Rater pairs are listed item by item, those outside `only` dropped, and the
-    rest grouped by a stable sort, which keeps each pair's co-ratings in
-    ascending item order; bincount adds in input order, so every per-pair sum
-    runs in the order `pearson` takes and the weights are bit-equal to it,
-    restricted or not. Memory grows with the number of (pair, item)
-    co-ratings, the sum over items of raters squared.
+
+_BLOCK_CO_RATINGS = 1 << 16  # bounds a pass to a few MB of transient arrays
+
+
+def _similarity_blocks(ratings: SparseRatings, min_co: int, only=None, both=False):
+    """Pearson weights of the co-rated user pairs (u, v), one block of first
+    users u at a time: yields the block's sorted keys u * n + v, co-rating
+    counts and weights (NaN where undefined or fewer than min_co co-ratings),
+    blocks in ascending key order. Pairs have v > u, or every v != u with
+    `both`; with `only`, just the pairs keyed in the sorted `only`.
+
+    A block lists at most _BLOCK_CO_RATINGS (pair, item) co-ratings unless one
+    user alone has more, so memory no longer follows the sum over items of
+    raters squared. Blocks are slices of one stable sort of the raters by
+    user, which keeps each user's items ascending: a pair's co-ratings are
+    listed in ascending item order, the order `pearson` takes, and bincount
+    adds them in that order by pair index. A pair's sums never span blocks, so
+    each weight is bit-equal to `pearson`'s whatever the blocks, and pcc(u, v)
+    to pcc(v, u), whose products commute.
     """
-    if only is not None and not len(only):
-        return SimilarityCache(np.zeros((0, 2), np.int64), np.zeros(0, np.int64), np.zeros(0),
-                               min_co, ratings.n)
     users, values, offsets = ratings.by_item
-    # entry t pairs with the later raters of its item, at t + 1 .. (item end) - 1
-    later = np.repeat(offsets[1:], np.diff(offsets)) - np.arange(ratings.nnz) - 1
-    second = _ranges(np.arange(1, ratings.nnz + 1), later)
-    key = np.repeat(users, later) * ratings.n + users[second]
-    x = np.repeat(values, later)
-    if only is not None:
-        kept = _member(only, key, ratings.n ** 2)
-        key, x, second = key[kept], x[kept], second[kept]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    head = np.diff(key, prepend=-1) != 0
-    keys = key[head]
-    x, y = x[order], values[second[order]]
-    del order, second, key
-    pid = np.cumsum(head) - 1
-    counts = np.bincount(pid)
-    x -= (np.bincount(pid, x) / counts)[pid]
-    y -= (np.bincount(pid, y) / counts)[pid]
-    sx, sy, sxy = np.bincount(pid, x * x), np.bincount(pid, y * y), np.bincount(pid, x * y)
-    del x, y, pid
-    pcc = np.full(len(keys), np.nan)
-    defined = (sx != 0.0) & (sy != 0.0) & (counts >= min_co)
-    pcc[defined] = sxy[defined] / np.sqrt(sx[defined] * sy[defined])
-    pairs = np.column_stack(np.divmod(keys, ratings.n))
-    return SimilarityCache(pairs, counts, pcc, min_co, ratings.n)
+    n, sizes = ratings.n, np.diff(offsets)
+    # entry t pairs with the later raters of its item, at t + 1 .. end - 1, or
+    # with `both` with every other rater, at start .. end - 1 skipping t
+    first = np.repeat(offsets[:-1], sizes) if both else np.arange(1, ratings.nnz + 1)
+    count = np.repeat(offsets[1:], sizes) - first - int(both)
+    order = np.argsort(users, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(ratings.user_counts)))
+    reach = np.concatenate(([0], np.cumsum(count[order])))[starts]  # listed before each user
+    hi = 0
+    while hi < n:  # users lo .. hi - 1, as many as the budget takes, at least one
+        lo = hi
+        hi = max(int(np.searchsorted(reach, reach[lo] + _BLOCK_CO_RATINGS, "right")) - 1, lo + 1)
+        base = lo * n
+        if only is not None:
+            inner = only[slice(*np.searchsorted(only, (base, hi * n)))] - base
+            if not len(inner):
+                continue
+        t = order[starts[lo]:starts[hi]]
+        reps = count[t]
+        second = _ranges(first[t], reps)
+        if both:
+            second += second >= np.repeat(t, reps)
+        key = np.repeat(users[t], reps) * n - base + users[second]
+        x = np.repeat(values[t], reps)
+        if only is not None:
+            kept = _member(inner, key, hi * n - base)
+            key, x, second = key[kept], x[kept], second[kept]
+        if not len(key):
+            continue
+        key, pid = np.unique(key, return_inverse=True)
+        y = values[second]
+        counts = np.bincount(pid)
+        x -= (np.bincount(pid, x) / counts)[pid]
+        y -= (np.bincount(pid, y) / counts)[pid]
+        sx, sy, sxy = np.bincount(pid, x * x), np.bincount(pid, y * y), np.bincount(pid, x * y)
+        pcc = np.full(len(counts), np.nan)
+        defined = (sx != 0.0) & (sy != 0.0) & (counts >= min_co)
+        pcc[defined] = sxy[defined] / np.sqrt(sx[defined] * sy[defined])
+        yield key + base, counts, pcc
 
 
 def _step(keys, n, offsets, targets):

@@ -1,8 +1,10 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from trustfactor import neighborhood
 from trustfactor.data import (
     FactorModel,
     Hyperparams,
@@ -199,6 +201,8 @@ class TestConsistencyEval:
         assert result.bins[label]["map"] == 1.0
         distrust = consistency_eval(ratings, graph, "distrust")
         assert distrust.bins[label]["map"] == 1.0
+        # nobody has a relevant co-rater: every user is skipped
+        assert consistency_eval(ratings, SocialGraph.from_edges(3, [], []), "trust").bins == {}
 
     def test_matches_brute_force_on_ten_users(self, rng):
         ratings = random_ratings(rng, 10, 12, density=0.6)
@@ -212,17 +216,37 @@ class TestConsistencyEval:
             assert all(0.0 <= agg["map"] <= 1.0 for agg in result.bins.values())
             assert all(0.0 <= agg["ndcg@10"] <= 1.0 for agg in result.bins.values())
 
-    def test_matches_per_user_loop_with_ties(self, rng):
+    def test_matches_per_user_loop_with_ties(self, rng, monkeypatch):
         # two-level ratings on few items tie many similarities, constant
-        # raters read 0, and bin edges of 2 spread users over several bins
+        # raters read 0, and bin edges of 2 spread users over several bins;
+        # co-raters are listed in blocks of 1, 7 and 1,000 co-ratings or in one
         for trial in range(12):
             graph = random_graph(rng, n_max=16, edge_prob=0.15)
             ratings = random_ratings(rng, graph.n, int(rng.integers(2, 8)), density=0.6,
                                      r_max=2.0 if trial % 2 else 5.0)
             for relation in ("trust", "distrust"):
-                got = consistency_eval(ratings, graph, relation, bin_edges=(0, 2, 4))
                 expected = per_user_consistency(ratings, graph, relation, (0, 2, 4))
-                assert list(got.bins.items()) == list(expected.items())
+                for budget in (1 << 62, 1, 7, 1000):
+                    monkeypatch.setattr(neighborhood, "_BLOCK_CO_RATINGS", budget)
+                    got = consistency_eval(ratings, graph, relation, bin_edges=(0, 2, 4))
+                    assert list(got.bins.items()) == list(expected.items())
+
+    def test_peak_memory_below_the_co_rating_listing(self):
+        # 400 users rating half of 50 items co-rate about 2M times in both
+        # directions: one int64 per co-rating alone would take 16 MB
+        rng = np.random.default_rng(5)
+        users, items = np.nonzero(rng.random((400, 50)) < 0.5)
+        ratings = SparseRatings(400, 50, users, items, rng.integers(1, 6, len(users)).astype(float))
+        graph = SocialGraph.from_edges(400, [(u, (u + 1) % 400) for u in range(400)], [])
+        raters = np.bincount(items)
+        listing = 8 * int(np.sum(raters * (raters - 1)))
+        tracemalloc.start()
+        try:
+            consistency_eval(ratings, graph, "trust")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert listing > 15e6 and peak < listing / 2
 
     def test_cluster_signal_beats_shuffled_relevance(self):
         # trust aligns with rating clusters, so observed MAP must beat a

@@ -755,6 +755,28 @@ class TestCli:
         assert capsys.readouterr().err == (
             "warning: mf fit (seed 0) stopped by divergence after 0 of 5 iterations\n")
 
+    def test_fit_patience_stops_on_rising_validation_error(self, tmp_path, capsys):
+        # pure-noise ratings: unclamped and unregularized, the RMSE on the
+        # held-out validation share falls for about 20 iterations, then rises
+        # for good as the model memorizes the noise of the training side
+        rng = np.random.default_rng(0)
+        users, items = np.nonzero(rng.random((40, 20)) < 0.5)
+        ratings = write(tmp_path / "r.tsv", "".join(
+            f"u{u}\ti{i}\t{v}\n" for u, i, v in zip(users, items, rng.integers(1, 6, len(users)))))
+        base = ["fit", "--ratings", ratings, "--method", "mf", "--k", "8", "--eta", "0.02",
+                "--lambda-u", "0", "--lambda-v", "0", "--no-clamp", "--epochs", "300",
+                "--out", str(tmp_path / "run")]
+        assert run_cli(base) == 0
+        assert capsys.readouterr().err == ""
+        plain = (tmp_path / "run" / "metrics.csv").read_bytes()
+        assert run_cli(base + ["--patience", "2"]) == 0
+        err = capsys.readouterr().err
+        prefix = "warning: mf fit (seed 0) stopped by early-stop after "
+        suffix = " of 300 iterations\n"
+        assert err.startswith(prefix) and err.endswith(suffix) and err.count("\n") == 1
+        assert 15 < int(err[len(prefix):-len(suffix)]) < 300
+        assert (tmp_path / "run" / "metrics.csv").read_bytes() != plain
+
     def test_synth_fit_eval_pipeline(self, tmp_path, capsys):
         out = _synth_dir(tmp_path)
         fit_dir = tmp_path / "fit"
@@ -818,6 +840,12 @@ class TestCli:
         ])
         assert code == 1
         assert "propagation depth must be at least 1" in capsys.readouterr().err
+        # coldstart reads no pool, and still refuses the depth
+        code = run_cli(["coldstart", "--ratings", str(out / "ratings.tsv"),
+                        "--social", str(out / "social.tsv"), "--methods", "nb-t", *depth,
+                        "--out", str(tmp_path / "cold")])
+        assert code == 1
+        assert "propagation depth must be at least 1" in capsys.readouterr().err
 
     # metrics.csv of `fit --p 2 --q 2` per nb method and coldstart.csv of the
     # four, as the per-prediction predictor wrote them on nb_golden_inputs
@@ -872,6 +900,24 @@ class TestCli:
             for name in ("build_similarity_cache", "nb_predict"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         self.run_nb_commands(data, tmp_path)
+
+    def test_coldstart_builds_no_propagated_sets(self, tmp_path, monkeypatch, capsys):
+        # cold users have no training ratings: every nb prediction is the
+        # fallback, so no pool is read, yet the graph is still required
+        data = self.nb_golden_inputs(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("coldstart propagated trust for cold users")
+
+        monkeypatch.setattr(cli, "build_propagated_sets", refuse)
+        assert run_cli(["coldstart", *data, "--methods", "nb,nb-t,nb-td-f,nb-td-d",
+                        "--seed", "2", "--cold-frac", "0.2", "--repeats", "2",
+                        "--out", str(tmp_path / "cold")]) == 0
+        assert (tmp_path / "cold" / "coldstart.csv").read_bytes() == \
+            b"method,repetition,seed,mae,rmse\r\n" + self.COLDSTART_GOLDEN
+        assert run_cli(["coldstart", *data[:2], "--methods", "nb-t",
+                        "--out", str(tmp_path / "alone")]) == 1
+        assert capsys.readouterr().err == "error: nb-t needs a social graph\n"
 
     def test_split_deterministic(self, tmp_path):
         out = _synth_dir(tmp_path)

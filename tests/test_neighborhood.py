@@ -9,6 +9,7 @@ from trustfactor.data import SocialGraph, SparseRatings
 from trustfactor.experiments import cold_start_split
 from trustfactor.neighborhood import (
     VARIANTS,
+    _similarity_blocks,
     _similarity_pass,
     build_propagated_sets,
     build_similarity_cache,
@@ -123,6 +124,39 @@ class TestSimilarityCache:
                     assert part.co_counts.tobytes() == full.co_counts[rows].tobytes()
                     assert part.pcc.tobytes() == full.pcc[rows].tobytes()
                     assert (part.min_co, part.n) == (min_co, n)
+
+    def test_blocks_bit_equal_to_one_block(self, rng, monkeypatch):
+        # budgets of 1, 7 and 1,000 co-ratings against one block; user 0 rates
+        # every item in half the instances, so its co-ratings alone exceed the
+        # small budgets; restrictions: none, empty, and keys at block edges
+        for trial in range(16):
+            n, m = int(rng.integers(1, 12)), int(rng.integers(1, 10))
+            r = random_ratings(rng, n, m, density=float(rng.uniform(0.1, 0.9)))
+            if trial % 2:
+                heavy = np.ones((n, m), bool)
+                heavy[1:] = rng.random((n - 1, m)) < 0.5
+                users, items = np.nonzero(heavy)
+                r = SparseRatings(n, m, users, items, rng.uniform(1, 5, len(users)))
+            every = np.array([u * n + v for u in range(n) for v in range(u + 1, n)], np.int64)
+            for min_co in (1, 3):
+                monkeypatch.setattr(neighborhood, "_BLOCK_CO_RATINGS", 1 << 62)
+                assert len(list(_similarity_blocks(r, min_co))) <= 1
+                whole = _similarity_pass(r, min_co)
+                for budget in (1, 7, 1000):
+                    monkeypatch.setattr(neighborhood, "_BLOCK_CO_RATINGS", budget)
+                    blocks = list(_similarity_blocks(r, min_co))
+                    assert all(len(keys) for keys, _, _ in blocks)
+                    ends = np.concatenate([every[:0]] + [keys[[0, -1]] for keys, _, _ in blocks])
+                    edges = np.unique(np.concatenate((ends - 1, ends, ends + 1, np.arange(n) * n,
+                                                      np.arange(n) * n + n - 1)))
+                    edges = edges[(edges >= 0) & (edges < n * n)]
+                    picked = np.sort(rng.choice(every, len(every) // 2, replace=False))
+                    for only in (None, every[:0], edges, picked):
+                        part = _similarity_pass(r, min_co, only)
+                        rows = slice(None) if only is None else np.isin(whole.keys, only)
+                        assert part.pairs.tobytes() == whole.pairs[rows].tobytes()
+                        assert part.co_counts.tobytes() == whole.co_counts[rows].tobytes()
+                        assert part.pcc.tobytes() == whole.pcc[rows].tobytes()
 
     def test_neighbors_symmetric(self, rng):
         r = random_ratings(rng, 8, 10, density=0.6)
@@ -420,7 +454,7 @@ class TestNbPredict:
                 r = SparseRatings(r.n, r.m + 1, r.users[keep], r.items[keep], r.values[keep])
             yield r, build_propagated_sets(g, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
 
-    def test_batched_equals_single_calls(self, rng):
+    def test_batched_equals_single_calls(self, rng, monkeypatch):
         for r, sets in self.instances(rng):
             users, items = (a.ravel() for a in np.meshgrid(np.arange(r.n), np.arange(r.m)))
             order = rng.permutation(len(users))
@@ -432,8 +466,11 @@ class TestNbPredict:
                 assert batched.tolist() == [nb_predict(r, sims, sets, u, i, variant)
                                             for u, i in zip(users.tolist(), items.tolist())]
                 # weights computed for the read pairs only equal the full cache's
-                lazy = nb_predict_many(r, None, sets, users, items, variant)
-                assert lazy.tobytes() == batched.tobytes()
+                for budget in (1 << 62, 1, 7, 1000):  # co-ratings listed at once
+                    monkeypatch.setattr(neighborhood, "_BLOCK_CO_RATINGS", budget)
+                    lazy = nb_predict_many(r, None, sets, users, items, variant)
+                    assert lazy.tobytes() == batched.tobytes()
+                monkeypatch.undo()
                 assert nb_predict_many(r, None, sets, users[:0], items[:0], variant).shape == (0,)
 
     def test_cold_users_read_no_weights(self, rng, monkeypatch):
