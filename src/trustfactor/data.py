@@ -106,9 +106,9 @@ class SparseRatings:
 
     @cached_property
     def by_item(self) -> tuple:
-        """Item-major view (users, values, offsets): the entries stable-sorted
-        by (item, user), item i's raters being users[offsets[i]:offsets[i + 1]]."""
-        order = np.lexsort((self.users, self.items))
+        """Item-major view (users, values, offsets): the entries sorted by (item,
+        user) in one packed sort, item i's raters being users[offsets[i]:offsets[i + 1]]."""
+        order = _stable_order(self.items * self.n + self.users, self.m * self.n)
         offsets = np.concatenate(([0], np.cumsum(np.bincount(self.items, minlength=self.m))))
         return (_frozen_array(self.users[order], np.int64),
                 _frozen_array(self.values[order], np.float64), _frozen_array(offsets, np.int64))
@@ -170,7 +170,7 @@ class SocialGraph:
     @classmethod
     def from_edges(cls, n, trust_edges=(), distrust_edges=()):
         """Build from (source, target) pair lists or (E, 2) arrays; each
-        user's targets keep their input order."""
+        user's targets keep their input order (a stable order by source)."""
         csr = []
         for sign, edges in (("trust", trust_edges), ("distrust", distrust_edges)):
             edges = np.asarray(edges, dtype=np.int64)
@@ -184,7 +184,7 @@ class SocialGraph:
                 raise ValueError(f"{sign} edge ({u}, {v}): source index {u} out of range")
             degrees = np.bincount(edges[:, 0], minlength=n)
             csr += [np.concatenate(([0], np.cumsum(degrees))),
-                    edges[np.argsort(edges[:, 0], kind="stable"), 1]]
+                    edges[_stable_order(edges[:, 0], n), 1]]
         return cls(n, *csr)
 
     @cached_property
@@ -217,6 +217,16 @@ class SocialGraph:
 def _edge_array(offsets, targets):
     sources = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
     return _frozen_array(np.column_stack((sources, targets)), np.int64)
+
+
+def _stable_order(keys, bound):
+    """np.argsort(keys, kind="stable") of int64 keys in [0, bound), from one
+    np.sort of keys << b | position with b the bit length of len(keys) - 1,
+    several times faster; the stable argsort where that would overflow int64."""
+    b = max(len(keys) - 1, 0).bit_length()
+    if int(bound) << b > 1 << 63:
+        return np.argsort(keys, kind="stable")
+    return np.sort(keys << b | np.arange(len(keys))) & ((1 << b) - 1)
 
 
 def _ranges(starts, lengths):

@@ -17,6 +17,7 @@ from .data import (
     SparseRatings,
     TripletStore,
     _ranges,
+    _stable_order,
     lazy_triplets,
 )
 from .metrics import evaluate_model
@@ -251,7 +252,7 @@ def _relevant_ranks(ratings: SparseRatings, edges, sign: float):
         levels, level = np.unique(sign * np.where(np.isnan(pcc), 0.0, pcc), return_inverse=True)
         code = (user - user[0]) * len(levels) + level  # orders by user, then score
         codes, mine = np.sort(code), code[at]
-        tied = np.argsort(mine, kind="stable")  # rank order: ties by candidate
+        tied = _stable_order(mine, (user[-1] - user[0] + 1) * len(levels))  # ties by candidate
         mine = mine[tied]
         rank = (1 + np.searchsorted(codes, mine) - np.searchsorted(codes, mine - level[at][tied])
                 + np.arange(len(at)) - np.searchsorted(mine, mine))

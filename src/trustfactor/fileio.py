@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FactorModel, SocialGraph, SparseRatings
+from .data import FactorModel, SocialGraph, SparseRatings, _stable_order
 
 log = logging.getLogger(__name__)
 
@@ -134,10 +134,12 @@ def _intern(raw, starts, stops):
     return (np.cumsum(is_first) - 1)[first[codes]], np.flatnonzero(is_first)
 
 
-def _first_appearance(keys):
+def _first_appearance(keys, bound=None):
     """(codes, first): rows with equal `keys` (equal-length arrays) share a
-    code, numbered by first appearance; first[code] is the code's first row."""
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+    code, numbered by first appearance; first[code] is the code's first row.
+    With `bound`, `keys` is one int64 key in [0, bound), ordered by a packed sort."""
+    order = (_stable_order(keys[0], bound) if bound is not None
+             else np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys))
     head = np.ones(len(order), bool)  # where a new key starts in sorted order
     head[1:] = np.any([key[1:] != key[:-1] for key in (key[order] for key in keys)], axis=0)
     first = np.minimum.reduceat(order, np.flatnonzero(head))
@@ -197,7 +199,7 @@ def _indices(id_map, ids):
 def _build_ratings(user_idx, item_idx, values, n, m, r_min, r_max):
     """SparseRatings of the rating rows; a repeated (user, item) keeps its
     first position and its last value."""
-    codes, first = _first_appearance([user_idx * m + item_idx])
+    codes, first = _first_appearance([user_idx * m + item_idx], n * m)
     last = first.copy()
     np.maximum.at(last, codes, np.arange(len(codes)))
     if len(first) < len(codes):
@@ -212,7 +214,8 @@ def _build_graph(files, user_map):
     them); a repeated (u, v) keeps its first row and must repeat its sign."""
     pairs = np.concatenate([_indices(user_map, ids)[pairs] for _, pairs, ids, _ in files])
     signs = np.concatenate([signs for *_, signs in files])
-    codes, first = _first_appearance([pairs[:, 0] * len(user_map) + pairs[:, 1]])
+    codes, first = _first_appearance([pairs[:, 0] * len(user_map) + pairs[:, 1]],
+                                     len(user_map) ** 2)
     clash = np.flatnonzero(signs != signs[first[codes]])
     if len(clash):
         row = clash[0]

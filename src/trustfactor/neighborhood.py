@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import SocialGraph, SparseRatings, _ranges
+from .data import SocialGraph, SparseRatings, _ranges, _stable_order
 
 VARIANTS = ("nb", "nb-t", "nb-td-f", "nb-td-d")
 
@@ -123,11 +123,55 @@ def build_similarity_cache(ratings: SparseRatings, min_co: int = MIN_CO_RATED) -
 
 def _similarity_pass(ratings: SparseRatings, min_co: int, only=None) -> SimilarityCache:
     """The similarity cache, of only the pairs keyed in the sorted `only` if given:
-    the blocks of _similarity_blocks joined, with no pass holding all co-ratings."""
+    one _merged block where _merges, else the blocks of _similarity_blocks
+    joined; no pass holds all co-ratings."""
     parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-    keys, counts, pcc = map(np.concatenate, zip(*parts, *_similarity_blocks(ratings, min_co, only)))
+    blocks = ([_merged(ratings, min_co, only)] if only is not None and _merges(ratings, only)
+              else _similarity_blocks(ratings, min_co, only))
+    keys, counts, pcc = map(np.concatenate, zip(*parts, *blocks))
     return SimilarityCache(np.column_stack(np.divmod(keys, ratings.n)), counts, pcc,
                            min_co, ratings.n)
+
+
+def _merges(ratings: SparseRatings, only) -> bool:
+    """Whether the merge walks fewer entries, the shorter item row of each pair
+    keyed in `only`, than the blocks list co-ratings, and walks any."""
+    u, v = np.divmod(only, ratings.n)
+    sizes = np.diff(ratings.by_item[2])
+    walked = np.minimum(ratings.user_counts[u], ratings.user_counts[v]).sum()
+    return 0 < walked < (sizes * (sizes - 1) // 2).sum()
+
+
+def _merged(ratings: SparseRatings, min_co: int, only):
+    """_similarity_blocks(ratings, min_co, only) as one block, by merge: each item
+    of the pair's user with fewer ratings is found in the other's row by binary
+    search on the sorted keys u * m + i. Items come ascending, as in a block."""
+    n, m, counts = ratings.n, ratings.m, ratings.user_counts
+    keys = ratings.users * m + ratings.items
+    order = _stable_order(keys, n * m)
+    keys, values = keys[order], ratings.values[order]
+    u, v = np.divmod(only[only // n < only % n], n)
+    walk = np.where(counts[u] <= counts[v], u, v)
+    reps = counts[walk]
+    at = _ranges((np.cumsum(counts) - counts)[walk], reps)
+    found = _find(keys, np.repeat(u + v - walk, reps) * m + keys[at] % m)
+    hit = found >= 0
+    return _weights(np.repeat(u * n + v, reps)[hit], values[at[hit]], values[found[hit]], min_co)
+
+
+def _weights(key, x, y, min_co):
+    """(keys, counts, weights) of the pairs keyed in the sorted `key` from their
+    co-ratings' values x and y, each pair's in ascending item order."""
+    head = np.diff(key, prepend=-1) != 0
+    pid = np.cumsum(head) - 1
+    counts = np.bincount(pid)
+    x = x - (np.bincount(pid, x) / counts)[pid]
+    y = y - (np.bincount(pid, y) / counts)[pid]
+    sx, sy, sxy = np.bincount(pid, x * x), np.bincount(pid, y * y), np.bincount(pid, x * y)
+    pcc = np.full(len(counts), np.nan)
+    defined = (sx != 0.0) & (sy != 0.0) & (counts >= min_co)
+    pcc[defined] = sxy[defined] / np.sqrt(sx[defined] * sy[defined])
+    return key[head], counts, pcc
 
 
 _BLOCK_CO_RATINGS = 1 << 16  # bounds a pass to a few MB of transient arrays
@@ -142,12 +186,12 @@ def _similarity_blocks(ratings: SparseRatings, min_co: int, only=None, both=Fals
 
     A block lists at most _BLOCK_CO_RATINGS (pair, item) co-ratings unless one
     user alone has more, so memory no longer follows the sum over items of
-    raters squared. Blocks are slices of one stable sort of the raters by
+    raters squared. Blocks are slices of one stable order of the raters by
     user, which keeps each user's items ascending: a pair's co-ratings are
-    listed in ascending item order, the order `pearson` takes, and bincount
-    adds them in that order by pair index. A pair's sums never span blocks, so
-    each weight is bit-equal to `pearson`'s whatever the blocks, and pcc(u, v)
-    to pcc(v, u), whose products commute.
+    listed in ascending item order, the order `pearson` takes, kept by the
+    stable order by pair key and added in it by bincount. A pair's sums never
+    span blocks, so each weight is bit-equal to `pearson`'s whatever the
+    blocks, and pcc(u, v) to pcc(v, u), whose products commute.
     """
     users, values, offsets = ratings.by_item
     n, sizes = ratings.n, np.diff(offsets)
@@ -155,7 +199,7 @@ def _similarity_blocks(ratings: SparseRatings, min_co: int, only=None, both=Fals
     # with `both` with every other rater, at start .. end - 1 skipping t
     first = np.repeat(offsets[:-1], sizes) if both else np.arange(1, ratings.nnz + 1)
     count = np.repeat(offsets[1:], sizes) - first - int(both)
-    order = np.argsort(users, kind="stable")
+    order = _stable_order(users, n)
     starts = np.concatenate(([0], np.cumsum(ratings.user_counts)))
     reach = np.concatenate(([0], np.cumsum(count[order])))[starts]  # listed before each user
     hi = 0
@@ -179,16 +223,8 @@ def _similarity_blocks(ratings: SparseRatings, min_co: int, only=None, both=Fals
             key, x, second = key[kept], x[kept], second[kept]
         if not len(key):
             continue
-        key, pid = np.unique(key, return_inverse=True)
-        y = values[second]
-        counts = np.bincount(pid)
-        x -= (np.bincount(pid, x) / counts)[pid]
-        y -= (np.bincount(pid, y) / counts)[pid]
-        sx, sy, sxy = np.bincount(pid, x * x), np.bincount(pid, y * y), np.bincount(pid, x * y)
-        pcc = np.full(len(counts), np.nan)
-        defined = (sx != 0.0) & (sy != 0.0) & (counts >= min_co)
-        pcc[defined] = sxy[defined] / np.sqrt(sx[defined] * sy[defined])
-        yield key + base, counts, pcc
+        at = _stable_order(key, hi * n - base)  # ties keep their ascending items
+        yield _weights(key[at] + base, x[at], values[second[at]], min_co)
 
 
 def _step(keys, n, offsets, targets):
@@ -302,7 +338,9 @@ def nb_predict_many(ratings: SparseRatings, sims: SimilarityCache | None,
     summed in ascending neighbor order. Falls back to the user mean on an
     empty pool, to the global mean when the user has no ratings, and clamps
     to the rating bounds. With `sims` None, only the weights these sums read
-    are computed, each bit-equal to build_similarity_cache(ratings)'s.
+    are computed, each bit-equal to build_similarity_cache(ratings)'s, by
+    merge or from the blocks (_similarity_pass). Rows are ordered by pair key
+    with one packed sort (_stable_order).
     """
     users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
     for name, index, size in (("user", users, ratings.n), ("item", items, ratings.m)):
@@ -324,7 +362,7 @@ def nb_predict_many(ratings: SparseRatings, sims: SimilarityCache | None,
     # sorted by pair key, which rises with v for a fixed u: each prediction
     # still sums in ascending neighbor order, and the weight search runs fast
     pair = np.minimum(u, v) * ratings.n + np.maximum(u, v)
-    order = np.argsort(pair)
+    order = _stable_order(pair, ratings.n ** 2)
     rows, at, v, pair = rows[order], at[order], v[order], pair[order]
     if sims is None:
         sims = _similarity_pass(ratings, MIN_CO_RATED, pair[np.diff(pair, prepend=-1) != 0])

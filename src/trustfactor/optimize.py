@@ -109,7 +109,8 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
     (None is allowed when need_value is false), and pred holds the raw
     predictions of its rating pass. A record reads its objective and train
     RMSE from the step taken at its model, or from a value-only pass when no
-    step follows.
+    step follows. With `patience`, early_stop_monitor watches the validation
+    RMSE from the last value of its flat start, if it has one.
     """
     if model0 is not None:
         model = model0.copy()
@@ -126,6 +127,7 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
     report = FitReport(initial_objective=at_model(value, pred)[0])
     start = time.perf_counter()
     val_history = []
+    opens = 0  # where the patience window opens
     for t in range(1, hp.epochs + 1):
         previous = (model.U.copy(), model.V.copy())
         eta = schedule.rate(t)
@@ -142,11 +144,14 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
                 rec.val_mae, rec.val_rmse = evaluate_model(
                     model, validation, hp.clamp_predictions)
                 val_history.append(rec.val_rmse)
+                # while every prediction clamps alike, the RMSE holds its first value
+                if opens == len(val_history) - 2 and val_history[-1] == val_history[opens]:
+                    opens += 1
             report.records.append(rec)
             if (
                 patience is not None
                 and val_history
-                and early_stop_monitor(val_history, patience)
+                and early_stop_monitor(val_history[opens:], patience)
             ):
                 report.stop_reason = STOP_EARLY
         last = t == hp.epochs or report.stop_reason == STOP_EARLY

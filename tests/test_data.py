@@ -13,6 +13,7 @@ from trustfactor.data import (
     predict_rating,
     sample_triplet,
     sample_triplets,
+    _stable_order,
 )
 from trustfactor.seeding import substream
 
@@ -98,6 +99,27 @@ class TestSparseRatings:
         assert users.tolist() == [1, 0, 1, 2, 0]
         assert values.tolist() == [5.0, 2.0, 3.0, 4.0, 1.0]
         assert offsets.tolist() == [0, 1, 4, 4, 5]
+
+
+def test_stable_order_equals_stable_argsort(rng, monkeypatch):
+    cases = [(np.zeros(0, np.int64), 1), (np.array([0]), 1), (np.array([6]), 7)]
+    for _ in range(40):  # few distinct keys: heavy ties
+        length, bound = int(rng.integers(2, 300)), int(rng.integers(1, 9)) ** 3
+        keys = rng.integers(0, bound, length)
+        keys[rng.integers(0, length)] = bound - 1
+        cases.append((keys, bound))
+    for length in (1, 2, 3, 1000):  # the widest bounds that pack, and one more
+        widest = (1 << 63) >> max(length - 1, 0).bit_length()
+        keys = np.concatenate(([widest - 1, 0], rng.integers(0, widest, length)))[:length]
+        cases += [(keys, widest), (np.where(keys == widest - 1, widest, keys), widest + 1)]
+    expected = [np.argsort(keys, kind="stable") for keys, _ in cases]
+    for (keys, bound), order in zip(cases, expected):
+        packs = bound << max(len(keys) - 1, 0).bit_length() <= 1 << 63
+        with monkeypatch.context() as patch:
+            if packs:  # the fallback is not taken
+                patch.setattr(np, "argsort", None)
+            got = _stable_order(keys, bound)
+        assert got.dtype == np.int64 and got.tolist() == order.tolist()
 
 
 def test_array_containers_compare_and_hash_by_identity():

@@ -397,9 +397,9 @@ class TestLoaderOracle:
             finally:
                 fields.pop()
 
-        def spy_first_appearance(keys):
+        def spy_first_appearance(keys, bound=None):
             assert not fields or sum(map(len, keys)) <= 3 * fields[-1]
-            return first_appearance(keys)
+            return first_appearance(keys, bound)
 
         monkeypatch.setattr(fileio, "_intern", spy_intern)
         monkeypatch.setattr(fileio, "_first_appearance", spy_first_appearance)
@@ -776,6 +776,20 @@ class TestCli:
         assert err.startswith(prefix) and err.endswith(suffix) and err.count("\n") == 1
         assert 15 < int(err[len(prefix):-len(suffix)]) < 300
         assert (tmp_path / "run" / "metrics.csv").read_bytes() != plain
+
+    def test_fit_patience_waits_out_a_flat_start(self, tmp_path, capsys):
+        # from the small initial factors every prediction clamps to r_min, so
+        # the validation RMSE holds its first value exactly for a few
+        # iterations; that stretch is no sign of overfitting, and this fit
+        # runs all its 300 iterations without stopping
+        out = tmp_path / "synth"
+        assert run_cli(["synth", "--out", str(out), "--seed", "3", "--n", "40", "--m", "30",
+                        "--density", "0.5"]) == 0
+        assert run_cli(["fit", "--ratings", str(out / "ratings.tsv"), "--method", "mf",
+                        "--k", "8", "--eta", "0.02", "--lambda-u", "0", "--lambda-v", "0",
+                        "--epochs", "300", "--patience", "2", "--out", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().err == ""
+        assert float(read_csv(tmp_path / "run" / "metrics.csv")[1][4]) < 0.5
 
     def test_synth_fit_eval_pipeline(self, tmp_path, capsys):
         out = _synth_dir(tmp_path)

@@ -1,5 +1,6 @@
 from collections import deque
 from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -102,28 +103,45 @@ class TestSimilarityCache:
                 assert len(counts) == len(cache.pairs)
                 assert all(c > 0 for c in counts.values())
 
-    def test_restricted_pass_equals_full_cache(self, rng):
-        # any sorted subset of pair keys, never co-rated pairs and the empty
-        # set included, yields exactly the full cache's rows for those pairs
+    def test_restricted_pass_equals_full_cache(self, rng, monkeypatch):
+        # any sorted subset of pair keys, never co-rated pairs, pairs (u, u)
+        # and the empty set included, yields exactly the full cache's rows for
+        # those pairs, weighed by the blocks or by merge; instances have users
+        # without ratings and constant raters
         for trial in range(30):
             n, m = int(rng.integers(1, 10)), int(rng.integers(1, 10))
             r = random_ratings(rng, n, m, density=float(rng.uniform(0.1, 0.9)))
             if trial % 2:
                 r = SparseRatings(n, m, r.users, r.items,
                                   np.clip(r.values + rng.uniform(-0.5, 0.5, r.nnz), 1, 5))
+            if trial % 3 == 0:
+                keep = (r.users != 0) & (r.users % 3 != 1) | (r.items < 2)
+                r = SparseRatings(n, m, r.users[keep], r.items[keep],
+                                  np.where(r.users[keep] % 3 == 2, 4.0, r.values[keep]))
+            r = r.subset(rng.permutation(r.nnz))  # entries in no particular order
             every = np.array([u * n + v for u in range(n) for v in range(u + 1, n)], dtype=np.int64)
             for min_co in (1, 2, 3):
                 full = build_similarity_cache(r, min_co)
-                subsets = [every[:0], every, full.keys]
+                subsets = [every[:0], every, full.keys,
+                           np.sort(np.append(every, np.arange(n) * (n + 1)))]
                 subsets += [np.sort(rng.choice(every, int(rng.integers(0, len(every) + 1)),
                                                replace=False)) for _ in range(4)]
-                for only in subsets:
+                for only, merges in product(subsets, (False, True)):
+                    monkeypatch.setattr(neighborhood, "_merges", lambda *_: merges)
                     part = _similarity_pass(r, min_co, only)
                     rows = np.isin(full.keys, only)
                     assert part.pairs.tobytes() == full.pairs[rows].tobytes()
                     assert part.co_counts.tobytes() == full.co_counts[rows].tobytes()
                     assert part.pcc.tobytes() == full.pcc[rows].tobytes()
                     assert (part.min_co, part.n) == (min_co, n)
+                monkeypatch.undo()
+                # merge where it walks fewer entries than the blocks list
+                # co-ratings, never for every pair: each pair walks its co-ratings
+                for only in (every, full.keys[:1]):
+                    walked = sum(min(r.user_counts[u], r.user_counts[v])
+                                 for u, v in zip(*np.divmod(only, n)))
+                    assert neighborhood._merges(r, only) == (0 < walked < full.co_counts.sum())
+                assert not neighborhood._merges(r, every)
 
     def test_blocks_bit_equal_to_one_block(self, rng, monkeypatch):
         # budgets of 1, 7 and 1,000 co-ratings against one block; user 0 rates
@@ -465,9 +483,11 @@ class TestNbPredict:
                 batched = nb_predict_many(r, sims, sets, users, items, variant)
                 assert batched.tolist() == [nb_predict(r, sims, sets, u, i, variant)
                                             for u, i in zip(users.tolist(), items.tolist())]
-                # weights computed for the read pairs only equal the full cache's
-                for budget in (1 << 62, 1, 7, 1000):  # co-ratings listed at once
+                # weights computed for the read pairs only equal the full cache's,
+                # by blocks of any budget (co-ratings listed at once) or by merge
+                for budget, merges in product((1 << 62, 1, 7, 1000), (False, True)):
                     monkeypatch.setattr(neighborhood, "_BLOCK_CO_RATINGS", budget)
+                    monkeypatch.setattr(neighborhood, "_merges", lambda *_: merges)
                     lazy = nb_predict_many(r, None, sets, users, items, variant)
                     assert lazy.tobytes() == batched.tobytes()
                 monkeypatch.undo()
