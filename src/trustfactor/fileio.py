@@ -123,7 +123,9 @@ def _intern(raw, starts, stops):
         offsets = at + 8 * np.arange(min(64, max(1, len(codes) // len(rows))))
         key = words[np.minimum(starts[rows, None] + offsets, stops[rows, None])]
         key &= masks[np.clip(lengths[rows, None] - offsets, 0, 8)]
-        parts, heads = _first_appearance([*key.T, lengths[rows], codes[rows]])
+        span = lengths[rows].max() + 1  # (code, length) as one key below len(raw) ** 2 / 4
+        parts, heads = _first_appearance([*key.T, codes[rows] * span + lengths[rows]],
+                                         len(first) * span)
         codes[rows] = len(first) + parts  # no row keeps a split group's code
         first = np.concatenate((first, rows[heads]))
         at += 8 * len(offsets)
@@ -137,9 +139,14 @@ def _intern(raw, starts, stops):
 def _first_appearance(keys, bound=None):
     """(codes, first): rows with equal `keys` (equal-length arrays) share a
     code, numbered by first appearance; first[code] is the code's first row.
-    With `bound`, `keys` is one int64 key in [0, bound), ordered by a packed sort."""
-    order = (_stable_order(keys[0], bound) if bound is not None
-             else np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys))
+    Rows sort by each key in turn, stably after the first (np.lexsort is
+    several times slower); with `bound`, the last, int64 in [0, bound), by a packed sort."""
+    order = None
+    for t, key in enumerate(keys):
+        key = key if order is None else key[order]
+        step = (_stable_order(key, bound) if bound is not None and t == len(keys) - 1
+                else np.argsort(key, kind=None if order is None else "stable"))
+        order = step if order is None else order[step]
     head = np.ones(len(order), bool)  # where a new key starts in sorted order
     head[1:] = np.any([key[1:] != key[:-1] for key in (key[order] for key in keys)], axis=0)
     first = np.minimum.reduceat(order, np.flatnonzero(head))

@@ -1,10 +1,10 @@
 """Losses, the social terms, and one kernel for the full objective and its
-analytic gradient. Every social term reads U through squared edge lengths
-||U_s - U_t||^2 and shares one edge scatter; a triplet (i, j, k) is the pair
-of its trust edge (i, j) and distrust edge (i, k). A full hinge pass counts
-each edge's active pairs from the lengths sorted per user and forms no pair;
-logistic full passes list the pairs in bounded blocks, and SGD batches are
-explicit pairs.
+analytic gradient, over blocks of _BLOCK_ROWS ratings or edges whose products
+np.add.at adds into (k, n) sums. Social terms read U through squared edge
+lengths ||U_s - U_t||^2 and share one edge scatter; a triplet (i, j, k) pairs
+its trust edge (i, j) with its distrust edge (i, k). Full hinge passes count
+each edge's active pairs from the lengths sorted per user; logistic full
+passes list pairs in bounded blocks, and SGD batches are explicit pairs.
 """
 
 from __future__ import annotations
@@ -74,26 +74,29 @@ def trace_identity_check(U, triplet) -> float:
     return float(2.0 * (ui @ uk) + uj @ uj - uk @ uk - 2.0 * (ui @ uj))
 
 
-def _scatter(n: int, index: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(n, k) sums of column t of the (k, N) C-contiguous cols into row
-    index[t], added in t order.
-
-    Bit-identical to unbuffered in-place addition of the rows cols.T on
-    zeros, and several times faster: one bincount per contiguous column.
-    """
-    out = np.empty((n, len(cols)))
-    for c, col in enumerate(cols):
-        out[:, c] = np.bincount(index, weights=col, minlength=n)
-    return out
+_BLOCK_ROWS = 1 << 12  # rows a gradient block gathers, so its (rows, k) arrays stay in cache
 
 
-def _edge_scatter(n: int, edges: np.ndarray, x: np.ndarray, w) -> np.ndarray:
-    """_scatter of w[t] * x[t] onto edge t's source row and its negation onto
-    its target, for (E, k) rows x and per-edge (or one scalar) weights w."""
-    cols = np.empty((x.shape[1], 2 * len(x)))
-    np.multiply(x.T, w, out=cols[:, :len(x)])
-    np.negative(cols[:, :len(x)], out=cols[:, len(x):])
-    return _scatter(n, edges.T.ravel(), cols)
+def _accumulate(out: np.ndarray, index: np.ndarray, rows: np.ndarray, ufunc=np.add):
+    """out[:, index[t]] = ufunc(out[:, index[t]], rows[t]) for the (k, n)
+    out and (N, k) rows, by one np.add.at (or ufunc.at) per column, in t
+    order: from zeros, each sum bincount's bytes."""
+    for c, column in enumerate(out):
+        ufunc.at(column, index, rows[:, c])
+
+
+def _edge_scatter(n: int, sets) -> np.ndarray:
+    """(n, k) sums of w[t] * x[t] onto edge t's source row, less the same onto
+    its target, over (edges, x, w) sets of (E, 2) edges, (E, k) rows and one
+    or per-edge weights: every source in set order, then every target."""
+    out = np.zeros((sets[0][1].shape[1], n))
+    for side, ufunc in ((0, np.add), (1, np.subtract)):
+        for edges, x, w in sets:
+            w = np.broadcast_to(w, len(x))
+            for b in range(0, len(x), _BLOCK_ROWS):
+                block = slice(b, b + _BLOCK_ROWS)
+                _accumulate(out, edges[block, side], x[block] * w[block, None], ufunc)
+    return out.T
 
 
 def _differences(U, edges: np.ndarray) -> np.ndarray:
@@ -101,13 +104,6 @@ def _differences(U, edges: np.ndarray) -> np.ndarray:
     x = np.take(U, edges[:, 0], axis=0)
     x -= np.take(U, edges[:, 1], axis=0)
     return x
-
-
-def _columns(A, index: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """(k, N) C-contiguous columns of the rows A[index], row t scaled by e[t]."""
-    cols = np.take(A.T.copy(), index, axis=1)
-    cols *= e
-    return cols
 
 
 _BLOCK_PAIRS = 1 << 16  # bounds a full margin pass to a few MB of transient arrays
@@ -166,8 +162,8 @@ def _margin_gradient(U, trust, distrust, x, slope_a, slope_b, hp: Hyperparams, s
     the trust and distrust edges and their (E, k) differences x."""
     # figure1: dz/da = -1 and dz/db = 1; paper-literal negates both
     weight = 2.0 * scale * (1.0 if hp.sign_convention == FIGURE1 else -1.0)
-    return _edge_scatter(len(U), np.concatenate((trust, distrust)), np.concatenate(x),
-                         np.concatenate((-weight * slope_a, weight * slope_b)))
+    return _edge_scatter(len(U), [(trust, x[0], -weight * slope_a),
+                                  (distrust, x[1], weight * slope_b)])
 
 
 def _hinge_threshold(p: np.ndarray) -> np.ndarray:
@@ -209,7 +205,9 @@ def _hinge_term(U, graph: SocialGraph, hp: Hyperparams, scale=None):
     # q-edges by source, then length: the source offsets each length rank
     by_length = np.argsort(q)
     keys = np.sort(q_edges[by_length, 0] * len(q) + np.arange(len(q)))
-    shorter = np.searchsorted(q[by_length], _hinge_threshold(p))
+    thresholds = _hinge_threshold(p)  # searched in sorted order, each near the last
+    by_threshold, shorter = np.argsort(thresholds), np.empty(len(p), dtype=np.int64)
+    shorter[by_threshold] = np.searchsorted(q[by_length], thresholds[by_threshold])
     starts = q_offsets[p_edges[:, 0]]
     c_p = np.searchsorted(keys, p_edges[:, 0] * len(q) + shorter) - starts
     # c_f: the prefixes [start, start + c_e) that cover f's sorted position
@@ -249,7 +247,7 @@ def _social_term(U, store: TripletStore | None, hp: Hyperparams, need_grad: bool
         weight, edges = -hp.beta, graph.distrust_edge_array
     d = _differences(U, edges)
     if need_grad:
-        g = _edge_scatter(len(U), edges, d, weight)
+        g = _edge_scatter(len(U), [(edges, d, weight)])
     return 0.5 * weight * float(np.sum(d * d)), g
 
 
@@ -259,8 +257,16 @@ def _objective_pass(model: FactorModel, ratings: SparseRatings,
     U[u] . V[i] of the rating pass, in the order of the ratings."""
     U, V = model.U, model.V
     uu, ii = ratings.users, ratings.items
-    pred = np.einsum("ij,ij->i", np.take(U, uu, axis=0), np.take(V, ii, axis=0))
-    e = pred - ratings.values
+    pred, e = np.empty(len(uu)), np.empty(len(uu))
+    gU, gV = (np.zeros((U.shape[1], len(A))) for A in (U, V))
+    for b in range(0, len(uu), _BLOCK_ROWS):
+        block = slice(b, b + _BLOCK_ROWS)
+        u_rows, v_rows = np.take(U, uu[block], axis=0), np.take(V, ii[block], axis=0)
+        np.einsum("ij,ij->i", u_rows, v_rows, out=pred[block])
+        np.subtract(pred[block], ratings.values[block], out=e[block])
+        if need_grad:
+            _accumulate(gU, uu[block], np.multiply(v_rows, e[block, None], out=v_rows))
+            _accumulate(gV, ii[block], np.multiply(u_rows, e[block, None], out=u_rows))
     value = 0.5 * float(e @ e)
     value += 0.5 * hp.lambda_u * float(np.sum(U * U))
     value += 0.5 * hp.lambda_v * float(np.sum(V * V))
@@ -268,10 +274,7 @@ def _objective_pass(model: FactorModel, ratings: SparseRatings,
     value += social
     if not need_grad:
         return value, None, None, pred
-    gU = _scatter(len(U), uu, _columns(V, ii, e)) + hp.lambda_u * U
-    gU += g_social
-    gV = _scatter(len(V), ii, _columns(U, uu, e)) + hp.lambda_v * V
-    return value, gU, gV, pred
+    return value, gU.T + hp.lambda_u * U + g_social, gV.T + hp.lambda_v * V, pred
 
 
 def value_and_grad(model: FactorModel, ratings: SparseRatings,

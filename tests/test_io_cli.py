@@ -472,6 +472,15 @@ class TestIntern:
         tokens += _byte_tokens(rng, [0, 20, 1000][seed % 3], 6)
         _assert_interned_as_dict_fromkeys(rng, [tokens[t] for t in rng.permutation(len(tokens))])
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_thirteen_byte_ids_sharing_a_seven_byte_prefix(self, seed):
+        """Ids like user-00000123: one word keys the shared prefix, so every
+        field goes on to a step keyed by one word and its (code, length)."""
+        rng = np.random.default_rng(seed)
+        tokens = [b"user-%08d" % u for u in rng.integers(0, 300, 2000)]
+        tokens += [b"user-00", b"user-00\0", b"user-0000000001\0"] + _byte_tokens(rng, 50, 14)
+        _assert_interned_as_dict_fromkeys(rng, [tokens[t] for t in rng.permutation(len(tokens))])
+
 
 def test_ratings_with_maps_match_per_row_lookup(tmp_path):
     """Each id through the saved map as a per-row dict lookup would map it,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from trustfactor.data import (
 from trustfactor import objective
 from trustfactor.objective import (
     FIGURE1,
+    _accumulate,
     _add_sums,
     _hinge_term,
     _hinge_threshold,
@@ -23,7 +25,6 @@ from trustfactor.objective import (
     _margin_term,
     _objective_pass,
     _pair_blocks,
-    _scatter,
     _social_term,
     grad,
     loss_value,
@@ -35,7 +36,7 @@ from trustfactor.objective import (
     triplet_term,
     value_and_grad,
 )
-from trustfactor.optimize import fit_gd
+from trustfactor.optimize import fit_gd, fit_sgd
 
 from conftest import random_graph, random_ratings
 
@@ -78,8 +79,8 @@ def reference_margin(U, i, j, k, convention):
 
 
 # ---------------------------------------------------------------------------
-# reference kernel: the row-layout objective pass the column-layout one
-# replaced, kept as the oracle for values and gradient bytes
+# reference kernel: an unblocked objective pass that sums rows by bincount,
+# kept as the oracle for values and gradient bytes
 
 
 def reference_scatter(n, index, rows):
@@ -261,10 +262,13 @@ class TestScatter:
             rows = rng.normal(0, 1, (size, k)) * 10.0 ** rng.integers(-8, 8, (size, 1))
             expected = np.zeros((n, k))
             np.add.at(expected, index, rows)
-            got = _scatter(n, index, np.ascontiguousarray(rows.T))
-            assert got.dtype == np.float64 and got.shape == (n, k)
-            assert got.tobytes() == expected.tobytes()
+            got = np.zeros((k, n))
+            _accumulate(got, index, rows)
+            assert got.T.tobytes() == expected.tobytes()
             assert reference_scatter(n, index, rows).tobytes() == expected.tobytes()
+            np.subtract.at(expected, index, rows)
+            _accumulate(got, index, rows, np.subtract)
+            assert got.T.tobytes() == expected.tobytes()
 
 
 class TestTripletTerm:
@@ -429,7 +433,7 @@ class TestGrad:
 
 
 class TestKernelOracle:
-    """The column-layout pass against the row-layout reference, byte for byte."""
+    """The blocked pass against the unblocked reference, byte for byte."""
 
     @pytest.mark.parametrize("social", ["none", "trust-pull", "distrust-push", "triplet-margin"])
     @pytest.mark.parametrize("loss", ["hinge", "logistic"])
@@ -472,6 +476,96 @@ class TestKernelOracle:
         ref_value, ref_gU, ref_gV = reference_value_and_grad(model, ratings, store, hp)
         assert value == ref_value and len(pred) == 0
         assert gU.tobytes() == ref_gU.tobytes() and gV.tobytes() == ref_gV.tobytes()
+
+
+BLOCKS = [1, 7, objective._BLOCK_ROWS]
+MARGIN_CASES = [("triplet-margin", loss, convention) for loss in ("hinge", "logistic")
+                for convention in ("figure1", "paper-literal")]
+PLAIN_CASES = [(social, "hinge", "figure1") for social in ("trust-pull", "distrust-push", "none")]
+
+
+def blocked_instance(rng, block, k=3):
+    """A graph, ratings and model; at the default block size, enough ratings
+    and trust edges to fill more than one block, else a small one."""
+    n, m = (150, 70) if block == objective._BLOCK_ROWS else (int(rng.integers(2, 15)), 8)
+    draw = rng.random((n, n)) + 2 * np.eye(n)  # no self-edges
+    graph = SocialGraph.from_edges(n, np.argwhere(draw < 0.25).tolist(),
+                                   np.argwhere((draw >= 0.25) & (draw < 0.5)).tolist())
+    ratings = random_ratings(rng, n, m, density=0.7)
+    model = FactorModel(rng.normal(0, 1, (n, k)), rng.normal(0, 1, (m, k)), k)
+    return graph, ratings, model
+
+
+class TestBlockedPasses:
+    """Rating and edge blocks of any size give the unblocked reference's bytes."""
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("social, loss, convention", MARGIN_CASES + PLAIN_CASES)
+    def test_value_and_grad_equal_reference(self, monkeypatch, block, social, loss, convention):
+        monkeypatch.setattr(objective, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng([block, len(social), len(loss), len(convention)])
+        graph, ratings, model = blocked_instance(rng, block)
+        if block == objective._BLOCK_ROWS:
+            assert ratings.nnz > block and len(graph.trust_edge_array) > block
+        hp = Hyperparams(k=3, lambda_u=0.3, lambda_v=0.2, lambda_s=1.7, alpha=0.6, beta=0.4,
+                         loss=loss, sign_convention=convention, social=social)
+        store = lazy_triplets(graph)
+        value, gU, gV = value_and_grad(model, ratings, store, hp)
+        ref_value, ref_gU, ref_gV = reference_value_and_grad(model, ratings, store, hp)
+        # the hinge margin sum adds per-edge counts, not pairs: another order
+        hinge = social == "triplet-margin" and loss == "hinge"
+        assert value == (pytest.approx(ref_value, rel=1e-12) if hinge else ref_value)
+        assert gU.tobytes() == ref_gU.tobytes() and gV.tobytes() == ref_gV.tobytes()
+        assert objective_value(model, ratings, store, hp) == value
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
+    def test_triplet_batch_gradient_equals_reference(self, monkeypatch, block, loss, convention):
+        monkeypatch.setattr(objective, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng([block, len(loss), len(convention)])
+        graph = blocked_instance(rng, block)[0]
+        hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.0, loss=loss,
+                         sign_convention=convention)
+        store = lazy_triplets(graph)
+        for size in (1, 5, 64, 3 * block + 1):
+            batch = sample_triplets(store, rng, size)
+            U = rng.normal(0, 1, (graph.n, 3))
+            rows = np.arange(size)
+            ref = reference_margin_term(U, batch[:, :2], batch[:, ::2], [(rows, rows)], hp, 0.3)[1]
+            assert triplet_batch_gradient(U, batch, hp, 0.3).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("fit", [fit_gd, fit_sgd])
+    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    def test_fits_do_not_depend_on_the_block_size(self, monkeypatch, fit, loss):
+        rng = np.random.default_rng(len(loss))
+        graph, ratings, _ = blocked_instance(rng, 1)
+        store = lazy_triplets(graph)
+        hp = Hyperparams(k=3, lambda_u=0.1, lambda_v=0.1, lambda_s=0.5, eta0=0.02, epochs=6,
+                         batch_size=min(4, store.total), loss=loss, social="triplet-margin")
+        fits = []
+        for block in BLOCKS:
+            monkeypatch.setattr(objective, "_BLOCK_ROWS", block)
+            model, report = fit(ratings, store, hp, seed=3, eval_every=2)
+            fits.append((model.U.tobytes(), model.V.tobytes(), report.signature()))
+        assert fits[0] == fits[1] == fits[2]
+
+    def test_rating_pass_memory_stays_below_one_gather(self):
+        """One pass with the gradient on 200k ratings (k = 10) holds less than
+        one (N, k) float64 array at a time."""
+        rng = np.random.default_rng(7)
+        n, m, nnz, k = 4000, 2000, 200_000, 10
+        keys = rng.choice(n * m, nnz, replace=False)
+        ratings = SparseRatings(n, m, keys // m, keys % m, rng.integers(1, 6, nnz).astype(float))
+        model = FactorModel(rng.normal(0, 0.1, (n, k)), rng.normal(0, 0.1, (m, k)), k)
+        hp = Hyperparams(k=k, lambda_u=0.1, lambda_v=0.1)
+        tracemalloc.start()
+        try:
+            _objective_pass(model, ratings, None, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nnz * k * 8, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestMarginKernel:
