@@ -37,7 +37,6 @@ from .metrics import (
     RankedList,
     average_precision,
     mae,
-    mean_average_precision,
     ndcg_at_k,
     precision_recall_at_k,
     rmse,
@@ -72,8 +71,8 @@ __all__ = [
     "distrust_tradeoff_run", "evaluate_model", "grid_search",
     "majority_vote_eval", "split_ratings", "synth_generate",
     "load_dataset", "load_model", "load_ratings", "load_social", "save_model",
-    "RankedList", "average_precision", "mae", "mean_average_precision",
-    "ndcg_at_k", "precision_recall_at_k", "rmse",
+    "RankedList", "average_precision", "mae", "ndcg_at_k",
+    "precision_recall_at_k", "rmse",
     "PropagatedSets", "SimilarityCache", "build_propagated_sets",
     "build_similarity_cache", "nb_predict", "nb_predict_many", "pearson",
     "propagate_distrust", "propagate_trust",

@@ -41,12 +41,10 @@ from .fileio import (
     save_social,
     write_csv,
 )
-from .metrics import mae as mae_metric, rmse as rmse_metric
-from .neighborhood import build_propagated_sets, nb_predict_many
+from .metrics import evaluate_predictions, mae as mae_metric, rmse as rmse_metric
+from .neighborhood import VARIANTS, build_propagated_sets, nb_predict_many
 from .optimize import STOP_MAX_ITERS, fit_sgd
 
-MF_METHODS = ("mf", "mf-t", "mf-d", "mf-td")
-NB_METHODS = ("nb", "nb-t", "nb-td-f", "nb-td-d")
 SOCIAL_FOR_METHOD = {
     "mf": "none",
     "mf-t": "trust-pull",
@@ -64,7 +62,7 @@ def _add_data_flags(parser, social=True):
 
 
 def _add_hyper_flags(parser):
-    parser.add_argument("--method", default="mf-td", choices=MF_METHODS + NB_METHODS)
+    parser.add_argument("--method", default="mf-td", choices=(*SOCIAL_FOR_METHOD, *VARIANTS))
     parser.add_argument("--optimizer", default=None, choices=("gd", "sgd"))
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--lambda-u", type=float, default=0.1)
@@ -212,12 +210,6 @@ def _require_graph(bundle, command):
     return bundle.graph
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _mean_std_rows(rows, label, numeric_from):
     """Summary rows: one mean and one std row over the numeric tail columns."""
     if not rows:
@@ -231,9 +223,9 @@ def _mean_std_rows(rows, label, numeric_from):
     return [[label + "-mean"] + pad + means, [label + "-std"] + pad + stds]
 
 
-def _nb_eval(train, test, graph, variant, p, q, cold=False):
-    """(MAE, RMSE) of an nb variant. On a cold-start split (`cold`) no test user
-    has a training rating, so every prediction is the user-mean fallback,
+def _nb_eval(train, test, graph, variant, p, q):
+    """(MAE, RMSE) of an nb variant. When no test user has a training rating,
+    as on a cold-start split, every prediction is the user-mean fallback,
     whatever the pool: the propagated sets are not built."""
     sets = None
     if variant != "nb":
@@ -242,19 +234,18 @@ def _nb_eval(train, test, graph, variant, p, q, cold=False):
         p, q = 1 if p is None else p, 1 if q is None else q
         if min(p, q) < 1:
             raise ValueError("propagation depth must be at least 1")
-        if not cold:
+        if train.user_counts[test.users].any():
             sets = build_propagated_sets(graph, p, q)
     pred = nb_predict_many(train, None, sets, test.users, test.items,
                            "nb" if sets is None else variant)
-    pairs = np.column_stack((test.values, pred))
-    return mae_metric(pairs), rmse_metric(pairs)
+    return evaluate_predictions(test, pred, clamp=False)
 
 
-def _fit_one(train, test, graph, args, method, optimizer, seed, patience=None, cold=False):
-    if method in NB_METHODS:
+def _fit_one(train, test, graph, args, method, optimizer, seed, patience=None):
+    if method in VARIANTS:
         if optimizer is not None:
             print(f"warning: optimizer ignored for {method}", file=sys.stderr)
-        return None, _nb_eval(train, test, graph, method, args.p, args.q, cold)
+        return None, _nb_eval(train, test, graph, method, args.p, args.q)
     if args.p is not None or args.q is not None:
         print(f"warning: propagation depths ignored for {method}", file=sys.stderr)
     hp = _hyperparams(args, method)
@@ -285,8 +276,7 @@ def _check_repeats(value):
 # subcommand bodies
 
 
-def _cmd_synth(args):
-    out = _outdir(args)
+def _cmd_synth(args, out):
     spec = SyntheticSpec(
         n=args.n, m=args.m, rank=args.rank, clusters=args.clusters,
         density=args.density, noise_sigma=args.noise,
@@ -308,11 +298,9 @@ def _cmd_synth(args):
               [[args.n, args.m, ratings.nnz, graph.trust_count, graph.distrust_count, args.seed]])
     print(f"wrote {ratings.nnz} ratings, {graph.trust_count} trust and "
           f"{graph.distrust_count} distrust edges to {out}")
-    return 0
 
 
-def _cmd_fit(args):
-    out = _outdir(args)
+def _cmd_fit(args, out):
     _check_fraction("--train-frac", args.train_frac)
     _check_repeats(args.repeats)
     bundle = _load_bundle(args)
@@ -334,11 +322,9 @@ def _cmd_fit(args):
     mean_rmse = sum(r[4] for r in rows) / len(rows)
     print(f"{args.method}: MAE {mean_mae:.4f}  RMSE {mean_rmse:.4f} "
           f"over {args.repeats} repetition(s); results in {out}")
-    return 0
 
 
-def _cmd_eval(args):
-    out = _outdir(args)
+def _cmd_eval(args, out):
     model_path = Path(args.model)
     model = load_model(model_path)
     user_map = load_id_map(model_path.parent / "user_ids.tsv")
@@ -356,11 +342,9 @@ def _cmd_eval(args):
     write_csv(out / "eval.csv", ["pairs", "skipped", "mae", "rmse"],
               [[len(pairs), skipped, m, r]])
     print(f"MAE {m:.4f}  RMSE {r:.4f} on {len(pairs)} pairs; results in {out}")
-    return 0
 
 
-def _cmd_split(args):
-    out = _outdir(args)
+def _cmd_split(args, out):
     _check_fraction("--train-frac", args.train_frac)
     bundle = load_dataset(args.ratings)
     spec = SplitSpec(args.train_frac, args.seed, args.repeats)
@@ -372,15 +356,13 @@ def _cmd_split(args):
         rows.append([rep, train.nnz, test.nnz])
     write_csv(out / "splits.csv", ["repetition", "train_ratings", "test_ratings"], rows)
     print(f"wrote {args.repeats} split(s) of {bundle.ratings.nnz} ratings to {out}")
-    return 0
 
 
 def _parse_values(raw):
     return [float(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def _cmd_grid(args):
-    out = _outdir(args)
+def _cmd_grid(args, out):
     _check_fraction("--train-frac", args.train_frac)
     _check_fraction("--val-frac", args.val_frac)
     if bool(args.lambda_v_grid) == bool(args.lambda_u_grid):
@@ -403,15 +385,15 @@ def _cmd_grid(args):
     write_csv(out / "grid_best.csv", ["lambda_s", second_param, "val_rmse"], [list(result.best)])
     print(f"best (lambda_s, {second_param}) = ({result.best[0]:g}, {result.best[1]:g}) "
           f"with validation RMSE {result.best[2]:.4f}; surface in {out}")
-    return 0
 
 
-def _cmd_coldstart(args):
-    out = _outdir(args)
+def _cmd_coldstart(args, out):
     _check_fraction("--cold-frac", args.cold_frac)
     _check_repeats(args.repeats)
-    bundle = _load_bundle(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"--methods must name distinct methods, got {args.methods!r}")
+    bundle = _load_bundle(args)
     rows = []
     for method in methods:
         for rep in range(args.repeats):
@@ -420,7 +402,7 @@ def _cmd_coldstart(args):
             if test.nnz == 0:
                 raise ValueError("cold-start test side is empty")
             _, (m, r) = _fit_one(train, test, bundle.graph, args, method,
-                                 args.optimizer, args.seed + rep, cold=True)
+                                 args.optimizer, args.seed + rep)
             rows.append([method, rep, args.seed + rep, m, r])
     csv_rows = []
     for method in methods:
@@ -433,28 +415,20 @@ def _cmd_coldstart(args):
         print(f"{method}: cold-user RMSE mean {sum(vals)/len(vals):.4f} "
               f"over {args.repeats} repetition(s)")
     print(f"results in {out}")
-    return 0
 
 
-def _cmd_consistency(args):
-    out = _outdir(args)
+def _cmd_consistency(args, out):
     bundle = _load_bundle(args)
     graph = _require_graph(bundle, "consistency")
     result = consistency_eval(bundle.ratings, graph, args.relation)
     header = ["bin", "users", "ndcg@10", "ndcg@20", "recall@10", "recall@20", "recall@40", "map"]
-    rows = [
-        [label, agg["users"], agg["ndcg@10"], agg["ndcg@20"],
-         agg["recall@10"], agg["recall@20"], agg["recall@40"], agg["map"]]
-        for label, agg in sorted(result.bins.items())
-    ]
+    rows = [[label, *map(agg.get, header[1:])] for label, agg in sorted(result.bins.items())]
     write_csv(out / "consistency.csv", header, rows)
     print(f"{args.relation} alignment over {sum(a['users'] for a in result.bins.values())} "
           f"users in {len(result.bins)} bins; results in {out}")
-    return 0
 
 
-def _cmd_majority_vote(args):
-    out = _outdir(args)
+def _cmd_majority_vote(args, out):
     _check_fraction("--holdout-frac", args.holdout_frac)
     bundle = _load_bundle(args)
     graph = _require_graph(bundle, "majority-vote")
@@ -464,14 +438,10 @@ def _cmd_majority_vote(args):
               [list(row) for row in result.rows])
     acc = "n/a" if result.accuracy is None else f"{100 * result.accuracy:.2f}%"
     print(f"majority-vote accuracy {acc} over {result.n_heldout} held-out edges; results in {out}")
-    return 0
 
 
-def _cmd_tradeoff(args):
-    out = _outdir(args)
+def _cmd_tradeoff(args, out):
     _check_fraction("--train-frac", args.train_frac)
-    if not 0.0 <= args.trust_keep <= 1.0:
-        raise ValueError("--trust-keep must lie in [0, 1]")
     bundle = _load_bundle(args)
     graph = _require_graph(bundle, "tradeoff")
     hp = _hyperparams(args, "mf-td")
@@ -484,12 +454,14 @@ def _cmd_tradeoff(args):
               ["method", "trust_fraction", "distrust_fraction", "mae", "rmse"],
               [list(row) for row in result.rows])
     print(f"swept {len(fractions)} distrust fractions; results in {out}")
-    return 0
 
 
-def _cmd_batch_study(args):
-    out = _outdir(args)
+def _cmd_batch_study(args, out):
     _check_fraction("--train-frac", args.train_frac)
+    sizes = [int(tok) if tok.strip().isdecimal() else 0
+             for tok in args.batch_sizes.split(",") if tok.strip()]
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"--batch-sizes must list positive integers, got {args.batch_sizes!r}")
     bundle = _load_bundle(args)
     graph = _require_graph(bundle, "batch-study")
     train, test = split_ratings(bundle.ratings, SplitSpec(args.train_frac, args.seed, 1))
@@ -499,15 +471,14 @@ def _cmd_batch_study(args):
     _, report = fit_method(train, store, hp, "gd", validation=test, seed=args.seed)
     for rec in report.records:
         rows.append(["gd", store.total, rec.iteration, rec.val_rmse, rec.val_mae])
-    for batch in [int(b) for b in _parse_values(args.batch_sizes)]:
+    for batch in sizes:
         hp_b = hp.replace(batch_size=batch)
         _, report = fit_sgd(train, store, hp_b, validation=test, seed=args.seed)
         for rec in report.records:
             rows.append([f"sgd-{batch}", batch, rec.iteration, rec.val_rmse, rec.val_mae])
     write_csv(out / "batch_study.csv",
               ["optimizer", "batch_size", "iteration", "test_rmse", "test_mae"], rows)
-    print(f"batch study with {len(_parse_values(args.batch_sizes))} batch sizes; results in {out}")
-    return 0
+    print(f"batch study with {len(sizes)} batch sizes; results in {out}")
 
 
 COMMANDS = {
@@ -531,7 +502,10 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return COMMANDS[args.command](args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        COMMANDS[args.command](args, out)
+        return 0
     except (ValueError, OSError, IndexError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,7 @@ read-only) except FactorModel, which is mutated by exactly one fit at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -81,9 +81,6 @@ class SparseRatings:
     @property
     def nnz(self) -> int:
         return len(self.values)
-
-    def entries(self):
-        return list(zip(self.users.tolist(), self.items.tolist(), self.values.tolist()))
 
     @cached_property
     def global_mean(self) -> float:
@@ -425,5 +422,4 @@ class Hyperparams:
             raise ValueError(f"social must be one of {SOCIAL_TERMS}")
 
     def replace(self, **kw) -> "Hyperparams":
-        from dataclasses import replace as _replace
-        return _replace(self, **kw)
+        return replace(self, **kw)

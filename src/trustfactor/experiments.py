@@ -126,7 +126,6 @@ def fit_method(train: SparseRatings, store: TripletStore | None, hp: Hyperparams
 
 @dataclass
 class GridResult:
-    param_names: tuple
     rows: list              # (value_a, value_b, validation_rmse)
     best: tuple             # (value_a, value_b, validation_rmse)
 
@@ -160,7 +159,7 @@ def grid_search(train: SparseRatings, validation: SparseRatings,
 
     rows = _map_tasks(run_point, points)
     best = min(rows, key=lambda r: (r[2], r[0], r[1]))
-    return GridResult(("lambda_s", second_param), rows, best)
+    return GridResult(rows, best)
 
 
 # ---------------------------------------------------------------------------
@@ -352,36 +351,33 @@ def distrust_tradeoff_run(ratings: SparseRatings, graph: SocialGraph, hp: Hyperp
                           seed: int = 0) -> TradeoffResult:
     """Fix a trust subsample, sweep growing distrust subsets, and fit the
     margin model at each point against a fixed train/test split. The full
-    trust graph under the trust-pull model is fitted once as the reference
-    row. Distrust subsets are nested so the sweep isolates the added edges.
+    trust graph under the trust-pull model is fitted as the reference row.
+    Distrust subsets are nested so the sweep isolates the added edges. Every
+    fraction must lie in [0, 1].
     """
+    fractions = list(distrust_fractions)
+    bad = [f for f in (trust_keep, *fractions) if not 0.0 <= f <= 1.0]
+    if bad:
+        raise ValueError(f"trust_keep and distrust fractions must lie in [0, 1], got {bad[0]}")
     train, test = split_ratings(ratings, SplitSpec(train_fraction, seed, 1))
     trust_edges, distrust_edges = graph.trust_edge_array, graph.distrust_edge_array
     trust_order = substream(seed, "sweep:trust").permutation(len(trust_edges))
     kept_trust = trust_edges[np.sort(trust_order[:int(round(trust_keep * len(trust_edges)))])]
     distrust_order = substream(seed, "sweep:distrust").permutation(len(distrust_edges))
 
-    rows = []
-
-    def run_fraction(fraction):
-        count = int(round(fraction * len(distrust_edges)))
-        kept = distrust_edges[np.sort(distrust_order[:count])]
-        sub = SocialGraph.from_edges(graph.n, kept_trust, kept)
-        store = lazy_triplets(sub)
-        point_hp = hp.replace(social="triplet-margin")
+    def run(trust, distrust_count, social):
+        distrust = distrust_edges[np.sort(distrust_order[:distrust_count])]
+        store = lazy_triplets(SocialGraph.from_edges(graph.n, trust, distrust))
+        point_hp = hp.replace(social=social)
         model, _ = fit_method(train, store, point_hp, optimizer, seed=seed)
-        m, r = evaluate_model(model, test, point_hp.clamp_predictions)
-        return ("mf-td", trust_keep, float(fraction), m, r)
+        return evaluate_model(model, test, point_hp.clamp_predictions)
 
-    rows.extend(_map_tasks(run_fraction, [(f,) for f in distrust_fractions]))
-
-    full_trust = SocialGraph.from_edges(graph.n, trust_edges, [])
-    ref_hp = hp.replace(social="trust-pull")
-    ref_store = lazy_triplets(full_trust)
-    ref_model, _ = fit_method(train, ref_store, ref_hp, optimizer, seed=seed)
-    m, r = evaluate_model(ref_model, test, ref_hp.clamp_predictions)
-    rows.append(("mf-t", 1.0, 0.0, m, r))
-    return TradeoffResult(rows)
+    sweep = [(kept_trust, int(round(f * len(distrust_edges))), "triplet-margin")
+             for f in fractions]
+    *points, reference = _map_tasks(run, sweep + [(trust_edges, 0, "trust-pull")])
+    return TradeoffResult([("mf-td", trust_keep, float(f), *point)
+                           for f, point in zip(fractions, points)]
+                          + [("mf-t", 1.0, 0.0, *reference)])
 
 
 # ---------------------------------------------------------------------------

@@ -379,16 +379,9 @@ def format_number(value) -> str:
     """Locale-independent numeric formatting at 6 significant digits."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    value = float(value)
-    if value != value:
-        return "nan"
-    if value in (float("inf"), float("-inf")):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.6g}"
+    return f"{float(value):.6g}"
 
 
 def write_csv(path, header, rows):

@@ -90,14 +90,6 @@ def average_precision(ranked: RankedList) -> float:
     return acc / ranked.total_relevant
 
 
-def mean_average_precision(ranked_lists) -> float:
-    """Mean AP over lists, skipping those with zero relevant candidates."""
-    values = [average_precision(r) for r in ranked_lists if r.total_relevant > 0]
-    if not values:
-        raise ValueError("no list has a relevant candidate")
-    return sum(values) / len(values)
-
-
 def ndcg_at_k(ranked: RankedList, k: int) -> float:
     """Gain (2^r - 1) with natural-log position discount, normalized by the
     ideal reordering; 0 when the ideal DCG is 0."""

@@ -275,21 +275,13 @@ def propagate_distrust(graph: SocialGraph, q: int):
 @dataclass(frozen=True, eq=False)
 class PropagatedSets:
     """Propagated trust and distrust keys (n = graph.n) plus the source graph,
-    with the per-user sets and the pools of the distrust variants as views."""
+    with the pool keys of the distrust variants as views."""
 
     graph: SocialGraph
     trust_keys: np.ndarray
     distrust_keys: np.ndarray
     p: int
     q: int
-
-    @cached_property
-    def trusted(self) -> tuple:
-        return tuple(map(frozenset, _by_user(self.trust_keys, self.graph.n)))
-
-    @cached_property
-    def distrusted(self) -> tuple:
-        return tuple(map(frozenset, _by_user(self.distrust_keys, self.graph.n)))
 
     @cached_property
     def filtered_keys(self) -> np.ndarray:

@@ -4,13 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trustfactor import neighborhood
+from trustfactor import experiments, neighborhood
 from trustfactor.data import (
     FactorModel,
     Hyperparams,
     SocialGraph,
     SparseRatings,
     extract_triplets,
+    lazy_triplets,
 )
 from trustfactor.experiments import (
     SplitSpec,
@@ -19,6 +20,7 @@ from trustfactor.experiments import (
     consistency_eval,
     distrust_tradeoff_run,
     evaluate_model,
+    fit_method,
     grid_search,
     majority_vote_eval,
     split_ratings,
@@ -324,6 +326,41 @@ class TestTradeoff:
             ratings, graph, hp, distrust_fractions=(0.0,), seed=0)
         methods = [row[0] for row in result.rows]
         assert methods == ["mf-td", "mf-t"]
+
+    def test_reference_row_is_a_trust_pull_fit_on_the_full_trust_graph(self):
+        ratings, graph, _ = small_synth(seed=4)
+        hp = Hyperparams(k=2, eta0=0.02, epochs=15, lambda_s=1.0, social="triplet-margin")
+        for optimizer in ("gd", "sgd"):
+            result = distrust_tradeoff_run(ratings, graph, hp, trust_keep=0.5,
+                                           distrust_fractions=(0.5,), optimizer=optimizer,
+                                           seed=3)
+            train, test = split_ratings(ratings, SplitSpec(0.9, 3, 1))
+            full_trust = SocialGraph.from_edges(graph.n, graph.trust_edge_array, [])
+            model, _ = fit_method(train, lazy_triplets(full_trust),
+                                  hp.replace(social="trust-pull"), optimizer, seed=3)
+            assert result.rows[-1] == ("mf-t", 1.0, 0.0, *evaluate_model(model, test))
+
+    @pytest.mark.parametrize("keep, fractions", [
+        (0.9, (-0.5, 1.5)), (0.9, (0.5, 1.5)), (0.9, (-0.1,)), (0.9, (float("nan"),)),
+        (1.5, (0.5,)), (-0.1, (0.5,)), (float("nan"), (0.5,))])
+    def test_fractions_outside_the_unit_interval_rejected(self, keep, fractions, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point was fitted before the check")
+
+        monkeypatch.setattr(experiments, "fit_method", refuse)
+        ratings, graph, _ = small_synth(seed=1)
+        hp = Hyperparams(k=2, epochs=2, social="triplet-margin")
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got"):
+            distrust_tradeoff_run(ratings, graph, hp, trust_keep=keep,
+                                  distrust_fractions=fractions)
+
+    def test_unit_interval_ends_accepted(self):
+        ratings, graph, _ = small_synth(seed=1)
+        hp = Hyperparams(k=2, epochs=2, social="triplet-margin")
+        result = distrust_tradeoff_run(ratings, graph, hp, trust_keep=1.0,
+                                       distrust_fractions=(0.0, 1.0))
+        assert [row[:3] for row in result.rows] == [
+            ("mf-td", 1.0, 0.0), ("mf-td", 1.0, 1.0), ("mf-t", 1.0, 0.0)]
 
     def test_synthetic_sweep_improves_with_distrust(self):
         wins = 0

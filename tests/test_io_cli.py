@@ -10,6 +10,7 @@ import trustfactor
 from trustfactor import cli, data, experiments, fileio
 from trustfactor.cli import run_cli
 from trustfactor.data import FactorModel, SocialGraph, SparseRatings, extract_triplets, init_model
+from trustfactor.experiments import cold_start_split
 from trustfactor.fileio import (
     IdMap,
     load_dataset,
@@ -23,6 +24,8 @@ from trustfactor.fileio import (
     save_social,
     format_number,
 )
+from trustfactor.metrics import evaluate_predictions
+from trustfactor.neighborhood import build_propagated_sets, nb_predict_many
 
 from conftest import random_graph
 
@@ -702,6 +705,33 @@ class TestFormatNumber:
         assert format_number(3) == "3"
         assert format_number(None) == ""
 
+    @staticmethod
+    def branchy_format_number(value):
+        """format_number with its former bool, NaN and infinity branches: the
+        oracle for the shorter one."""
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return str(int(value))
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        value = float(value)
+        if value != value:
+            return "nan"
+        if value in (float("inf"), float("-inf")):
+            return "inf" if value > 0 else "-inf"
+        return f"{value:.6g}"
+
+    def test_matches_the_branchy_oracle(self):
+        values = [None, True, False, np.bool_(True), np.bool_(False), 0, 1, -7, 10**6,
+                  10**15, 10**20, -10**20, np.int64(-(2**63)), np.int32(5), np.uint8(255),
+                  0.0, -0.0, 1.5, -2.25e-300, 1e300, 123456.5, 1234567.0, 1 / 3,
+                  np.float32(0.1), np.float32(-3.0e38), np.float64(2.5e-7),
+                  float("nan"), -float("nan"), np.float32("nan"),
+                  float("inf"), float("-inf"), np.float32("-inf")]
+        for value in values:
+            assert format_number(value) == self.branchy_format_number(value), repr(value)
+
 
 def _synth_dir(tmp_path, seed=0):
     out = tmp_path / f"synth{seed}"
@@ -942,6 +972,21 @@ class TestCli:
                         "--out", str(tmp_path / "alone")]) == 1
         assert capsys.readouterr().err == "error: nb-t needs a social graph\n"
 
+    @pytest.mark.parametrize("variant", ["nb", "nb-t", "nb-td-f", "nb-td-d"])
+    def test_nb_eval_matches_always_built_sets(self, tmp_path, variant):
+        # the skip of propagation for test users without training ratings
+        # changes no byte against a pass that always builds the sets
+        ratings, social = self.nb_golden_inputs(tmp_path)[1:4:2]
+        bundle = load_dataset(ratings, social_path=social)
+        splits = [cold_start_split(bundle.ratings, 0.2, 2, rep)[:2] for rep in range(2)]
+        splits += [experiments.split_ratings(bundle.ratings, experiments.SplitSpec(0.9, seed, 1))
+                   for seed in range(2)]
+        for train, test in splits:
+            sets = None if variant == "nb" else build_propagated_sets(bundle.graph, 2, 2)
+            pred = nb_predict_many(train, None, sets, test.users, test.items, variant)
+            expected = evaluate_predictions(test, pred, clamp=False)
+            assert cli._nb_eval(train, test, bundle.graph, variant, 2, 2) == expected
+
     def test_split_deterministic(self, tmp_path):
         out = _synth_dir(tmp_path)
         args = ["split", "--ratings", str(out / "ratings.tsv"),
@@ -1000,6 +1045,41 @@ class TestCli:
         ]) == 0
         rows = read_csv(tmp_path / "t" / "tradeoff.csv")
         assert [r[0] for r in rows[1:]] == ["mf-td", "mf-td", "mf-t"]
+
+    @pytest.mark.parametrize("bad", [["--distrust-fracs=-0.5,1.5"], ["--distrust-fracs", "0.5,1.5"],
+                                     ["--distrust-fracs", "nan"], ["--trust-keep", "1.5"]])
+    def test_tradeoff_rejects_fractions_outside_the_unit_interval(self, tmp_path, capsys, bad):
+        out = _synth_dir(tmp_path)
+        code = run_cli(["tradeoff", "--ratings", str(out / "ratings.tsv"),
+                        "--social", str(out / "social.tsv"), "--epochs", "2", *bad,
+                        "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must lie in [0, 1], got" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "t" / "tradeoff.csv").exists()
+
+    @pytest.mark.parametrize("sizes", ["1.7", "", ",", "1,x", "8,2.0", "0", "4,-1"])
+    def test_batch_study_rejects_non_positive_integer_or_empty_sizes(self, tmp_path, capsys, sizes):
+        out = _synth_dir(tmp_path)
+        code = run_cli(["batch-study", "--ratings", str(out / "ratings.tsv"),
+                        "--social", str(out / "social.tsv"), "--epochs", "2",
+                        "--batch-sizes", sizes, "--out", str(tmp_path / "bs")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --batch-sizes must list positive integers, got {sizes!r}\n")
+        assert not (tmp_path / "bs" / "batch_study.csv").exists()
+
+    @pytest.mark.parametrize("methods", ["mf,mf", "mf, mf-td,mf", ",", ""])
+    def test_coldstart_rejects_repeated_or_empty_methods(self, tmp_path, capsys, methods):
+        out = _synth_dir(tmp_path)
+        code = run_cli(["coldstart", "--ratings", str(out / "ratings.tsv"),
+                        "--social", str(out / "social.tsv"), "--epochs", "2",
+                        "--methods", methods, "--out", str(tmp_path / "cold")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --methods must name distinct methods, got {methods!r}\n")
+        assert not (tmp_path / "cold" / "coldstart.csv").exists()
 
     def test_tradeoff_rerun_byte_identical(self, tmp_path):
         out = _synth_dir(tmp_path)

@@ -7,7 +7,6 @@ from trustfactor.metrics import (
     RankedList,
     average_precision,
     mae,
-    mean_average_precision,
     ndcg_at_k,
     precision_recall_at_k,
     rmse,
@@ -78,10 +77,6 @@ class TestAveragePrecision:
     def test_zero_relevant_raises(self):
         with pytest.raises(ValueError):
             average_precision(RankedList((0, 0)))
-
-    def test_map_skips_zero_relevant(self):
-        lists = [RankedList((1,)), RankedList((0,)), RankedList((0, 1))]
-        assert mean_average_precision(lists) == pytest.approx((1.0 + 0.5) / 2)
 
     def test_invariant_to_nonrelevant_tail(self):
         # AP only sees relevant positions: padding with non-relevant

@@ -288,8 +288,8 @@ class TestFrontierPropagation:
                 for q in range(1, 4):
                     sets = build_propagated_sets(g, p, q)
                     trusted, distrusted = bfs_trust(g, p), loop_distrust(g, q)
-                    assert sets.trusted == tuple(map(frozenset, trusted))
-                    assert sets.distrusted == tuple(map(frozenset, distrusted))
+                    assert sets.trust_keys.tolist() == pair_keys(trusted, g.n)
+                    assert sets.distrust_keys.tolist() == pair_keys(distrusted, g.n)
                     for u in range(g.n):
                         pool = partial(neighbor_pool, None, sets, u)
                         assert pool("nb-t") == trusted[u]
@@ -302,6 +302,11 @@ class TestFrontierPropagation:
                      lambda: build_propagated_sets(g, 1, 0), lambda: build_propagated_sets(g, 0)):
             with pytest.raises(ValueError, match="propagation depth must be at least 1"):
                 call()
+
+
+def pair_keys(per_user, n):
+    """Sorted u * n + v keys of one set of users v per user u."""
+    return [u * n + v for u, others in enumerate(per_user) for v in sorted(others)]
 
 
 def six_user_graph():
@@ -319,9 +324,10 @@ def six_user_graph():
 
 class TestPools:
     def test_manual_enumeration(self):
-        sets = build_propagated_sets(six_user_graph(), p=3, q=2)
-        assert sets.trusted[0] == {1, 2, 3}
-        assert sets.distrusted[0] == {2, 4}
+        g = six_user_graph()
+        sets = build_propagated_sets(g, p=3, q=2)
+        assert propagate_trust(g, 3)[0] == {1, 2, 3}
+        assert propagate_distrust(g, 2)[0] == {2, 4}
         sims = build_similarity_cache(
             SparseRatings(6, 1, [], [], []), min_co=1)
         # filter removes the whole propagated distrust set
@@ -340,8 +346,8 @@ class TestPools:
             distrust_edges=[(5, 2)],
         )
         sets = build_propagated_sets(g, p=2, q=2)
-        assert sets.trusted[0] == {1, 2, 5}
-        assert sets.distrusted[0] == {2}
+        assert propagate_trust(g, 2)[0] == {1, 2, 5}
+        assert propagate_distrust(g, 2)[0] == {2}
         sims = build_similarity_cache(SparseRatings(6, 1, [], [], []))
         assert neighbor_pool(sims, sets, 0, "nb-td-f") == {1, 5}
         assert neighbor_pool(sims, sets, 0, "nb-td-d") == {1, 2, 5}
@@ -374,7 +380,8 @@ def dict_nb_predict(ratings, sims, sets, u, i, variant, ascending=False):
     order or, with `ascending`, in ascending neighbor order: the reference
     for the batched predictor."""
     by_user = [{} for _ in range(ratings.n)]
-    for v, item, value in ratings.entries():
+    for v, item, value in zip(ratings.users.tolist(), ratings.items.tolist(),
+                              ratings.values.tolist()):
         by_user[v][item] = value
     num = 0.0
     den = 0.0
