@@ -16,8 +16,6 @@ from .data import (
     init_model,
     lazy_triplets,
     predict_many,
-    predict_rating,
-    sample_triplet,
     sample_triplets,
 )
 from .experiments import (
@@ -32,15 +30,8 @@ from .experiments import (
     split_ratings,
     synth_generate,
 )
-from .fileio import load_dataset, load_model, load_ratings, load_social, save_model
-from .metrics import (
-    RankedList,
-    average_precision,
-    mae,
-    ndcg_at_k,
-    precision_recall_at_k,
-    rmse,
-)
+from .fileio import load_dataset, load_model, save_model
+from .metrics import RankedList, average_precision, mae, ndcg_at_k, rmse
 from .neighborhood import (
     PropagatedSets,
     SimilarityCache,
@@ -48,34 +39,22 @@ from .neighborhood import (
     build_similarity_cache,
     nb_predict,
     nb_predict_many,
-    pearson,
-    propagate_distrust,
-    propagate_trust,
 )
-from .objective import (
-    grad,
-    loss_value,
-    objective_value,
-    trace_identity_check,
-    triplet_term,
-)
+from .objective import grad, objective_value, trace_identity_check
 from .optimize import FitReport, StepSchedule, early_stop_monitor, fit_gd, fit_sgd
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FactorModel", "Hyperparams", "SocialGraph", "SparseRatings", "TripletStore",
-    "extract_triplets", "init_model", "lazy_triplets", "predict_many",
-    "predict_rating", "sample_triplet", "sample_triplets",
+    "extract_triplets", "init_model", "lazy_triplets", "predict_many", "sample_triplets",
     "SplitSpec", "SyntheticSpec", "cold_start_split", "consistency_eval",
     "distrust_tradeoff_run", "evaluate_model", "grid_search",
     "majority_vote_eval", "split_ratings", "synth_generate",
-    "load_dataset", "load_model", "load_ratings", "load_social", "save_model",
-    "RankedList", "average_precision", "mae", "ndcg_at_k",
-    "precision_recall_at_k", "rmse",
+    "load_dataset", "load_model", "save_model",
+    "RankedList", "average_precision", "mae", "ndcg_at_k", "rmse",
     "PropagatedSets", "SimilarityCache", "build_propagated_sets",
-    "build_similarity_cache", "nb_predict", "nb_predict_many", "pearson",
-    "propagate_distrust", "propagate_trust",
-    "grad", "loss_value", "objective_value", "trace_identity_check", "triplet_term",
+    "build_similarity_cache", "nb_predict", "nb_predict_many",
+    "grad", "objective_value", "trace_identity_check",
     "FitReport", "StepSchedule", "early_stop_monitor", "fit_gd", "fit_sgd",
 ]

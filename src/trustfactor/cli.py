@@ -41,7 +41,7 @@ from .fileio import (
     save_social,
     write_csv,
 )
-from .metrics import evaluate_predictions, mae as mae_metric, rmse as rmse_metric
+from .metrics import evaluate_predictions, left_sum, mae as mae_metric, rmse as rmse_metric
 from .neighborhood import VARIANTS, build_propagated_sets, nb_predict_many
 from .optimize import STOP_MAX_ITERS, fit_sgd
 
@@ -217,7 +217,7 @@ def _mean_std_rows(rows, label, numeric_from):
     means, stds = [], []
     for col in range(numeric_from, len(rows[0])):
         values = [row[col] for row in rows if row[col] is not None]
-        means.append(sum(values) / len(values) if values else None)
+        means.append(left_sum(values) / len(values) if values else None)
         stds.append(statistics.pstdev(values) if len(values) > 1 else 0.0 if values else None)
     pad = [""] * (numeric_from - 1)
     return [[label + "-mean"] + pad + means, [label + "-std"] + pad + stds]
@@ -267,9 +267,27 @@ def _check_fraction(name, value, lo=0.0, hi=1.0):
         raise ValueError(f"{name} must lie strictly between {lo} and {hi}, got {value}")
 
 
-def _check_repeats(value):
-    if value < 1:
-        raise ValueError(f"--repeats must be at least 1, got {value}")
+def _check_at_least(name, value, lo):
+    if value is not None and value < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {value}")
+
+
+def _value_list(name, raw, what, convert=float):
+    """The values of a comma-separated list flag, blank entries skipped; one
+    error line when one does not convert, or the list is empty or repeats."""
+    try:
+        values = [convert(tok.strip()) for tok in raw.split(",") if tok.strip()]
+    except ValueError:
+        values = []
+    if not values or len(set(values)) < len(values):
+        raise ValueError(f"{name} must {what}, got {raw!r}")
+    return values
+
+
+def _positive_int(token):
+    if not token.isdecimal() or int(token) < 1:
+        raise ValueError(token)
+    return int(token)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +320,8 @@ def _cmd_synth(args, out):
 
 def _cmd_fit(args, out):
     _check_fraction("--train-frac", args.train_frac)
-    _check_repeats(args.repeats)
+    _check_at_least("--repeats", args.repeats, 1)
+    _check_at_least("--patience", args.patience, 0)
     bundle = _load_bundle(args)
     rows = []
     model = None
@@ -318,8 +337,8 @@ def _cmd_fit(args, out):
         save_model(model, out / "model.bin")
         save_id_map(out / "user_ids.tsv", bundle.user_map)
         save_id_map(out / "item_ids.tsv", bundle.item_map)
-    mean_mae = sum(r[3] for r in rows) / len(rows)
-    mean_rmse = sum(r[4] for r in rows) / len(rows)
+    mean_mae = left_sum(r[3] for r in rows) / len(rows)
+    mean_rmse = left_sum(r[4] for r in rows) / len(rows)
     print(f"{args.method}: MAE {mean_mae:.4f}  RMSE {mean_rmse:.4f} "
           f"over {args.repeats} repetition(s); results in {out}")
 
@@ -358,18 +377,15 @@ def _cmd_split(args, out):
     print(f"wrote {args.repeats} split(s) of {bundle.ratings.nnz} ratings to {out}")
 
 
-def _parse_values(raw):
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
-
-
 def _cmd_grid(args, out):
     _check_fraction("--train-frac", args.train_frac)
     _check_fraction("--val-frac", args.val_frac)
     if bool(args.lambda_v_grid) == bool(args.lambda_u_grid):
         raise ValueError("provide exactly one of --lambda-v-grid / --lambda-u-grid")
     second_param = "lambda_v" if args.lambda_v_grid else "lambda_u"
-    second_values = _parse_values(args.lambda_v_grid or args.lambda_u_grid)
-    ls_values = _parse_values(args.lambda_s_grid)
+    second_values = _value_list(f"--{second_param.replace('_', '-')}-grid",
+                                args.lambda_v_grid or args.lambda_u_grid, "list distinct numbers")
+    ls_values = _value_list("--lambda-s-grid", args.lambda_s_grid, "list distinct numbers")
     bundle = _load_bundle(args)
     graph = _require_graph(bundle, "grid")
     train_all, _ = split_ratings(
@@ -389,10 +405,8 @@ def _cmd_grid(args, out):
 
 def _cmd_coldstart(args, out):
     _check_fraction("--cold-frac", args.cold_frac)
-    _check_repeats(args.repeats)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods or len(set(methods)) < len(methods):
-        raise ValueError(f"--methods must name distinct methods, got {args.methods!r}")
+    _check_at_least("--repeats", args.repeats, 1)
+    methods = _value_list("--methods", args.methods, "name distinct methods", str)
     bundle = _load_bundle(args)
     rows = []
     for method in methods:
@@ -412,7 +426,7 @@ def _cmd_coldstart(args, out):
               ["method", "repetition", "seed", "mae", "rmse"], csv_rows)
     for method in methods:
         vals = [row[4] for row in rows if row[0] == method]
-        print(f"{method}: cold-user RMSE mean {sum(vals)/len(vals):.4f} "
+        print(f"{method}: cold-user RMSE mean {left_sum(vals)/len(vals):.4f} "
               f"over {args.repeats} repetition(s)")
     print(f"results in {out}")
 
@@ -424,7 +438,8 @@ def _cmd_consistency(args, out):
     header = ["bin", "users", "ndcg@10", "ndcg@20", "recall@10", "recall@20", "recall@40", "map"]
     rows = [[label, *map(agg.get, header[1:])] for label, agg in sorted(result.bins.items())]
     write_csv(out / "consistency.csv", header, rows)
-    print(f"{args.relation} alignment over {sum(a['users'] for a in result.bins.values())} "
+    users = np.sum([agg["users"] for agg in result.bins.values()], dtype=np.int64)
+    print(f"{args.relation} alignment over {users} "
           f"users in {len(result.bins)} bins; results in {out}")
 
 
@@ -445,7 +460,7 @@ def _cmd_tradeoff(args, out):
     bundle = _load_bundle(args)
     graph = _require_graph(bundle, "tradeoff")
     hp = _hyperparams(args, "mf-td")
-    fractions = _parse_values(args.distrust_fracs)
+    fractions = _value_list("--distrust-fracs", args.distrust_fracs, "list distinct numbers")
     result = distrust_tradeoff_run(
         bundle.ratings, graph, hp, trust_keep=args.trust_keep,
         distrust_fractions=fractions, train_fraction=args.train_frac,
@@ -458,10 +473,8 @@ def _cmd_tradeoff(args, out):
 
 def _cmd_batch_study(args, out):
     _check_fraction("--train-frac", args.train_frac)
-    sizes = [int(tok) if tok.strip().isdecimal() else 0
-             for tok in args.batch_sizes.split(",") if tok.strip()]
-    if not sizes or min(sizes) < 1:
-        raise ValueError(f"--batch-sizes must list positive integers, got {args.batch_sizes!r}")
+    sizes = _value_list("--batch-sizes", args.batch_sizes, "list distinct positive integers",
+                        _positive_int)
     bundle = _load_bundle(args)
     graph = _require_graph(bundle, "batch-study")
     train, test = split_ratings(bundle.ratings, SplitSpec(args.train_frac, args.seed, 1))

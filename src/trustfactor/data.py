@@ -11,6 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .keys import member, ranges, stable_order
 from .seeding import substream
 
 MATERIALIZED = "materialized"
@@ -105,7 +106,7 @@ class SparseRatings:
     def by_item(self) -> tuple:
         """Item-major view (users, values, offsets): the entries sorted by (item,
         user) in one packed sort, item i's raters being users[offsets[i]:offsets[i + 1]]."""
-        order = _stable_order(self.items * self.n + self.users, self.m * self.n)
+        order = stable_order(self.items * self.n + self.users, self.m * self.n)
         offsets = np.concatenate(([0], np.cumsum(np.bincount(self.items, minlength=self.m))))
         return (_frozen_array(self.users[order], np.int64),
                 _frozen_array(self.values[order], np.float64), _frozen_array(offsets, np.int64))
@@ -158,7 +159,7 @@ class SocialGraph:
             if len(repeated):
                 raise ValueError(f"duplicate neighbor for user {repeated[0] // self.n}")
             keys.append(key)
-        common = np.intersect1d(*keys, assume_unique=True)
+        common = keys[0][member(keys[1], keys[0])]
         if len(common):
             u = common[0] // self.n
             both_ways = set((common[common // self.n == u] % self.n).tolist())
@@ -181,7 +182,7 @@ class SocialGraph:
                 raise ValueError(f"{sign} edge ({u}, {v}): source index {u} out of range")
             degrees = np.bincount(edges[:, 0], minlength=n)
             csr += [np.concatenate(([0], np.cumsum(degrees))),
-                    edges[_stable_order(edges[:, 0], n), 1]]
+                    edges[stable_order(edges[:, 0], n), 1]]
         return cls(n, *csr)
 
     @cached_property
@@ -214,22 +215,6 @@ class SocialGraph:
 def _edge_array(offsets, targets):
     sources = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
     return _frozen_array(np.column_stack((sources, targets)), np.int64)
-
-
-def _stable_order(keys, bound):
-    """np.argsort(keys, kind="stable") of int64 keys in [0, bound), from one
-    np.sort of keys << b | position with b the bit length of len(keys) - 1,
-    several times faster; the stable argsort where that would overflow int64."""
-    b = max(len(keys) - 1, 0).bit_length()
-    if int(bound) << b > 1 << 63:
-        return np.argsort(keys, kind="stable")
-    return np.sort(keys << b | np.arange(len(keys))) & ((1 << b) - 1)
-
-
-def _ranges(starts, lengths):
-    """Concatenation of arange(s, s + l) over paired starts s and lengths l."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +254,7 @@ def extract_triplets(graph: SocialGraph) -> TripletStore:
     sources, targets = graph.trust_edge_array.T
     reps = np.diff(offsets)[sources]
     rows = np.column_stack((np.repeat(sources, reps), np.repeat(targets, reps),
-                            graph.distrust_targets[_ranges(offsets[sources], reps)]))
+                            graph.distrust_targets[ranges(offsets[sources], reps)]))
     counts = np.diff(graph.trust_offsets) * np.diff(offsets)
     return TripletStore(MATERIALIZED, graph, counts, len(rows), rows)
 
@@ -298,12 +283,6 @@ def sample_triplets(store: TripletStore, rng: np.random.Generator, size: int) ->
     j, k = np.divmod(t - ends[users] + store.counts[users], g.distrust_offsets[users + 1] - minus)
     return np.column_stack((users, g.trust_targets[g.trust_offsets[users] + j],
                             g.distrust_targets[minus + k]))
-
-
-def sample_triplet(store: TripletStore, rng: np.random.Generator):
-    """Single uniform draw; see sample_triplets."""
-    i, j, k = sample_triplets(store, rng, 1)[0]
-    return int(i), int(j), int(k)
 
 
 @dataclass
@@ -342,19 +321,6 @@ def init_model(n: int, m: int, k: int, seed: int = 0, scale: float = INIT_SCALE)
     """Gaussian init, mean 0 and small scale, from the named 'init' stream."""
     rng = substream(seed, "init")
     return FactorModel(rng.normal(0.0, scale, (n, k)), rng.normal(0.0, scale, (m, k)), k, seed)
-
-
-def predict_rating(model: FactorModel, u: int, i: int, clamp: bool = True,
-                   r_min: float = 1.0, r_max: float = 5.0) -> float:
-    """Dot product of user row u and item row i, optionally clipped to bounds."""
-    if not 0 <= u < model.n:
-        raise IndexError(f"user index {u} out of range [0, {model.n})")
-    if not 0 <= i < model.m:
-        raise IndexError(f"item index {i} out of range [0, {model.m})")
-    raw = float(model.U[u] @ model.V[i])
-    if clamp:
-        return float(min(max(raw, r_min), r_max))
-    return raw
 
 
 def predict_many(model: FactorModel, users, items, clamp: bool = True,

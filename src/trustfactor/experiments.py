@@ -11,17 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    Hyperparams,
-    SocialGraph,
-    SparseRatings,
-    TripletStore,
-    _ranges,
-    _stable_order,
-    lazy_triplets,
-)
-from .metrics import evaluate_model
-from .neighborhood import _find, _similarity_blocks
+from .data import Hyperparams, SocialGraph, SparseRatings, TripletStore, lazy_triplets
+from .keys import member, ranges
+from .metrics import evaluate_model, left_sum
+from .neighborhood import relevant_ranks
 from .optimize import fit_gd, fit_sgd
 from .seeding import substream
 
@@ -98,7 +91,7 @@ def cold_start_split(ratings: SparseRatings, user_fraction: float, seed: int = 0
     n_cold = int(user_fraction * ratings.n)
     cold = np.sort(rng.permutation(ratings.n)[:n_cold])
     cold_set = set(cold.tolist())
-    is_cold = np.isin(ratings.users, cold)
+    is_cold = member(cold, ratings.users)
     train = ratings.subset(np.flatnonzero(~is_cold))
     test = ratings.subset(np.flatnonzero(is_cold))
     return train, test, cold_set
@@ -202,12 +195,12 @@ def consistency_eval(ratings: SparseRatings, graph: SocialGraph, relation: str =
     if relation not in ("trust", "distrust"):
         raise ValueError("relation must be 'trust' or 'distrust'")
     edges = graph.trust_edge_array if relation == "trust" else graph.distrust_edge_array
-    user, rank = _relevant_ranks(ratings, edges, -1.0 if relation == "trust" else 1.0)
+    user, rank = relevant_ranks(ratings, edges, -1.0 if relation == "trust" else 1.0)
     scored, first, total = np.unique(user, return_index=True, return_counts=True)
     owner = np.repeat(np.arange(len(scored)), total)  # index of each rank's user
     hits = np.arange(1, len(user) + 1) - first[owner]
     discount = [1.0 / math.log(i + 2) for i in range(20)]
-    ideal = np.array([sum(discount[:h]) for h in range(21)])  # as ndcg_at_k sums it
+    ideal = np.cumsum([0.0, *discount])  # a left fold, as ndcg_at_k sums it
 
     def within(k):
         return np.bincount(owner[rank <= k], minlength=len(scored))
@@ -227,37 +220,6 @@ def consistency_eval(ratings: SparseRatings, graph: SocialGraph, relation: str =
     return ConsistencyResult(relation, {
         str(names[b]): {**{key: mean[b] for key, mean in means.items()}, "users": int(size[b])}
         for b in np.argsort(seen).tolist()})
-
-
-def _relevant_ranks(ratings: SparseRatings, edges, sign: float):
-    """(user, rank) of each relevant candidate, ascending, ranked among the
-    user's co-raters by sign * similarity with consistency_eval's tie order.
-
-    Co-raters are listed per block of users in both directions. A relevant
-    candidate's rank is 1 + the number of the user's candidates with a smaller
-    score + the relevant ones tied with it at a lower candidate index: one
-    sort of the block's (user, score) codes and a search per relevant one."""
-    n = ratings.n
-    edges = edges[(edges < n).all(axis=1)]
-    relevant_keys = np.sort(edges[:, 0] * n + edges[:, 1])
-    users, ranks = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for keys, _, pcc in _similarity_blocks(ratings, 1, both=True):
-        inner = relevant_keys[slice(*np.searchsorted(relevant_keys, (keys[0], keys[-1] + 1)))]
-        at = _find(keys, inner)
-        at = at[at >= 0]  # ascending: by user, then candidate
-        if not len(at):
-            continue
-        user = keys // n
-        levels, level = np.unique(sign * np.where(np.isnan(pcc), 0.0, pcc), return_inverse=True)
-        code = (user - user[0]) * len(levels) + level  # orders by user, then score
-        codes, mine = np.sort(code), code[at]
-        tied = _stable_order(mine, (user[-1] - user[0] + 1) * len(levels))  # ties by candidate
-        mine = mine[tied]
-        rank = (1 + np.searchsorted(codes, mine) - np.searchsorted(codes, mine - level[at][tied])
-                + np.arange(len(at)) - np.searchsorted(mine, mine))
-        users.append(user[at][tied])
-        ranks.append(rank)
-    return np.concatenate(users), np.concatenate(ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +264,17 @@ def majority_vote_eval(graph: SocialGraph, holdout_fraction: float = 0.3,
     n_hold = int(round(holdout_fraction * len(edges)))
     n_hold = min(max(n_hold, 1), len(edges) - 1) if len(edges) > 1 else 1
     held = np.sort(rng.permutation(len(edges))[:n_hold])
-    kept = ~np.isin(np.arange(len(edges)), held)
+    kept = ~member(held, np.arange(len(edges)))
     train = SocialGraph.from_edges(graph.n, trust[kept[:len(trust)]], distrust[kept[len(trust):]])
 
     # each held-out (u, w) asks every v that u trusts in training about w
     u, w = edges[held].T
     offsets = train.trust_offsets
     reps = offsets[u + 1] - offsets[u]
-    asked = train.trust_targets[_ranges(offsets[u], reps)] * graph.n + np.repeat(w, reps)
+    asked = train.trust_targets[ranges(offsets[u], reps)] * graph.n + np.repeat(w, reps)
     voter_of = np.repeat(np.arange(n_hold), reps)
     n_plus, n_minus = (
-        np.bincount(voter_of[np.isin(asked, e[:, 0] * graph.n + e[:, 1])], minlength=n_hold)
+        np.bincount(voter_of[member(np.sort(e[:, 0] * graph.n + e[:, 1]), asked)], minlength=n_hold)
         for e in (train.trust_edge_array, train.distrust_edge_array))
     actual = np.where(held < len(trust), 1, -1)
     predicted = np.sign(n_plus - n_minus)
@@ -326,7 +288,8 @@ def majority_vote_eval(graph: SocialGraph, holdout_fraction: float = 0.3,
         for sign in (1, -1):
             cell = side & (actual == sign)
             agreeing = (n_plus if sign > 0 else n_minus)[cell] / (n_plus + n_minus)[cell]
-            alignment = 100.0 * sum(agreeing.tolist()) / len(agreeing) if len(agreeing) else None
+            alignment = (100.0 * left_sum(agreeing.tolist()) / len(agreeing) if len(agreeing)
+                         else None)
             rows.append((setting, "+" if sign > 0 else "-", 100.0 * int(cell.sum()) / n_hold,
                          alignment))
     rows.append(("n+=n-", "any", 100.0 * int(np.sum(predicted == 0)) / n_hold, None))

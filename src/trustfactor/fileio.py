@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FactorModel, SocialGraph, SparseRatings, _stable_order
+from .data import FactorModel, SocialGraph, SparseRatings
+from .keys import stable_order
 
 log = logging.getLogger(__name__)
 
@@ -144,7 +145,7 @@ def _first_appearance(keys, bound=None):
     order = None
     for t, key in enumerate(keys):
         key = key if order is None else key[order]
-        step = (_stable_order(key, bound) if bound is not None and t == len(keys) - 1
+        step = (stable_order(key, bound) if bound is not None and t == len(keys) - 1
                 else np.argsort(key, kind=None if order is None else "stable"))
         order = step if order is None else order[step]
     head = np.ones(len(order), bool)  # where a new key starts in sorted order
@@ -271,22 +272,11 @@ def load_dataset(ratings_path, social_path=None, trust_path=None, distrust_path=
     return DatasetBundle(ratings, graph, user_map, item_map)
 
 
-def load_ratings(path, r_min: float = 1.0, r_max: float = 5.0) -> SparseRatings:
-    """Parse a ratings file; indices follow first-appearance order."""
-    return load_dataset(path, r_min=r_min, r_max=r_max).ratings
-
-
 def load_ratings_with_maps(path, user_map: IdMap, item_map: IdMap):
     """(users, items, values) arrays of a ratings file mapped through saved
     id maps; an id the map lacks becomes index -1. Rows are kept as read."""
     (users, user_ids), (items, item_ids), values = _read_ratings(path, 1.0, 5.0)
     return _indices(user_map, user_ids)[users], _indices(item_map, item_ids)[items], values
-
-
-def load_social(path, sign: int | None = None) -> SocialGraph:
-    """Parse a signed social file (or an unsigned one with `sign` supplied)."""
-    social = _read_social(path, sign)
-    return _build_graph([social], IdMap(social[2]))
 
 
 def save_ratings(path, ratings: SparseRatings, user_map: IdMap, item_map: IdMap):

@@ -1,13 +1,21 @@
-"""Accuracy metrics (MAE, RMSE) and ranking metrics (P/R@k, AP, NDCG@k)."""
+"""Accuracy metrics (MAE, RMSE) and ranking metrics (AP, NDCG@k)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .data import FactorModel, SparseRatings, predict_many
+
+
+def left_sum(values) -> float:
+    """Sum of floats added left to right, the order of the builtin sum up to
+    Python 3.11 (from 3.12 on, the builtin compensates its rounding)."""
+    return reduce(add, values, 0.0)
 
 
 def _errors(pairs) -> np.ndarray:
@@ -61,20 +69,9 @@ class RankedList:
             raise ValueError("relevance flags must be binary")
         object.__setattr__(self, "flags", flags)
         if self.total_relevant is None:
-            object.__setattr__(self, "total_relevant", sum(flags))
-        elif self.total_relevant < sum(flags):
+            object.__setattr__(self, "total_relevant", flags.count(1))
+        elif self.total_relevant < flags.count(1):
             raise ValueError("total_relevant smaller than observed relevant count")
-
-
-def precision_recall_at_k(ranked: RankedList, k: int):
-    """(precision@k, recall@k); recall is None when nothing is relevant."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    hits = sum(ranked.flags[:k])
-    precision = hits / k
-    if ranked.total_relevant == 0:
-        return precision, None
-    return precision, hits / ranked.total_relevant
 
 
 def average_precision(ranked: RankedList) -> float:
@@ -95,12 +92,10 @@ def ndcg_at_k(ranked: RankedList, k: int) -> float:
     ideal reordering; 0 when the ideal DCG is 0."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    dcg = sum(
-        (2.0 ** ranked.flags[i] - 1.0) / math.log(i + 2)
-        for i in range(min(k, len(ranked.flags)))
-    )
+    dcg = left_sum((2.0 ** ranked.flags[i] - 1.0) / math.log(i + 2)
+                   for i in range(min(k, len(ranked.flags))))
     ideal_hits = min(k, ranked.total_relevant)
-    idcg = sum(1.0 / math.log(i + 2) for i in range(ideal_hits))
+    idcg = left_sum(1.0 / math.log(i + 2) for i in range(ideal_hits))
     if idcg == 0.0:
         return 0.0
     return dcg / idcg

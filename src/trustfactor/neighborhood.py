@@ -5,13 +5,13 @@ User pairs are int64 keys u * n + v throughout, kept in sorted arrays."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .data import SocialGraph, SparseRatings, _ranges, _stable_order
+from .data import SocialGraph, SparseRatings
+from .keys import drop, find, member, ranges, row, stable_order
 
 VARIANTS = ("nb", "nb-t", "nb-td-f", "nb-td-d")
 
@@ -22,59 +22,6 @@ def RatingTable(ratings: SparseRatings) -> SparseRatings:
     """The ratings themselves: nb_predict needs no table. perfbench/workloads.py
     still builds one by this name to time predictions."""
     return ratings
-
-
-def pearson(ratings: SparseRatings, u: int, v: int, min_co: int = MIN_CO_RATED):
-    """Pearson correlation over the co-rated items of u and v, with the means
-    taken over that co-rated set. None when there are no co-ratings or fewer
-    than `min_co`, or either side has zero variance. The scalar reference
-    for build_similarity_cache, whose weights are bit-equal to it."""
-    ru, rv = (dict(zip(ratings.items[rows].tolist(), ratings.values[rows].tolist()))
-              for rows in (ratings.users == u, ratings.users == v))
-    common = sorted(set(ru) & set(rv))
-    if not common or len(common) < min_co:
-        return None
-    xs = [ru[i] for i in common]
-    ys = [rv[i] for i in common]
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    dx = [x - mx for x in xs]
-    dy = [y - my for y in ys]
-    sx = sum(d * d for d in dx)
-    sy = sum(d * d for d in dy)
-    if sx == 0.0 or sy == 0.0:
-        return None
-    return sum(a * b for a, b in zip(dx, dy)) / math.sqrt(sx * sy)
-
-
-def _find(keys, needles):
-    """Position of each needle in the sorted unique `keys`, -1 where absent."""
-    at = np.searchsorted(keys, needles)
-    found = at < len(keys)
-    found[found] = keys[at[found]] == needles[found]
-    return np.where(found, at, -1)
-
-
-def _member(keys, needles, space):
-    """Whether each needle is in the sorted unique `keys`, all in [0, space):
-    read off a dense table when it takes no more memory than two int64 copies
-    of the needles, else found by binary search."""
-    if space > 16 * len(needles):
-        return _find(keys, needles) >= 0
-    table = np.zeros(space, dtype=bool)
-    table[keys] = True
-    return table[needles]
-
-
-def _row(keys, u, n):
-    """The v, ascending, of the sorted keys u * n + v with the given u."""
-    lo, hi = np.searchsorted(keys, (u * n, (u + 1) * n))
-    return (keys[lo:hi] - u * n).tolist()
-
-
-def _drop(keys, other):
-    """The sorted `keys` that are not in the sorted `other`."""
-    return keys[_find(other, keys) < 0]
 
 
 @dataclass(eq=False)
@@ -113,7 +60,7 @@ class SimilarityCache:
 
     def neighbors(self, u):
         """Users with a cached similarity to u, in ascending index order."""
-        return _row(self._linked, u, self.n)
+        return row(self._linked, u, self.n)
 
 
 def build_similarity_cache(ratings: SparseRatings, min_co: int = MIN_CO_RATED) -> SimilarityCache:
@@ -148,13 +95,13 @@ def _merged(ratings: SparseRatings, min_co: int, only):
     search on the sorted keys u * m + i. Items come ascending, as in a block."""
     n, m, counts = ratings.n, ratings.m, ratings.user_counts
     keys = ratings.users * m + ratings.items
-    order = _stable_order(keys, n * m)
+    order = stable_order(keys, n * m)
     keys, values = keys[order], ratings.values[order]
     u, v = np.divmod(only[only // n < only % n], n)
     walk = np.where(counts[u] <= counts[v], u, v)
     reps = counts[walk]
-    at = _ranges((np.cumsum(counts) - counts)[walk], reps)
-    found = _find(keys, np.repeat(u + v - walk, reps) * m + keys[at] % m)
+    at = ranges((np.cumsum(counts) - counts)[walk], reps)
+    found = find(keys, np.repeat(u + v - walk, reps) * m + keys[at] % m)
     hit = found >= 0
     return _weights(np.repeat(u * n + v, reps)[hit], values[at[hit]], values[found[hit]], min_co)
 
@@ -188,10 +135,10 @@ def _similarity_blocks(ratings: SparseRatings, min_co: int, only=None, both=Fals
     user alone has more, so memory no longer follows the sum over items of
     raters squared. Blocks are slices of one stable order of the raters by
     user, which keeps each user's items ascending: a pair's co-ratings are
-    listed in ascending item order, the order `pearson` takes, kept by the
-    stable order by pair key and added in it by bincount. A pair's sums never
-    span blocks, so each weight is bit-equal to `pearson`'s whatever the
-    blocks, and pcc(u, v) to pcc(v, u), whose products commute.
+    listed in ascending item order, the order a scalar left-fold Pearson takes,
+    kept by the stable order by pair key and added in it by bincount. A pair's
+    sums never span blocks, so each weight is bit-equal to that scalar's
+    whatever the blocks, and pcc(u, v) to pcc(v, u), whose products commute.
     """
     users, values, offsets = ratings.by_item
     n, sizes = ratings.n, np.diff(offsets)
@@ -199,7 +146,7 @@ def _similarity_blocks(ratings: SparseRatings, min_co: int, only=None, both=Fals
     # with `both` with every other rater, at start .. end - 1 skipping t
     first = np.repeat(offsets[:-1], sizes) if both else np.arange(1, ratings.nnz + 1)
     count = np.repeat(offsets[1:], sizes) - first - int(both)
-    order = _stable_order(users, n)
+    order = stable_order(users, n)
     starts = np.concatenate(([0], np.cumsum(ratings.user_counts)))
     reach = np.concatenate(([0], np.cumsum(count[order])))[starts]  # listed before each user
     hi = 0
@@ -213,25 +160,56 @@ def _similarity_blocks(ratings: SparseRatings, min_co: int, only=None, both=Fals
                 continue
         t = order[starts[lo]:starts[hi]]
         reps = count[t]
-        second = _ranges(first[t], reps)
+        second = ranges(first[t], reps)
         if both:
             second += second >= np.repeat(t, reps)
         key = np.repeat(users[t], reps) * n - base + users[second]
         x = np.repeat(values[t], reps)
         if only is not None:
-            kept = _member(inner, key, hi * n - base)
+            kept = member(inner, key)
             key, x, second = key[kept], x[kept], second[kept]
         if not len(key):
             continue
-        at = _stable_order(key, hi * n - base)  # ties keep their ascending items
+        at = stable_order(key, hi * n - base)  # ties keep their ascending items
         yield _weights(key[at] + base, x[at], values[second[at]], min_co)
+
+
+def relevant_ranks(ratings: SparseRatings, edges, sign: float):
+    """(user, rank) of each relevant candidate, ascending, ranked among the
+    user's co-raters by sign * similarity, with consistency_eval's tie order.
+
+    Co-raters are listed per block of users in both directions. A relevant
+    candidate's rank is 1 + the number of the user's candidates with a smaller
+    score + the relevant ones tied with it at a lower candidate index: one
+    sort of the block's (user, score) codes and a search per relevant one."""
+    n = ratings.n
+    edges = edges[(edges < n).all(axis=1)]
+    relevant_keys = np.sort(edges[:, 0] * n + edges[:, 1])
+    users, ranks = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for keys, _, pcc in _similarity_blocks(ratings, 1, both=True):
+        inner = relevant_keys[slice(*np.searchsorted(relevant_keys, (keys[0], keys[-1] + 1)))]
+        at = find(keys, inner)
+        at = at[at >= 0]  # ascending: by user, then candidate
+        if not len(at):
+            continue
+        user = keys // n
+        levels, level = np.unique(sign * np.where(np.isnan(pcc), 0.0, pcc), return_inverse=True)
+        code = (user - user[0]) * len(levels) + level  # orders by user, then score
+        codes, mine = np.sort(code), code[at]
+        tied = stable_order(mine, (user[-1] - user[0] + 1) * len(levels))  # ties by candidate
+        mine = mine[tied]
+        rank = (1 + np.searchsorted(codes, mine) - np.searchsorted(codes, mine - level[at][tied])
+                + np.arange(len(at)) - np.searchsorted(mine, mine))
+        users.append(user[at][tied])
+        ranks.append(rank)
+    return np.concatenate(users), np.concatenate(ranks)
 
 
 def _step(keys, n, offsets, targets):
     """Sorted distinct keys u * n + w of the edges v -> w out of each key u * n + v."""
     sources, nodes = np.divmod(keys, n)
     degrees = offsets[nodes + 1] - offsets[nodes]
-    keys = np.sort(np.repeat(sources, degrees) * n + targets[_ranges(offsets[nodes], degrees)])
+    keys = np.sort(np.repeat(sources, degrees) * n + targets[ranges(offsets[nodes], degrees)])
     return keys[np.diff(keys, prepend=-1) != 0]  # np.unique is several times slower
 
 
@@ -247,29 +225,11 @@ def _propagate(graph: SocialGraph, p: int, q: int):
     seen = frontier = selves = np.arange(n) * (n + 1)
     reach = [selves]  # reach[d]: keys of the users within d trust edges
     for _ in range(max(p, q - 1)):
-        frontier = _drop(_step(frontier, n, graph.trust_offsets, graph.trust_targets), seen)
+        frontier = drop(_step(frontier, n, graph.trust_offsets, graph.trust_targets), seen)
         seen = np.sort(np.concatenate((seen, frontier)))
         reach.append(seen)
     distrusted = _step(reach[q - 1], n, graph.distrust_offsets, graph.distrust_targets)
-    return _drop(reach[p], selves), _drop(distrusted, selves)
-
-
-def _by_user(keys, n):
-    """One set per user u of the v with u * n + v in the sorted `keys`."""
-    users, others = np.divmod(keys, n)
-    bounds = np.searchsorted(users, np.arange(n + 1)).tolist()
-    others = others.tolist()
-    return [set(others[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def propagate_trust(graph: SocialGraph, p: int):
-    """Trust reachability to depth p, one set per user."""
-    return _by_user(_propagate(graph, p, 1)[0], graph.n)
-
-
-def propagate_distrust(graph: SocialGraph, q: int):
-    """The distrusted set at depth q, one per user."""
-    return _by_user(_propagate(graph, 1, q)[1], graph.n)
+    return drop(reach[p], selves), drop(distrusted, selves)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,14 +246,14 @@ class PropagatedSets:
     @cached_property
     def filtered_keys(self) -> np.ndarray:
         """nb-td-f: trusted and not distrusted."""
-        return _drop(self.trust_keys, self.distrust_keys)
+        return drop(self.trust_keys, self.distrust_keys)
 
     @cached_property
     def debugged_keys(self) -> np.ndarray:
         """nb-td-d: trusted, less the admissions contradicted by a direct
         distrust edge."""
         u, v = self.graph.distrust_edge_array.T
-        return _drop(self.trust_keys, np.sort(u * self.graph.n + v))
+        return drop(self.trust_keys, np.sort(u * self.graph.n + v))
 
 
 def build_propagated_sets(graph: SocialGraph, p: int = 1, q: int = 1) -> PropagatedSets:
@@ -317,7 +277,7 @@ def neighbor_pool(sims: SimilarityCache, sets: PropagatedSets | None, u: int, va
     """Candidate neighbor pool for user u before the rated-item/positive-weight
     filters. Pools for the distrust variants are subsets of the trust pool."""
     pool = _pool_keys(sets, variant)
-    return set(sims.neighbors(u) if pool is None else _row(pool, u, sets.graph.n))
+    return set(sims.neighbors(u) if pool is None else row(pool, u, sets.graph.n))
 
 
 def nb_predict_many(ratings: SparseRatings, sims: SimilarityCache | None,
@@ -332,7 +292,7 @@ def nb_predict_many(ratings: SparseRatings, sims: SimilarityCache | None,
     to the rating bounds. With `sims` None, only the weights these sums read
     are computed, each bit-equal to build_similarity_cache(ratings)'s, by
     merge or from the blocks (_similarity_pass). Rows are ordered by pair key
-    with one packed sort (_stable_order).
+    with one packed sort (keys.stable_order).
     """
     users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
     for name, index, size in (("user", users, ratings.n), ("item", items, ratings.m)):
@@ -344,21 +304,21 @@ def nb_predict_many(ratings: SparseRatings, sims: SimilarityCache | None,
     # a user without ratings co-rates with nobody: no rater can weigh in
     counts = np.where(ratings.user_counts[users] > 0, offsets[items + 1] - offsets[items], 0)
     rows = np.repeat(np.arange(len(users)), counts)
-    at = _ranges(offsets[items], counts)
+    at = ranges(offsets[items], counts)
     u, v = users[rows], raters[at]
     if pool is not None:
         n = sets.graph.n
         inside = (u < n) & (v < n)
-        kept = inside & _member(pool, np.where(inside, u * n + v, 0), n * n)
+        kept = inside & member(pool, np.where(inside, u * n + v, 0))
         rows, at, u, v = rows[kept], at[kept], u[kept], v[kept]
     # sorted by pair key, which rises with v for a fixed u: each prediction
     # still sums in ascending neighbor order, and the weight search runs fast
     pair = np.minimum(u, v) * ratings.n + np.maximum(u, v)
-    order = _stable_order(pair, ratings.n ** 2)
+    order = stable_order(pair, ratings.n ** 2)
     rows, at, v, pair = rows[order], at[order], v[order], pair[order]
     if sims is None:
         sims = _similarity_pass(ratings, MIN_CO_RATED, pair[np.diff(pair, prepend=-1) != 0])
-    found = _find(sims.keys, pair)
+    found = find(sims.keys, pair)
     kept = found >= 0
     kept[kept] = sims.pcc[found[kept]] > 0.0  # False where undefined (NaN)
     rows, w = rows[kept], sims.pcc[found[kept]]

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import FactorModel, Hyperparams, SocialGraph, SparseRatings, TripletStore, _ranges
+from .data import FactorModel, Hyperparams, SocialGraph, SparseRatings, TripletStore
+from .keys import ranges
 
 HINGE = "hinge"
 LOGISTIC = "logistic"
@@ -40,27 +41,6 @@ def _loss(kind, z, need_slope=False):
     ex = np.exp(x[~pos])
     sigmoid[~pos] = ex / (1.0 + ex)
     return np.logaddexp(0.0, -z), -sigmoid
-
-
-def loss_value(kind: str, z: float) -> float:
-    """Margin penalty at argument z: hinge max(0, 1 - z), or logistic
-    log(1 + exp(-z)) computed stably for large |z|."""
-    return float(_loss(kind, np.float64(z))[0])
-
-
-def margin_argument(U, i, j, k, convention: str = FIGURE1) -> float:
-    """Signed squared-distance gap z of one triplet: figure1 takes
-    ||U_i - U_k||^2 - ||U_i - U_j||^2, paper-literal its negation."""
-    if convention not in (FIGURE1, PAPER_LITERAL):
-        raise ValueError(f"unknown sign convention {convention!r}")
-    a, b = np.sum((U[[i, i]] - U[[j, k]]) ** 2, axis=-1)
-    return float(b - a if convention == FIGURE1 else a - b)
-
-
-def triplet_term(U, triplet, kind: str = HINGE, convention: str = FIGURE1) -> float:
-    """Penalty contributed by one (i, j, k) constraint."""
-    i, j, k = triplet
-    return loss_value(kind, margin_argument(U, i, j, k, convention))
 
 
 def trace_identity_check(U, triplet) -> float:
@@ -121,7 +101,7 @@ def _pair_blocks(graph: SocialGraph):
         limit = ends[start] - reps[start] + _BLOCK_PAIRS
         stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
         yield (np.repeat(np.arange(start, stop), reps[start:stop]),
-               _ranges(offsets[sources[start:stop]], reps[start:stop]))
+               ranges(offsets[sources[start:stop]], reps[start:stop]))
         start = stop
 
 

@@ -10,14 +10,31 @@ from trustfactor.data import (
     init_model,
     lazy_triplets,
     predict_many,
-    predict_rating,
-    sample_triplet,
     sample_triplets,
-    _stable_order,
 )
+from trustfactor.keys import stable_order
 from trustfactor.seeding import substream
 
 from conftest import random_graph
+
+
+def predict_rating(model: FactorModel, u: int, i: int, clamp: bool = True,
+                   r_min: float = 1.0, r_max: float = 5.0) -> float:
+    """Dot product of user row u and item row i, optionally clipped to bounds."""
+    if not 0 <= u < model.n:
+        raise IndexError(f"user index {u} out of range [0, {model.n})")
+    if not 0 <= i < model.m:
+        raise IndexError(f"item index {i} out of range [0, {model.m})")
+    raw = float(model.U[u] @ model.V[i])
+    if clamp:
+        return float(min(max(raw, r_min), r_max))
+    return raw
+
+
+def sample_triplet(store, rng: np.random.Generator):
+    """Single uniform draw; see sample_triplets."""
+    i, j, k = sample_triplets(store, rng, 1)[0]
+    return int(i), int(j), int(k)
 
 
 def figure_graph():
@@ -118,7 +135,7 @@ def test_stable_order_equals_stable_argsort(rng, monkeypatch):
         with monkeypatch.context() as patch:
             if packs:  # the fallback is not taken
                 patch.setattr(np, "argsort", None)
-            got = _stable_order(keys, bound)
+            got = stable_order(keys, bound)
         assert got.dtype == np.int64 and got.tolist() == order.tolist()
 
 

@@ -27,12 +27,11 @@ from trustfactor.experiments import (
     synth_generate,
     worker_count,
 )
-from trustfactor.metrics import RankedList, average_precision, ndcg_at_k, precision_recall_at_k
-from trustfactor.neighborhood import pearson
+from trustfactor.metrics import RankedList, average_precision, ndcg_at_k
 from trustfactor.optimize import fit_gd
 from trustfactor.seeding import substream
 
-from conftest import random_graph, random_ratings
+from conftest import pearson, precision_recall_at_k, random_graph, random_ratings
 
 
 def small_synth(seed=0, **overrides):

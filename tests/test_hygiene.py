@@ -1,7 +1,10 @@
-"""Dead-code guards over the package source, by the standard `ast` module:
-no module imports a name it never uses, and no module defines a private
-top-level name it never reads. `__init__.py` only re-exports, so its imports
-are exempt, as is `from __future__`."""
+"""Guards over the package source, by the standard `ast` module: no module
+imports a name it never uses, and no module defines a private top-level name
+it never reads. `__init__.py` only re-exports, so its imports are exempt, as
+is `from __future__`. No module imports another's private name, apart from
+the objective kernel that `optimize` drives, and none calls the builtin
+`sum`, whose float rounding changed in Python 3.12 (`metrics.left_sum` keeps
+the left-to-right order every output was written with)."""
 
 import ast
 from pathlib import Path
@@ -23,6 +26,23 @@ def _imported_names(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 yield alias.asname or alias.name.split(".")[0]
+
+
+# (importing module, imported name) pairs allowed across modules
+PRIVATE_IMPORTS = {("optimize", "_objective_pass"), ("optimize", "_social_term")}
+
+
+def _private_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "trustfactor"
+                                                 or node.module.startswith("trustfactor.")):
+            yield from (alias.name for alias in node.names
+                        if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+def _builtin_sums(tree):
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "sum" and isinstance(node.ctx, ast.Load)]
 
 
 def _private_top_level(tree):
@@ -52,6 +72,20 @@ def test_every_private_top_level_name_is_read(path):
     assert not dead, f"{path.name} defines {dead} and never reads them"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_name_crosses_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    crossing = sorted(set(_private_imports(tree)) - {name for module, name in PRIVATE_IMPORTS
+                                                     if module == path.stem})
+    assert not crossing, f"{path.name} imports the private names {crossing}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_builtin_sum(path):
+    lines = _builtin_sums(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name} calls the builtin sum at lines {lines}; use metrics.left_sum"
+
+
 def test_the_guards_see_dead_code():
     tree = ast.parse("from __future__ import annotations\nimport os, numpy.linalg\n"
                      "from math import log as ln, pi\n_UNUSED = 1\n_USED = 2\n"
@@ -59,3 +93,8 @@ def test_the_guards_see_dead_code():
                      "print(_Alive)\n")
     assert sorted(set(_imported_names(tree)) - _loaded_names(tree)) == ["ln", "numpy", "os"]
     assert sorted(set(_private_top_level(tree)) - _loaded_names(tree)) == ["_UNUSED", "_dead"]
+    tree = ast.parse("from .data import _ranges, __version__, public\n"
+                     "from trustfactor.keys import _find\nfrom numpy import _private\n"
+                     "total = sum(x) + np.sum(x) + y.sum()\n")
+    assert sorted(_private_imports(tree)) == ["_find", "_ranges"]
+    assert _builtin_sums(tree) == [4]

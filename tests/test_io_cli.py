@@ -16,8 +16,6 @@ from trustfactor.fileio import (
     load_dataset,
     load_id_map,
     load_model,
-    load_ratings,
-    load_social,
     save_id_map,
     save_model,
     save_ratings,
@@ -28,6 +26,17 @@ from trustfactor.metrics import evaluate_predictions
 from trustfactor.neighborhood import build_propagated_sets, nb_predict_many
 
 from conftest import random_graph
+
+
+def load_ratings(path, r_min: float = 1.0, r_max: float = 5.0) -> SparseRatings:
+    """Parse a ratings file; indices follow first-appearance order."""
+    return load_dataset(path, r_min=r_min, r_max=r_max).ratings
+
+
+def load_social(path, sign: int | None = None) -> SocialGraph:
+    """Parse a signed social file (or an unsigned one with `sign` supplied)."""
+    social = fileio._read_social(path, sign)
+    return fileio._build_graph([social], IdMap(social[2]))
 
 
 def write(path, text):
@@ -1059,7 +1068,7 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / "t" / "tradeoff.csv").exists()
 
-    @pytest.mark.parametrize("sizes", ["1.7", "", ",", "1,x", "8,2.0", "0", "4,-1"])
+    @pytest.mark.parametrize("sizes", ["1.7", "", ",", "1,x", "8,2.0", "0", "4,-1", "8,08"])
     def test_batch_study_rejects_non_positive_integer_or_empty_sizes(self, tmp_path, capsys, sizes):
         out = _synth_dir(tmp_path)
         code = run_cli(["batch-study", "--ratings", str(out / "ratings.tsv"),
@@ -1067,7 +1076,7 @@ class TestCli:
                         "--batch-sizes", sizes, "--out", str(tmp_path / "bs")])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: --batch-sizes must list positive integers, got {sizes!r}\n")
+            f"error: --batch-sizes must list distinct positive integers, got {sizes!r}\n")
         assert not (tmp_path / "bs" / "batch_study.csv").exists()
 
     @pytest.mark.parametrize("methods", ["mf,mf", "mf, mf-td,mf", ",", ""])
@@ -1080,6 +1089,40 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: --methods must name distinct methods, got {methods!r}\n")
         assert not (tmp_path / "cold" / "coldstart.csv").exists()
+
+    @pytest.mark.parametrize("flag, other", [("--lambda-s-grid", ["--lambda-v-grid", "0.1"]),
+                                             ("--lambda-v-grid", ["--lambda-s-grid", "1"]),
+                                             ("--lambda-u-grid", ["--lambda-s-grid", "1"])])
+    @pytest.mark.parametrize("values", ["0.1,0.1", "0.1, 1,0.10", ",", "0.1,x"])
+    def test_grid_rejects_empty_or_repeated_lists(self, tmp_path, capsys, flag, other, values):
+        out = _synth_dir(tmp_path)
+        code = run_cli(["grid", "--ratings", str(out / "ratings.tsv"),
+                        "--social", str(out / "social.tsv"), "--epochs", "2", *other,
+                        flag, values, "--out", str(tmp_path / "grid")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} must list distinct numbers, got {values!r}\n")
+        assert not (tmp_path / "grid" / "grid.csv").exists()
+
+    @pytest.mark.parametrize("fractions", ["", ",", "0.5,0.5", "0.2,1,0.50,0.5", "0.5,x"])
+    def test_tradeoff_rejects_empty_or_repeated_fractions(self, tmp_path, capsys, fractions):
+        out = _synth_dir(tmp_path)
+        code = run_cli(["tradeoff", "--ratings", str(out / "ratings.tsv"),
+                        "--social", str(out / "social.tsv"), "--epochs", "2",
+                        "--distrust-fracs", fractions, "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --distrust-fracs must list distinct numbers, got {fractions!r}\n")
+        assert not (tmp_path / "t" / "tradeoff.csv").exists()
+
+    def test_fit_rejects_negative_patience(self, tmp_path, capsys):
+        out = _synth_dir(tmp_path)
+        code = run_cli(["fit", "--ratings", str(out / "ratings.tsv"),
+                        "--social", str(out / "social.tsv"), "--epochs", "2",
+                        "--patience", "-3", "--out", str(tmp_path / "fit")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --patience must be at least 0, got -3\n"
+        assert not (tmp_path / "fit" / "metrics.csv").exists()
 
     def test_tradeoff_rerun_byte_identical(self, tmp_path):
         out = _synth_dir(tmp_path)

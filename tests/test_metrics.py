@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from trustfactor.metrics import (
-    RankedList,
-    average_precision,
-    mae,
-    ndcg_at_k,
-    precision_recall_at_k,
-    rmse,
-)
+from trustfactor.metrics import RankedList, average_precision, mae, ndcg_at_k, rmse
+
+from conftest import precision_recall_at_k
 
 
 class TestAccuracy:

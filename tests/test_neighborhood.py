@@ -17,12 +17,27 @@ from trustfactor.neighborhood import (
     nb_predict,
     nb_predict_many,
     neighbor_pool,
-    pearson,
-    propagate_distrust,
-    propagate_trust,
 )
 
-from conftest import random_graph, random_ratings
+from conftest import pearson, random_graph, random_ratings
+
+
+def _by_user(keys, n):
+    """One set per user u of the v with u * n + v in the sorted `keys`."""
+    users, others = np.divmod(keys, n)
+    bounds = np.searchsorted(users, np.arange(n + 1)).tolist()
+    others = others.tolist()
+    return [set(others[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def propagate_trust(graph: SocialGraph, p: int):
+    """Trust reachability to depth p, one set per user."""
+    return _by_user(neighborhood._propagate(graph, p, 1)[0], graph.n)
+
+
+def propagate_distrust(graph: SocialGraph, q: int):
+    """The distrusted set at depth q, one per user."""
+    return _by_user(neighborhood._propagate(graph, 1, q)[1], graph.n)
 
 
 class TestPearson:
@@ -532,7 +547,7 @@ class TestNbPredict:
 
     def test_empty_restriction_lists_no_pairs(self, rng, monkeypatch):
         r = random_ratings(rng, 12, 8, density=0.7)
-        monkeypatch.setattr(neighborhood, "_ranges", None)  # the pair listing's helper
+        monkeypatch.setattr(neighborhood, "ranges", None)  # the pair listing's helper
         empty = _similarity_pass(r, 3, np.zeros(0, np.int64))
         assert empty.pairs.shape == (0, 2) and len(empty.co_counts) == len(empty.pcc) == 0
         assert empty.keys.dtype == np.int64

@@ -17,6 +17,7 @@ from trustfactor.data import (
 from trustfactor import objective
 from trustfactor.objective import (
     FIGURE1,
+    PAPER_LITERAL,
     _accumulate,
     _add_sums,
     _hinge_term,
@@ -27,16 +28,34 @@ from trustfactor.objective import (
     _pair_blocks,
     _social_term,
     grad,
-    loss_value,
-    margin_argument,
     objective_value,
     social_gradient,
     trace_identity_check,
     triplet_batch_gradient,
-    triplet_term,
     value_and_grad,
 )
 from trustfactor.optimize import fit_gd, fit_sgd
+
+
+def loss_value(kind: str, z: float) -> float:
+    """Margin penalty at argument z: hinge max(0, 1 - z), or logistic
+    log(1 + exp(-z)) computed stably for large |z|."""
+    return float(_loss(kind, np.float64(z))[0])
+
+
+def margin_argument(U, i, j, k, convention: str = FIGURE1) -> float:
+    """Signed squared-distance gap z of one triplet: figure1 takes
+    ||U_i - U_k||^2 - ||U_i - U_j||^2, paper-literal its negation."""
+    if convention not in (FIGURE1, PAPER_LITERAL):
+        raise ValueError(f"unknown sign convention {convention!r}")
+    a, b = np.sum((U[[i, i]] - U[[j, k]]) ** 2, axis=-1)
+    return float(b - a if convention == FIGURE1 else a - b)
+
+
+def triplet_term(U, triplet, kind: str = "hinge", convention: str = FIGURE1) -> float:
+    """Penalty contributed by one (i, j, k) constraint."""
+    i, j, k = triplet
+    return loss_value(kind, margin_argument(U, i, j, k, convention))
 
 from conftest import random_graph, random_ratings
 
