@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .keys import member, ranges, stable_order
+from .keys import ranges, stable_order
 from .seeding import substream
 
 MATERIALIZED = "materialized"
@@ -159,7 +159,9 @@ class SocialGraph:
             if len(repeated):
                 raise ValueError(f"duplicate neighbor for user {repeated[0] // self.n}")
             keys.append(key)
-        common = keys[0][member(keys[1], keys[0])]
+        # both lists are sorted and free of repeats, so a stable sort merges them
+        joined = np.sort(np.concatenate(keys), kind="stable")
+        common = joined[1:][joined[1:] == joined[:-1]]
         if len(common):
             u = common[0] // self.n
             both_ways = set((common[common // self.n == u] % self.n).tolist())

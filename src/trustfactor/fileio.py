@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FactorModel, SocialGraph, SparseRatings
-from .keys import stable_order
+from .keys import ranges, sort_by_key, stable_order
 
 log = logging.getLogger(__name__)
 
@@ -45,8 +45,10 @@ class IdMap:
 
 
 class _Columns:
-    """The data rows of a TSV file, before its first width fault, as bytes
-    raw[starts[r, c]:stops[r, c]] of field c of row r, and the first fault.
+    """The data rows of a TSV file, before its first width fault, and the
+    first fault. Field f of the file is raw[seps[f] + 1:seps[f + 1]]; raw
+    has a newline before the file and, after its last newline, a line
+    holding the pad field alone, then room for _intern's words.
 
     Lines end at '\\n' alone, after universal newlines ('\\r\\n', '\\r'):
     str.splitlines() would also split ids at U+0085 or U+2028. A check sees
@@ -61,36 +63,28 @@ class _Columns:
         raw.decode("utf-8")  # fails as a text-mode read does, at the same byte
         if b"\r" in raw:  # universal newlines
             raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        end, tail = len(raw) + 1, (pad or "").encode()
-        # the file and its last newline, the pad field and room for _intern's words
-        raw += b"\n" + tail + bytes(8)
-        buf = np.frombuffer(raw, np.uint8, end)
-        # field f ends at separator f, and a line's first field follows a newline;
+        self.raw = raw = b"".join((b"\n", raw, b"\n", (pad or "").encode(), b"\n", bytes(8)))
+        buf = np.frombuffer(raw, np.uint8, len(raw) - 8)
         # tab, newline and '#' are ASCII, never inside a UTF-8 multibyte sequence
-        stops = np.flatnonzero((buf == 9) | (buf == 10))
-        starts = np.concatenate(([0], stops[:-1] + 1))
-        first = np.flatnonzero(np.concatenate(([True], buf[stops[:-1]] == 10)))
-        fields = np.diff(first, append=len(stops))
-        blank = (fields == 1) & (starts[first] == stops[first])
-        kept = np.flatnonzero(~blank & (buf[starts[first]] != ord("#")))
-        first, fields = first[kept], fields[kept]
-        short = (fields == width - 1) & (pad is not None)
-        fields += short
-        self.path, self.linenos, self.limit, self.fault = path, kept + 1, len(kept), None
-        self.check(fields != width, lambda row: width_message(fields[row]))
-        # field len(stops) is the pad, placed after the file's bytes
-        index = first[:self.limit, None] + np.arange(width)
-        index[short[:self.limit], -1] = len(stops)
-        self.raw = raw
-        self.starts = np.append(starts, end)[index]
-        self.stops = np.append(stops, end + len(tail))[index]
+        self.seps = seps = np.flatnonzero((buf == 9) | (buf == 10))
+        # a line's first field follows a newline; field len(seps) - 2 is the pad
+        first = np.flatnonzero(buf[seps[:-2]] == 10)
+        fields = np.diff(first, append=len(seps) - 2)
+        lead = buf[seps[first] + 1]  # a newline on a blank line, '#' on a comment
+        kept = np.flatnonzero((lead != 10) & (lead != ord("#")))
+        self.first, fields = first[kept], fields[kept]
+        self.padded = None if pad is None else np.flatnonzero(fields == width - 1)
+        if pad is not None:
+            fields[self.padded] = width
+        self.path, self.width, self.linenos, self.limit, self.fault = (
+            path, width, kept + 1, len(kept), None)
+        self.check(np.flatnonzero(fields != width), lambda row: width_message(fields[row]))
 
-    def check(self, bad, message):
-        """Make the first row where the mask `bad` holds, if it lies before
-        the current fault, the fault, worded by message(row)."""
-        hits = np.flatnonzero(bad[:self.limit])
-        if len(hits):
-            self.limit = row = int(hits[0])
+    def check(self, rows, message):
+        """Make the first of `rows`, if it lies before the current fault, the
+        fault, worded by message(row)."""
+        if len(rows) and (row := int(rows.min())) < self.limit:
+            self.limit = row
             self.fault = f"{self.path}:{self.linenos[row]}: {message(row)}"
 
     def raise_fault(self):
@@ -98,12 +92,36 @@ class _Columns:
             raise ValueError(self.fault)
 
     def intern(self, columns):
-        """(codes, tokens): _intern codes of the fields of `columns`, an index or
-        a slice, shaped as the selection, and the text of each code's field."""
-        starts, stops = self.starts[:, columns], self.stops[:, columns]
-        codes, first = _intern(self.raw, starts.ravel(), stops.ravel())
-        bounds = zip(starts.ravel()[first].tolist(), stops.ravel()[first].tolist())
-        return codes.reshape(starts.shape), [self.raw[a:b].decode() for a, b in bounds]
+        """(codes, tokens, first): _intern codes of the fields of `columns`, an
+        index or a tuple, of the rows before the fault, shaped (rows,) +
+        shape(columns); the text of each code's field; and the row of its
+        first field."""
+        index = np.add.outer(self.first[:self.limit], columns)
+        if columns == self.width - 1 and self.padded is not None:
+            index[self.padded[self.padded < self.limit]] = len(self.seps) - 2
+        index = index.ravel()
+        starts = self.seps[index]
+        starts += 1
+        index += 1
+        stops = self.seps[index]
+        del index
+        codes, first = _intern(self.raw, starts, stops)
+        return (codes.reshape(-1, *np.shape(columns)),
+                _decode(self.raw, starts[first], stops[first]), first // np.size(columns))
+
+
+def _decode(raw, starts, stops):
+    """The text of the fields raw[starts[t]:stops[t]], each followed by a tab
+    or a newline, from one decode of their joined bytes."""
+    lengths = stops - starts + 1
+    joined = np.frombuffer(raw, np.uint8)[ranges(starts, lengths)]
+    joined[np.cumsum(lengths) - 1] = 9
+    return joined.tobytes().decode().split("\t")[:-1]
+
+
+# _KEYS[j] keeps the low min(j, 7) bytes of a word, and its top byte is j
+_KEYS = np.array([(1 << 8 * min(j, 7)) - 1 | j << 56 for j in range(9)], np.uint64)
+_TOP = np.uint64(0xFF << 56)
 
 
 def _intern(raw, starts, stops):
@@ -114,12 +132,18 @@ def _intern(raw, starts, stops):
     in steps of up to 64 words a field, a step's keys about one word per field
     interned, so no key grows with the widest field."""
     lengths = stops - starts
-    # words[p] is the little-endian word of the 8 bytes at raw[p]; masks[j] keeps its low j bytes
-    words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
-    masks = np.array([(1 << 8 * j) - 1 for j in range(9)], np.uint64)
-    tags = np.minimum(lengths, 8).astype(np.uint64) << np.uint64(56)
-    codes, first = _first_appearance([words[starts] & masks[np.minimum(lengths, 7)] | tags])
     rows, at = np.flatnonzero(lengths > 7), 7
+    # words[p] is the little-endian word of the 8 bytes at raw[p]
+    words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
+    key = words[starts]
+    key |= _TOP
+    key &= _KEYS[np.minimum(lengths, 8, out=lengths)]
+    del lengths
+    codes, first = _first_appearance([key])
+    if not len(rows):
+        return codes, first
+    lengths = stops - starts
+    masks = np.array([(1 << 8 * j) - 1 for j in range(9)], np.uint64)  # masks[j] keeps j bytes
     while len(rows):  # a group's rows all go on or all stop, so groups split whole
         offsets = at + 8 * np.arange(min(64, max(1, len(codes) // len(rows))))
         key = words[np.minimum(starts[rows, None] + offsets, stops[rows, None])]
@@ -148,14 +172,23 @@ def _first_appearance(keys, bound=None):
         step = (stable_order(key, bound) if bound is not None and t == len(keys) - 1
                 else np.argsort(key, kind=None if order is None else "stable"))
         order = step if order is None else order[step]
-    head = np.ones(len(order), bool)  # where a new key starts in sorted order
-    head[1:] = np.any([key[1:] != key[:-1] for key in (key[order] for key in keys)], axis=0)
-    first = np.minimum.reduceat(order, np.flatnonzero(head))
-    is_first = np.zeros(len(order), bool)
-    is_first[first] = True
+    starts = _runs([key[order] for key in keys])
+    first = np.minimum.reduceat(order, starts) if len(order) else order
+    by_first = np.argsort(first)
+    rank = np.empty(len(first), np.int64)
+    rank[by_first] = np.arange(len(first))
     codes = np.empty(len(order), np.int64)
-    codes[order] = (np.cumsum(is_first) - 1)[first][np.cumsum(head) - 1]
-    return codes, np.flatnonzero(is_first)
+    codes[order] = np.repeat(rank, np.diff(starts, append=len(order)))
+    return codes, first[by_first]
+
+
+def _runs(columns):
+    """Where each run of equal rows of the sorted `columns` starts."""
+    head = np.zeros(len(columns[0]), bool)
+    head[:1] = True
+    for column in columns:
+        head[1:] |= column[1:] != column[:-1]
+    return np.flatnonzero(head)
 
 
 def _parse(convert, raw):
@@ -169,34 +202,37 @@ def _parse(convert, raw):
 def _read_ratings(path, r_min, r_max):
     """((user codes, ids), (item codes, ids), float64 values) of a ratings file."""
     table = _Columns(path, 3, lambda fields: f"expected 3 tab-separated fields, got {fields}")
-    codes, tokens = table.intern(2)
+    codes, tokens, first = table.intern(2)
     numbers = list(map(_parse, repeat(float), tokens))
-    table.check(np.equal(numbers, None)[codes],
+    table.check(first[np.equal(numbers, None)],
                 lambda row: f"rating {tokens[codes[row]]!r} is not a number")
-    values = np.array(numbers, np.float64)[codes]  # NaN where None
-    table.check(~((values >= r_min) & (values <= r_max)),
-                lambda row: f"rating {float(values[row])} outside [{r_min}, {r_max}]")
+    values = np.array(numbers, np.float64)  # NaN where None
+    table.check(first[~((values >= r_min) & (values <= r_max))],
+                lambda row: f"rating {float(values[codes[row]])} outside [{r_min}, {r_max}]")
     table.raise_fault()
-    return table.intern(0), table.intern(1), values
+    return table.intern(0)[:2], table.intern(1)[:2], values[codes]
 
 
 _SIGNS = {"1": 1, "+1": 1, "-1": -1}
 
 
 def _read_social(path, sign=None):
-    """(the file's _Columns, the (E, 2) codes of its (u, v) ids, the ids and
-    its int64 signs) of a signed social file, or of an unsigned one with `sign`."""
+    """((path, line numbers of its rows), the (E, 2) codes of its (u, v) ids,
+    the ids and its int64 signs) of a signed social file, or of an unsigned
+    one with `sign`."""
     table = _Columns(path, 3, lambda fields: "expected 2 or 3 tab-separated fields",
                      pad=None if sign is None else str(sign))
-    codes, tokens = table.intern(2)
-    signs = np.array([_SIGNS.get(token, 0) for token in tokens], np.int64)[codes]
-    table.check(signs == 0, lambda row: f"sign {tokens[codes[row]]!r} must be 1 or -1")
+    codes, tokens, first = table.intern(2)
+    signs = np.array([_SIGNS.get(token, 0) for token in tokens], np.int64)
+    table.check(first[signs == 0], lambda row: f"sign {tokens[codes[row]]!r} must be 1 or -1")
     if sign is not None:
-        table.check(signs != sign, lambda row: f"expected sign {sign}, got {signs[row]}")
-    pairs, ids = table.intern(slice(0, 2))
-    table.check(pairs[:, 0] == pairs[:, 1], lambda row: f"self-edge {ids[pairs[row, 0]]!r}")
+        table.check(first[signs != sign],
+                    lambda row: f"expected sign {sign}, got {signs[codes[row]]}")
+    pairs, ids, _ = table.intern((0, 1))
+    table.check(np.flatnonzero(pairs[:, 0] == pairs[:, 1]),
+                lambda row: f"self-edge {ids[pairs[row, 0]]!r}")
     table.raise_fault()
-    return table, pairs, ids, signs
+    return (table.path, table.linenos), pairs, ids, signs[codes]
 
 
 def _indices(id_map, ids):
@@ -204,43 +240,74 @@ def _indices(id_map, ids):
     return np.fromiter(map(id_map.index.get, ids, repeat(-1)), np.int64, len(ids))
 
 
+def _groups(keys, bound):
+    """(order, starts): the stable order of int64 keys in [0, bound), and
+    where each run of equal keys starts in it."""
+    keys, order = sort_by_key(keys, bound)
+    return order, _runs([keys])
+
+
 def _build_ratings(user_idx, item_idx, values, n, m, r_min, r_max):
     """SparseRatings of the rating rows; a repeated (user, item) keeps its
     first position and its last value."""
-    codes, first = _first_appearance([user_idx * m + item_idx], n * m)
-    last = first.copy()
-    np.maximum.at(last, codes, np.arange(len(codes)))
-    if len(first) < len(codes):
-        log.warning("%d duplicate (user, item) rows; last occurrence wins", len(codes) - len(first))
-    if not len(codes):
+    order, starts = _groups(user_idx * m + item_idx, n * m)
+    first = order[starts]
+    last = np.empty_like(values)
+    last[first] = values[order[np.diff(starts, append=len(order)) + starts - 1]]
+    kept = np.zeros(len(order), bool)
+    kept[first] = True
+    rows = np.flatnonzero(kept)
+    if len(rows) < len(order):
+        log.warning("%d duplicate (user, item) rows; last occurrence wins", len(order) - len(rows))
+    if not len(order):
         log.warning("no rating rows found")
-    return SparseRatings(n, m, user_idx[first], item_idx[first], values[last], r_min, r_max)
+    return SparseRatings(n, m, user_idx[rows], item_idx[rows], last[rows], r_min, r_max)
 
 
 def _build_graph(files, user_map):
     """Signed graph of the rows of the social files (as `_read_social` returns
     them); a repeated (u, v) keeps its first row and must repeat its sign."""
+    n = len(user_map)
+    offsets, targets = _signed_lists(*_first_edges(files, user_map), n)
+    trust = offsets[n]
+    return SocialGraph(n, offsets[:n + 1], targets[:trust], offsets[n:] - trust, targets[trust:])
+
+
+def _first_edges(files, user_map):
+    """((u, v) index pairs, signs) of the first row of each (u, v) of the
+    social files, in file order."""
+    n = len(user_map)
     pairs = np.concatenate([_indices(user_map, ids)[pairs] for _, pairs, ids, _ in files])
     signs = np.concatenate([signs for *_, signs in files])
-    codes, first = _first_appearance([pairs[:, 0] * len(user_map) + pairs[:, 1]],
-                                     len(user_map) ** 2)
-    clash = np.flatnonzero(signs != signs[first[codes]])
+    order, starts = _groups(pairs[:, 0] * n + pairs[:, 1], n * n)
+    ranked = signs[order]
+    clash = np.flatnonzero(ranked != np.repeat(ranked[starts], np.diff(starts, append=len(order))))
     if len(clash):
-        row = clash[0]
+        at = clash[np.argmin(order[clash])]
+        row, first = order[at], order[starts[np.searchsorted(starts, at, "right") - 1]]
         u, v = (user_map[int(idx)] for idx in pairs[row])
-        raise ValueError(f"{_where(files, row)}: contradicts {_where(files, first[codes[row]])}: "
+        raise ValueError(f"{_where(files, row)}: contradicts {_where(files, first)}: "
                          f"{u!r} cannot both trust and distrust {v!r}")
-    if len(first) < len(pairs):
-        log.warning("%d duplicate social edges dropped", len(pairs) - len(first))
-    pairs, signs = pairs[first], signs[first]
-    return SocialGraph.from_edges(len(user_map), pairs[signs > 0], pairs[signs < 0])
+    if len(starts) < len(pairs):
+        log.warning("%d duplicate social edges dropped", len(pairs) - len(starts))
+    kept = np.zeros(len(order), bool)
+    kept[order[starts]] = True
+    return pairs[kept], signs[kept]
+
+
+def _signed_lists(pairs, signs, n):
+    """CSR (offsets, targets) of each user's trust list, then of each user's
+    distrust list, each list's targets in row order."""
+    lists = (signs < 0) * n + pairs[:, 0]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(lists, minlength=2 * n))))
+    return offsets, pairs[stable_order(lists, 2 * n), 1]
 
 
 def _where(files, row):
     """`path:line` of a row of the social files taken in order."""
-    for table, *_, signs in files:
+    for (path, linenos), *_, signs in files:
         if row < len(signs):
-            return f"{table.path}:{table.linenos[row]}"
+            return f"{path}:{linenos[row]}"
         row -= len(signs)
 
 
@@ -302,16 +369,16 @@ def save_id_map(path, id_map: IdMap):
 
 def load_id_map(path) -> IdMap:
     table = _Columns(path, 2, lambda fields: "expected 2 tab-separated fields")
-    codes, tokens = table.intern(0)
+    codes, tokens, first = table.intern(0)
     numbers = list(map(_parse, repeat(int), tokens))
-    table.check(np.equal(numbers, None)[codes],
+    table.check(first[np.equal(numbers, None)],
                 lambda row: f"index {tokens[codes[row]]!r} is not an integer")
-    rows = np.arange(len(codes))
-    table.check(np.array(numbers, object)[codes] != rows,
+    table.check(np.flatnonzero(np.array(numbers, object)[codes] != np.arange(len(codes))),
                 lambda row: f"index {numbers[codes[row]]} out of order")
     # before the first repeated id, each id's code is its row
-    codes, ids = table.intern(1)
-    table.check(codes != rows, lambda row: f"id {ids[codes[row]]!r} already has index {codes[row]}")
+    codes, ids, _ = table.intern(1)
+    table.check(np.flatnonzero(codes != np.arange(len(codes))),
+                lambda row: f"id {ids[codes[row]]!r} already has index {codes[row]}")
     table.raise_fault()
     return IdMap(ids)
 

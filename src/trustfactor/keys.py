@@ -16,6 +16,21 @@ def stable_order(keys, bound):
     return np.sort(keys << b | np.arange(len(keys))) & ((1 << b) - 1)
 
 
+def sort_by_key(keys, bound):
+    """(np.sort(keys), stable_order(keys, bound)) of int64 keys in [0, bound),
+    both from the one sort."""
+    b = max(len(keys) - 1, 0).bit_length()
+    if int(bound) << b > 1 << 63:
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    packed = keys << b
+    packed |= np.arange(len(keys))
+    packed.sort()
+    order = packed & ((1 << b) - 1)
+    packed >>= b
+    return packed, order
+
+
 def ranges(starts, lengths):
     """Concatenation of arange(s, s + l) over paired starts s and lengths l."""
     ends = np.cumsum(lengths)
