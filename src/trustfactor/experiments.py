@@ -316,14 +316,21 @@ def distrust_tradeoff_run(ratings: SparseRatings, graph: SocialGraph, hp: Hyperp
     margin model at each point against a fixed train/test split. The full
     trust graph under the trust-pull model is fitted as the reference row.
     Distrust subsets are nested so the sweep isolates the added edges. Every
-    fraction must lie in [0, 1].
+    fraction must lie in [0, 1], and no two may keep the same edge count.
     """
     fractions = list(distrust_fractions)
     bad = [f for f in (trust_keep, *fractions) if not 0.0 <= f <= 1.0]
     if bad:
         raise ValueError(f"trust_keep and distrust fractions must lie in [0, 1], got {bad[0]}")
-    train, test = split_ratings(ratings, SplitSpec(train_fraction, seed, 1))
     trust_edges, distrust_edges = graph.trust_edge_array, graph.distrust_edge_array
+    counts = {}
+    for f in fractions:
+        count = int(round(f * len(distrust_edges)))
+        if count in counts:
+            raise ValueError(f"distrust fractions {counts[count]} and {f} both keep {count} of "
+                             f"the {len(distrust_edges)} distrust edges")
+        counts[count] = f
+    train, test = split_ratings(ratings, SplitSpec(train_fraction, seed, 1))
     trust_order = substream(seed, "sweep:trust").permutation(len(trust_edges))
     kept_trust = trust_edges[np.sort(trust_order[:int(round(trust_keep * len(trust_edges)))])]
     distrust_order = substream(seed, "sweep:distrust").permutation(len(distrust_edges))
@@ -335,8 +342,7 @@ def distrust_tradeoff_run(ratings: SparseRatings, graph: SocialGraph, hp: Hyperp
         model, _ = fit_method(train, store, point_hp, optimizer, seed=seed)
         return evaluate_model(model, test, point_hp.clamp_predictions)
 
-    sweep = [(kept_trust, int(round(f * len(distrust_edges))), "triplet-margin")
-             for f in fractions]
+    sweep = [(kept_trust, count, "triplet-margin") for count in counts]
     *points, reference = _map_tasks(run, sweep + [(trust_edges, 0, "trust-pull")])
     return TradeoffResult([("mf-td", trust_keep, float(f), *point)
                            for f, point in zip(fractions, points)]

@@ -353,6 +353,20 @@ class TestTradeoff:
             distrust_tradeoff_run(ratings, graph, hp, trust_keep=keep,
                                   distrust_fractions=fractions)
 
+    def test_fractions_keeping_the_same_edge_count_rejected(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point was fitted before the check")
+
+        monkeypatch.setattr(experiments, "fit_method", refuse)
+        ratings, graph, _ = small_synth(seed=1)
+        edges = graph.distrust_count
+        count = int(round(0.5 * edges))
+        hp = Hyperparams(k=2, epochs=2, social="triplet-margin")
+        with pytest.raises(ValueError) as error:
+            distrust_tradeoff_run(ratings, graph, hp, distrust_fractions=(0.5, 1.0, 0.5 + 0.4 / edges))
+        assert str(error.value) == (f"distrust fractions 0.5 and {0.5 + 0.4 / edges} both keep "
+                                    f"{count} of the {edges} distrust edges")
+
     def test_unit_interval_ends_accepted(self):
         ratings, graph, _ = small_synth(seed=1)
         hp = Hyperparams(k=2, epochs=2, social="triplet-margin")

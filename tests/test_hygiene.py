@@ -4,7 +4,9 @@ it never reads. `__init__.py` only re-exports, so its imports are exempt, as
 is `from __future__`. No module imports another's private name, apart from
 the objective kernel that `optimize` drives, and none calls the builtin
 `sum`, whose float rounding changed in Python 3.12 (`metrics.left_sum` keeps
-the left-to-right order every output was written with)."""
+the left-to-right order every output was written with). Nor does any module
+name `np.append`, which copies a whole array to add one element, or
+`np.lexsort`, several times slower than a packed sort (`keys.stable_order`)."""
 
 import ast
 from pathlib import Path
@@ -43,6 +45,19 @@ def _private_imports(tree):
 def _builtin_sums(tree):
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Name) and node.id == "sum" and isinstance(node.ctx, ast.Load)]
+
+
+SLOW_NUMPY = {"append", "lexsort"}
+
+
+def _slow_numpy(tree):
+    """Names of SLOW_NUMPY read as np.<name> or numpy.<name>, or imported from numpy."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in SLOW_NUMPY
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            yield from (alias.name for alias in node.names if alias.name in SLOW_NUMPY)
 
 
 def _private_top_level(tree):
@@ -86,6 +101,12 @@ def test_no_builtin_sum(path):
     assert not lines, f"{path.name} calls the builtin sum at lines {lines}; use metrics.left_sum"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_slow_numpy_call(path):
+    names = sorted(set(_slow_numpy(ast.parse(path.read_text(encoding="utf-8")))))
+    assert not names, f"{path.name} uses np.{names}; see the module docstring"
+
+
 def test_the_guards_see_dead_code():
     tree = ast.parse("from __future__ import annotations\nimport os, numpy.linalg\n"
                      "from math import log as ln, pi\n_UNUSED = 1\n_USED = 2\n"
@@ -98,3 +119,6 @@ def test_the_guards_see_dead_code():
                      "total = sum(x) + np.sum(x) + y.sum()\n")
     assert sorted(_private_imports(tree)) == ["_find", "_ranges"]
     assert _builtin_sums(tree) == [4]
+    tree = ast.parse("import numpy as np\nfrom numpy import lexsort\nx = np.append(a, 1)\n"
+                     "y = numpy.lexsort(k)\nrows.append(1)\nz = np.diff(a, append=0)\n")
+    assert sorted(_slow_numpy(tree)) == ["append", "lexsort", "lexsort"]

@@ -1,7 +1,10 @@
 import csv
 import logging
+import math
 import os
 import struct
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -434,6 +437,40 @@ class TestLoaderOracle:
         assert _warnings(caplog) == warnings
 
 
+# load_dataset's tracemalloc peak on the hub files below: 52.3 MB before the
+# loader gathered each column through one separator array, 36.9 MB after;
+# the bound is the latter plus 20%
+HUB_LOAD_PEAK_BOUND = int(1.2 * 36.9e6)
+
+
+def test_load_dataset_traced_peak_on_hub_files(tmp_path):
+    """A hub-heavy graph of 208,504 signed edges (3.2 MB) and 60,000 ratings
+    (0.85 MB), shaped as the benchmark's lazy-SGD inputs: capped Zipf
+    out-degrees, uniform targets. The peak is deterministic for given inputs."""
+    rng = np.random.default_rng(17)
+    n, m = 20_000, 4_000
+    src = np.repeat(np.arange(n), np.minimum(rng.zipf(1.8, size=n), 800))
+    dst = rng.integers(0, n - 1, size=len(src))
+    dst += dst >= src  # no self-edge
+    keep = np.sort(np.unique(src * n + dst, return_index=True)[1])
+    src, dst = src[keep], dst[keep]
+    signs = np.where(rng.random(len(src)) < 0.5, "1", "-1")
+    flat = rng.choice(n * m, size=60_000, replace=False)
+    social = write(tmp_path / "s.tsv", "".join(map(
+        "u{}\tu{}\t{}\n".format, src.tolist(), dst.tolist(), signs.tolist())))
+    ratings = write(tmp_path / "r.tsv", "".join(map(
+        "u{}\ti{}\t{}\n".format, (flat // m).tolist(), (flat % m).tolist(),
+        rng.integers(1, 6, size=len(flat)).tolist())))
+    tracemalloc.start()
+    try:
+        bundle = load_dataset(ratings, social_path=social)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bundle.graph.trust_count + bundle.graph.distrust_count == len(src) == 208_504
+    assert peak <= HUB_LOAD_PEAK_BOUND, f"traced peak {peak / 1e6:.1f} MB"
+
+
 def _byte_tokens(rng, size, max_length):
     """Random byte strings over a four-byte alphabet, so that many repeat or
     are prefixes of one another; '1' and '9' differ in one bit (0x08)."""
@@ -705,6 +742,50 @@ class TestRoundtrips:
         (tmp_path / "bad.bin").write_bytes(b"NOPE" + b"\x00" * 60)
         with pytest.raises(ValueError, match="magic"):
             load_model(tmp_path / "bad.bin")
+
+
+def _exact_pstdev(values):
+    """The float nearest the square root of the exact population variance of
+    `values`, by integer square root with a sticky bit below 56 or more bits."""
+    xs = [Fraction(value) for value in values]
+    mean = sum(xs) / len(xs)
+    variance = sum((x - mean) ** 2 for x in xs) / len(xs)
+    num, den = variance.numerator, variance.denominator
+    k = 64 + max(0, den.bit_length() - num.bit_length()) // 2 + 1
+    scaled, rest = divmod(num << 2 * k, den)
+    root = math.isqrt(scaled)
+    inexact = rest != 0 or root * root != scaled
+    return float(Fraction(2 * root + inexact, 1 << (k + 1)))
+
+
+def _naive_pstdev(values):
+    mean = 0.0
+    for value in values:
+        mean += value
+    mean /= len(values)
+    squares = 0.0
+    for value in values:
+        squares += (value - mean) ** 2
+    return math.sqrt(squares / len(values))
+
+
+def test_std_rows_are_the_correctly_rounded_exact_deviation():
+    """The -std rows hold the correctly rounded root of the exact variance
+    (statistics.pstdev sums in Fractions), so they do not depend on the order
+    of the repetitions; on these inputs a float fold gives other bytes."""
+    rng = np.random.default_rng(6)
+    naive_differs = 0
+    for size in (2, 3, 5, 10, 30):
+        for _ in range(20):
+            values = (rng.random(size) * 10.0 ** rng.integers(-3, 4)).tolist()
+            rows = [["mf", rep, rep, value, 2.0 * value] for rep, value in enumerate(values)]
+            mean_row, std_row = cli._mean_std_rows(rows, "mf", 3)
+            assert std_row[:3] == ["mf-std", "", ""]
+            assert std_row[3:] == [_exact_pstdev(values), _exact_pstdev([2.0 * v for v in values])]
+            shuffled = [rows[t] for t in rng.permutation(size)]
+            assert cli._mean_std_rows(shuffled, "mf", 3)[1] == std_row
+            naive_differs += _naive_pstdev(values) != std_row[3]
+    assert naive_differs > 0
 
 
 class TestFormatNumber:
@@ -1113,6 +1194,18 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: --distrust-fracs must list distinct numbers, got {fractions!r}\n")
+        assert not (tmp_path / "t" / "tradeoff.csv").exists()
+
+    def test_tradeoff_rejects_fractions_keeping_the_same_edge_count(self, tmp_path, capsys):
+        """0.5 and 0.505 of the 60 distrust edges both round to 30 edges, which
+        would fit the same sweep point twice."""
+        out = _synth_dir(tmp_path)
+        code = run_cli(["tradeoff", "--ratings", str(out / "ratings.tsv"),
+                        "--social", str(out / "social.tsv"), "--epochs", "2",
+                        "--distrust-fracs", "0.2,0.5,0.505", "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: distrust fractions 0.5 and 0.505 both keep 30 of the 60 distrust edges\n")
         assert not (tmp_path / "t" / "tradeoff.csv").exists()
 
     def test_fit_rejects_negative_patience(self, tmp_path, capsys):
