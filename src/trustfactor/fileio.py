@@ -104,7 +104,7 @@ class _Columns:
         starts += 1
         index += 1
         stops = self.seps[index]
-        del index
+        del index  # one int64 array fewer alive while interning
         codes, first = _intern(self.raw, starts, stops)
         return (codes.reshape(-1, *np.shape(columns)),
                 _decode(self.raw, starts[first], stops[first]), first // np.size(columns))
@@ -222,13 +222,13 @@ def _read_social(path, sign=None):
     one with `sign`."""
     table = _Columns(path, 3, lambda fields: "expected 2 or 3 tab-separated fields",
                      pad=None if sign is None else str(sign))
+    pairs, ids, _ = table.intern((0, 1))  # the largest intern, before the sign codes exist
     codes, tokens, first = table.intern(2)
     signs = np.array([_SIGNS.get(token, 0) for token in tokens], np.int64)
     table.check(first[signs == 0], lambda row: f"sign {tokens[codes[row]]!r} must be 1 or -1")
     if sign is not None:
         table.check(first[signs != sign],
                     lambda row: f"expected sign {sign}, got {signs[codes[row]]}")
-    pairs, ids, _ = table.intern((0, 1))
     table.check(np.flatnonzero(pairs[:, 0] == pairs[:, 1]),
                 lambda row: f"self-edge {ids[pairs[row, 0]]!r}")
     table.raise_fault()
@@ -247,16 +247,20 @@ def _groups(keys, bound):
     return order, _runs([keys])
 
 
+def _first_rows(order, starts):
+    """The first row of each run of `_groups`, ascending."""
+    first = np.zeros(len(order), bool)
+    first[order[starts]] = True
+    return np.flatnonzero(first)
+
+
 def _build_ratings(user_idx, item_idx, values, n, m, r_min, r_max):
     """SparseRatings of the rating rows; a repeated (user, item) keeps its
     first position and its last value."""
     order, starts = _groups(user_idx * m + item_idx, n * m)
-    first = order[starts]
-    last = np.empty_like(values)
-    last[first] = values[order[np.diff(starts, append=len(order)) + starts - 1]]
-    kept = np.zeros(len(order), bool)
-    kept[first] = True
-    rows = np.flatnonzero(kept)
+    rows = _first_rows(order, starts)
+    last = np.empty_like(values)  # at each pair's first row, the value of its last
+    last[order[starts]] = values[order[starts + np.diff(starts, append=len(order)) - 1]]
     if len(rows) < len(order):
         log.warning("%d duplicate (user, item) rows; last occurrence wins", len(order) - len(rows))
     if not len(order):
@@ -290,9 +294,8 @@ def _first_edges(files, user_map):
                          f"{u!r} cannot both trust and distrust {v!r}")
     if len(starts) < len(pairs):
         log.warning("%d duplicate social edges dropped", len(pairs) - len(starts))
-    kept = np.zeros(len(order), bool)
-    kept[order[starts]] = True
-    return pairs[kept], signs[kept]
+    rows = _first_rows(order, starts)
+    return pairs[rows], signs[rows]
 
 
 def _signed_lists(pairs, signs, n):

@@ -6,19 +6,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def stable_order(keys, bound):
-    """np.argsort(keys, kind="stable") of int64 keys in [0, bound), from one
-    np.sort of keys << b | position with b the bit length of len(keys) - 1,
-    several times faster; the stable argsort where that would overflow int64."""
-    b = max(len(keys) - 1, 0).bit_length()
-    if int(bound) << b > 1 << 63:
-        return np.argsort(keys, kind="stable")
-    return np.sort(keys << b | np.arange(len(keys))) & ((1 << b) - 1)
-
-
 def sort_by_key(keys, bound):
-    """(np.sort(keys), stable_order(keys, bound)) of int64 keys in [0, bound),
-    both from the one sort."""
+    """(np.sort(keys), np.argsort(keys, kind="stable")) of int64 keys in
+    [0, bound), from one np.sort of keys << b | position with b the bit
+    length of len(keys) - 1, several times faster; by the stable argsort
+    where that would overflow int64."""
     b = max(len(keys) - 1, 0).bit_length()
     if int(bound) << b > 1 << 63:
         order = np.argsort(keys, kind="stable")
@@ -29,6 +21,11 @@ def sort_by_key(keys, bound):
     order = packed & ((1 << b) - 1)
     packed >>= b
     return packed, order
+
+
+def stable_order(keys, bound):
+    """np.argsort(keys, kind="stable") of int64 keys in [0, bound) (sort_by_key)."""
+    return sort_by_key(keys, bound)[1]
 
 
 def ranges(starts, lengths):

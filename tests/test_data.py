@@ -12,7 +12,7 @@ from trustfactor.data import (
     predict_many,
     sample_triplets,
 )
-from trustfactor.keys import stable_order
+from trustfactor.keys import sort_by_key, stable_order
 from trustfactor.seeding import substream
 
 from conftest import random_graph
@@ -136,7 +136,9 @@ def test_stable_order_equals_stable_argsort(rng, monkeypatch):
             if packs:  # the fallback is not taken
                 patch.setattr(np, "argsort", None)
             got = stable_order(keys, bound)
-        assert got.dtype == np.int64 and got.tolist() == order.tolist()
+            sorted_keys, also = sort_by_key(keys, bound)
+        assert got.dtype == np.int64 and got.tolist() == order.tolist() == also.tolist()
+        assert sorted_keys.tolist() == np.sort(keys).tolist()
 
 
 def test_array_containers_compare_and_hash_by_identity():
