@@ -73,9 +73,8 @@ class _Columns:
         lead = buf[seps[first] + 1]  # a newline on a blank line, '#' on a comment
         kept = np.flatnonzero((lead != 10) & (lead != ord("#")))
         self.first, fields = first[kept], fields[kept]
-        self.padded = None if pad is None else np.flatnonzero(fields == width - 1)
-        if pad is not None:
-            fields[self.padded] = width
+        self.padded = np.flatnonzero((fields == width - 1) & (pad is not None))
+        fields[self.padded] = width
         self.path, self.width, self.linenos, self.limit, self.fault = (
             path, width, kept + 1, len(kept), None)
         self.check(np.flatnonzero(fields != width), lambda row: width_message(fields[row]))
@@ -92,36 +91,23 @@ class _Columns:
             raise ValueError(self.fault)
 
     def intern(self, columns):
-        """(codes, tokens, first): _intern codes of the fields of `columns`, an
-        index or a tuple, of the rows before the fault, shaped (rows,) +
-        shape(columns); the text of each code's field; and the row of its
-        first field."""
-        index = np.add.outer(self.first[:self.limit], columns)
-        if columns == self.width - 1 and self.padded is not None:
+        """(codes, tokens, first): _intern codes of the fields of `columns`, an index
+        or a tuple, of the rows before the fault, shaped (rows,) + shape(columns);
+        the text of each code's field; and the row of its first field."""
+        index = np.add.outer(self.first[:self.limit], columns).ravel()
+        if columns == self.width - 1:
             index[self.padded[self.padded < self.limit]] = len(self.seps) - 2
-        index = index.ravel()
-        starts = self.seps[index]
-        starts += 1
+        starts = self.seps[index] + 1
         index += 1
         stops = self.seps[index]
         del index  # one int64 array fewer alive while interning
         codes, first = _intern(self.raw, starts, stops)
+        # one decode of the first field of each code, each with its separator as a tab
+        lengths = stops[first] - starts[first] + 1
+        joined = np.frombuffer(self.raw, np.uint8)[ranges(starts[first], lengths)]
+        joined[np.cumsum(lengths) - 1] = 9
         return (codes.reshape(-1, *np.shape(columns)),
-                _decode(self.raw, starts[first], stops[first]), first // np.size(columns))
-
-
-def _decode(raw, starts, stops):
-    """The text of the fields raw[starts[t]:stops[t]], each followed by a tab
-    or a newline, from one decode of their joined bytes."""
-    lengths = stops - starts + 1
-    joined = np.frombuffer(raw, np.uint8)[ranges(starts, lengths)]
-    joined[np.cumsum(lengths) - 1] = 9
-    return joined.tobytes().decode().split("\t")[:-1]
-
-
-# _KEYS[j] keeps the low min(j, 7) bytes of a word, and its top byte is j
-_KEYS = np.array([(1 << 8 * min(j, 7)) - 1 | j << 56 for j in range(9)], np.uint64)
-_TOP = np.uint64(0xFF << 56)
+                joined.tobytes().decode().split("\t")[:-1], first // np.size(columns))
 
 
 def _intern(raw, starts, stops):
@@ -133,17 +119,16 @@ def _intern(raw, starts, stops):
     interned, so no key grows with the widest field."""
     lengths = stops - starts
     rows, at = np.flatnonzero(lengths > 7), 7
-    # words[p] is the little-endian word of the 8 bytes at raw[p]
+    # words[p] is the little-endian word of the 8 bytes at raw[p]; masks[j] keeps its low j bytes
     words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
-    key = words[starts]
-    key |= _TOP
-    key &= _KEYS[np.minimum(lengths, 8, out=lengths)]
-    del lengths
+    masks = np.array([(1 << 8 * j) - 1 for j in range(9)], np.uint64)
+    key = words[starts] & masks[np.minimum(lengths, 7)]
+    key |= np.minimum(lengths, 8, out=lengths).astype(np.uint64) << np.uint64(56)
+    del lengths  # not alive while the keys sort
     codes, first = _first_appearance([key])
     if not len(rows):
         return codes, first
     lengths = stops - starts
-    masks = np.array([(1 << 8 * j) - 1 for j in range(9)], np.uint64)  # masks[j] keeps j bytes
     while len(rows):  # a group's rows all go on or all stop, so groups split whole
         offsets = at + 8 * np.arange(min(64, max(1, len(codes) // len(rows))))
         key = words[np.minimum(starts[rows, None] + offsets, stops[rows, None])]
@@ -172,7 +157,9 @@ def _first_appearance(keys, bound=None):
         step = (stable_order(key, bound) if bound is not None and t == len(keys) - 1
                 else np.argsort(key, kind=None if order is None else "stable"))
         order = step if order is None else order[step]
-    starts = _runs([key[order] for key in keys])
+    head = np.ones(len(order), bool)  # where a new key starts in sorted order
+    head[1:] = np.any([key[1:] != key[:-1] for key in (key[order] for key in keys)], axis=0)
+    starts = np.flatnonzero(head)
     first = np.minimum.reduceat(order, starts) if len(order) else order
     by_first = np.argsort(first)
     rank = np.empty(len(first), np.int64)
@@ -180,15 +167,6 @@ def _first_appearance(keys, bound=None):
     codes = np.empty(len(order), np.int64)
     codes[order] = np.repeat(rank, np.diff(starts, append=len(order)))
     return codes, first[by_first]
-
-
-def _runs(columns):
-    """Where each run of equal rows of the sorted `columns` starts."""
-    head = np.zeros(len(columns[0]), bool)
-    head[:1] = True
-    for column in columns:
-        head[1:] |= column[1:] != column[:-1]
-    return np.flatnonzero(head)
 
 
 def _parse(convert, raw):
@@ -217,9 +195,8 @@ _SIGNS = {"1": 1, "+1": 1, "-1": -1}
 
 
 def _read_social(path, sign=None):
-    """((path, line numbers of its rows), the (E, 2) codes of its (u, v) ids,
-    the ids and its int64 signs) of a signed social file, or of an unsigned
-    one with `sign`."""
+    """((path, line numbers), the (E, 2) codes of its (u, v) ids, the ids and
+    its int64 signs) of a signed social file, or of an unsigned one with `sign`."""
     table = _Columns(path, 3, lambda fields: "expected 2 or 3 tab-separated fields",
                      pad=None if sign is None else str(sign))
     pairs, ids, _ = table.intern((0, 1))  # the largest intern, before the sign codes exist
@@ -240,25 +217,12 @@ def _indices(id_map, ids):
     return np.fromiter(map(id_map.index.get, ids, repeat(-1)), np.int64, len(ids))
 
 
-def _groups(keys, bound):
-    """(order, starts): the stable order of int64 keys in [0, bound), and
-    where each run of equal keys starts in it."""
-    keys, order = sort_by_key(keys, bound)
-    return order, _runs([keys])
-
-
-def _first_rows(order, starts):
-    """The first row of each run of `_groups`, ascending."""
-    first = np.zeros(len(order), bool)
-    first[order[starts]] = True
-    return np.flatnonzero(first)
-
-
 def _build_ratings(user_idx, item_idx, values, n, m, r_min, r_max):
     """SparseRatings of the rating rows; a repeated (user, item) keeps its
     first position and its last value."""
-    order, starts = _groups(user_idx * m + item_idx, n * m)
-    rows = _first_rows(order, starts)
+    keys, order = sort_by_key(user_idx * m + item_idx, n * m)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # where each pair's rows start
+    rows = np.flatnonzero(np.bincount(order[starts], minlength=len(order)))  # first of each pair
     last = np.empty_like(values)  # at each pair's first row, the value of its last
     last[order[starts]] = values[order[starts + np.diff(starts, append=len(order)) - 1]]
     if len(rows) < len(order):
@@ -272,7 +236,11 @@ def _build_graph(files, user_map):
     """Signed graph of the rows of the social files (as `_read_social` returns
     them); a repeated (u, v) keeps its first row and must repeat its sign."""
     n = len(user_map)
-    offsets, targets = _signed_lists(*_first_edges(files, user_map), n)
+    pairs, signs = _first_edges(files, user_map)
+    # each user's trust list, then each user's distrust list, targets in row order
+    lists = (signs < 0) * n + pairs[:, 0]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(lists, minlength=2 * n))))
+    targets = pairs[stable_order(lists, 2 * n), 1]
     trust = offsets[n]
     return SocialGraph(n, offsets[:n + 1], targets[:trust], offsets[n:] - trust, targets[trust:])
 
@@ -283,7 +251,8 @@ def _first_edges(files, user_map):
     n = len(user_map)
     pairs = np.concatenate([_indices(user_map, ids)[pairs] for _, pairs, ids, _ in files])
     signs = np.concatenate([signs for *_, signs in files])
-    order, starts = _groups(pairs[:, 0] * n + pairs[:, 1], n * n)
+    keys, order = sort_by_key(pairs[:, 0] * n + pairs[:, 1], n * n)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # where each (u, v)'s rows start
     ranked = signs[order]
     clash = np.flatnonzero(ranked != np.repeat(ranked[starts], np.diff(starts, append=len(order))))
     if len(clash):
@@ -294,16 +263,8 @@ def _first_edges(files, user_map):
                          f"{u!r} cannot both trust and distrust {v!r}")
     if len(starts) < len(pairs):
         log.warning("%d duplicate social edges dropped", len(pairs) - len(starts))
-    rows = _first_rows(order, starts)
+    rows = np.flatnonzero(np.bincount(order[starts], minlength=len(order)))
     return pairs[rows], signs[rows]
-
-
-def _signed_lists(pairs, signs, n):
-    """CSR (offsets, targets) of each user's trust list, then of each user's
-    distrust list, each list's targets in row order."""
-    lists = (signs < 0) * n + pairs[:, 0]
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(lists, minlength=2 * n))))
-    return offsets, pairs[stable_order(lists, 2 * n), 1]
 
 
 def _where(files, row):
