@@ -97,7 +97,8 @@ class _Columns:
         index = np.add.outer(self.first[:self.limit], columns).ravel()
         if columns == self.width - 1:
             index[self.padded[self.padded < self.limit]] = len(self.seps) - 2
-        starts = self.seps[index] + 1
+        starts = self.seps[index]
+        starts += 1  # in place: each new array costs its page faults
         index += 1
         stops = self.seps[index]
         del index  # one int64 array fewer alive while interning
@@ -110,6 +111,12 @@ class _Columns:
                 joined.tobytes().decode().split("\t")[:-1], first // np.size(columns))
 
 
+# _MASKS[j] keeps the low j bytes of a word; _KEYS[j] the low min(j, 7), and
+# sets its top byte to j
+_MASKS = np.array([(1 << 8 * j) - 1 for j in range(9)], np.uint64)
+_KEYS = _MASKS[np.minimum(np.arange(9), 7)] | np.arange(9, dtype=np.uint64) << np.uint64(56)
+
+
 def _intern(raw, starts, stops):
     """_first_appearance of the byte strings raw[starts[t]:stops[t]], where raw
     holds at least 8 bytes past every field. One word keys a field by its first
@@ -119,11 +126,11 @@ def _intern(raw, starts, stops):
     interned, so no key grows with the widest field."""
     lengths = stops - starts
     rows, at = np.flatnonzero(lengths > 7), 7
-    # words[p] is the little-endian word of the 8 bytes at raw[p]; masks[j] keeps its low j bytes
+    # words[p] is the little-endian word of the 8 bytes at raw[p]
     words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
-    masks = np.array([(1 << 8 * j) - 1 for j in range(9)], np.uint64)
-    key = words[starts] & masks[np.minimum(lengths, 7)]
-    key |= np.minimum(lengths, 8, out=lengths).astype(np.uint64) << np.uint64(56)
+    key = words[starts]
+    key |= np.uint64(0xFF << 56)
+    key &= _KEYS[np.minimum(lengths, 8, out=lengths)]
     del lengths  # not alive while the keys sort
     codes, first = _first_appearance([key])
     if not len(rows):
@@ -132,7 +139,7 @@ def _intern(raw, starts, stops):
     while len(rows):  # a group's rows all go on or all stop, so groups split whole
         offsets = at + 8 * np.arange(min(64, max(1, len(codes) // len(rows))))
         key = words[np.minimum(starts[rows, None] + offsets, stops[rows, None])]
-        key &= masks[np.clip(lengths[rows, None] - offsets, 0, 8)]
+        key &= _MASKS[np.clip(lengths[rows, None] - offsets, 0, 8)]
         span = lengths[rows].max() + 1  # (code, length) as one key below len(raw) ** 2 / 4
         parts, heads = _first_appearance([*key.T, codes[rows] * span + lengths[rows]],
                                          len(first) * span)
@@ -221,8 +228,11 @@ def _build_ratings(user_idx, item_idx, values, n, m, r_min, r_max):
     """SparseRatings of the rating rows; a repeated (user, item) keeps its
     first position and its last value."""
     keys, order = sort_by_key(user_idx * m + item_idx, n * m)
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # where each pair's rows start
-    rows = np.flatnonzero(np.bincount(order[starts], minlength=len(order)))  # first of each pair
+    # where each pair's run of rows starts (keys[:1] >= 0 heads the first run, if any)
+    starts = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
+    rows = np.zeros(len(order), bool)
+    rows[order[starts]] = True
+    rows = np.flatnonzero(rows)  # the first row of each pair
     last = np.empty_like(values)  # at each pair's first row, the value of its last
     last[order[starts]] = values[order[starts + np.diff(starts, append=len(order)) - 1]]
     if len(rows) < len(order):
@@ -252,7 +262,7 @@ def _first_edges(files, user_map):
     pairs = np.concatenate([_indices(user_map, ids)[pairs] for _, pairs, ids, _ in files])
     signs = np.concatenate([signs for *_, signs in files])
     keys, order = sort_by_key(pairs[:, 0] * n + pairs[:, 1], n * n)
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # where each (u, v)'s rows start
+    starts = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
     ranked = signs[order]
     clash = np.flatnonzero(ranked != np.repeat(ranked[starts], np.diff(starts, append=len(order))))
     if len(clash):
@@ -263,7 +273,8 @@ def _first_edges(files, user_map):
                          f"{u!r} cannot both trust and distrust {v!r}")
     if len(starts) < len(pairs):
         log.warning("%d duplicate social edges dropped", len(pairs) - len(starts))
-    rows = np.flatnonzero(np.bincount(order[starts], minlength=len(order)))
+    rows = np.zeros(len(order), bool)
+    rows[order[starts]] = True
     return pairs[rows], signs[rows]
 
 
