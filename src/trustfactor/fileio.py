@@ -98,7 +98,7 @@ class _Columns:
         if columns == self.width - 1:
             index[self.padded[self.padded < self.limit]] = len(self.seps) - 2
         starts = self.seps[index]
-        starts += 1  # in place: each new array costs its page faults
+        starts += 1
         index += 1
         stops = self.seps[index]
         del index  # one int64 array fewer alive while interning
@@ -111,8 +111,8 @@ class _Columns:
                 joined.tobytes().decode().split("\t")[:-1], first // np.size(columns))
 
 
-# _MASKS[j] keeps the low j bytes of a word; _KEYS[j] the low min(j, 7), and
-# sets its top byte to j
+# _MASKS[j] keeps the low j bytes of a word; _KEYS[j], applied to a word whose
+# top byte is all ones, keeps its low min(j, 7) bytes and leaves j in the top byte
 _MASKS = np.array([(1 << 8 * j) - 1 for j in range(9)], np.uint64)
 _KEYS = _MASKS[np.minimum(np.arange(9), 7)] | np.arange(9, dtype=np.uint64) << np.uint64(56)
 
@@ -128,7 +128,7 @@ def _intern(raw, starts, stops):
     rows, at = np.flatnonzero(lengths > 7), 7
     # words[p] is the little-endian word of the 8 bytes at raw[p]
     words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
-    key = words[starts]
+    key = words[starts]  # built in place: each new array costs its page faults
     key |= np.uint64(0xFF << 56)
     key &= _KEYS[np.minimum(lengths, 8, out=lengths)]
     del lengths  # not alive while the keys sort
@@ -224,21 +224,28 @@ def _indices(id_map, ids):
     return np.fromiter(map(id_map.index.get, ids, repeat(-1)), np.int64, len(ids))
 
 
+def _runs(keys, bound):
+    """(order, starts, first): the stable order of int64 keys in [0, bound),
+    where each run of equal keys starts in it, and a mask of each run's first
+    row. keys[:1] >= 0 heads the first run, if there is one."""
+    keys, order = sort_by_key(keys, bound)
+    starts = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
+    first = np.zeros(len(order), bool)
+    first[order[starts]] = True
+    return order, starts, first
+
+
 def _build_ratings(user_idx, item_idx, values, n, m, r_min, r_max):
     """SparseRatings of the rating rows; a repeated (user, item) keeps its
     first position and its last value."""
-    keys, order = sort_by_key(user_idx * m + item_idx, n * m)
-    # where each pair's run of rows starts (keys[:1] >= 0 heads the first run, if any)
-    starts = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
-    rows = np.zeros(len(order), bool)
-    rows[order[starts]] = True
-    rows = np.flatnonzero(rows)  # the first row of each pair
+    order, starts, first = _runs(user_idx * m + item_idx, n * m)
     last = np.empty_like(values)  # at each pair's first row, the value of its last
     last[order[starts]] = values[order[starts + np.diff(starts, append=len(order)) - 1]]
-    if len(rows) < len(order):
-        log.warning("%d duplicate (user, item) rows; last occurrence wins", len(order) - len(rows))
+    if len(starts) < len(order):
+        log.warning("%d duplicate (user, item) rows; last occurrence wins", len(order) - len(starts))
     if not len(order):
         log.warning("no rating rows found")
+    rows = np.flatnonzero(first)
     return SparseRatings(n, m, user_idx[rows], item_idx[rows], last[rows], r_min, r_max)
 
 
@@ -261,21 +268,18 @@ def _first_edges(files, user_map):
     n = len(user_map)
     pairs = np.concatenate([_indices(user_map, ids)[pairs] for _, pairs, ids, _ in files])
     signs = np.concatenate([signs for *_, signs in files])
-    keys, order = sort_by_key(pairs[:, 0] * n + pairs[:, 1], n * n)
-    starts = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
+    order, starts, first = _runs(pairs[:, 0] * n + pairs[:, 1], n * n)
     ranked = signs[order]
     clash = np.flatnonzero(ranked != np.repeat(ranked[starts], np.diff(starts, append=len(order))))
     if len(clash):
         at = clash[np.argmin(order[clash])]
-        row, first = order[at], order[starts[np.searchsorted(starts, at, "right") - 1]]
+        row, head = order[at], order[starts[np.searchsorted(starts, at, "right") - 1]]
         u, v = (user_map[int(idx)] for idx in pairs[row])
-        raise ValueError(f"{_where(files, row)}: contradicts {_where(files, first)}: "
+        raise ValueError(f"{_where(files, row)}: contradicts {_where(files, head)}: "
                          f"{u!r} cannot both trust and distrust {v!r}")
     if len(starts) < len(pairs):
         log.warning("%d duplicate social edges dropped", len(pairs) - len(starts))
-    rows = np.zeros(len(order), bool)
-    rows[order[starts]] = True
-    return pairs[rows], signs[rows]
+    return pairs[first], signs[first]
 
 
 def _where(files, row):

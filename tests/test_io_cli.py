@@ -438,9 +438,9 @@ class TestLoaderOracle:
 
 
 # load_dataset's tracemalloc peak on the hub files below: 52.3 MB before the
-# loader gathered each column through one separator array, 36.9 MB after;
+# loader gathered each column through one separator array, 35.7 MB after;
 # the bound is the latter plus 20%
-HUB_LOAD_PEAK_BOUND = int(1.2 * 36.9e6)
+HUB_LOAD_PEAK_BOUND = int(1.2 * 35.7e6)
 
 
 def test_load_dataset_traced_peak_on_hub_files(tmp_path):
