@@ -171,7 +171,7 @@ class SocialGraph:
     def from_edges(cls, n, trust_edges=(), distrust_edges=()):
         """Build from (source, target) pair lists or (E, 2) arrays; each
         user's targets keep their input order (a stable order by source)."""
-        csr = []
+        signed = []
         for sign, edges in (("trust", trust_edges), ("distrust", distrust_edges)):
             edges = np.asarray(edges, dtype=np.int64)
             if edges.size == 0:
@@ -182,10 +182,14 @@ class SocialGraph:
             if len(bad):
                 u, v = edges[bad[0]]
                 raise ValueError(f"{sign} edge ({u}, {v}): source index {u} out of range")
-            degrees = np.bincount(edges[:, 0], minlength=n)
-            csr += [np.concatenate(([0], np.cumsum(degrees))),
-                    edges[stable_order(edges[:, 0], n), 1]]
-        return cls(n, *csr)
+            signed.append(edges)
+        trust, distrust = signed
+        # each user's trust list, then each user's distrust list, targets in input order
+        lists = np.concatenate((trust[:, 0], distrust[:, 0] + n))
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(lists, minlength=2 * n))))
+        targets = np.concatenate((trust[:, 1], distrust[:, 1]))[stable_order(lists, 2 * n)]
+        cut = len(trust)
+        return cls(n, offsets[:n + 1], targets[:cut], offsets[n:] - cut, targets[cut:])
 
     @cached_property
     def trust_edge_array(self) -> np.ndarray:

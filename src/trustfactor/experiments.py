@@ -5,8 +5,6 @@ synthetic generator that makes every protocol runnable at desk scale."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,31 +17,6 @@ from .optimize import fit_gd, fit_sgd
 from .seeding import substream
 
 DEFAULT_BIN_EDGES = (0, 20, 40, 60, 80)
-
-
-def worker_count() -> int:
-    """Parallelism cap from TRUSTFACTOR_THREADS (0 = auto, unset = serial)."""
-    raw = os.environ.get("TRUSTFACTOR_THREADS", "1")
-    try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"TRUSTFACTOR_THREADS={raw!r}: expected a worker count "
-                         "(a non-negative integer, 0 for one per CPU)") from None
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
-
-
-def _map_tasks(fn, args_list):
-    """Run fn over args in order; results are position-stable regardless of
-    the worker count, so outputs stay deterministic."""
-    threads = worker_count()
-    if threads <= 1 or len(args_list) <= 1:
-        return [fn(*args) for args in args_list]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda args: fn(*args), args_list))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +123,7 @@ def grid_search(train: SparseRatings, validation: SparseRatings,
             return ls, second, float("inf")
         return ls, second, val_rmse
 
-    rows = _map_tasks(run_point, points)
+    rows = [run_point(ls, second) for ls, second in points]
     best = min(rows, key=lambda r: (r[2], r[0], r[1]))
     return GridResult(rows, best)
 
@@ -342,8 +315,8 @@ def distrust_tradeoff_run(ratings: SparseRatings, graph: SocialGraph, hp: Hyperp
         model, _ = fit_method(train, store, point_hp, optimizer, seed=seed)
         return evaluate_model(model, test, point_hp.clamp_predictions)
 
-    sweep = [(kept_trust, count, "triplet-margin") for count in counts]
-    *points, reference = _map_tasks(run, sweep + [(trust_edges, 0, "trust-pull")])
+    points = [run(kept_trust, count, "triplet-margin") for count in counts]
+    reference = run(trust_edges, 0, "trust-pull")
     return TradeoffResult([("mf-td", trust_keep, float(f), *point)
                            for f, point in zip(fractions, points)]
                           + [("mf-t", 1.0, 0.0, *reference)])

@@ -252,14 +252,10 @@ def _build_ratings(user_idx, item_idx, values, n, m, r_min, r_max):
 def _build_graph(files, user_map):
     """Signed graph of the rows of the social files (as `_read_social` returns
     them); a repeated (u, v) keeps its first row and must repeat its sign."""
-    n = len(user_map)
     pairs, signs = _first_edges(files, user_map)
-    # each user's trust list, then each user's distrust list, targets in row order
-    lists = (signs < 0) * n + pairs[:, 0]
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(lists, minlength=2 * n))))
-    targets = pairs[stable_order(lists, 2 * n), 1]
-    trust = offsets[n]
-    return SocialGraph(n, offsets[:n + 1], targets[:trust], offsets[n:] - trust, targets[trust:])
+    # compress picks rows several times faster than a boolean index does
+    return SocialGraph.from_edges(len(user_map), pairs.compress(signs > 0, axis=0),
+                                  pairs.compress(signs < 0, axis=0))
 
 
 def _first_edges(files, user_map):

@@ -222,14 +222,15 @@ def _propagate(graph: SocialGraph, p: int, q: int):
     if min(p, q) < 1:
         raise ValueError("propagation depth must be at least 1")
     n = graph.n
-    seen = frontier = selves = np.arange(n) * (n + 1)
-    reach = [selves]  # reach[d]: keys of the users within d trust edges
+    seen = frontier = np.arange(n) * (n + 1)  # the self keys u * n + u
+    reach = [seen]  # reach[d]: keys of the users within d trust edges
     for _ in range(max(p, q - 1)):
         frontier = drop(_step(frontier, n, graph.trust_offsets, graph.trust_targets), seen)
         seen = np.sort(np.concatenate((seen, frontier)))
         reach.append(seen)
     distrusted = _step(reach[q - 1], n, graph.distrust_offsets, graph.distrust_targets)
-    return drop(reach[p], selves), drop(distrusted, selves)
+    # u * n + u is the only key in [0, n * n) that n + 1 divides
+    return tuple(keys[keys % (n + 1) != 0] for keys in (reach[p], distrusted))
 
 
 @dataclass(frozen=True, eq=False)

@@ -152,6 +152,18 @@ def test_array_containers_compare_and_hash_by_identity():
         assert len({a, a, b}) == 2
 
 
+def per_sign_csr(n, trust_edges, distrust_edges):
+    """Reference CSR build: one stable sort by source per sign, the build
+    SocialGraph.from_edges replaced with one sort over both signs."""
+    csr = []
+    for edges in (trust_edges, distrust_edges):
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        degrees = np.bincount(edges[:, 0], minlength=n)
+        csr += [np.concatenate(([0], np.cumsum(degrees))),
+                edges[np.argsort(edges[:, 0], kind="stable"), 1]]
+    return csr
+
+
 class TestSocialGraph:
     def test_rejects_self_edge(self):
         with pytest.raises(ValueError, match="self-edge"):
@@ -218,6 +230,21 @@ class TestSocialGraph:
             assert [a.tolist() for a in g.trust_adj] == [[3, 1], [], [0, 1], []]
         with pytest.raises(ValueError):
             g.trust_adj[0][0] = 2
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_csr_equals_the_per_sign_build(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 16))
+        pairs = [(u, v) for u in range(n - 1) for v in range(n - 1) if u != v]  # user n-1 has none
+        picked = [pairs[p] for p in rng.permutation(len(pairs))[:int(rng.integers(0, 40))]]
+        cut = {0: 0, 1: len(picked)}.get(seed % 4, int(rng.integers(0, len(picked) + 1)))
+        trust, distrust = picked[:cut], picked[cut:]  # sources out of order, a sign may be empty
+        if seed % 3:
+            trust, distrust = np.array(trust, np.int64), np.array(distrust, np.int64)
+        g = SocialGraph.from_edges(n, trust, distrust)
+        got = [g.trust_offsets, g.trust_targets, g.distrust_offsets, g.distrust_targets]
+        for built, expected in zip(got, per_sign_csr(n, trust, distrust)):
+            assert built.dtype == np.int64 and built.tobytes() == expected.tobytes()
 
 
 class TestExtractTriplets:

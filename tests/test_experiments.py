@@ -1,4 +1,3 @@
-import os
 import tracemalloc
 
 import numpy as np
@@ -25,7 +24,6 @@ from trustfactor.experiments import (
     majority_vote_eval,
     split_ratings,
     synth_generate,
-    worker_count,
 )
 from trustfactor.metrics import RankedList, average_precision, ndcg_at_k
 from trustfactor.optimize import fit_gd
@@ -388,38 +386,6 @@ class TestTradeoff:
             rows = {row[2]: row[4] for row in result.rows if row[0] == "mf-td"}
             wins += rows[1.0] <= rows[0.1]
         assert wins >= 4
-
-
-class TestWorkerParallelism:
-    @pytest.mark.parametrize("raw,expected", [(None, 1), ("0", os.cpu_count() or 1),
-                                              ("1", 1), ("3", 3)])
-    def test_worker_count(self, monkeypatch, raw, expected):
-        if raw is None:
-            monkeypatch.delenv("TRUSTFACTOR_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("TRUSTFACTOR_THREADS", raw)
-        assert worker_count() == expected
-
-    @pytest.mark.parametrize("raw", ["abc", "-3"])
-    def test_bad_worker_count_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("TRUSTFACTOR_THREADS", raw)
-        with pytest.raises(ValueError) as err:
-            worker_count()
-        message = str(err.value)
-        assert f"TRUSTFACTOR_THREADS={raw!r}" in message and "\n" not in message
-
-    def test_grid_result_independent_of_thread_count(self, monkeypatch):
-        ratings, graph, _ = small_synth(seed=9)
-        train, validation = split_ratings(ratings, SplitSpec(0.8, 0))
-        store = extract_triplets(graph)
-        hp = Hyperparams(k=2, eta0=0.02, epochs=25, social="triplet-margin")
-        results = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("TRUSTFACTOR_THREADS", threads)
-            results.append(grid_search(train, validation, store, hp, "lambda_v",
-                                       [0.0, 1.0], [0.05, 0.5], seed=0))
-        assert results[0].rows == results[1].rows
-        assert results[0].best == results[1].best
 
 
 def enumerated_synth(spec):

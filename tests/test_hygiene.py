@@ -6,7 +6,9 @@ the objective kernel that `optimize` drives, and none calls the builtin
 `sum`, whose float rounding changed in Python 3.12 (`metrics.left_sum` keeps
 the left-to-right order every output was written with). Nor does any module
 name `np.append`, which copies a whole array to add one element, or
-`np.lexsort`, several times slower than a packed sort (`keys.stable_order`)."""
+`np.lexsort`, several times slower than a packed sort (`keys.stable_order`).
+No module imports `threading` or `concurrent.futures`: numpy passes the GIL
+back and forth in small blocks, so threads never made the sweeps faster."""
 
 import ast
 from pathlib import Path
@@ -60,6 +62,21 @@ def _slow_numpy(tree):
             yield from (alias.name for alias in node.names if alias.name in SLOW_NUMPY)
 
 
+THREAD_MODULES = {"threading", "concurrent"}
+
+
+def _thread_imports(tree):
+    """Modules of THREAD_MODULES (or their submodules) that the tree imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        yield from (name for name in names if name.split(".")[0] in THREAD_MODULES)
+
+
 def _private_top_level(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -107,6 +124,12 @@ def test_no_slow_numpy_call(path):
     assert not names, f"{path.name} uses np.{names}; see the module docstring"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_thread_import(path):
+    names = sorted(set(_thread_imports(ast.parse(path.read_text(encoding="utf-8")))))
+    assert not names, f"{path.name} imports {names}; see the module docstring"
+
+
 def test_the_guards_see_dead_code():
     tree = ast.parse("from __future__ import annotations\nimport os, numpy.linalg\n"
                      "from math import log as ln, pi\n_UNUSED = 1\n_USED = 2\n"
@@ -122,3 +145,7 @@ def test_the_guards_see_dead_code():
     tree = ast.parse("import numpy as np\nfrom numpy import lexsort\nx = np.append(a, 1)\n"
                      "y = numpy.lexsort(k)\nrows.append(1)\nz = np.diff(a, append=0)\n")
     assert sorted(_slow_numpy(tree)) == ["append", "lexsort", "lexsort"]
+    tree = ast.parse("import threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+                     "import concurrent.futures as cf\nfrom .threading import x\nimport queue\n")
+    assert sorted(_thread_imports(tree)) == ["concurrent.futures", "concurrent.futures",
+                                             "threading"]

@@ -1105,19 +1105,6 @@ class TestCli:
         rmses = [float(row[2]) for row in surface[1:]]
         assert float(best[1][2]) == min(rmses)
 
-    def test_grid_rejects_bad_thread_count(self, tmp_path, capsys, monkeypatch):
-        out = _synth_dir(tmp_path)
-        monkeypatch.setenv("TRUSTFACTOR_THREADS", "abc")
-        code = run_cli([
-            "grid", "--ratings", str(out / "ratings.tsv"),
-            "--social", str(out / "social.tsv"), "--epochs", "2",
-            "--lambda-s-grid", "0,1", "--lambda-v-grid", "0.05",
-            "--out", str(tmp_path / "grid"),
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: TRUSTFACTOR_THREADS='abc'") and err.count("\n") == 1
-
     def test_consistency_and_vote_and_tradeoff(self, tmp_path):
         out = _synth_dir(tmp_path)
         base = ["--ratings", str(out / "ratings.tsv"),
