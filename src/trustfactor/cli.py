@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: synth, fit, eval, split, grid, coldstart, consistency,
-majority-vote, tradeoff, batch-study. Every run writes machine-readable CSV
-into --out and prints a short human summary; exit status 0 on success,
-nonzero with a one-line diagnostic otherwise.
+majority-vote, tradeoff, batch-study, each a row of COMMANDS that names the
+flags its body reads; its subparser takes those and no others. Every run
+writes machine-readable CSV into --out and prints a short human summary;
+exit status 0 on success, 1 with a one-line diagnostic on bad input, and 2
+with argparse's usage error on a flag the command does not take.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import statistics
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,128 +56,66 @@ SOCIAL_FOR_METHOD = {
 }
 
 
-def _add_data_flags(parser, social=True):
-    parser.add_argument("--ratings", required=True, help="ratings TSV file")
-    if social:
-        parser.add_argument("--social", help="signed social TSV (user, user, 1|-1)")
-        parser.add_argument("--trust", help="trust edges TSV (2 or 3 columns)")
-        parser.add_argument("--distrust", help="distrust edges TSV (2 or 3 columns)")
-
-
-def _add_hyper_flags(parser):
-    parser.add_argument("--method", default="mf-td", choices=(*SOCIAL_FOR_METHOD, *VARIANTS))
-    parser.add_argument("--optimizer", default=None, choices=("gd", "sgd"))
-    parser.add_argument("--k", type=int, default=10)
-    parser.add_argument("--lambda-u", type=float, default=0.1)
-    parser.add_argument("--lambda-v", type=float, default=0.1)
-    parser.add_argument("--lambda-s", type=float, default=1.0)
-    parser.add_argument("--alpha", type=float, default=1.0)
-    parser.add_argument("--beta", type=float, default=1.0)
-    parser.add_argument("--eta", type=float, default=0.01)
-    parser.add_argument("--schedule", default="constant", choices=("constant", "inverse-sqrt"))
-    parser.add_argument("--batch-size", type=int, default=32)
-    parser.add_argument("--epochs", type=int, default=200)
-    parser.add_argument("--loss", default="hinge", choices=("hinge", "logistic"))
-    parser.add_argument("--sign-convention", default="figure1",
-                        choices=("figure1", "paper-literal"))
-    parser.add_argument("--no-clamp", action="store_true",
-                        help="evaluate with raw dot products")
-    parser.add_argument("--p", type=int, default=None, help="trust propagation depth")
-    parser.add_argument("--q", type=int, default=None, help="distrust propagation depth")
-
-
-def _common(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", required=True, help="output directory")
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="trustfactor",
-        description="Rating prediction with signed social constraints",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    _common(p)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--m", type=int, default=150)
-    p.add_argument("--rank", type=int, default=3)
-    p.add_argument("--clusters", type=int, default=3)
-    p.add_argument("--density", type=float, default=0.2)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--trust-edges", type=int, default=300)
-    p.add_argument("--distrust-edges", type=int, default=300)
-    p.add_argument("--item-low", type=int, default=1)
-    p.add_argument("--item-high", type=int, default=5)
-
-    p = sub.add_parser("fit", help="train a model and report test accuracy")
-    _common(p)
-    _add_data_flags(p)
-    _add_hyper_flags(p)
-    p.add_argument("--train-frac", type=float, default=0.9)
-    p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--patience", type=int, default=None,
-                   help="stop when validation RMSE, on a tenth of the training side "
-                        "held out, has not improved for this many iterations")
-
-    p = sub.add_parser("eval", help="evaluate a saved model on a ratings file")
-    _common(p)
-    p.add_argument("--ratings", required=True)
-    p.add_argument("--model", required=True, help="model file from fit (id maps read from its directory)")
-    p.add_argument("--no-clamp", action="store_true")
-
-    p = sub.add_parser("split", help="write train/test splits")
-    _common(p)
-    _add_data_flags(p, social=False)
-    p.add_argument("--train-frac", type=float, default=0.9)
-    p.add_argument("--repeats", type=int, default=5)
-
-    p = sub.add_parser("grid", help="grid search over (lambda_s, lambda_v|lambda_u)")
-    _common(p)
-    _add_data_flags(p)
-    _add_hyper_flags(p)
-    p.add_argument("--train-frac", type=float, default=0.9)
-    p.add_argument("--val-frac", type=float, default=0.1,
-                   help="fraction of the training side held out for validation")
-    p.add_argument("--lambda-s-grid", required=True, help="comma-separated values")
-    p.add_argument("--lambda-v-grid", help="comma-separated values")
-    p.add_argument("--lambda-u-grid", help="comma-separated values")
-
-    p = sub.add_parser("coldstart", help="cold-start protocol")
-    _common(p)
-    _add_data_flags(p)
-    _add_hyper_flags(p)
-    p.add_argument("--cold-frac", type=float, default=0.3)
-    p.add_argument("--methods", default="mf,mf-td", help="comma-separated method list")
-    p.add_argument("--repeats", type=int, default=5)
-
-    p = sub.add_parser("consistency", help="alignment of similarity rankings with relations")
-    _common(p)
-    _add_data_flags(p)
-    p.add_argument("--relation", default="trust", choices=("trust", "distrust"))
-
-    p = sub.add_parser("majority-vote", help="relation prediction by neighbor vote")
-    _common(p)
-    _add_data_flags(p)
-    p.add_argument("--holdout-frac", type=float, default=0.3)
-
-    p = sub.add_parser("tradeoff", help="trade trust edges for distrust edges")
-    _common(p)
-    _add_data_flags(p)
-    _add_hyper_flags(p)
-    p.add_argument("--train-frac", type=float, default=0.9)
-    p.add_argument("--trust-keep", type=float, default=0.9)
-    p.add_argument("--distrust-fracs",
-                   default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-
-    p = sub.add_parser("batch-study", help="GD vs mini-batch SGD convergence")
-    _common(p)
-    _add_data_flags(p)
-    _add_hyper_flags(p)
-    p.add_argument("--train-frac", type=float, default=0.9)
-    p.add_argument("--batch-sizes", default="1,8,64")
-    return parser
+# argparse keywords of every flag; each command's row in COMMANDS names the
+# flags its body reads, and its subparser takes those and no others
+FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--out": dict(required=True, help="output directory"),
+    "--ratings": dict(required=True, help="ratings TSV file"),
+    "--social": dict(help="signed social TSV (user, user, 1|-1)"),
+    "--trust": dict(help="trust edges TSV (2 or 3 columns)"),
+    "--distrust": dict(help="distrust edges TSV (2 or 3 columns)"),
+    "--model": dict(required=True, help="model file from fit (id maps read from its directory)"),
+    "--n": dict(type=int, default=200),
+    "--m": dict(type=int, default=150),
+    "--rank": dict(type=int, default=3),
+    "--clusters": dict(type=int, default=3),
+    "--density": dict(type=float, default=0.2),
+    "--noise": dict(type=float, default=0.1),
+    "--trust-edges": dict(type=int, default=300),
+    "--distrust-edges": dict(type=int, default=300),
+    "--item-low": dict(type=int, default=1),
+    "--item-high": dict(type=int, default=5),
+    "--method": dict(default="mf-td", choices=(*SOCIAL_FOR_METHOD, *VARIANTS)),
+    "--methods": dict(default="mf,mf-td", help="comma-separated method list"),
+    "--optimizer": dict(choices=("gd", "sgd")),
+    "--k": dict(type=int, default=10),
+    "--lambda-u": dict(type=float, default=0.1),
+    "--lambda-v": dict(type=float, default=0.1),
+    "--lambda-s": dict(type=float, default=1.0),
+    "--alpha": dict(type=float, default=1.0),
+    "--beta": dict(type=float, default=1.0),
+    "--eta": dict(type=float, default=0.01),
+    "--schedule": dict(default="constant", choices=("constant", "inverse-sqrt")),
+    "--batch-size": dict(type=int, default=32),
+    "--epochs": dict(type=int, default=200),
+    "--loss": dict(default="hinge", choices=("hinge", "logistic")),
+    "--sign-convention": dict(default="figure1", choices=("figure1", "paper-literal")),
+    "--no-clamp": dict(action="store_true", help="evaluate with raw dot products"),
+    "--p": dict(type=int, help="trust propagation depth"),
+    "--q": dict(type=int, help="distrust propagation depth"),
+    "--train-frac": dict(type=float, default=0.9),
+    "--repeats": dict(type=int, default=5),
+    "--patience": dict(type=int, help="stop when validation RMSE, on a tenth of the training "
+                                      "side held out, has not improved for this many iterations"),
+    "--val-frac": dict(type=float, default=0.1,
+                       help="fraction of the training side held out for validation"),
+    "--lambda-s-grid": dict(required=True, help="comma-separated values"),
+    "--lambda-v-grid": dict(help="comma-separated values"),
+    "--lambda-u-grid": dict(help="comma-separated values"),
+    "--cold-frac": dict(type=float, default=0.3),
+    "--relation": dict(default="trust", choices=("trust", "distrust")),
+    "--holdout-frac": dict(type=float, default=0.3),
+    "--trust-keep": dict(type=float, default=0.9),
+    "--distrust-fracs": dict(default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"),
+    "--batch-sizes": dict(default="1,8,64"),
+}
+DATA = ("--ratings", "--social", "--trust", "--distrust")
+# what a GD fit of the margin model reads; FIT adds what the other social
+# terms and SGD read
+MARGIN = ("--k", "--lambda-u", "--lambda-v", "--lambda-s", "--eta", "--schedule", "--epochs",
+          "--loss", "--sign-convention", "--no-clamp")
+FIT = ("--optimizer", *MARGIN, "--alpha", "--beta", "--batch-size")
 
 
 def _hyperparams(args, method):
@@ -185,23 +126,21 @@ def _hyperparams(args, method):
         lambda_u=args.lambda_u,
         lambda_v=args.lambda_v,
         lambda_s=args.lambda_s,
-        alpha=args.alpha,
-        beta=args.beta,
         eta0=args.eta,
         schedule=args.schedule,
-        batch_size=args.batch_size,
         epochs=args.epochs,
         loss=args.loss,
         sign_convention=args.sign_convention,
         clamp_predictions=not args.no_clamp,
         social=SOCIAL_FOR_METHOD[method],
+        # a command without one of these fits no term that reads it
+        **{name: getattr(args, name) for name in ("alpha", "beta", "batch_size") if name in args},
     )
 
 
 def _load_bundle(args):
-    return load_dataset(args.ratings, social_path=getattr(args, "social", None),
-                        trust_path=getattr(args, "trust", None),
-                        distrust_path=getattr(args, "distrust", None))
+    return load_dataset(args.ratings, social_path=args.social, trust_path=args.trust,
+                        distrust_path=args.distrust)
 
 
 def _require_graph(bundle, command):
@@ -211,14 +150,13 @@ def _require_graph(bundle, command):
 
 
 def _mean_std_rows(rows, label, numeric_from):
-    """Summary rows: one mean and one std row over the numeric tail columns."""
-    if not rows:
-        return []
+    """Summary rows: one mean and one std row over the numeric tail columns
+    of one or more rows."""
     means, stds = [], []
     for col in range(numeric_from, len(rows[0])):
-        values = [row[col] for row in rows if row[col] is not None]
-        means.append(left_sum(values) / len(values) if values else None)
-        stds.append(statistics.pstdev(values) if len(values) > 1 else 0.0 if values else None)
+        values = [row[col] for row in rows]
+        means.append(left_sum(values) / len(values))
+        stds.append(statistics.pstdev(values))
     pad = [""] * (numeric_from - 1)
     return [[label + "-mean"] + pad + means, [label + "-std"] + pad + stds]
 
@@ -241,20 +179,21 @@ def _nb_eval(train, test, graph, variant, p, q):
     return evaluate_predictions(test, pred, clamp=False)
 
 
-def _fit_one(train, test, graph, args, method, optimizer, seed, patience=None):
+def _fit_one(train, test, graph, args, method, seed, patience=None):
     if method in VARIANTS:
-        if optimizer is not None:
-            print(f"warning: optimizer ignored for {method}", file=sys.stderr)
+        for flag, value in (("optimizer", args.optimizer), ("patience", patience)):
+            if value is not None:
+                print(f"warning: {flag} ignored for {method}", file=sys.stderr)
         return None, _nb_eval(train, test, graph, method, args.p, args.q)
     if args.p is not None or args.q is not None:
         print(f"warning: propagation depths ignored for {method}", file=sys.stderr)
     hp = _hyperparams(args, method)
-    optimizer = optimizer or "gd"
     store = None if graph is None else lazy_triplets(graph)
     validation = None
     if patience is not None:  # early stopping watches a share held out as grid does
         train, validation = split_ratings(train, SplitSpec(0.9, seed + 1, 1))
-    model, report = fit_method(train, store, hp, optimizer, validation, seed, patience)
+    model, report = fit_method(train, store, hp, args.optimizer or "gd", validation, seed,
+                               patience)
     if report.stop_reason != STOP_MAX_ITERS:
         done = report.records[-1].iteration if report.records else 0
         print(f"warning: {method} fit (seed {seed}) stopped by {report.stop_reason} "
@@ -329,17 +268,16 @@ def _cmd_fit(args, out):
         train, test = split_ratings(
             bundle.ratings, SplitSpec(args.train_frac, args.seed, args.repeats), rep)
         model, (m, r) = _fit_one(train, test, bundle.graph, args, args.method,
-                                 args.optimizer, args.seed + rep, args.patience)
+                                 args.seed + rep, args.patience)
         rows.append([args.method, rep, args.seed + rep, m, r])
-    csv_rows = rows + _mean_std_rows(rows, args.method, 3)
-    write_csv(out / "metrics.csv", ["method", "repetition", "seed", "mae", "rmse"], csv_rows)
+    mean, std = _mean_std_rows(rows, args.method, 3)
+    write_csv(out / "metrics.csv", ["method", "repetition", "seed", "mae", "rmse"],
+              [*rows, mean, std])
     if model is not None:
         save_model(model, out / "model.bin")
         save_id_map(out / "user_ids.tsv", bundle.user_map)
         save_id_map(out / "item_ids.tsv", bundle.item_map)
-    mean_mae = left_sum(r[3] for r in rows) / len(rows)
-    mean_rmse = left_sum(r[4] for r in rows) / len(rows)
-    print(f"{args.method}: MAE {mean_mae:.4f}  RMSE {mean_rmse:.4f} "
+    print(f"{args.method}: MAE {mean[3]:.4f}  RMSE {mean[4]:.4f} "
           f"over {args.repeats} repetition(s); results in {out}")
 
 
@@ -365,6 +303,7 @@ def _cmd_eval(args, out):
 
 def _cmd_split(args, out):
     _check_fraction("--train-frac", args.train_frac)
+    _check_at_least("--repeats", args.repeats, 1)
     bundle = load_dataset(args.ratings)
     spec = SplitSpec(args.train_frac, args.seed, args.repeats)
     rows = []
@@ -408,27 +347,22 @@ def _cmd_coldstart(args, out):
     _check_at_least("--repeats", args.repeats, 1)
     methods = _value_list("--methods", args.methods, "name distinct methods", str)
     bundle = _load_bundle(args)
-    rows = []
+    splits = [cold_start_split(bundle.ratings, args.cold_frac, args.seed, rep)[:2]
+              for rep in range(args.repeats)]
+    if any(test.nnz == 0 for _, test in splits):
+        raise ValueError("cold-start test side is empty")
+    rows, lines = [], []
     for method in methods:
-        for rep in range(args.repeats):
-            train, test, _cold = cold_start_split(
-                bundle.ratings, args.cold_frac, args.seed, rep)
-            if test.nnz == 0:
-                raise ValueError("cold-start test side is empty")
-            _, (m, r) = _fit_one(train, test, bundle.graph, args, method,
-                                 args.optimizer, args.seed + rep)
-            rows.append([method, rep, args.seed + rep, m, r])
-    csv_rows = []
-    for method in methods:
-        method_rows = [row for row in rows if row[0] == method]
-        csv_rows += method_rows + _mean_std_rows(method_rows, method, 3)
-    write_csv(out / "coldstart.csv",
-              ["method", "repetition", "seed", "mae", "rmse"], csv_rows)
-    for method in methods:
-        vals = [row[4] for row in rows if row[0] == method]
-        print(f"{method}: cold-user RMSE mean {left_sum(vals)/len(vals):.4f} "
-              f"over {args.repeats} repetition(s)")
-    print(f"results in {out}")
+        method_rows = []
+        for rep, (train, test) in enumerate(splits):
+            _, (m, r) = _fit_one(train, test, bundle.graph, args, method, args.seed + rep)
+            method_rows.append([method, rep, args.seed + rep, m, r])
+        mean, std = _mean_std_rows(method_rows, method, 3)
+        rows += [*method_rows, mean, std]
+        lines.append(f"{method}: cold-user RMSE mean {mean[4]:.4f} "
+                     f"over {args.repeats} repetition(s)")
+    write_csv(out / "coldstart.csv", ["method", "repetition", "seed", "mae", "rmse"], rows)
+    print(*lines, f"results in {out}", sep="\n")
 
 
 def _cmd_consistency(args, out):
@@ -494,22 +428,63 @@ def _cmd_batch_study(args, out):
     print(f"batch study with {len(sizes)} batch sizes; results in {out}")
 
 
+class Command(NamedTuple):
+    help: str
+    flags: tuple  # FLAGS names the body reads besides --seed and --out
+    run: Callable
+    defaults: dict = {}  # dest -> default where the command's differs from FLAGS'; never mutated
+
+
 COMMANDS = {
-    "synth": _cmd_synth,
-    "fit": _cmd_fit,
-    "eval": _cmd_eval,
-    "split": _cmd_split,
-    "grid": _cmd_grid,
-    "coldstart": _cmd_coldstart,
-    "consistency": _cmd_consistency,
-    "majority-vote": _cmd_majority_vote,
-    "tradeoff": _cmd_tradeoff,
-    "batch-study": _cmd_batch_study,
+    "synth": Command("generate a synthetic dataset", (
+        "--n", "--m", "--rank", "--clusters", "--density", "--noise", "--trust-edges",
+        "--distrust-edges", "--item-low", "--item-high"), _cmd_synth),
+    "fit": Command("train a model and report test accuracy", (
+        *DATA, "--method", *FIT, "--p", "--q", "--train-frac", "--repeats", "--patience"),
+        _cmd_fit, {"repeats": 1}),
+    "eval": Command("evaluate a saved model on a ratings file",
+                    ("--ratings", "--model", "--no-clamp"), _cmd_eval),
+    "split": Command("write train/test splits", ("--ratings", "--train-frac", "--repeats"),
+                     _cmd_split),
+    "grid": Command("grid search over (lambda_s, lambda_v|lambda_u)", (
+        *DATA, "--method", *FIT, "--train-frac", "--val-frac", "--lambda-s-grid",
+        "--lambda-v-grid", "--lambda-u-grid"), _cmd_grid),
+    "coldstart": Command("cold-start protocol", (
+        *DATA, "--methods", *FIT, "--p", "--q", "--cold-frac", "--repeats"), _cmd_coldstart),
+    "consistency": Command("alignment of similarity rankings with relations",
+                           (*DATA, "--relation"), _cmd_consistency),
+    "majority-vote": Command("relation prediction by neighbor vote",
+                             (*DATA, "--holdout-frac"), _cmd_majority_vote),
+    # the sweep fits mf-td and an mf-t reference row: --alpha is read, --beta never
+    "tradeoff": Command("trade trust edges for distrust edges", (
+        *DATA, "--optimizer", *MARGIN, "--alpha", "--batch-size", "--train-frac", "--trust-keep",
+        "--distrust-fracs"), _cmd_tradeoff),
+    "batch-study": Command("GD vs mini-batch SGD convergence",
+                           (*DATA, *MARGIN, "--train-frac", "--batch-sizes"), _cmd_batch_study),
 }
 
 
+def build_parser(commands=COMMANDS):
+    """The parser with one subparser per named command, each taking --seed,
+    --out and the flags of its COMMANDS row, unabbreviated."""
+    parser = argparse.ArgumentParser(
+        prog="trustfactor",
+        description="Rating prediction with signed social constraints",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in commands:
+        command = COMMANDS[name]
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for flag in ("--seed", "--out", *command.flags):
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(**command.defaults)
+    return parser
+
+
 def run_cli(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the named command's subparser alone; all of them for --help or a bad name
+    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -517,7 +492,7 @@ def run_cli(argv=None) -> int:
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.command](args, out)
+        COMMANDS[args.command].run(args, out)
         return 0
     except (ValueError, OSError, IndexError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import logging
 import math
@@ -842,7 +843,71 @@ def read_csv(path):
 
 class TestCli:
     def test_unknown_subcommand_fails(self, capsys):
-        assert run_cli(["frobnicate"]) != 0
+        assert run_cli(["frobnicate"]) == 2
+        assert "{" + ",".join(cli.COMMANDS) + "}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code", [([], 2), (["--help"], 0)])
+    def test_without_a_command_every_command_is_listed(self, capsys, argv, code):
+        assert run_cli(argv) == code
+        printed = capsys.readouterr()
+        assert "{" + ",".join(cli.COMMANDS) + "}" in printed.out + printed.err
+
+    # (command, flag, value) of the flags commands took before and never read
+    UNREAD = [("grid", "--p", "2"), ("grid", "--q", "2"), ("coldstart", "--method", "nb"),
+              ("tradeoff", "--method", "nb"), ("tradeoff", "--p", "2"), ("tradeoff", "--q", "2"),
+              ("tradeoff", "--beta", "0.5"), ("batch-study", "--method", "nb"),
+              ("batch-study", "--optimizer", "sgd"), ("batch-study", "--batch-size", "4"),
+              ("batch-study", "--alpha", "0.5"), ("batch-study", "--beta", "0.5"),
+              ("batch-study", "--p", "2"), ("batch-study", "--q", "2")]
+
+    @pytest.mark.parametrize("command, flag, value",
+                             UNREAD + [("fit", "--meth", "mf"), ("split", "--repeat", "2")])
+    def test_unread_or_abbreviated_flag_exits_2(self, tmp_path, capsys, command, flag, value):
+        # an abbreviation is no flag: coldstart --method is not --methods
+        required = ["--lambda-s-grid", "0"] if command == "grid" else []
+        out = tmp_path / "out"
+        code = run_cli([command, "--ratings", "r.tsv", *required, flag, value, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"usage: trustfactor [-h] {{{command}}} ...\n"
+            f"trustfactor: error: unrecognized arguments: {flag} {value}\n")
+        assert not out.exists()
+
+    def test_every_accepted_flag_is_read(self, tmp_path):
+        """Each command's body reads every flag its subparser takes, but for
+        --out, which run_cli reads, and --seed on eval and consistency: every
+        command takes --seed."""
+        out = _synth_dir(tmp_path)
+        data = ["--ratings", str(out / "ratings.tsv"), "--social", str(out / "social.tsv")]
+        runs = {  # in COMMANDS order, so eval reads the model fit writes
+            "synth": [],
+            "fit": [*data, "--epochs", "2"],
+            "eval": ["--ratings", str(out / "ratings.tsv"),
+                     "--model", str(tmp_path / "fit" / "model.bin")],
+            "split": ["--ratings", str(out / "ratings.tsv"), "--repeats", "1"],
+            "grid": [*data, "--epochs", "2", "--lambda-s-grid", "0", "--lambda-v-grid", "0.1"],
+            "coldstart": [*data, "--epochs", "2", "--repeats", "1"],
+            "consistency": data,
+            "majority-vote": data,
+            "tradeoff": [*data, "--epochs", "2", "--distrust-fracs", "0.5"],
+            "batch-study": [*data, "--epochs", "2", "--batch-sizes", "1"],
+        }
+        assert list(runs) == list(cli.COMMANDS)
+        unread = {"eval": {"seed"}, "consistency": {"seed"}}
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        for name, argv in runs.items():
+            args = cli.build_parser([name]).parse_args(
+                [name, *argv, "--out", str(tmp_path / name)])
+            (tmp_path / name).mkdir()
+            reads.clear()
+            cli.COMMANDS[name].run(Recording(**vars(args)), tmp_path / name)
+            assert set(vars(args)) - {"command", "out"} - reads == unread.get(name, set()), name
 
     def test_bad_train_frac(self, tmp_path, capsys):
         out = _synth_dir(tmp_path)
@@ -854,11 +919,11 @@ class TestCli:
         assert code != 0
         assert "train-frac" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["fit", "coldstart"])
+    @pytest.mark.parametrize("command", ["fit", "coldstart", "split"])
     def test_zero_repeats_rejected(self, tmp_path, capsys, command):
         out = _synth_dir(tmp_path)
-        code = run_cli([command, "--ratings", str(out / "ratings.tsv"),
-                        "--social", str(out / "social.tsv"), "--repeats", "0",
+        social = [] if command == "split" else ["--social", str(out / "social.tsv")]
+        code = run_cli([command, "--ratings", str(out / "ratings.tsv"), *social, "--repeats", "0",
                         "--out", str(tmp_path / "zero")])
         assert code == 1
         assert capsys.readouterr().err == "error: --repeats must be at least 1, got 0\n"
@@ -972,6 +1037,13 @@ class TestCli:
         ])
         assert code == 0
         assert "optimizer ignored for nb" in capsys.readouterr().err
+
+    def test_nb_method_warns_on_patience(self, tmp_path, capsys):
+        out = _synth_dir(tmp_path)
+        assert run_cli(["fit", "--ratings", str(out / "ratings.tsv"),
+                        "--social", str(out / "social.tsv"), "--method", "nb", "--patience", "3",
+                        "--out", str(tmp_path / "nbfit")]) == 0
+        assert capsys.readouterr().err == "warning: patience ignored for nb\n"
 
     @pytest.mark.parametrize("depth", [["--p", "0"], ["--q", "0"], ["--p", "-1"]])
     def test_nb_rejects_depth_below_one(self, tmp_path, capsys, depth):
@@ -1158,6 +1230,22 @@ class TestCli:
             f"error: --methods must name distinct methods, got {methods!r}\n")
         assert not (tmp_path / "cold" / "coldstart.csv").exists()
 
+    def test_coldstart_rejects_an_empty_cold_side_before_fitting(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # 0.01 of the 40 users rounds down to no cold user
+        out = _synth_dir(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("coldstart fitted before checking every cold split")
+
+        monkeypatch.setattr(cli, "_fit_one", refuse)
+        code = run_cli(["coldstart", "--ratings", str(out / "ratings.tsv"),
+                        "--social", str(out / "social.tsv"), "--cold-frac", "0.01",
+                        "--out", str(tmp_path / "cold")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: cold-start test side is empty\n"
+        assert not (tmp_path / "cold" / "coldstart.csv").exists()
+
     @pytest.mark.parametrize("flag, other", [("--lambda-s-grid", ["--lambda-v-grid", "0.1"]),
                                              ("--lambda-v-grid", ["--lambda-s-grid", "1"]),
                                              ("--lambda-u-grid", ["--lambda-s-grid", "1"])])
@@ -1237,8 +1325,8 @@ class TestCli:
     def test_no_command_lists_triplets(self, tmp_path, monkeypatch):
         out = _synth_dir(tmp_path)
         base = ["--ratings", str(out / "ratings.tsv"), "--social", str(out / "social.tsv"),
-                "--seed", "5", "--epochs", "8", "--eta", "0.02", "--batch-size", "4"]
-        sgd = ["--optimizer", "sgd"]
+                "--seed", "5", "--epochs", "8", "--eta", "0.02"]
+        sgd = ["--optimizer", "sgd", "--batch-size", "4"]
         commands = {
             "fit-gd": ["fit", "--method", "mf-td", *base],
             "fit-sgd": ["fit", "--method", "mf-td", *base, *sgd],
