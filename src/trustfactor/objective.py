@@ -1,10 +1,12 @@
 """Losses, the social terms, and one kernel for the full objective and its
 analytic gradient, over blocks of _BLOCK_ROWS ratings or edges whose products
-np.add.at adds into (k, n) sums. Social terms read U through squared edge
-lengths ||U_s - U_t||^2 and share one edge scatter; a triplet (i, j, k) pairs
-its trust edge (i, j) with its distrust edge (i, k). Full hinge passes count
-each edge's active pairs from the lengths sorted per user; logistic full
-passes list pairs in bounded blocks, and SGD batches are explicit pairs.
+np.add.at adds into (k, n) sums, each weighted row formed once. Social terms
+read U through squared edge lengths ||U_s - U_t||^2 and share one edge
+scatter; a triplet (i, j, k) pairs its trust edge (i, j) with its distrust
+edge (i, k). Full hinge passes take each edge's count of active pairs from
+the CSR offsets when one comparison of the extreme lengths proves every pair
+active, else from the lengths sorted per user; logistic full passes list
+pairs in bounded blocks, and SGD batches are explicit pairs.
 """
 
 from __future__ import annotations
@@ -68,14 +70,16 @@ def _accumulate(out: np.ndarray, index: np.ndarray, rows: np.ndarray, ufunc=np.a
 def _edge_scatter(n: int, sets) -> np.ndarray:
     """(n, k) sums of w[t] * x[t] onto edge t's source row, less the same onto
     its target, over (edges, x, w) sets of (E, 2) edges, (E, k) rows and one
-    or per-edge weights: every source in set order, then every target."""
+    or per-edge weights: every source in set order, then every target. Each
+    weighted row is formed once, by scaling the caller's x in place."""
     out = np.zeros((sets[0][1].shape[1], n))
+    for _, x, w in sets:
+        x *= np.reshape(w, (-1, 1))
     for side, ufunc in ((0, np.add), (1, np.subtract)):
-        for edges, x, w in sets:
-            w = np.broadcast_to(w, len(x))
+        for edges, x, _ in sets:
             for b in range(0, len(x), _BLOCK_ROWS):
                 block = slice(b, b + _BLOCK_ROWS)
-                _accumulate(out, edges[block, side], x[block] * w[block, None], ufunc)
+                _accumulate(out, edges[block, side], x[block], ufunc)
     return out.T
 
 
@@ -161,27 +165,11 @@ def _hinge_threshold(p: np.ndarray) -> np.ndarray:
     return t
 
 
-def _hinge_term(U, graph: SocialGraph, hp: Hyperparams, scale=None):
-    """_margin_term of the hinge loss over every triplet of the graph, from
-    per-edge counts of active pairs instead of a pass over the pairs.
-
-    Write z = q - p: p = a and q = b under figure1, the reverse under
-    paper-literal. fl(q - p) rises with q, so the q-edges active with a
-    p-edge e (fl(q - p_e) < 1) are a prefix, c_e long, of its source's
-    q-edges sorted by length. A q-edge f is in c_f such prefixes. The value,
-    the sum of 1 + p - q over active pairs, is taken as sum c_e -
-    (sum c_f q_f - sum c_e p_e), which keeps a p too small to move 1 + p.
-    Each edge's slope sum is its negated count, so the gradient bytes are
-    the pair pass's.
-    """
-    trust, distrust = graph.trust_edge_array, graph.distrust_edge_array
-    x = [_differences(U, edges) for edges in (trust, distrust)]
-    a, b = (np.sum(d * d, axis=-1) for d in x)
-    figure1 = hp.sign_convention == FIGURE1
-    if figure1:
-        p, q, p_edges, q_edges, q_offsets = a, b, trust, distrust, graph.distrust_offsets
-    else:
-        p, q, p_edges, q_edges, q_offsets = b, a, distrust, trust, graph.trust_offsets
+def _hinge_counts(p, q, p_edges, q_edges, q_offsets):
+    """Per p-edge e, the count c_e of its source's q-edges f with
+    fl(q_f - p_e) < 1, and per q-edge, the count c_f of p-edges active with
+    it: fl(q - p) rises with q, so e's active q-edges are a prefix, c_e long,
+    of its source's q-edges sorted by length, and f is in c_f such prefixes."""
     # q-edges by source, then length: the source offsets each length rank
     by_length = np.argsort(q)
     keys = np.sort(q_edges[by_length, 0] * len(q) + np.arange(len(q)))
@@ -195,7 +183,38 @@ def _hinge_term(U, graph: SocialGraph, hp: Hyperparams, scale=None):
     cover -= np.bincount(starts + c_p, minlength=len(q) + 1)
     c_q = np.empty(len(q), dtype=np.int64)
     c_q[by_length[keys % len(q)]] = np.cumsum(cover[:-1])
+    return c_p, c_q
+
+
+def _hinge_term(U, graph: SocialGraph, hp: Hyperparams, scale=None):
+    """_margin_term of the hinge loss over every triplet of the graph, from
+    per-edge counts of active pairs instead of a pass over the pairs.
+
+    Write z = q - p: p = a and q = b under figure1, the reverse under
+    paper-literal. fl(q - p) rises with q and falls with p, so when
+    fl(max q - min p) < 1 every pair is active and each edge's count is its
+    source's number of other-sign edges; else (or on a NaN) _hinge_counts
+    counts. The value, the sum of 1 + p - q over active pairs, is taken as
+    sum c_e - (sum c_f q_f - sum c_e p_e), which keeps a p too small to move
+    1 + p; the pair pass gives it when that is not finite (a zero count
+    times an inf length reads NaN). Each edge's slope sum is its negated
+    count, so the gradient bytes are the pair pass's.
+    """
+    trust, distrust = graph.trust_edge_array, graph.distrust_edge_array
+    x = [_differences(U, edges) for edges in (trust, distrust)]
+    a, b = (np.sum(d * d, axis=-1) for d in x)
+    figure1 = hp.sign_convention == FIGURE1
+    p, q, p_edges, q_edges = (a, b, trust, distrust) if figure1 else (b, a, distrust, trust)
+    offsets = graph.trust_offsets, graph.distrust_offsets
+    p_offsets, q_offsets = offsets if figure1 else offsets[::-1]
+    if q.max(initial=-np.inf) - p.min(initial=np.inf) < 1.0:
+        c_p = np.diff(q_offsets)[p_edges[:, 0]]
+        c_q = np.diff(p_offsets)[q_edges[:, 0]]
+    else:
+        c_p, c_q = _hinge_counts(p, q, p_edges, q_edges, q_offsets)
     total = float(c_p.sum()) - (float(c_q @ q) - float(c_p @ p))
+    if not np.isfinite(total):  # an inf or NaN length: only the pairs tell which add
+        total = _margin_term(U, trust, distrust, _pair_blocks(graph), hp)[0]
     if scale is None:
         return total, None
     c_a, c_b = (c_p, c_q) if figure1 else (c_q, c_p)
@@ -203,17 +222,18 @@ def _hinge_term(U, graph: SocialGraph, hp: Hyperparams, scale=None):
 
 
 def _social_term(U, store: TripletStore | None, hp: Hyperparams, need_grad: bool):
-    """Value of the social term and, if need_grad, its gradient wrt U (else None)."""
-    g = np.zeros_like(U) if need_grad else None
+    """Value of the social term and, if need_grad, its gradient wrt U; the
+    gradient is None without need_grad, and also when the term is absent
+    (no social term, or no triplets) and so adds nothing."""
     if hp.social == "none":
-        return 0.0, g
+        return 0.0, None
     if store is None:
         raise ValueError("social term requires a triplet store (carrying the graph)")
     graph = store.graph
     if hp.social == "triplet-margin":
         # an empty constraint set contributes nothing (no division)
         if store.total == 0:
-            return 0.0, g
+            return 0.0, None
         scale = hp.lambda_s / store.total
         if hp.loss == HINGE:
             value, g = _hinge_term(U, graph, hp, scale if need_grad else None)
@@ -226,27 +246,35 @@ def _social_term(U, store: TripletStore | None, hp: Hyperparams, need_grad: bool
     else:
         weight, edges = -hp.beta, graph.distrust_edge_array
     d = _differences(U, edges)
-    if need_grad:
-        g = _edge_scatter(len(U), [(edges, d, weight)])
-    return 0.5 * weight * float(np.sum(d * d)), g
+    value = 0.5 * weight * float(np.sum(d * d))  # before the scatter scales d
+    return value, _edge_scatter(len(U), [(edges, d, weight)]) if need_grad else None
 
 
 def _objective_pass(model: FactorModel, ratings: SparseRatings,
                     store: TripletStore | None, hp: Hyperparams, need_grad: bool = True):
     """value_and_grad's (value, dL/dU, dL/dV) and the raw predictions
-    U[u] . V[i] of the rating pass, in the order of the ratings."""
+    U[u] . V[i] of the rating pass, in the order of the ratings. A block's
+    e-weighted V rows, then U rows, go transposed into one scratch, so each
+    column's np.add.at reads contiguous memory into one (k, n + m) sum."""
     U, V = model.U, model.V
+    n, k = U.shape
     uu, ii = ratings.users, ratings.items
     pred, e = np.empty(len(uu)), np.empty(len(uu))
-    gU, gV = (np.zeros((U.shape[1], len(A))) for A in (U, V))
+    if need_grad:
+        g = np.zeros((k, n + len(V)))
+        rows, index = np.empty((k, 2 * _BLOCK_ROWS)), np.empty(2 * _BLOCK_ROWS, dtype=np.int64)
     for b in range(0, len(uu), _BLOCK_ROWS):
         block = slice(b, b + _BLOCK_ROWS)
         u_rows, v_rows = np.take(U, uu[block], axis=0), np.take(V, ii[block], axis=0)
         np.einsum("ij,ij->i", u_rows, v_rows, out=pred[block])
         np.subtract(pred[block], ratings.values[block], out=e[block])
         if need_grad:
-            _accumulate(gU, uu[block], np.multiply(v_rows, e[block, None], out=v_rows))
-            _accumulate(gV, ii[block], np.multiply(u_rows, e[block, None], out=u_rows))
+            size = len(u_rows)
+            np.multiply(v_rows.T, e[block], out=rows[:, :size])
+            np.multiply(u_rows.T, e[block], out=rows[:, size:2 * size])
+            index[:size] = uu[block]
+            np.add(ii[block], n, out=index[size:2 * size])
+            _accumulate(g, index[:2 * size], rows[:, :2 * size].T)
     value = 0.5 * float(e @ e)
     value += 0.5 * hp.lambda_u * float(np.sum(U * U))
     value += 0.5 * hp.lambda_v * float(np.sum(V * V))
@@ -254,7 +282,10 @@ def _objective_pass(model: FactorModel, ratings: SparseRatings,
     value += social
     if not need_grad:
         return value, None, None, pred
-    return value, gU.T + hp.lambda_u * U + g_social, gV.T + hp.lambda_v * V, pred
+    gU = g[:, :n].T + hp.lambda_u * U
+    if g_social is not None:  # gU is never -0.0, so adding zeros would change no byte
+        gU += g_social
+    return value, gU, g[:, n:].T + hp.lambda_v * V, pred
 
 
 def value_and_grad(model: FactorModel, ratings: SparseRatings,
@@ -283,7 +314,8 @@ def grad(model: FactorModel, ratings: SparseRatings,
 
 def social_gradient(U, store: TripletStore | None, hp: Hyperparams) -> np.ndarray:
     """Gradient of the social term with respect to U (full, not sampled)."""
-    return _social_term(U, store, hp, need_grad=True)[1]
+    g = _social_term(U, store, hp, need_grad=True)[1]
+    return np.zeros_like(U) if g is None else g
 
 
 def triplet_batch_gradient(U, triplets: np.ndarray, hp: Hyperparams, scale: float) -> np.ndarray:

@@ -1325,11 +1325,13 @@ class TestCli:
     def test_no_command_lists_triplets(self, tmp_path, monkeypatch):
         out = _synth_dir(tmp_path)
         base = ["--ratings", str(out / "ratings.tsv"), "--social", str(out / "social.tsv"),
-                "--seed", "5", "--epochs", "8", "--eta", "0.02"]
+                "--seed", "5", "--epochs", "8", "--eta", "0.05"]
         sgd = ["--optimizer", "sgd", "--batch-size", "4"]
         commands = {
             "fit-gd": ["fit", "--method", "mf-td", *base],
             "fit-sgd": ["fit", "--method", "mf-td", *base, *sgd],
+            "fit-sgd-8": ["fit", "--method", "mf-td", *base, "--optimizer", "sgd",
+                          "--batch-size", "8"],
             "grid": ["grid", *base, *sgd, "--lambda-s-grid", "0,1",
                      "--lambda-v-grid", "0.05,0.5"],
             "tradeoff": ["tradeoff", *base, *sgd, "--distrust-fracs", "0.5,1.0"],
@@ -1364,6 +1366,10 @@ class TestCli:
                 p.name for p in (tmp_path / "lazy" / name).iterdir())
             for path in listed:
                 assert path.read_bytes() == (tmp_path / "lazy" / name / path.name).read_bytes()
+        # the fits leave the clamped start, so the sampled triplets show in the metrics
+        rows = [(tmp_path / "lazy" / name / "metrics.csv").read_text().splitlines()[1]
+                for name in ("fit-gd", "fit-sgd", "fit-sgd-8")]
+        assert len(set(rows)) == 3, rows
 
     def test_synth_rerun_byte_identical(self, tmp_path):
         a = _synth_dir(tmp_path / "x", seed=4)

@@ -20,6 +20,7 @@ from trustfactor.objective import (
     PAPER_LITERAL,
     _accumulate,
     _add_sums,
+    _hinge_counts,
     _hinge_term,
     _hinge_threshold,
     _loss,
@@ -721,6 +722,18 @@ class TestMarginKernel:
             assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref).max(initial=0.0))
 
 
+def counting_calls(monkeypatch):
+    """The argument tuples of every _hinge_counts call from now on."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _hinge_counts(*args)
+
+    monkeypatch.setattr(objective, "_hinge_counts", counting)
+    return calls
+
+
 def pair_pass(U, graph, hp, scale=None):
     """Oracle: the margin sum (and gradient) over the listed pairs."""
     return _margin_term(U, graph.trust_edge_array, graph.distrust_edge_array,
@@ -747,15 +760,18 @@ class TestHingeTerm:
             assert _hinge_term(U, graph, hp) == (value, None)
 
     @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
-    def test_one_ulp_below_the_kink_is_active(self, convention):
+    def test_one_ulp_below_the_kink_is_active(self, monkeypatch, convention):
         # edge lengths 2**-53 and 1: z = fl(1 - 2**-53) < 1, yet 1 + 2**-53
-        # rounds to 1, so searching for q < 1 + p alone finds no active pair
+        # rounds to 1, so searching for q < 1 + p alone finds no active pair;
+        # max q - min p is one ulp below 1, so the offsets give the counts
         U = np.array([[0.0, 0.0], [2.0 ** -27, 2.0 ** -27], [1.0, 0.0]])
         short, long = [(0, 1)], [(0, 2)]
         graph = SocialGraph.from_edges(
             3, *((short, long) if convention == "figure1" else (long, short)))
         hp = Hyperparams(k=2, social="triplet-margin", sign_convention=convention)
+        calls = counting_calls(monkeypatch)
         value, g = _hinge_term(U, graph, hp, 1.0)
+        assert not calls
         ref_value, ref_g = pair_pass(U, graph, hp, 1.0)
         assert value == ref_value == 2.0 ** -53
         assert g.tobytes() == ref_g.tobytes() and np.any(g != 0.0)
@@ -796,3 +812,127 @@ class TestHingeTerm:
         fit_gd(ratings, store, hp)
         with pytest.raises(AssertionError, match=f"{name} called"):
             value_and_grad(model, ratings, store, hp.replace(loss="logistic"))
+
+
+class TestAllActiveHinge:
+    """Hinge passes with fl(max q - min p) < 1 take every count from the
+    offsets; either way the gradient bytes are the pair pass's."""
+
+    @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
+    @pytest.mark.parametrize("listed", [True, False])
+    def test_small_factors_match_the_pair_pass(self, monkeypatch, convention, listed):
+        calls = counting_calls(monkeypatch)
+        rng = np.random.default_rng([len(convention), listed])
+        hp = Hyperparams(k=3, lambda_u=0.3, lambda_v=0.2, lambda_s=1.7, social="triplet-margin",
+                         sign_convention=convention)
+        for _ in range(10):
+            graph = random_graph(rng, n_max=14, edge_prob=0.25)
+            ratings = random_ratings(rng, graph.n, 5)
+            model = FactorModel(rng.normal(0, 0.01, (graph.n, 3)), rng.normal(0, 0.01, (5, 3)), 3)
+            store = (extract_triplets if listed else lazy_triplets)(graph)
+            value, gU, gV, _ = _objective_pass(model, ratings, store, hp)
+            ref_value, ref_gU, ref_gV = reference_value_and_grad(model, ratings, store, hp)
+            assert value == pytest.approx(ref_value, rel=1e-12)
+            assert gU.tobytes() == ref_gU.tobytes() and gV.tobytes() == ref_gV.tobytes()
+            ref_g = reference_social_term(model.U, store, hp, need_grad=True)[1]
+            assert social_gradient(model.U, store, hp).tobytes() == ref_g.tobytes()
+        assert not calls
+
+    @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
+    def test_counts_equal_the_sorted_counts(self, rng, convention):
+        # equal counts: the counting path's value and gradient bytes
+        for _ in range(20):
+            graph = random_graph(rng, n_max=14, edge_prob=0.3)
+            U = rng.normal(0, 0.01, (graph.n, 3))
+            trust, distrust = graph.trust_edge_array, graph.distrust_edge_array
+            a, b = (np.sum((U[e[:, 0]] - U[e[:, 1]]) ** 2, axis=-1) for e in (trust, distrust))
+            sides = [(a, trust, graph.trust_offsets), (b, distrust, graph.distrust_offsets)]
+            (p, p_edges, p_offsets), (q, q_edges, q_offsets) = \
+                sides if convention == "figure1" else sides[::-1]
+            assert q.max(initial=0.0) - p.min(initial=0.0) < 1.0
+            c_p, c_q = _hinge_counts(p, q, p_edges, q_edges, q_offsets)
+            assert c_p.dtype == c_q.dtype == np.int64
+            assert np.array_equal(c_p, np.diff(q_offsets)[p_edges[:, 0]])
+            assert np.array_equal(c_q, np.diff(p_offsets)[q_edges[:, 0]])
+
+    @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
+    def test_a_gap_of_exactly_one_is_counted(self, monkeypatch, convention):
+        # user 0: p-lengths 0 and 0.25, q-length 1, so max q - min p = 1: the
+        # pair at the kink is inactive, the other active
+        U = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+        short, long = [(0, 1), (0, 2)], [(0, 3)]
+        graph = SocialGraph.from_edges(
+            4, *((short, long) if convention == "figure1" else (long, short)))
+        hp = Hyperparams(k=2, social="triplet-margin", sign_convention=convention)
+        calls = counting_calls(monkeypatch)
+        value, g = _hinge_term(U, graph, hp, 1.0)
+        assert len(calls) == 1
+        ref_value, ref_g = pair_pass(U, graph, hp, 1.0)
+        assert value == ref_value == 0.25
+        assert g.tobytes() == ref_g.tobytes()
+
+    @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
+    @pytest.mark.parametrize("side", ["trust", "distrust"])
+    def test_an_inf_length_matches_the_pair_pass(self, rng, monkeypatch, convention, side):
+        # user 4's row is so long that each edge to it has an inf squared
+        # length: paired with finite lengths at user 0, alone at user 1
+        edges = {"trust": [(0, 1), (0, 2), (3, 1), (2, 0)],
+                 "distrust": [(0, 3), (3, 0), (3, 2), (2, 1)]}
+        edges[side] += [(0, 4), (1, 4)]
+        graph = SocialGraph.from_edges(5, edges["trust"], edges["distrust"])
+        store = lazy_triplets(graph)
+        U = rng.normal(0, 1, (5, 3))
+        U[4] = 1e200
+        hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.7, sign_convention=convention)
+        calls = counting_calls(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, g = _social_term(U, store, hp, need_grad=True)
+            ref_value, ref_g = reference_social_term(U, store, hp, need_grad=True)
+        # inf on the q side: its pairs are inactive (a finite value) and the
+        # lengths are sorted; on the p side they are active (an inf value)
+        on_q = (side == "distrust") == (convention == "figure1")
+        assert value == ref_value and (value == np.inf) != on_q
+        assert g.tobytes() == ref_g.tobytes() and np.all(np.isfinite(g))
+        assert len(calls) == 1 or not on_q
+
+    def test_small_scale_passes_never_count(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_hinge_counts called")
+
+        monkeypatch.setattr(objective, "_hinge_counts", refuse)
+        graph = random_graph(np.random.default_rng(6), n_max=12, edge_prob=0.3)
+        store = lazy_triplets(graph)
+        assert store.total
+        ratings = random_ratings(rng, graph.n, 4)
+        model = FactorModel(rng.normal(0, 0.01, (graph.n, 3)), rng.normal(0, 0.01, (4, 3)), 3)
+        for convention in ("figure1", "paper-literal"):
+            hp = Hyperparams(k=3, social="triplet-margin", sign_convention=convention)
+            value_and_grad(model, ratings, store, hp)
+            objective_value(model, ratings, store, hp)
+            social_gradient(model.U, store, hp)
+            with pytest.raises(AssertionError, match="_hinge_counts called"):
+                social_gradient(model.U * 1e3, store, hp)
+
+
+class TestCallerArrays:
+    """The gradient kernels scale only arrays they made: the caller's
+    factors stay as they were, and a second call gives the first's bytes."""
+
+    @pytest.mark.parametrize("social", ["trust-pull", "distrust-push", "triplet-margin"])
+    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    def test_factors_unchanged_and_calls_repeat(self, rng, social, loss):
+        graph = random_graph(np.random.default_rng(5), n_max=12, edge_prob=0.3)
+        store = lazy_triplets(graph)
+        ratings = random_ratings(rng, graph.n, 4)
+        model = FactorModel(rng.normal(0, 1, (graph.n, 3)), rng.normal(0, 1, (4, 3)), 3)
+        before = model.U.tobytes(), model.V.tobytes()
+        hp = Hyperparams(k=3, lambda_u=0.3, lambda_v=0.2, lambda_s=1.3, alpha=0.6, beta=0.4,
+                         loss=loss, social=social)
+        batch = sample_triplets(store, rng, 16)
+        calls = {"grad": lambda: grad(model, ratings, store, hp),
+                 "social_gradient": lambda: [social_gradient(model.U, store, hp)],
+                 "triplet_batch_gradient": lambda: [triplet_batch_gradient(model.U, batch, hp, 0.3)]}
+        for name, call in calls.items():
+            first = [g.tobytes() for g in call()]
+            assert [g.tobytes() for g in call()] == first, name
+            assert (model.U.tobytes(), model.V.tobytes()) == before, name
