@@ -11,6 +11,8 @@ with argparse's usage error on a flag the command does not take.
 from __future__ import annotations
 
 import argparse
+import logging
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -25,8 +27,7 @@ from .experiments import (
     cold_start_split,
     consistency_eval,
     distrust_tradeoff_run,
-    evaluate_model,
-    fit_method,
+    fit_and_score,
     grid_search,
     majority_vote_eval,
     split_ratings,
@@ -46,7 +47,7 @@ from .fileio import (
 )
 from .metrics import evaluate_predictions, left_sum, mae as mae_metric, rmse as rmse_metric
 from .neighborhood import VARIANTS, build_propagated_sets, nb_predict_many
-from .optimize import STOP_MAX_ITERS, fit_sgd
+from .optimize import STOP_MAX_ITERS, fit_gd, fit_sgd
 
 SOCIAL_FOR_METHOD = {
     "mf": "none",
@@ -151,12 +152,12 @@ def _require_graph(bundle, command):
 
 def _mean_std_rows(rows, label, numeric_from):
     """Summary rows: one mean and one std row over the numeric tail columns
-    of one or more rows."""
+    of one or more rows. The std of a column holding inf or nan is nan."""
     means, stds = [], []
     for col in range(numeric_from, len(rows[0])):
         values = [row[col] for row in rows]
         means.append(left_sum(values) / len(values))
-        stds.append(statistics.pstdev(values))
+        stds.append(statistics.pstdev(values) if all(map(math.isfinite, values)) else math.nan)
     pad = [""] * (numeric_from - 1)
     return [[label + "-mean"] + pad + means, [label + "-std"] + pad + stds]
 
@@ -179,6 +180,13 @@ def _nb_eval(train, test, graph, variant, p, q):
     return evaluate_predictions(test, pred, clamp=False)
 
 
+def _warn_if_stopped(report, label, seed, epochs):
+    if report.stop_reason != STOP_MAX_ITERS:
+        done = report.records[-1].iteration if report.records else 0
+        print(f"warning: {label} fit (seed {seed}) stopped by {report.stop_reason} "
+              f"after {done} of {epochs} iterations", file=sys.stderr)
+
+
 def _fit_one(train, test, graph, args, method, seed, patience=None):
     if method in VARIANTS:
         for flag, value in (("optimizer", args.optimizer), ("patience", patience)):
@@ -189,16 +197,10 @@ def _fit_one(train, test, graph, args, method, seed, patience=None):
         print(f"warning: propagation depths ignored for {method}", file=sys.stderr)
     hp = _hyperparams(args, method)
     store = None if graph is None else lazy_triplets(graph)
-    validation = None
-    if patience is not None:  # early stopping watches a share held out as grid does
-        train, validation = split_ratings(train, SplitSpec(0.9, seed + 1, 1))
-    model, report = fit_method(train, store, hp, args.optimizer or "gd", validation, seed,
-                               patience)
-    if report.stop_reason != STOP_MAX_ITERS:
-        done = report.records[-1].iteration if report.records else 0
-        print(f"warning: {method} fit (seed {seed}) stopped by {report.stop_reason} "
-              f"after {done} of {hp.epochs} iterations", file=sys.stderr)
-    return model, evaluate_model(model, test, hp.clamp_predictions)
+    model, report, scores = fit_and_score(train, test, store, hp, args.optimizer or "gd", seed,
+                                          patience)
+    _warn_if_stopped(report, method, seed, hp.epochs)
+    return model, scores
 
 
 def _check_fraction(name, value, lo=0.0, hi=1.0):
@@ -331,11 +333,9 @@ def _cmd_grid(args, out):
         bundle.ratings, SplitSpec(args.train_frac, args.seed, 1))
     train, validation = split_ratings(
         train_all, SplitSpec(1.0 - args.val_frac, args.seed + 1, 1))
-    hp = _hyperparams(args, args.method)
-    optimizer = args.optimizer or "gd"
-    result = grid_search(train, validation, lazy_triplets(graph), hp,
+    result = grid_search(train, validation, lazy_triplets(graph), _hyperparams(args, args.method),
                          second_param, ls_values, second_values,
-                         optimizer=optimizer, seed=args.seed)
+                         optimizer=args.optimizer or "gd", seed=args.seed)
     write_csv(out / "grid.csv", ["lambda_s", second_param, "val_rmse"], result.rows)
     write_csv(out / "grid_best.csv", ["lambda_s", second_param, "val_rmse"], [list(result.best)])
     print(f"best (lambda_s, {second_param}) = ({result.best[0]:g}, {result.best[1]:g}) "
@@ -353,10 +353,9 @@ def _cmd_coldstart(args, out):
         raise ValueError("cold-start test side is empty")
     rows, lines = [], []
     for method in methods:
-        method_rows = []
-        for rep, (train, test) in enumerate(splits):
-            _, (m, r) = _fit_one(train, test, bundle.graph, args, method, args.seed + rep)
-            method_rows.append([method, rep, args.seed + rep, m, r])
+        method_rows = [[method, rep, args.seed + rep,
+                        *_fit_one(train, test, bundle.graph, args, method, args.seed + rep)[1]]
+                       for rep, (train, test) in enumerate(splits)]
         mean, std = _mean_std_rows(method_rows, method, 3)
         rows += [*method_rows, mean, std]
         lines.append(f"{method}: cold-user RMSE mean {mean[4]:.4f} "
@@ -415,14 +414,13 @@ def _cmd_batch_study(args, out):
     hp = _hyperparams(args, "mf-td")
     store = lazy_triplets(graph)
     rows = []
-    _, report = fit_method(train, store, hp, "gd", validation=test, seed=args.seed)
-    for rec in report.records:
-        rows.append(["gd", store.total, rec.iteration, rec.val_rmse, rec.val_mae])
-    for batch in sizes:
-        hp_b = hp.replace(batch_size=batch)
-        _, report = fit_sgd(train, store, hp_b, validation=test, seed=args.seed)
-        for rec in report.records:
-            rows.append([f"sgd-{batch}", batch, rec.iteration, rec.val_rmse, rec.val_mae])
+    # each row reads a record of its fit, so the fits run here rather than in fit_and_score
+    fits = [("gd", store.total, fit_gd, hp),
+            *((f"sgd-{batch}", batch, fit_sgd, hp.replace(batch_size=batch)) for batch in sizes)]
+    for label, batch, fit, fit_hp in fits:
+        _, report = fit(train, store, fit_hp, validation=test, seed=args.seed)
+        _warn_if_stopped(report, label, args.seed, hp.epochs)
+        rows += [[label, batch, rec.iteration, rec.val_rmse, rec.val_mae] for rec in report.records]
     write_csv(out / "batch_study.csv",
               ["optimizer", "batch_size", "iteration", "test_rmse", "test_mae"], rows)
     print(f"batch study with {len(sizes)} batch sizes; results in {out}")
@@ -489,6 +487,11 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # the package's log warnings reach stderr in the CLI's own format
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    logging.getLogger("trustfactor").addHandler(handler)
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -497,6 +500,8 @@ def run_cli(argv=None) -> int:
     except (ValueError, OSError, IndexError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logging.getLogger("trustfactor").removeHandler(handler)
 
 
 def main():

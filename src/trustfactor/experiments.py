@@ -13,7 +13,7 @@ from .data import Hyperparams, SocialGraph, SparseRatings, TripletStore, lazy_tr
 from .keys import member, ranges
 from .metrics import evaluate_model, left_sum
 from .neighborhood import relevant_ranks
-from .optimize import fit_gd, fit_sgd
+from .optimize import STOP_DIVERGENCE, fit_gd, fit_sgd
 from .seeding import substream
 
 DEFAULT_BIN_EDGES = (0, 20, 40, 60, 80)
@@ -71,19 +71,26 @@ def cold_start_split(ratings: SparseRatings, user_fraction: float, seed: int = 0
 
 
 # ---------------------------------------------------------------------------
-# model fitting helpers
+# fitting and scoring
 
 
-def fit_method(train: SparseRatings, store: TripletStore | None, hp: Hyperparams,
-               optimizer: str = "gd", validation: SparseRatings | None = None,
-               seed: int = 0, patience: int | None = None, eval_every: int = 1):
-    if optimizer == "gd":
-        return fit_gd(train, store, hp, validation, seed=seed,
-                      patience=patience, eval_every=eval_every)
-    if optimizer == "sgd":
-        return fit_sgd(train, store, hp, validation, seed=seed,
-                       patience=patience, eval_every=eval_every)
-    raise ValueError(f"unknown optimizer {optimizer!r}")
+def fit_and_score(train: SparseRatings, scored: SparseRatings, store: TripletStore | None,
+                  hp: Hyperparams, optimizer: str = "gd", seed: int = 0,
+                  patience: int | None = None):
+    """(model, report, (MAE, RMSE)): a fit_gd or fit_sgd fit on `train`, scored
+    on `scored`. With `patience`, early stopping watches a tenth of `train`
+    held out, and the model fits the rest. A fit stopped by divergence scores
+    (inf, inf): its last finite model is not the fitted point."""
+    fit = {"gd": fit_gd, "sgd": fit_sgd}.get(optimizer)
+    if fit is None:
+        raise ValueError(f"unknown optimizer {optimizer!r}")
+    validation = None
+    if patience is not None:
+        train, validation = split_ratings(train, SplitSpec(0.9, seed + 1, 1))
+    model, report = fit(train, store, hp, validation, seed=seed, patience=patience)
+    if report.stop_reason == STOP_DIVERGENCE:
+        return model, report, (math.inf, math.inf)
+    return model, report, evaluate_model(model, scored, hp.clamp_predictions)
 
 
 # ---------------------------------------------------------------------------
@@ -103,27 +110,20 @@ def grid_search(train: SparseRatings, validation: SparseRatings,
     """Sweep (lambda_s x second_param), fit each point, score validation RMSE.
 
     second_param is "lambda_v" or "lambda_u". Diverged fits score +inf and
-    never abort the sweep. Ties break toward smaller lambda_s, then the
-    smaller second value.
+    never abort the sweep; an empty validation set is refused before any fit.
+    Ties break toward smaller lambda_s, then the smaller second value.
     """
     if second_param not in ("lambda_v", "lambda_u"):
         raise ValueError("second_param must be lambda_v or lambda_u")
     points = [(float(a), float(b)) for a in lambda_s_values for b in second_values]
     if not points:
         raise ValueError("empty grid")
-
-    def run_point(ls, second):
-        point_hp = hp.replace(lambda_s=ls, **{second_param: second})
-        model, report = fit_method(train, store, point_hp, optimizer, seed=seed)
-        if report.stop_reason == "divergence":
-            return ls, second, float("inf")
-        try:
-            _, val_rmse = evaluate_model(model, validation, point_hp.clamp_predictions)
-        except ValueError:
-            return ls, second, float("inf")
-        return ls, second, val_rmse
-
-    rows = [run_point(ls, second) for ls, second in points]
+    if not validation.nnz:
+        raise ValueError("empty validation set")
+    rows = [(ls, second, fit_and_score(train, validation, store,
+                                       hp.replace(lambda_s=ls, **{second_param: second}),
+                                       optimizer, seed)[2][1])
+            for ls, second in points]
     best = min(rows, key=lambda r: (r[2], r[0], r[1]))
     return GridResult(rows, best)
 
@@ -311,9 +311,7 @@ def distrust_tradeoff_run(ratings: SparseRatings, graph: SocialGraph, hp: Hyperp
     def run(trust, distrust_count, social):
         distrust = distrust_edges[np.sort(distrust_order[:distrust_count])]
         store = lazy_triplets(SocialGraph.from_edges(graph.n, trust, distrust))
-        point_hp = hp.replace(social=social)
-        model, _ = fit_method(train, store, point_hp, optimizer, seed=seed)
-        return evaluate_model(model, test, point_hp.clamp_predictions)
+        return fit_and_score(train, test, store, hp.replace(social=social), optimizer, seed)[2]
 
     points = [run(kept_trust, count, "triplet-margin") for count in counts]
     reference = run(trust_edges, 0, "trust-pull")

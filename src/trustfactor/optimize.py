@@ -26,23 +26,6 @@ STOP_EARLY = "early-stop"
 STOP_DIVERGENCE = "divergence"
 
 
-@dataclass(frozen=True)
-class StepSchedule:
-    """Step size eta_t for t >= 1: constant eta0 or eta0 / sqrt(t)."""
-
-    kind: str = "constant"
-    eta0: float = 0.01
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "inverse-sqrt"):
-            raise ValueError(f"unknown schedule {self.kind!r}")
-
-    def rate(self, t: int) -> float:
-        if self.kind == "constant":
-            return self.eta0
-        return self.eta0 / np.sqrt(t)
-
-
 @dataclass
 class IterationRecord:
     iteration: int
@@ -94,11 +77,8 @@ def early_stop_monitor(val_rmse_window, patience: int) -> bool:
 
 
 def _diverged(model) -> bool:
-    return (
-        not np.all(np.isfinite(model.U))
-        or not np.all(np.isfinite(model.V))
-        or max(np.abs(model.U).max(initial=0.0), np.abs(model.V).max(initial=0.0)) > DIVERGENCE_LIMIT
-    )
+    # a nan entry fails the comparison, as an inf one does
+    return not all(np.abs(x).max(initial=0.0) <= DIVERGENCE_LIMIT for x in (model.U, model.V))
 
 
 def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model0):
@@ -112,11 +92,7 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
     step follows. With `patience`, early_stop_monitor watches the validation
     RMSE from the last value of its flat start, if it has one.
     """
-    if model0 is not None:
-        model = model0.copy()
-    else:
-        model = init_model(ratings.n, ratings.m, hp.k, seed)
-    schedule = StepSchedule(hp.schedule, hp.eta0)
+    model = init_model(ratings.n, ratings.m, hp.k, seed) if model0 is None else model0.copy()
 
     def at_model(value, pred):
         if value is None:
@@ -130,7 +106,7 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
     opens = 0  # where the patience window opens
     for t in range(1, hp.epochs + 1):
         previous = (model.U.copy(), model.V.copy())
-        eta = schedule.rate(t)
+        eta = hp.eta0 if hp.schedule == "constant" else hp.eta0 / np.sqrt(t)
         model.U -= eta * gU
         model.V -= eta * gV
         if _diverged(model):

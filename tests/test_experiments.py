@@ -19,14 +19,14 @@ from trustfactor.experiments import (
     consistency_eval,
     distrust_tradeoff_run,
     evaluate_model,
-    fit_method,
+    fit_and_score,
     grid_search,
     majority_vote_eval,
     split_ratings,
     synth_generate,
 )
 from trustfactor.metrics import RankedList, average_precision, ndcg_at_k
-from trustfactor.optimize import fit_gd
+from trustfactor.optimize import STOP_DIVERGENCE, fit_gd, fit_sgd
 from trustfactor.seeding import substream
 
 from conftest import pearson, precision_recall_at_k, random_graph, random_ratings
@@ -143,6 +143,55 @@ class TestGridSearch:
         result = grid_search(train, validation, store, hp, "lambda_v",
                              [0.1], [0.1], seed=0)
         assert result.rows[0][2] == float("inf")
+
+    def test_empty_validation_set_rejected_before_any_fit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point was fitted before the check")
+
+        monkeypatch.setattr(experiments, "fit_and_score", refuse)
+        ratings, graph, _ = small_synth()
+        empty = ratings.subset(np.array([], dtype=np.int64))
+        hp = Hyperparams(k=2, epochs=2, social="triplet-margin")
+        with pytest.raises(ValueError, match="empty validation set"):
+            grid_search(ratings, empty, lazy_triplets(graph), hp, "lambda_v", [0.0, 1.0], [0.1])
+
+
+class TestFitAndScore:
+    @pytest.mark.parametrize("optimizer, fit", [("gd", fit_gd), ("sgd", fit_sgd)])
+    def test_scores_the_fit_of_the_named_optimizer(self, optimizer, fit):
+        ratings, graph, _ = small_synth(seed=2)
+        train, test = split_ratings(ratings, SplitSpec(0.8, 0))
+        store = lazy_triplets(graph)
+        hp = Hyperparams(k=2, eta0=0.02, epochs=10, batch_size=8, social="triplet-margin")
+        model, report, scores = fit_and_score(train, test, store, hp, optimizer, seed=5)
+        expected, expected_report = fit(train, store, hp, seed=5)
+        assert model.U.tobytes() == expected.U.tobytes()
+        assert report.signature() == expected_report.signature()
+        assert scores == evaluate_model(expected, test)
+
+    def test_patience_watches_a_tenth_of_the_training_side(self):
+        ratings, graph, _ = small_synth(seed=2)
+        train, test = split_ratings(ratings, SplitSpec(0.8, 0))
+        hp = Hyperparams(k=2, eta0=0.2, epochs=60, social="none")
+        model, report, scores = fit_and_score(train, test, None, hp, seed=5, patience=1)
+        fitted, validation = split_ratings(train, SplitSpec(0.9, 6, 1))
+        expected, expected_report = fit_gd(fitted, None, hp, validation, seed=5, patience=1)
+        assert report.signature() == expected_report.signature()
+        assert report.records[-1].val_rmse is not None
+        assert scores == evaluate_model(expected, test)
+
+    def test_diverged_fit_scores_inf(self):
+        ratings, graph, _ = small_synth()
+        train, test = split_ratings(ratings, SplitSpec(0.8, 0))
+        hp = Hyperparams(k=2, eta0=1e300, epochs=5, social="none")
+        _, report, scores = fit_and_score(train, test, None, hp)
+        assert report.stop_reason == STOP_DIVERGENCE
+        assert scores == (float("inf"), float("inf"))
+
+    def test_unknown_optimizer_rejected(self):
+        ratings, _, _ = small_synth()
+        with pytest.raises(ValueError, match="unknown optimizer 'adam'"):
+            fit_and_score(ratings, ratings, None, Hyperparams(k=2, epochs=1), "adam")
 
 
 def per_user_consistency(ratings, graph, relation, bin_edges=(0, 20, 40, 60, 80)):
@@ -333,9 +382,9 @@ class TestTradeoff:
                                            seed=3)
             train, test = split_ratings(ratings, SplitSpec(0.9, 3, 1))
             full_trust = SocialGraph.from_edges(graph.n, graph.trust_edge_array, [])
-            model, _ = fit_method(train, lazy_triplets(full_trust),
-                                  hp.replace(social="trust-pull"), optimizer, seed=3)
-            assert result.rows[-1] == ("mf-t", 1.0, 0.0, *evaluate_model(model, test))
+            _, _, scores = fit_and_score(train, test, lazy_triplets(full_trust),
+                                         hp.replace(social="trust-pull"), optimizer, seed=3)
+            assert result.rows[-1] == ("mf-t", 1.0, 0.0, *scores)
 
     @pytest.mark.parametrize("keep, fractions", [
         (0.9, (-0.5, 1.5)), (0.9, (0.5, 1.5)), (0.9, (-0.1,)), (0.9, (float("nan"),)),
@@ -344,7 +393,7 @@ class TestTradeoff:
         def refuse(*args, **kwargs):
             raise AssertionError("a point was fitted before the check")
 
-        monkeypatch.setattr(experiments, "fit_method", refuse)
+        monkeypatch.setattr(experiments, "fit_and_score", refuse)
         ratings, graph, _ = small_synth(seed=1)
         hp = Hyperparams(k=2, epochs=2, social="triplet-margin")
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got"):
@@ -355,7 +404,7 @@ class TestTradeoff:
         def refuse(*args, **kwargs):
             raise AssertionError("a point was fitted before the check")
 
-        monkeypatch.setattr(experiments, "fit_method", refuse)
+        monkeypatch.setattr(experiments, "fit_and_score", refuse)
         ratings, graph, _ = small_synth(seed=1)
         edges = graph.distrust_count
         count = int(round(0.5 * edges))

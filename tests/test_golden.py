@@ -248,28 +248,33 @@ GOLDEN = {
         {
             'batch_study.csv': '9370ba92cb92f8a527db44e9fbefc43882d0fd56ae17a458ed8369fe70a7206f',
         }),
+    # a diverged fit scores inf: its summary line and metrics.csv say so
     'fit-diverged': (
         0,
-        ('mf: MAE 1.9983  RMSE 2.4480 over 2 repetition(s); results in {root}/fit-diverged\n'),
+        ('mf: MAE inf  RMSE inf over 2 repetition(s); results in {root}/fit-diverged\n'),
         ('warning: mf fit (seed 0) stopped by divergence after 0 of 5 iterations\n'
          'warning: mf fit (seed 1) stopped by divergence after 0 of 5 iterations\n'),
         {
             'item_ids.tsv': 'cd664ed5249240448ddbcaab7813673fc217985d09f10cf4c8f9e7d821a68f58',
-            'metrics.csv': 'd7714497d1fa117e13bc1715d6fef7141d48e2f60a86d0c7b994028f33e7ce3c',
+            'metrics.csv': 'c2ad56296de0ff231e53c398e8a8f753df9d3b20db76caaece54248052a764d0',
             'model.bin': '53ba229fe2cdbaaf619ed12ae1e7ff7705f50f2c37b6ecc361e12b75b3f758ba',
             'user_ids.tsv': '08788e1697fb76e4a8da7c593b95cae81e2e5dad3215918f0d7605ef6081099b',
         }),
+    # the diverged sweep points write inf rows
     'tradeoff-diverged': (
         0,
         ('swept 2 distrust fractions; results in {root}/tradeoff-diverged\n'),
         (''),
         {
-            'tradeoff.csv': '9b7420535d4843f674b7ebcd21ddfa417f134974b43e81b44ac7db5a6cf84ac6',
+            'tradeoff.csv': 'cc8a7eda26edf12385430a0913841ae12c9ee25f96408ff94b3e3e1297314188',
         }),
+    # every curve stops early, and each fit says so in one warning line
     'batch-study-diverged': (
         0,
         ('batch study with 2 batch sizes; results in {root}/batch-study-diverged\n'),
-        (''),
+        ('warning: gd fit (seed 0) stopped by divergence after 7 of 30 iterations\n'
+         'warning: sgd-1 fit (seed 0) stopped by divergence after 7 of 30 iterations\n'
+         'warning: sgd-8 fit (seed 0) stopped by divergence after 7 of 30 iterations\n'),
         {
             'batch_study.csv': '9cd9bd5c5353c31392e555c9f5ab6311757f91936795007cbd9c93024c2e6c7e',
         }),
@@ -292,6 +297,27 @@ def test_gd_sgd_and_mf_fits_write_different_rows(runs):
     fitted = [rows(root, name, "metrics.csv")[1] for name in ("fit-mf-td", "fit-mf-td-sgd",
                                                               "fit-mf")]
     assert len({tuple(row[3:]) for row in fitted}) == 3, fitted
+
+
+def test_diverged_fits_score_inf_and_say_so(runs):
+    root, outcomes = runs
+    # fit: one warning per repetition, inf rows, and nan as the std of inf
+    assert outcomes["fit-diverged"][0] == 0
+    assert outcomes["fit-diverged"][2] == "".join(
+        f"warning: mf fit (seed {seed}) stopped by divergence after 0 of 5 iterations\n"
+        for seed in (0, 1))
+    assert [row[3:] for row in rows(root, "fit-diverged", "metrics.csv")[1:]] == \
+        [["inf", "inf"]] * 3 + [["nan", "nan"]]
+    # tradeoff: every point of the sweep and the reference row diverged
+    assert [row[3:] for row in rows(root, "tradeoff-diverged", "tradeoff.csv")[1:]] == \
+        [["inf", "inf"]] * 3
+    # batch-study: each curve ends at its last finite iteration, and its fit warns
+    table = rows(root, "batch-study-diverged", "batch_study.csv")[1:]
+    assert all(float(value) < 10 for row in table for value in row[3:])
+    assert outcomes["batch-study-diverged"][2] == "".join(
+        f"warning: {label} fit (seed 0) stopped by divergence after "
+        f"{max(int(row[2]) for row in table if row[0] == label)} of 30 iterations\n"
+        for label in ("gd", "sgd-1", "sgd-8"))
 
 
 if __name__ == "__main__":

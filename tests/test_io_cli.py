@@ -948,6 +948,20 @@ class TestCli:
         assert run_cli(base + ["--eta", "1e300"]) == 0
         assert capsys.readouterr().err == (
             "warning: mf fit (seed 0) stopped by divergence after 0 of 5 iterations\n")
+        # the last finite model is not the fitted point: it scores inf, and
+        # the std of a column that is not finite is nan
+        table = "metrics.csv" if command == "fit" else "coldstart.csv"
+        assert [row[3:] for row in read_csv(tmp_path / "run" / table)[1:]] == \
+            [["inf", "inf"]] * 2 + [["nan", "nan"]]
+
+    def test_loader_warnings_take_the_cli_prefix(self, tmp_path, capsys):
+        ratings = write(tmp_path / "r.tsv", "u1\ti1\t3\nu1\ti2\t4\nu2\ti1\t5\nu1\ti1\t2\n")
+        handlers = list(logging.getLogger("trustfactor").handlers)
+        assert run_cli(["split", "--ratings", ratings, "--train-frac", "0.5", "--repeats", "1",
+                        "--out", str(tmp_path / "split")]) == 0
+        assert capsys.readouterr().err == \
+            "warning: 1 duplicate (user, item) rows; last occurrence wins\n"
+        assert logging.getLogger("trustfactor").handlers == handlers
 
     def test_fit_patience_stops_on_rising_validation_error(self, tmp_path, capsys):
         # pure-noise ratings: unclamped and unregularized, the RMSE on the

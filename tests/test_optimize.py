@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,7 @@ from trustfactor.objective import (
     triplet_batch_gradient,
     value_and_grad,
 )
-from trustfactor.optimize import (
-    StepSchedule,
-    early_stop_monitor,
-    fit_gd,
-    fit_sgd,
-)
+from trustfactor.optimize import early_stop_monitor, fit_gd, fit_sgd
 from trustfactor.seeding import substream
 
 from conftest import random_graph
@@ -42,6 +39,25 @@ def social_instance(seed=0):
     return ratings, graph
 
 
+@dataclass(frozen=True)
+class StepSchedule:
+    """Step size eta_t for t >= 1: constant eta0 or eta0 / sqrt(t); the
+    reference loop's schedule, as the fit loop kept it before computing the
+    rate in place."""
+
+    kind: str = "constant"
+    eta0: float = 0.01
+
+    def __post_init__(self):
+        if self.kind not in ("constant", "inverse-sqrt"):
+            raise ValueError(f"unknown schedule {self.kind!r}")
+
+    def rate(self, t: int) -> float:
+        if self.kind == "constant":
+            return self.eta0
+        return self.eta0 / np.sqrt(t)
+
+
 class TestStepSchedule:
     def test_constant(self):
         sched = StepSchedule("constant", 0.05)
@@ -51,6 +67,19 @@ class TestStepSchedule:
         sched = StepSchedule("inverse-sqrt", 0.1)
         assert sched.rate(1) == 0.1
         assert sched.rate(4) == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("optimizer", ["gd", "sgd"])
+    def test_fits_step_by_the_schedule(self, optimizer):
+        ratings, graph = social_instance(seed=3)
+        store = extract_triplets(graph)
+        fit, reference = (fit_gd, reference_gd) if optimizer == "gd" else (fit_sgd, reference_sgd)
+        hp = Hyperparams(k=4, social="triplet-margin", lambda_s=1.0, eta0=0.05, epochs=12,
+                         batch_size=16, schedule="inverse-sqrt")
+        model, report = fit(ratings, store, hp, seed=2)
+        ref_model, ref_report = reference(ratings, store, hp, None, 2, None, 1)
+        assert report.signature() == ref_report.signature()
+        assert model.U.tobytes() == ref_model.U.tobytes()
+        assert model.V.tobytes() == ref_model.V.tobytes()
 
 
 class TestEarlyStop:
