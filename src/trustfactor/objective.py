@@ -11,6 +11,8 @@ pairs in bounded blocks, and SGD batches are explicit pairs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .data import FactorModel, Hyperparams, SocialGraph, SparseRatings, TripletStore
@@ -20,6 +22,7 @@ HINGE = "hinge"
 LOGISTIC = "logistic"
 FIGURE1 = "figure1"
 PAPER_LITERAL = "paper-literal"
+SKIP, VALUE, GRADIENT = "skip", "value", "gradient"  # what a pass asks of the social term
 
 
 def _loss(kind, z, need_slope=False):
@@ -250,12 +253,30 @@ def _social_term(U, store: TripletStore | None, hp: Hyperparams, need_grad: bool
     return value, _edge_scatter(len(U), [(edges, d, weight)]) if need_grad else None
 
 
-def _objective_pass(model: FactorModel, ratings: SparseRatings,
-                    store: TripletStore | None, hp: Hyperparams, need_grad: bool = True):
-    """value_and_grad's (value, dL/dU, dL/dV) and the raw predictions
-    U[u] . V[i] of the rating pass, in the order of the ratings. A block's
-    e-weighted V rows, then U rows, go transposed into one scratch, so each
-    column's np.add.at reads contiguous memory into one (k, n + m) sum."""
+@dataclass
+class Pass:
+    """One objective pass: the four parts whose sum, in this order, is `value`,
+    dL/dU and dL/dV (None without need_grad) and the raw predictions U[u] . V[i]."""
+
+    rating: float  # 0.5 * the sum of squared raw residuals
+    reg_u: float  # lambda_u / 2 * ||U||_F^2
+    reg_v: float  # lambda_v / 2 * ||V||_F^2
+    social: float | None  # None when the pass skipped the social term
+    gU: np.ndarray | None
+    gV: np.ndarray | None
+    pred: np.ndarray
+
+    @property
+    def value(self) -> float:
+        return self.rating + self.reg_u + self.reg_v + self.social
+
+
+def _objective_pass(model: FactorModel, ratings: SparseRatings, store: TripletStore | None,
+                    hp: Hyperparams, need_grad: bool = True, social: str = GRADIENT) -> Pass:
+    """The full training objective and, with need_grad, its gradient; `social`
+    asks the social term for nothing (SKIP), its VALUE, or its value and its
+    GRADIENT, added to gU. A block's e-weighted V rows, then U rows, go into one
+    transposed scratch, so each column's np.add.at reads contiguous memory."""
     U, V = model.U, model.V
     n, k = U.shape
     uu, ii = ratings.users, ratings.items
@@ -275,41 +296,29 @@ def _objective_pass(model: FactorModel, ratings: SparseRatings,
             index[:size] = uu[block]
             np.add(ii[block], n, out=index[size:2 * size])
             _accumulate(g, index[:2 * size], rows[:, :2 * size].T)
-    value = 0.5 * float(e @ e)
-    value += 0.5 * hp.lambda_u * float(np.sum(U * U))
-    value += 0.5 * hp.lambda_v * float(np.sum(V * V))
-    social, g_social = _social_term(U, store, hp, need_grad)
-    value += social
-    if not need_grad:
-        return value, None, None, pred
-    gU = g[:, :n].T + hp.lambda_u * U
-    if g_social is not None:  # gU is never -0.0, so adding zeros would change no byte
-        gU += g_social
-    return value, gU, g[:, n:].T + hp.lambda_v * V, pred
-
-
-def value_and_grad(model: FactorModel, ratings: SparseRatings,
-                   store: TripletStore | None, hp: Hyperparams, need_grad: bool = True):
-    """Full training objective and its gradient: (value, dL/dU, dL/dV).
-
-    0.5 * sum of squared residuals over observed ratings
-    + lambda_u/2 ||U||_F^2 + lambda_v/2 ||V||_F^2 + social term.
-    Residuals use raw (unclamped) predictions. Without need_grad both
-    gradients are None and no loss slope is computed.
-    """
-    return _objective_pass(model, ratings, store, hp, need_grad)[:3]
+    value, g_social = (None, None) if social == SKIP else _social_term(
+        U, store, hp, need_grad and social == GRADIENT)
+    result = Pass(0.5 * float(e @ e), 0.5 * hp.lambda_u * float(np.sum(U * U)),
+                  0.5 * hp.lambda_v * float(np.sum(V * V)), value, None, None, pred)
+    if need_grad:
+        result.gU = g[:, :n].T + hp.lambda_u * U
+        if g_social is not None:  # gU is never -0.0, so adding zeros would change no byte
+            result.gU += g_social
+        result.gV = g[:, n:].T + hp.lambda_v * V
+    return result
 
 
 def objective_value(model: FactorModel, ratings: SparseRatings,
                     store: TripletStore | None, hp: Hyperparams) -> float:
-    """Full training objective; see value_and_grad."""
-    return value_and_grad(model, ratings, store, hp, need_grad=False)[0]
+    """Full training objective (Pass.value), with no loss slope computed."""
+    return _objective_pass(model, ratings, store, hp, need_grad=False, social=VALUE).value
 
 
 def grad(model: FactorModel, ratings: SparseRatings,
          store: TripletStore | None, hp: Hyperparams):
     """Full analytic gradient of the objective: (dL/dU, dL/dV)."""
-    return value_and_grad(model, ratings, store, hp)[1:]
+    result = _objective_pass(model, ratings, store, hp)
+    return result.gU, result.gV
 
 
 def social_gradient(U, store: TripletStore | None, hp: Hyperparams) -> np.ndarray:

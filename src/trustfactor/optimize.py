@@ -16,7 +16,7 @@ from .data import (
     sample_triplets,
 )
 from .metrics import evaluate_model, evaluate_predictions
-from .objective import PAPER_LITERAL, _objective_pass, _social_term, triplet_batch_gradient
+from .objective import PAPER_LITERAL, SKIP, VALUE, _objective_pass, triplet_batch_gradient
 from .seeding import substream
 
 DIVERGENCE_LIMIT = 1e8
@@ -84,31 +84,25 @@ def _diverged(model) -> bool:
 def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model0):
     """Descent loop shared by GD and SGD.
 
-    step(model, need_value) returns (value, gU, gV, pred) for the next
-    update, taken at the current model: value is the full objective there
-    (None is allowed when need_value is false), and pred holds the raw
-    predictions of its rating pass. A record reads its objective and train
-    RMSE from the step taken at its model, or from a value-only pass when no
-    step follows. With `patience`, early_stop_monitor watches the validation
-    RMSE from the last value of its flat start, if it has one.
+    step(model, need_value) returns the objective Pass at the current model
+    whose gradients make the next update, its value set if need_value is. A
+    record reads its objective and train RMSE from the step taken at its
+    model, or from a value-only pass when no step follows. With `patience`,
+    early_stop_monitor watches the validation RMSE from the last value of its
+    flat start, if it has one.
     """
     model = init_model(ratings.n, ratings.m, hp.k, seed) if model0 is None else model0.copy()
-
-    def at_model(value, pred):
-        if value is None:
-            value, _, _, pred = _objective_pass(model, ratings, store, hp, need_grad=False)
-        return value, pred
-
-    value, gU, gV, pred = step(model, True) if hp.epochs else (None,) * 4
-    report = FitReport(initial_objective=at_model(value, pred)[0])
+    result = step(model, True) if hp.epochs else _objective_pass(
+        model, ratings, store, hp, need_grad=False, social=VALUE)
+    report = FitReport(initial_objective=result.value)
     start = time.perf_counter()
     val_history = []
     opens = 0  # where the patience window opens
     for t in range(1, hp.epochs + 1):
         previous = (model.U.copy(), model.V.copy())
         eta = hp.eta0 if hp.schedule == "constant" else hp.eta0 / np.sqrt(t)
-        model.U -= eta * gU
-        model.V -= eta * gV
+        model.U -= eta * result.gU
+        model.V -= eta * result.gV
         if _diverged(model):
             model.U, model.V = previous
             report.stop_reason = STOP_DIVERGENCE
@@ -132,10 +126,11 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
                 report.stop_reason = STOP_EARLY
         last = t == hp.epochs or report.stop_reason == STOP_EARLY
         # the pass for step t + 1 is taken at the model this record describes
-        value, gU, gV, pred = (None,) * 4 if last else step(model, rec is not None)
+        result = _objective_pass(model, ratings, store, hp, need_grad=False, social=VALUE) \
+            if last else step(model, rec is not None)
         if rec is not None:
-            rec.objective, pred = at_model(value, pred)
-            rec.train_rmse = evaluate_predictions(ratings, pred, hp.clamp_predictions)[1]
+            rec.objective = result.value
+            rec.train_rmse = evaluate_predictions(ratings, result.pred, hp.clamp_predictions)[1]
             rec.elapsed = time.perf_counter() - start
         if last:
             break
@@ -157,31 +152,27 @@ def fit_sgd(ratings: SparseRatings, store: TripletStore | None, hp: Hyperparams,
             sample_seed: int | None = None, patience: int | None = None,
             eval_every: int = 1, model0: FactorModel | None = None):
     """Mini-batch SGD: per iteration, B triplets sampled uniformly drive the
-    social term; the rating residual and Frobenius gradients stay exact.
+    social term; the rating residual and Frobenius gradients stay exact. With
+    no triplets to sample (another social term, or none) it is fit_gd.
 
     The batch gradient is scaled by lambda_s / B, the unbiased estimate of the
     full term; under the paper-literal fidelity convention the scaling is
     lambda_s / (B * total) instead. Lazy and materialized stores sample the
     same stream.
     """
-    use_triplets = hp.social == "triplet-margin" and store is not None and store.total > 0
-    if use_triplets and hp.batch_size > store.total:
+    if hp.social != "triplet-margin" or store is None or store.total == 0:
+        return fit_gd(ratings, store, hp, validation, seed, patience, eval_every, model0)
+    if hp.batch_size > store.total:
         raise ValueError(f"batch_size {hp.batch_size} exceeds constraint count {store.total}")
     rng = substream(seed if sample_seed is None else sample_seed, "sgd")
-    exact_hp = hp.replace(social="none") if use_triplets else hp
 
     def step(model, need_value):
-        value, gU, gV, pred = _objective_pass(model, ratings, store, exact_hp)
-        if not use_triplets:
-            return value, gU, gV, pred
-        # the exact pass added 0.0 for the social term, so this is the full value
-        value = value + _social_term(model.U, store, hp, False)[0] if need_value else None
+        result = _objective_pass(model, ratings, store, hp, social=VALUE if need_value else SKIP)
         batch = sample_triplets(store, rng, hp.batch_size)
         scale = hp.lambda_s / len(batch)
         if hp.sign_convention == PAPER_LITERAL:
             scale /= store.total
-        gU += triplet_batch_gradient(model.U, batch, hp, scale)
-        return value, gU, gV, pred
+        result.gU += triplet_batch_gradient(model.U, batch, hp, scale)
+        return result
 
-    return _run(ratings, store, hp, validation, seed, step,
-                patience, eval_every, model0)
+    return _run(ratings, store, hp, validation, seed, step, patience, eval_every, model0)

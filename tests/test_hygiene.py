@@ -33,7 +33,7 @@ def _imported_names(tree):
 
 
 # (importing module, imported name) pairs allowed across modules
-PRIVATE_IMPORTS = {("optimize", "_objective_pass"), ("optimize", "_social_term")}
+PRIVATE_IMPORTS = {("optimize", "_objective_pass")}
 
 
 def _private_imports(tree):

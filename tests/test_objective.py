@@ -18,6 +18,8 @@ from trustfactor import objective
 from trustfactor.objective import (
     FIGURE1,
     PAPER_LITERAL,
+    SKIP,
+    VALUE,
     _accumulate,
     _add_sums,
     _hinge_counts,
@@ -33,7 +35,6 @@ from trustfactor.objective import (
     social_gradient,
     trace_identity_check,
     triplet_batch_gradient,
-    value_and_grad,
 )
 from trustfactor.optimize import fit_gd, fit_sgd
 
@@ -154,6 +155,23 @@ def reference_social_term(U, store, hp, need_grad):
     if need_grad:
         g = reference_edge_scatter(len(U), edges, weight * d)
     return 0.5 * weight * float(np.sum(d * d)), g
+
+
+def reference_parts(model, ratings, store, hp):
+    """The rating, U-regularizer, V-regularizer and social values of the objective."""
+    U, V = model.U, model.V
+    e = np.einsum("ij,ij->i", U[ratings.users], V[ratings.items]) - ratings.values
+    return (0.5 * float(e @ e), 0.5 * hp.lambda_u * float(np.sum(U * U)),
+            0.5 * hp.lambda_v * float(np.sum(V * V)), reference_social_term(U, store, hp, False)[0])
+
+
+def today_value(parts):
+    """The objective as the pass summed it before it returned its parts:
+    the rating part, then U's, V's and the social term added in turn."""
+    value = parts[0]
+    for part in parts[1:]:
+        value += part
+    return value
 
 
 def reference_value_and_grad(model, ratings, store, hp, need_grad=True):
@@ -432,11 +450,11 @@ class TestGrad:
             model = FactorModel(rng.normal(0, 1, (graph.n, 3)), rng.normal(0, 1, (4, 3)), 3)
             for loss in ("hinge", "logistic"):
                 hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.3, loss=loss)
-                mat = value_and_grad(model, ratings, extract_triplets(graph), hp)
-                laz = value_and_grad(model, ratings, lazy_triplets(graph), hp)
-                assert laz[0] == mat[0]
-                assert laz[1].tobytes() == mat[1].tobytes()
-                assert laz[2].tobytes() == mat[2].tobytes()
+                mat = _objective_pass(model, ratings, extract_triplets(graph), hp)
+                laz = _objective_pass(model, ratings, lazy_triplets(graph), hp)
+                assert laz.value == mat.value
+                assert laz.gU.tobytes() == mat.gU.tobytes()
+                assert laz.gV.tobytes() == mat.gV.tobytes()
 
     @pytest.mark.parametrize("social", ["none", "trust-pull", "distrust-push", "triplet-margin"])
     @pytest.mark.parametrize("loss", ["hinge", "logistic"])
@@ -474,17 +492,36 @@ class TestKernelOracle:
             # the hinge margin sum adds per-edge counts, not pairs: another order
             hinge = social == "triplet-margin" and loss == "hinge"
             for store in (extract_triplets(graph), lazy_triplets(graph)):
-                value, gU, gV, pred = _objective_pass(model, ratings, store, hp)
+                full = _objective_pass(model, ratings, store, hp)
                 ref_value, ref_gU, ref_gV = reference_value_and_grad(model, ratings, store, hp)
-                assert value == (pytest.approx(ref_value, rel=1e-12) if hinge else ref_value)
-                assert gU.tobytes() == ref_gU.tobytes() and gU.shape == (graph.n, k)
-                assert gV.tobytes() == ref_gV.tobytes() and gV.shape == (m, k)
-                assert pred.tobytes() == predict_many(
+                ref_parts = reference_parts(model, ratings, store, hp)
+                parts = (full.rating, full.reg_u, full.reg_v, full.social)
+                assert parts[:3] == ref_parts[:3]
+                assert parts[3] == (pytest.approx(ref_parts[3], rel=1e-12) if hinge
+                                    else ref_parts[3])
+                # the value is the parts added in the order the pass always added them
+                assert full.value == today_value(parts)
+                assert full.value == (pytest.approx(ref_value, rel=1e-12) if hinge else ref_value)
+                assert full.gU.tobytes() == ref_gU.tobytes() and full.gU.shape == (graph.n, k)
+                assert full.gV.tobytes() == ref_gV.tobytes() and full.gV.shape == (m, k)
+                assert full.pred.tobytes() == predict_many(
                     model, ratings.users, ratings.items, clamp=False).tobytes()
-                only = _objective_pass(model, ratings, store, hp, need_grad=False)
-                assert only[0] == value and only[1:3] == (None, None)
-                assert only[3].tobytes() == pred.tobytes()
-                assert value_and_grad(model, ratings, store, hp)[0] == value
+                only = _objective_pass(model, ratings, store, hp, need_grad=False, social=VALUE)
+                assert (only.value, only.gU, only.gV) == (full.value, None, None)
+                assert only.pred.tobytes() == full.pred.tobytes()
+                # the social request changes only the social term's value and gradient
+                plain = reference_value_and_grad(model, ratings, store, hp.replace(social="none"))
+                for request in (SKIP, VALUE):
+                    rating_only = _objective_pass(model, ratings, store, hp, social=request)
+                    assert rating_only.social == (None if request == SKIP else full.social)
+                    assert (rating_only.rating, rating_only.reg_u, rating_only.reg_v) == \
+                        parts[:3]
+                    assert rating_only.gU.tobytes() == plain[1].tobytes()
+                    assert rating_only.gV.tobytes() == full.gV.tobytes()
+                    assert rating_only.pred.tobytes() == full.pred.tobytes()
+                assert objective_value(model, ratings, store, hp) == full.value
+                assert all(a.tobytes() == b.tobytes() for a, b in
+                           zip(grad(model, ratings, store, hp), (full.gU, full.gV)))
 
     def test_no_ratings_at_all(self, rng):
         graph = random_graph(rng, n_max=8)
@@ -492,10 +529,10 @@ class TestKernelOracle:
         model = FactorModel(rng.normal(0, 1, (graph.n, 2)), rng.normal(0, 1, (3, 2)), 2)
         hp = Hyperparams(k=2, lambda_u=0.5, lambda_v=0.5, lambda_s=1.0, social="triplet-margin")
         store = lazy_triplets(graph)
-        value, gU, gV, pred = _objective_pass(model, ratings, store, hp)
+        full = _objective_pass(model, ratings, store, hp)
         ref_value, ref_gU, ref_gV = reference_value_and_grad(model, ratings, store, hp)
-        assert value == ref_value and len(pred) == 0
-        assert gU.tobytes() == ref_gU.tobytes() and gV.tobytes() == ref_gV.tobytes()
+        assert full.value == ref_value and len(full.pred) == 0 and full.rating == 0.0
+        assert full.gU.tobytes() == ref_gU.tobytes() and full.gV.tobytes() == ref_gV.tobytes()
 
 
 BLOCKS = [1, 7, objective._BLOCK_ROWS]
@@ -530,13 +567,15 @@ class TestBlockedPasses:
         hp = Hyperparams(k=3, lambda_u=0.3, lambda_v=0.2, lambda_s=1.7, alpha=0.6, beta=0.4,
                          loss=loss, sign_convention=convention, social=social)
         store = lazy_triplets(graph)
-        value, gU, gV = value_and_grad(model, ratings, store, hp)
+        full = _objective_pass(model, ratings, store, hp)
         ref_value, ref_gU, ref_gV = reference_value_and_grad(model, ratings, store, hp)
         # the hinge margin sum adds per-edge counts, not pairs: another order
         hinge = social == "triplet-margin" and loss == "hinge"
-        assert value == (pytest.approx(ref_value, rel=1e-12) if hinge else ref_value)
-        assert gU.tobytes() == ref_gU.tobytes() and gV.tobytes() == ref_gV.tobytes()
-        assert objective_value(model, ratings, store, hp) == value
+        assert full.value == (pytest.approx(ref_value, rel=1e-12) if hinge else ref_value)
+        assert (full.rating, full.reg_u, full.reg_v) == reference_parts(
+            model, ratings, store, hp)[:3]
+        assert full.gU.tobytes() == ref_gU.tobytes() and full.gV.tobytes() == ref_gV.tobytes()
+        assert objective_value(model, ratings, store, hp) == full.value
 
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("loss", ["hinge", "logistic"])
@@ -807,11 +846,11 @@ class TestHingeTerm:
             raise AssertionError(f"{name} called")
 
         monkeypatch.setattr(objective, name, refuse)
-        value_and_grad(model, ratings, store, hp)
+        grad(model, ratings, store, hp)
         objective_value(model, ratings, store, hp)
         fit_gd(ratings, store, hp)
         with pytest.raises(AssertionError, match=f"{name} called"):
-            value_and_grad(model, ratings, store, hp.replace(loss="logistic"))
+            grad(model, ratings, store, hp.replace(loss="logistic"))
 
 
 class TestAllActiveHinge:
@@ -830,10 +869,10 @@ class TestAllActiveHinge:
             ratings = random_ratings(rng, graph.n, 5)
             model = FactorModel(rng.normal(0, 0.01, (graph.n, 3)), rng.normal(0, 0.01, (5, 3)), 3)
             store = (extract_triplets if listed else lazy_triplets)(graph)
-            value, gU, gV, _ = _objective_pass(model, ratings, store, hp)
+            full = _objective_pass(model, ratings, store, hp)
             ref_value, ref_gU, ref_gV = reference_value_and_grad(model, ratings, store, hp)
-            assert value == pytest.approx(ref_value, rel=1e-12)
-            assert gU.tobytes() == ref_gU.tobytes() and gV.tobytes() == ref_gV.tobytes()
+            assert full.value == pytest.approx(ref_value, rel=1e-12)
+            assert full.gU.tobytes() == ref_gU.tobytes() and full.gV.tobytes() == ref_gV.tobytes()
             ref_g = reference_social_term(model.U, store, hp, need_grad=True)[1]
             assert social_gradient(model.U, store, hp).tobytes() == ref_g.tobytes()
         assert not calls
@@ -907,7 +946,7 @@ class TestAllActiveHinge:
         model = FactorModel(rng.normal(0, 0.01, (graph.n, 3)), rng.normal(0, 0.01, (4, 3)), 3)
         for convention in ("figure1", "paper-literal"):
             hp = Hyperparams(k=3, social="triplet-margin", sign_convention=convention)
-            value_and_grad(model, ratings, store, hp)
+            grad(model, ratings, store, hp)
             objective_value(model, ratings, store, hp)
             social_gradient(model.U, store, hp)
             with pytest.raises(AssertionError, match="_hinge_counts called"):

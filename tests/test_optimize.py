@@ -14,12 +14,15 @@ from trustfactor.data import (
     sample_triplets,
 )
 from trustfactor.experiments import SyntheticSpec, synth_generate
-from trustfactor import metrics, optimize
+from trustfactor import metrics, objective, optimize
 from trustfactor.objective import (
+    GRADIENT,
+    SKIP,
+    VALUE,
+    grad,
     objective_value,
     social_gradient,
     triplet_batch_gradient,
-    value_and_grad,
 )
 from trustfactor.optimize import early_stop_monitor, fit_gd, fit_sgd
 from trustfactor.seeding import substream
@@ -294,15 +297,28 @@ class TestFitSgd:
 
 
 def count_passes(monkeypatch):
-    """Record (social, need_grad) of every objective pass the fit loop makes."""
+    """Record (need_grad, social request) of every objective pass the fit loop makes."""
     calls = []
     kernel = optimize._objective_pass
 
-    def counting(model, ratings, store, hp, need_grad=True):
-        calls.append((hp.social, need_grad))
-        return kernel(model, ratings, store, hp, need_grad)
+    def counting(model, ratings, store, hp, need_grad=True, social=GRADIENT):
+        calls.append((need_grad, social))
+        return kernel(model, ratings, store, hp, need_grad, social)
 
     monkeypatch.setattr(optimize, "_objective_pass", counting)
+    return calls
+
+
+def count_social_terms(monkeypatch):
+    """Record need_grad of every social-term evaluation an objective pass makes."""
+    calls = []
+    term = objective._social_term
+
+    def counting(U, store, hp, need_grad):
+        calls.append(need_grad)
+        return term(U, store, hp, need_grad)
+
+    monkeypatch.setattr(objective, "_social_term", counting)
     return calls
 
 
@@ -312,19 +328,36 @@ class TestObjectivePasses:
         ratings, graph = social_instance()
         hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.0, epochs=6)
         fit_gd(ratings, extract_triplets(graph), hp, seed=1, eval_every=1)
-        assert calls == [("triplet-margin", True)] * 6 + [("triplet-margin", False)]
+        assert calls == [(True, GRADIENT)] * 6 + [(False, VALUE)]
 
     def test_sgd_never_takes_the_full_social_gradient(self, monkeypatch):
-        calls = count_passes(monkeypatch)
+        calls, social = count_passes(monkeypatch), count_social_terms(monkeypatch)
         ratings, graph = social_instance()
         hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.0, epochs=6,
                          batch_size=4)
-        fit_sgd(ratings, lazy_triplets(graph), hp, seed=1, eval_every=3)
-        assert ("triplet-margin", True) not in calls
-        # records read the value from their step; one value-only pass follows
-        # the last iteration, which takes no step
-        assert calls.count(("triplet-margin", False)) == 1
-        assert calls.count(("none", True)) == 6
+        _, report = fit_sgd(ratings, lazy_triplets(graph), hp, seed=1, eval_every=3)
+        assert [rec.iteration for rec in report.records] == [3, 6]
+        # the initial objective and record 3 read the value from their step;
+        # one value-only pass follows the last iteration, which takes no step
+        step = [(True, VALUE)] + [(True, SKIP)] * 2
+        assert calls == step * 2 + [(False, VALUE)]
+        # so the social term is evaluated, for its value only, once at the start
+        # and once per record
+        assert social == [False] * 3
+
+    def test_sgd_without_triplets_is_gd(self, monkeypatch):
+        ratings, graph = social_instance()
+        hp = Hyperparams(k=3, social="trust-pull", alpha=0.5, epochs=4, batch_size=4)
+        calls = count_passes(monkeypatch)
+        for store in (None, extract_triplets(graph)):
+            plain = hp.replace(social="none") if store is None else hp
+            gd_model, gd_report = fit_gd(ratings, store, plain, seed=1)
+            calls.clear()
+            sgd_model, sgd_report = fit_sgd(ratings, store, plain, seed=1)
+            assert calls == [(True, GRADIENT)] * 4 + [(False, VALUE)]
+            assert sgd_report.signature() == gd_report.signature()
+            assert sgd_model.U.tobytes() == gd_model.U.tobytes()
+            assert sgd_model.V.tobytes() == gd_model.V.tobytes()
 
 
     def test_gd_makes_no_training_set_prediction(self, monkeypatch):
@@ -360,9 +393,7 @@ def reference_run(ratings, store, hp, validation, seed, step, patience, eval_eve
     schedule = StepSchedule(hp.schedule, hp.eta0)
 
     def objective(value):
-        if value is None:
-            return value_and_grad(model, ratings, store, hp, need_grad=False)[0]
-        return value
+        return objective_value(model, ratings, store, hp) if value is None else value
 
     value, gU, gV = step(model) if hp.epochs else (None, None, None)
     report = optimize.FitReport(initial_objective=objective(value))
@@ -402,7 +433,8 @@ def reference_run(ratings, store, hp, validation, seed, step, patience, eval_eve
 
 def reference_gd(ratings, store, hp, validation, seed, patience, eval_every):
     return reference_run(ratings, store, hp, validation, seed,
-                         lambda model: value_and_grad(model, ratings, store, hp),
+                         lambda model: (objective_value(model, ratings, store, hp),
+                                        *grad(model, ratings, store, hp)),
                          patience, eval_every)
 
 
@@ -411,7 +443,7 @@ def reference_sgd(ratings, store, hp, validation, seed, patience, eval_every):
     exact_hp = hp.replace(social="none")
 
     def step(model):
-        value, gU, gV = value_and_grad(model, ratings, store, exact_hp)
+        gU, gV = grad(model, ratings, store, exact_hp)
         batch = sample_triplets(store, rng, hp.batch_size)
         gU += triplet_batch_gradient(model.U, batch, hp, hp.lambda_s / len(batch))
         return None, gU, gV
