@@ -76,9 +76,9 @@ def early_stop_monitor(val_rmse_window, patience: int) -> bool:
     return False
 
 
-def _diverged(model) -> bool:
+def _diverged(*factors) -> bool:
     # a nan entry fails the comparison, as an inf one does
-    return not all(np.abs(x).max(initial=0.0) <= DIVERGENCE_LIMIT for x in (model.U, model.V))
+    return not all(np.abs(x).max(initial=0.0) <= DIVERGENCE_LIMIT for x in factors)
 
 
 def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model0):
@@ -99,14 +99,13 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
     val_history = []
     opens = 0  # where the patience window opens
     for t in range(1, hp.epochs + 1):
-        previous = (model.U.copy(), model.V.copy())
         eta = hp.eta0 if hp.schedule == "constant" else hp.eta0 / np.sqrt(t)
-        model.U -= eta * result.gU
-        model.V -= eta * result.gV
-        if _diverged(model):
-            model.U, model.V = previous
+        # a diverged step is never adopted, so the model stays the last finite one
+        U, V = model.U - eta * result.gU, model.V - eta * result.gV
+        if _diverged(U, V):
             report.stop_reason = STOP_DIVERGENCE
             break
+        model.U, model.V = U, V
         rec = None
         if t % eval_every == 0 or t == hp.epochs:
             rec = IterationRecord(iteration=t, objective=np.nan, train_rmse=np.nan)

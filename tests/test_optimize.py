@@ -403,7 +403,7 @@ def reference_run(ratings, store, hp, validation, seed, step, patience, eval_eve
         eta = schedule.rate(t)
         model.U -= eta * gU
         model.V -= eta * gV
-        if optimize._diverged(model):
+        if optimize._diverged(model.U, model.V):
             model.U, model.V = previous
             report.stop_reason = optimize.STOP_DIVERGENCE
             break
@@ -472,6 +472,30 @@ class TestAgainstReferenceLoop:
             assert report.signature() == ref_report.signature()
             assert model.U.tobytes() == ref_model.U.tobytes()
             assert model.V.tobytes() == ref_model.V.tobytes()
+
+    @pytest.mark.parametrize("optimizer", ["gd", "sgd"])
+    def test_diverged_fit_keeps_the_last_finite_model(self, optimizer):
+        # the loop adopts a step only once it passes the guard; the reference
+        # takes every step in place and restores a copy
+        ratings, graph = social_instance(seed=3)
+        store = extract_triplets(graph)
+        fit, reference = (fit_gd, reference_gd) if optimizer == "gd" else (fit_sgd, reference_sgd)
+        stopped = []
+        for eta0 in (0.3, 1.0, 1e300):
+            hp = Hyperparams(k=4, social="triplet-margin", lambda_s=1.0, eta0=eta0, epochs=40,
+                             batch_size=16)
+            model0 = init_model(ratings.n, ratings.m, 4, seed=2)
+            start = model0.copy()
+            model, report = fit(ratings, store, hp, seed=2, eval_every=1, model0=model0)
+            ref_model, ref_report = reference(ratings, store, hp, None, 2, None, 1)
+            assert report.stop_reason == optimize.STOP_DIVERGENCE
+            assert report.signature() == ref_report.signature()
+            assert model.U.tobytes() == ref_model.U.tobytes()
+            assert model.V.tobytes() == ref_model.V.tobytes()
+            assert model0.U.tobytes() == start.U.tobytes()
+            stopped.append(len(report.records))
+        # one fit diverges at its first step, and one after some records
+        assert stopped[-1] == 0 and max(stopped) > 0
 
 
 class TestDeterminism:
