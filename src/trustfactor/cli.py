@@ -47,7 +47,7 @@ from .fileio import (
 )
 from .metrics import evaluate_predictions, left_sum, mae as mae_metric, rmse as rmse_metric
 from .neighborhood import VARIANTS, build_propagated_sets, nb_predict_many
-from .optimize import STOP_MAX_ITERS, fit_gd, fit_sgd
+from .optimize import STOP_DIVERGENCE, STOP_MAX_ITERS, fit_gd, fit_sgd
 
 SOCIAL_FOR_METHOD = {
     "mf": "none",
@@ -188,6 +188,8 @@ def _warn_if_stopped(report, label, seed, epochs):
 
 
 def _fit_one(train, test, graph, args, method, seed, patience=None):
+    """(model, (MAE, RMSE)); the model is None for a neighborhood method and
+    for a diverged fit, whose last finite model is not the fitted point."""
     if method in VARIANTS:
         for flag, value in (("optimizer", args.optimizer), ("patience", patience)):
             if value is not None:
@@ -200,7 +202,7 @@ def _fit_one(train, test, graph, args, method, seed, patience=None):
     model, report, scores = fit_and_score(train, test, store, hp, args.optimizer or "gd", seed,
                                           patience)
     _warn_if_stopped(report, method, seed, hp.epochs)
-    return model, scores
+    return None if report.stop_reason == STOP_DIVERGENCE else model, scores
 
 
 def _check_fraction(name, value, lo=0.0, hi=1.0):
@@ -279,6 +281,9 @@ def _cmd_fit(args, out):
         save_model(model, out / "model.bin")
         save_id_map(out / "user_ids.tsv", bundle.user_map)
         save_id_map(out / "item_ids.tsv", bundle.item_map)
+    elif args.method not in VARIANTS:
+        print(f"warning: no model written: the {args.method} fit (seed {args.seed + rep}) "
+              "diverged", file=sys.stderr)
     print(f"{args.method}: MAE {mean[3]:.4f}  RMSE {mean[4]:.4f} "
           f"over {args.repeats} repetition(s); results in {out}")
 

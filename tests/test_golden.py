@@ -248,17 +248,16 @@ GOLDEN = {
         {
             'batch_study.csv': '9370ba92cb92f8a527db44e9fbefc43882d0fd56ae17a458ed8369fe70a7206f',
         }),
-    # a diverged fit scores inf: its summary line and metrics.csv say so
+    # a diverged fit scores inf: its summary line and metrics.csv say so, and
+    # no model is written
     'fit-diverged': (
         0,
         ('mf: MAE inf  RMSE inf over 2 repetition(s); results in {root}/fit-diverged\n'),
         ('warning: mf fit (seed 0) stopped by divergence after 0 of 5 iterations\n'
-         'warning: mf fit (seed 1) stopped by divergence after 0 of 5 iterations\n'),
+         'warning: mf fit (seed 1) stopped by divergence after 0 of 5 iterations\n'
+         'warning: no model written: the mf fit (seed 1) diverged\n'),
         {
-            'item_ids.tsv': 'cd664ed5249240448ddbcaab7813673fc217985d09f10cf4c8f9e7d821a68f58',
             'metrics.csv': 'c2ad56296de0ff231e53c398e8a8f753df9d3b20db76caaece54248052a764d0',
-            'model.bin': '53ba229fe2cdbaaf619ed12ae1e7ff7705f50f2c37b6ecc361e12b75b3f758ba',
-            'user_ids.tsv': '08788e1697fb76e4a8da7c593b95cae81e2e5dad3215918f0d7605ef6081099b',
         }),
     # the diverged sweep points write inf rows
     'tradeoff-diverged': (
@@ -301,11 +300,13 @@ def test_gd_sgd_and_mf_fits_write_different_rows(runs):
 
 def test_diverged_fits_score_inf_and_say_so(runs):
     root, outcomes = runs
-    # fit: one warning per repetition, inf rows, and nan as the std of inf
+    # fit: one warning per repetition, inf rows, nan as the std of inf, and
+    # no model, said in one more warning
     assert outcomes["fit-diverged"][0] == 0
     assert outcomes["fit-diverged"][2] == "".join(
         f"warning: mf fit (seed {seed}) stopped by divergence after 0 of 5 iterations\n"
-        for seed in (0, 1))
+        for seed in (0, 1)) + "warning: no model written: the mf fit (seed 1) diverged\n"
+    assert list(outcomes["fit-diverged"][3]) == ["metrics.csv"]
     assert [row[3:] for row in rows(root, "fit-diverged", "metrics.csv")[1:]] == \
         [["inf", "inf"]] * 3 + [["nan", "nan"]]
     # tradeoff: every point of the sweep and the reference row diverged

@@ -945,14 +945,42 @@ class TestCli:
                 method, "mf", "--epochs", "5", "--repeats", "1", "--out", str(tmp_path / "run")]
         assert run_cli(base + ["--eta", "0.01"]) == 0
         assert capsys.readouterr().err == ""
-        assert run_cli(base + ["--eta", "1e300"]) == 0
+        assert run_cli(base + ["--eta", "1e300", "--out", str(tmp_path / "diverged")]) == 0
+        # the last finite model is not the fitted point: fit writes no model
+        # and says so
+        unsaved = "warning: no model written: the mf fit (seed 0) diverged\n"
         assert capsys.readouterr().err == (
-            "warning: mf fit (seed 0) stopped by divergence after 0 of 5 iterations\n")
-        # the last finite model is not the fitted point: it scores inf, and
-        # the std of a column that is not finite is nan
+            "warning: mf fit (seed 0) stopped by divergence after 0 of 5 iterations\n"
+            + (unsaved if command == "fit" else ""))
+        # it scores inf, and the std of a column that is not finite is nan
         table = "metrics.csv" if command == "fit" else "coldstart.csv"
-        assert [row[3:] for row in read_csv(tmp_path / "run" / table)[1:]] == \
+        assert sorted(path.name for path in (tmp_path / "diverged").iterdir()) == [table]
+        assert [row[3:] for row in read_csv(tmp_path / "diverged" / table)[1:]] == \
             [["inf", "inf"]] * 2 + [["nan", "nan"]]
+        if command == "fit":
+            assert {"model.bin", "user_ids.tsv", "item_ids.tsv"} <= {
+                path.name for path in (tmp_path / "run").iterdir()}
+
+    @pytest.mark.parametrize("diverged_seed, saved", [(0, True), (1, False)])
+    def test_only_the_last_repetition_withholds_the_model(self, tmp_path, capsys, monkeypatch,
+                                                          diverged_seed, saved):
+        # fit writes the last repetition's model, so only that fit's divergence withholds it
+        out = _synth_dir(tmp_path)
+        fit_and_score = cli.fit_and_score
+
+        def diverging(train, scored, store, hp, optimizer, seed, patience):
+            eta0 = 1e300 if seed == diverged_seed else hp.eta0
+            return fit_and_score(train, scored, store, hp.replace(eta0=eta0), optimizer, seed,
+                                 patience)
+
+        monkeypatch.setattr(cli, "fit_and_score", diverging)
+        assert run_cli(["fit", "--ratings", str(out / "ratings.tsv"), "--method", "mf",
+                        "--epochs", "5", "--repeats", "2", "--out", str(tmp_path / "run")]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"warning: mf fit (seed {diverged_seed}) stopped by divergence")
+        assert err.endswith("diverged\n") != saved and err.count("\n") == 2 - saved
+        assert {path.name for path in (tmp_path / "run").iterdir()} == {"metrics.csv"} | (
+            {"model.bin", "user_ids.tsv", "item_ids.tsv"} if saved else set())
 
     def test_loader_warnings_take_the_cli_prefix(self, tmp_path, capsys):
         ratings = write(tmp_path / "r.tsv", "u1\ti1\t3\nu1\ti2\t4\nu2\ti1\t5\nu1\ti1\t2\n")
