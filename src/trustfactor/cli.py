@@ -338,10 +338,16 @@ def _cmd_grid(args, out):
         bundle.ratings, SplitSpec(args.train_frac, args.seed, 1))
     train, validation = split_ratings(
         train_all, SplitSpec(1.0 - args.val_frac, args.seed + 1, 1))
-    result = grid_search(train, validation, lazy_triplets(graph), _hyperparams(args, args.method),
-                         second_param, ls_values, second_values,
-                         optimizer=args.optimizer or "gd", seed=args.seed)
+    hp = _hyperparams(args, args.method)
+    result = grid_search(train, validation, lazy_triplets(graph), hp, second_param, ls_values,
+                         second_values, optimizer=args.optimizer or "gd", seed=args.seed)
+    for (ls, second, _), report in zip(result.rows, result.reports):
+        _warn_if_stopped(report, f"{args.method} (lambda_s {ls:g}, {second_param} {second:g})",
+                         args.seed, hp.epochs)
     write_csv(out / "grid.csv", ["lambda_s", second_param, "val_rmse"], result.rows)
+    if result.best is None:
+        print(f"no best (lambda_s, {second_param}): every fit diverged; surface in {out}")
+        return
     write_csv(out / "grid_best.csv", ["lambda_s", second_param, "val_rmse"], [list(result.best)])
     print(f"best (lambda_s, {second_param}) = ({result.best[0]:g}, {result.best[1]:g}) "
           f"with validation RMSE {result.best[2]:.4f}; surface in {out}")
@@ -403,6 +409,9 @@ def _cmd_tradeoff(args, out):
         bundle.ratings, graph, hp, trust_keep=args.trust_keep,
         distrust_fractions=fractions, train_fraction=args.train_frac,
         optimizer=args.optimizer or "gd", seed=args.seed)
+    for (method, trust, distrust, *_), report in zip(result.rows, result.reports):
+        _warn_if_stopped(report, f"{method} (trust {trust:g}, distrust {distrust:g})",
+                         args.seed, hp.epochs)
     write_csv(out / "tradeoff.csv",
               ["method", "trust_fraction", "distrust_fraction", "mae", "rmse"],
               [list(row) for row in result.rows])

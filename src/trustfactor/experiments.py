@@ -100,7 +100,8 @@ def fit_and_score(train: SparseRatings, scored: SparseRatings, store: TripletSto
 @dataclass
 class GridResult:
     rows: list              # (value_a, value_b, validation_rmse)
-    best: tuple             # (value_a, value_b, validation_rmse)
+    best: tuple | None      # (value_a, value_b, validation_rmse); None if every fit diverged
+    reports: list           # the FitReport of each row's fit
 
 
 def grid_search(train: SparseRatings, validation: SparseRatings,
@@ -110,8 +111,9 @@ def grid_search(train: SparseRatings, validation: SparseRatings,
     """Sweep (lambda_s x second_param), fit each point, score validation RMSE.
 
     second_param is "lambda_v" or "lambda_u". Diverged fits score +inf and
-    never abort the sweep; an empty validation set is refused before any fit.
-    Ties break toward smaller lambda_s, then the smaller second value.
+    never abort the sweep, and no best point is named when every fit diverged;
+    an empty validation set is refused before any fit. Ties break toward
+    smaller lambda_s, then the smaller second value.
     """
     if second_param not in ("lambda_v", "lambda_u"):
         raise ValueError("second_param must be lambda_v or lambda_u")
@@ -120,12 +122,13 @@ def grid_search(train: SparseRatings, validation: SparseRatings,
         raise ValueError("empty grid")
     if not validation.nnz:
         raise ValueError("empty validation set")
-    rows = [(ls, second, fit_and_score(train, validation, store,
-                                       hp.replace(lambda_s=ls, **{second_param: second}),
-                                       optimizer, seed)[2][1])
+    fits = [fit_and_score(train, validation, store,
+                          hp.replace(lambda_s=ls, **{second_param: second}), optimizer, seed)[1:]
             for ls, second in points]
-    best = min(rows, key=lambda r: (r[2], r[0], r[1]))
-    return GridResult(rows, best)
+    rows = [(ls, second, scores[1]) for (ls, second), (_, scores) in zip(points, fits)]
+    finite = [row for row in rows if row[2] < math.inf]
+    best = min(finite, key=lambda r: (r[2], r[0], r[1])) if finite else None
+    return GridResult(rows, best, [report for report, _ in fits])
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +281,7 @@ def majority_vote_eval(graph: SocialGraph, holdout_fraction: float = 0.3,
 @dataclass
 class TradeoffResult:
     rows: list  # (method, trust fraction, distrust fraction, mae, rmse)
+    reports: list  # the FitReport of each row's fit
 
 
 def distrust_tradeoff_run(ratings: SparseRatings, graph: SocialGraph, hp: Hyperparams,
@@ -311,13 +315,13 @@ def distrust_tradeoff_run(ratings: SparseRatings, graph: SocialGraph, hp: Hyperp
     def run(trust, distrust_count, social):
         distrust = distrust_edges[np.sort(distrust_order[:distrust_count])]
         store = lazy_triplets(SocialGraph.from_edges(graph.n, trust, distrust))
-        return fit_and_score(train, test, store, hp.replace(social=social), optimizer, seed)[2]
+        return fit_and_score(train, test, store, hp.replace(social=social), optimizer, seed)[1:]
 
-    points = [run(kept_trust, count, "triplet-margin") for count in counts]
-    reference = run(trust_edges, 0, "trust-pull")
-    return TradeoffResult([("mf-td", trust_keep, float(f), *point)
-                           for f, point in zip(fractions, points)]
-                          + [("mf-t", 1.0, 0.0, *reference)])
+    fits = [run(kept_trust, count, "triplet-margin") for count in counts]
+    fits.append(run(trust_edges, 0, "trust-pull"))
+    labels = [("mf-td", trust_keep, float(f)) for f in fractions] + [("mf-t", 1.0, 0.0)]
+    return TradeoffResult([(*label, *scores) for label, (_, scores) in zip(labels, fits)],
+                          [report for report, _ in fits])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from trustfactor.experiments import (
     synth_generate,
 )
 from trustfactor.metrics import RankedList, average_precision, ndcg_at_k
-from trustfactor.optimize import STOP_DIVERGENCE, fit_gd, fit_sgd
+from trustfactor.optimize import STOP_DIVERGENCE, STOP_MAX_ITERS, fit_gd, fit_sgd
 from trustfactor.seeding import substream
 
 from conftest import pearson, precision_recall_at_k, random_graph, random_ratings
@@ -143,6 +143,28 @@ class TestGridSearch:
         result = grid_search(train, validation, store, hp, "lambda_v",
                              [0.1], [0.1], seed=0)
         assert result.rows[0][2] == float("inf")
+        # no point was fitted, so none is best; the report says why
+        assert result.best is None
+        assert [report.stop_reason for report in result.reports] == [STOP_DIVERGENCE]
+
+    def test_best_point_skips_the_diverged_ones(self, monkeypatch):
+        ratings, graph, _ = small_synth()
+        train, validation = split_ratings(ratings, SplitSpec(0.8, 0))
+        hp = Hyperparams(k=2, eta0=0.02, epochs=20, social="triplet-margin")
+        fit_and_score = experiments.fit_and_score
+
+        def diverging(train, scored, store, hp, optimizer, seed):
+            # lambda_s 0 fits at a diverging step, so it alone scores inf
+            eta0 = 1e300 if hp.lambda_s == 0.0 else hp.eta0
+            return fit_and_score(train, scored, store, hp.replace(eta0=eta0), optimizer, seed)
+
+        monkeypatch.setattr(experiments, "fit_and_score", diverging)
+        result = grid_search(train, validation, extract_triplets(graph), hp, "lambda_v",
+                             [0.0, 1.0], [0.1], seed=0)
+        assert [row[2] == float("inf") for row in result.rows] == [True, False]
+        assert [report.stop_reason for report in result.reports] == [
+            STOP_DIVERGENCE, STOP_MAX_ITERS]
+        assert result.best == result.rows[1]
 
     def test_empty_validation_set_rejected_before_any_fit(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -385,6 +407,8 @@ class TestTradeoff:
             _, _, scores = fit_and_score(train, test, lazy_triplets(full_trust),
                                          hp.replace(social="trust-pull"), optimizer, seed=3)
             assert result.rows[-1] == ("mf-t", 1.0, 0.0, *scores)
+            assert len(result.reports) == len(result.rows) == 2
+            assert all(report.stop_reason == STOP_MAX_ITERS for report in result.reports)
 
     @pytest.mark.parametrize("keep, fractions", [
         (0.9, (-0.5, 1.5)), (0.9, (0.5, 1.5)), (0.9, (-0.1,)), (0.9, (float("nan"),)),

@@ -57,6 +57,8 @@ RUNS = {
     "batch-study": ["batch-study", *DATA, *FIT, "--batch-sizes", "1,8"],
     "fit-diverged": ["fit", *DATA, "--method", "mf", "--eta", "1e300", "--epochs", "5",
                      "--repeats", "2"],
+    "grid-diverged": ["grid", *DATA, "--eta", "1e300", "--epochs", "5", "--lambda-s-grid", "0,1",
+                      "--lambda-v-grid", "0.1"],
     "tradeoff-diverged": ["tradeoff", *DATA, *DIVERGE, "--distrust-fracs", "0.5,1"],
     "batch-study-diverged": ["batch-study", *DATA, *DIVERGE, "--batch-sizes", "1,8"],
 }
@@ -259,11 +261,22 @@ GOLDEN = {
         {
             'metrics.csv': 'c2ad56296de0ff231e53c398e8a8f753df9d3b20db76caaece54248052a764d0',
         }),
-    # the diverged sweep points write inf rows
+    # no grid point is fitted: each says so, and none is named best
+    'grid-diverged': (
+        0,
+        ('no best (lambda_s, lambda_v): every fit diverged; surface in {root}/grid-diverged\n'),
+        ('warning: mf-td (lambda_s 0, lambda_v 0.1) fit (seed 0) stopped by divergence after 0 of 5 iterations\n'
+         'warning: mf-td (lambda_s 1, lambda_v 0.1) fit (seed 0) stopped by divergence after 0 of 5 iterations\n'),
+        {
+            'grid.csv': 'e73107232904744ab3162d495e443fbc5a1d51e7422ea6ed108d795ba8d2301e',
+        }),
+    # the diverged sweep points write inf rows, and each says so
     'tradeoff-diverged': (
         0,
         ('swept 2 distrust fractions; results in {root}/tradeoff-diverged\n'),
-        (''),
+        ('warning: mf-td (trust 0.9, distrust 0.5) fit (seed 0) stopped by divergence after 7 of 30 iterations\n'
+         'warning: mf-td (trust 0.9, distrust 1) fit (seed 0) stopped by divergence after 7 of 30 iterations\n'
+         'warning: mf-t (trust 1, distrust 0) fit (seed 0) stopped by divergence after 7 of 30 iterations\n'),
         {
             'tradeoff.csv': 'cc8a7eda26edf12385430a0913841ae12c9ee25f96408ff94b3e3e1297314188',
         }),
@@ -309,9 +322,19 @@ def test_diverged_fits_score_inf_and_say_so(runs):
     assert list(outcomes["fit-diverged"][3]) == ["metrics.csv"]
     assert [row[3:] for row in rows(root, "fit-diverged", "metrics.csv")[1:]] == \
         [["inf", "inf"]] * 3 + [["nan", "nan"]]
-    # tradeoff: every point of the sweep and the reference row diverged
-    assert [row[3:] for row in rows(root, "tradeoff-diverged", "tradeoff.csv")[1:]] == \
-        [["inf", "inf"]] * 3
+    # grid: both points diverged, so each warns and no best point is named
+    assert [row[2] for row in rows(root, "grid-diverged", "grid.csv")[1:]] == ["inf"] * 2
+    assert list(outcomes["grid-diverged"][3]) == ["grid.csv"]
+    assert outcomes["grid-diverged"][1].startswith("no best (lambda_s, lambda_v)")
+    assert outcomes["grid-diverged"][2] == "".join(
+        f"warning: mf-td (lambda_s {ls}, lambda_v 0.1) fit (seed 0) stopped by divergence "
+        "after 0 of 5 iterations\n" for ls in (0, 1))
+    # tradeoff: every point of the sweep and the reference row diverged, and each warns
+    table = rows(root, "tradeoff-diverged", "tradeoff.csv")[1:]
+    assert [row[3:] for row in table] == [["inf", "inf"]] * 3
+    assert outcomes["tradeoff-diverged"][2].splitlines() == [
+        f"warning: {row[0]} (trust {float(row[1]):g}, distrust {float(row[2]):g}) fit (seed 0) "
+        "stopped by divergence after 7 of 30 iterations" for row in table]
     # batch-study: each curve ends at its last finite iteration, and its fit warns
     table = rows(root, "batch-study-diverged", "batch_study.csv")[1:]
     assert all(float(value) < 10 for row in table for value in row[3:])
