@@ -329,18 +329,30 @@ def init_model(n: int, m: int, k: int, seed: int = 0, scale: float = INIT_SCALE)
     return FactorModel(rng.normal(0.0, scale, (n, k)), rng.normal(0.0, scale, (m, k)), k, seed)
 
 
+BLOCK_ROWS = 1 << 12  # rows a block gathers, so its (rows, k) arrays stay in cache
+
+
 def predict_many(model: FactorModel, users, items, clamp: bool = True,
                  r_min: float = 1.0, r_max: float = 5.0) -> np.ndarray:
+    """U[u] . V[i] of each (user, item) pair, a length-1 side broadcast, and
+    clipped to [r_min, r_max] with clamp. Blocks of BLOCK_ROWS pairs each
+    gather only their own rows, so beside the output the call holds two
+    blocks' gathers, whatever the pair count."""
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     if len(users) and (users.min() < 0 or users.max() >= model.n):
         raise IndexError("user index out of range")
     if len(items) and (items.min() < 0 or items.max() >= model.m):
         raise IndexError("item index out of range")
-    raw = np.einsum("ij,ij->i", np.take(model.U, users, axis=0), np.take(model.V, items, axis=0))
+    users, items = np.broadcast_arrays(users, items)
+    out = np.empty(len(users))
+    for b in range(0, len(users), BLOCK_ROWS):
+        block = slice(b, b + BLOCK_ROWS)
+        np.einsum("ij,ij->i", np.take(model.U, users[block], axis=0),
+                  np.take(model.V, items[block], axis=0), out=out[block])
     if clamp:
-        return np.clip(raw, r_min, r_max)
-    return raw
+        np.clip(out, r_min, r_max, out=out)
+    return out
 
 
 @dataclass(frozen=True)

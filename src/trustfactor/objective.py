@@ -1,5 +1,5 @@
 """Losses, the social terms, and one kernel for the full objective and its
-analytic gradient, over blocks of _BLOCK_ROWS ratings or edges whose products
+analytic gradient, over blocks of BLOCK_ROWS ratings or edges whose products
 np.add.at adds into (k, n) sums, each weighted row formed once. Social terms
 read U through squared edge lengths ||U_s - U_t||^2 and share one edge
 scatter; a triplet (i, j, k) pairs its trust edge (i, j) with its distrust
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FactorModel, Hyperparams, SocialGraph, SparseRatings, TripletStore
+from .data import BLOCK_ROWS, FactorModel, Hyperparams, SocialGraph, SparseRatings, TripletStore
 from .keys import ranges
 
 HINGE = "hinge"
@@ -59,9 +59,6 @@ def trace_identity_check(U, triplet) -> float:
     return float(2.0 * (ui @ uk) + uj @ uj - uk @ uk - 2.0 * (ui @ uj))
 
 
-_BLOCK_ROWS = 1 << 12  # rows a gradient block gathers, so its (rows, k) arrays stay in cache
-
-
 def _accumulate(out: np.ndarray, index: np.ndarray, rows: np.ndarray, ufunc=np.add):
     """out[:, index[t]] = ufunc(out[:, index[t]], rows[t]) for the (k, n)
     out and (N, k) rows, by one np.add.at (or ufunc.at) per column, in t
@@ -80,8 +77,8 @@ def _edge_scatter(n: int, sets) -> np.ndarray:
         x *= np.reshape(w, (-1, 1))
     for side, ufunc in ((0, np.add), (1, np.subtract)):
         for edges, x, _ in sets:
-            for b in range(0, len(x), _BLOCK_ROWS):
-                block = slice(b, b + _BLOCK_ROWS)
+            for b in range(0, len(x), BLOCK_ROWS):
+                block = slice(b, b + BLOCK_ROWS)
                 _accumulate(out, edges[block, side], x[block], ufunc)
     return out.T
 
@@ -283,9 +280,9 @@ def _objective_pass(model: FactorModel, ratings: SparseRatings, store: TripletSt
     pred, e = np.empty(len(uu)), np.empty(len(uu))
     if need_grad:
         g = np.zeros((k, n + len(V)))
-        rows, index = np.empty((k, 2 * _BLOCK_ROWS)), np.empty(2 * _BLOCK_ROWS, dtype=np.int64)
-    for b in range(0, len(uu), _BLOCK_ROWS):
-        block = slice(b, b + _BLOCK_ROWS)
+        rows, index = np.empty((k, 2 * BLOCK_ROWS)), np.empty(2 * BLOCK_ROWS, dtype=np.int64)
+    for b in range(0, len(uu), BLOCK_ROWS):
+        block = slice(b, b + BLOCK_ROWS)
         u_rows, v_rows = np.take(U, uu[block], axis=0), np.take(V, ii[block], axis=0)
         np.einsum("ij,ij->i", u_rows, v_rows, out=pred[block])
         np.subtract(pred[block], ratings.values[block], out=e[block])

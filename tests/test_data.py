@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trustfactor.data import (
+    BLOCK_ROWS,
     FactorModel,
     Hyperparams,
     SocialGraph,
@@ -390,6 +391,38 @@ class TestPredict:
         items = rng.integers(0, 5, 50)
         preds = predict_many(model, users, items, clamp=True)
         assert np.all(preds >= 1.0) and np.all(preds <= 5.0)
+
+    @pytest.mark.parametrize("size", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                      3 * BLOCK_ROWS + 5])
+    def test_blocks_bit_equal_to_one_einsum(self, size):
+        rng = np.random.default_rng(size)
+        model = FactorModel(rng.normal(0, 1.5, (40, 7)), rng.normal(0, 1.5, (30, 7)), 7)
+        users, items = rng.integers(0, 40, size), rng.integers(0, 30, size)
+        whole = np.einsum("ij,ij->i", np.take(model.U, users, axis=0),
+                          np.take(model.V, items, axis=0))
+        raw = predict_many(model, users, items, clamp=False)
+        assert raw.shape == (size,) and raw.dtype == np.float64
+        assert raw.tobytes() == whole.tobytes()
+        clamped = predict_many(model, users.tolist(), items.tolist(), True, 0.5, 2.0)
+        assert clamped.tobytes() == np.clip(whole, 0.5, 2.0).tobytes()
+
+    def test_one_side_of_length_one_is_broadcast(self, rng):
+        model = FactorModel(rng.normal(size=(3, 2)), rng.normal(size=(BLOCK_ROWS + 2, 2)), 2)
+        items = np.arange(BLOCK_ROWS + 2)
+        assert (predict_many(model, [1], items, False).tobytes()
+                == predict_many(model, np.ones_like(items), items, False).tobytes())
+        with pytest.raises(ValueError):
+            predict_many(model, [0, 1], [0, 1, 2])
+
+    def test_out_of_range_messages(self):
+        model = init_model(3, 2, 2)
+        for users, items, message in (([0, 3], [0, 0], "user index out of range"),
+                                      ([-1], [0], "user index out of range"),
+                                      ([0], [2], "item index out of range"),
+                                      ([0], [-1], "item index out of range")):
+            with pytest.raises(IndexError) as info:
+                predict_many(model, users, items)
+            assert str(info.value) == message
 
 
 class TestHyperparams:

@@ -535,7 +535,7 @@ class TestKernelOracle:
         assert full.gU.tobytes() == ref_gU.tobytes() and full.gV.tobytes() == ref_gV.tobytes()
 
 
-BLOCKS = [1, 7, objective._BLOCK_ROWS]
+BLOCKS = [1, 7, objective.BLOCK_ROWS]
 MARGIN_CASES = [("triplet-margin", loss, convention) for loss in ("hinge", "logistic")
                 for convention in ("figure1", "paper-literal")]
 PLAIN_CASES = [(social, "hinge", "figure1") for social in ("trust-pull", "distrust-push", "none")]
@@ -544,7 +544,7 @@ PLAIN_CASES = [(social, "hinge", "figure1") for social in ("trust-pull", "distru
 def blocked_instance(rng, block, k=3):
     """A graph, ratings and model; at the default block size, enough ratings
     and trust edges to fill more than one block, else a small one."""
-    n, m = (150, 70) if block == objective._BLOCK_ROWS else (int(rng.integers(2, 15)), 8)
+    n, m = (150, 70) if block == objective.BLOCK_ROWS else (int(rng.integers(2, 15)), 8)
     draw = rng.random((n, n)) + 2 * np.eye(n)  # no self-edges
     graph = SocialGraph.from_edges(n, np.argwhere(draw < 0.25).tolist(),
                                    np.argwhere((draw >= 0.25) & (draw < 0.5)).tolist())
@@ -559,10 +559,10 @@ class TestBlockedPasses:
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("social, loss, convention", MARGIN_CASES + PLAIN_CASES)
     def test_value_and_grad_equal_reference(self, monkeypatch, block, social, loss, convention):
-        monkeypatch.setattr(objective, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(objective, "BLOCK_ROWS", block)
         rng = np.random.default_rng([block, len(social), len(loss), len(convention)])
         graph, ratings, model = blocked_instance(rng, block)
-        if block == objective._BLOCK_ROWS:
+        if block == objective.BLOCK_ROWS:
             assert ratings.nnz > block and len(graph.trust_edge_array) > block
         hp = Hyperparams(k=3, lambda_u=0.3, lambda_v=0.2, lambda_s=1.7, alpha=0.6, beta=0.4,
                          loss=loss, sign_convention=convention, social=social)
@@ -581,7 +581,7 @@ class TestBlockedPasses:
     @pytest.mark.parametrize("loss", ["hinge", "logistic"])
     @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
     def test_triplet_batch_gradient_equals_reference(self, monkeypatch, block, loss, convention):
-        monkeypatch.setattr(objective, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(objective, "BLOCK_ROWS", block)
         rng = np.random.default_rng([block, len(loss), len(convention)])
         graph = blocked_instance(rng, block)[0]
         hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.0, loss=loss,
@@ -604,7 +604,7 @@ class TestBlockedPasses:
                          batch_size=min(4, store.total), loss=loss, social="triplet-margin")
         fits = []
         for block in BLOCKS:
-            monkeypatch.setattr(objective, "_BLOCK_ROWS", block)
+            monkeypatch.setattr(objective, "BLOCK_ROWS", block)
             model, report = fit(ratings, store, hp, seed=3, eval_every=2)
             fits.append((model.U.tobytes(), model.V.tobytes(), report.signature()))
         assert fits[0] == fits[1] == fits[2]
