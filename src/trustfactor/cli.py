@@ -45,7 +45,7 @@ from .fileio import (
     save_social,
     write_csv,
 )
-from .metrics import evaluate_predictions, left_sum, mae as mae_metric, rmse as rmse_metric
+from .metrics import evaluate_predictions, left_sum, mae_rmse
 from .neighborhood import VARIANTS, build_propagated_sets, nb_predict_many
 from .optimize import STOP_DIVERGENCE, STOP_MAX_ITERS, fit_gd, fit_sgd
 
@@ -281,9 +281,12 @@ def _cmd_fit(args, out):
         save_model(model, out / "model.bin")
         save_id_map(out / "user_ids.tsv", bundle.user_map)
         save_id_map(out / "item_ids.tsv", bundle.item_map)
-    elif args.method not in VARIANTS:
-        print(f"warning: no model written: the {args.method} fit (seed {args.seed + rep}) "
-              "diverged", file=sys.stderr)
+    else:  # an earlier run's model left in --out would pass for this run's
+        for name in ("model.bin", "user_ids.tsv", "item_ids.tsv"):
+            (out / name).unlink(missing_ok=True)
+        if args.method not in VARIANTS:
+            print(f"warning: no model written: the {args.method} fit (seed {args.seed + rep}) "
+                  "diverged", file=sys.stderr)
     print(f"{args.method}: MAE {mean[3]:.4f}  RMSE {mean[4]:.4f} "
           f"over {args.repeats} repetition(s); results in {out}")
 
@@ -301,11 +304,10 @@ def _cmd_eval(args, out):
     if not known.any():
         raise ValueError("no evaluable pairs")
     pred = predict_many(model, users[known], items[known], clamp=not args.no_clamp)
-    pairs = np.column_stack((values[known], pred))
-    m, r = mae_metric(pairs), rmse_metric(pairs)
+    m, r = mae_rmse(values[known], pred)
     write_csv(out / "eval.csv", ["pairs", "skipped", "mae", "rmse"],
-              [[len(pairs), skipped, m, r]])
-    print(f"MAE {m:.4f}  RMSE {r:.4f} on {len(pairs)} pairs; results in {out}")
+              [[len(pred), skipped, m, r]])
+    print(f"MAE {m:.4f}  RMSE {r:.4f} on {len(pred)} pairs; results in {out}")
 
 
 def _cmd_split(args, out):
@@ -346,6 +348,7 @@ def _cmd_grid(args, out):
                          args.seed, hp.epochs)
     write_csv(out / "grid.csv", ["lambda_s", second_param, "val_rmse"], result.rows)
     if result.best is None:
+        (out / "grid_best.csv").unlink(missing_ok=True)  # an earlier run's best is not this one's
         print(f"no best (lambda_s, {second_param}): every fit diverged; surface in {out}")
         return
     write_csv(out / "grid_best.csv", ["lambda_s", second_param, "val_rmse"], [list(result.best)])

@@ -37,13 +37,18 @@ def rmse(pairs) -> float:
     return math.sqrt(float(np.mean(errors * errors)))
 
 
+def mae_rmse(actual: np.ndarray, predicted: np.ndarray):
+    """(MAE, RMSE) of predictions against the actual ratings, as arrays."""
+    errors = actual - predicted
+    return float(np.mean(np.abs(errors))), math.sqrt(float(np.mean(errors * errors)))
+
+
 def evaluate_predictions(test: SparseRatings, raw: np.ndarray, clamp: bool = True):
     """(MAE, RMSE) of raw predictions of a rating set's entries, clamped to
     the set's own bounds."""
     if test.nnz == 0:
         raise ValueError("empty test set")
-    errors = test.values - (np.clip(raw, test.r_min, test.r_max) if clamp else raw)
-    return float(np.mean(np.abs(errors))), math.sqrt(float(np.mean(errors * errors)))
+    return mae_rmse(test.values, np.clip(raw, test.r_min, test.r_max) if clamp else raw)
 
 
 def evaluate_model(model: FactorModel, test: SparseRatings, clamp: bool = True):

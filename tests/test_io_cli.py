@@ -982,6 +982,30 @@ class TestCli:
         assert {path.name for path in (tmp_path / "run").iterdir()} == {"metrics.csv"} | (
             {"model.bin", "user_ids.tsv", "item_ids.tsv"} if saved else set())
 
+    def test_a_reused_out_keeps_no_stale_model_or_best(self, tmp_path, capsys):
+        # a fit that writes no model, and a grid with no best, remove what an
+        # earlier run left in the same --out, so eval cannot score an old model
+        assert run_cli(["synth", "--seed", "3", "--out", str(tmp_path / "synth")]) == 0
+        ratings = str(tmp_path / "synth" / "ratings.tsv")
+        data = ["--ratings", ratings, "--social", str(tmp_path / "synth" / "social.tsv")]
+        run, model = tmp_path / "run", str(tmp_path / "run" / "model.bin")
+        fit = ["fit", "--ratings", ratings, "--epochs", "5", "--out", str(run)]
+        evaluate = ["eval", "--ratings", ratings, "--model", model, "--out", str(tmp_path / "e")]
+        for second in (["--method", "mf", "--eta", "1e300"], ["--method", "nb"]):
+            assert run_cli(fit + ["--method", "mf", "--eta", "0.01"]) == 0
+            assert run_cli(evaluate) == 0
+            assert run_cli(fit + second) == 0
+            assert sorted(path.name for path in run.iterdir()) == ["metrics.csv"]
+            capsys.readouterr()
+            assert run_cli(evaluate) == 1
+            assert capsys.readouterr().err == \
+                f"error: [Errno 2] No such file or directory: {model!r}\n"
+        grid = ["grid", *data, "--epochs", "5", "--lambda-s-grid", "0,1", "--lambda-v-grid", "0.1",
+                "--out", str(tmp_path / "grid")]
+        assert run_cli(grid + ["--eta", "0.01"]) == 0
+        assert run_cli(grid + ["--eta", "1e300"]) == 0
+        assert sorted(path.name for path in (tmp_path / "grid").iterdir()) == ["grid.csv"]
+
     def test_loader_warnings_take_the_cli_prefix(self, tmp_path, capsys):
         ratings = write(tmp_path / "r.tsv", "u1\ti1\t3\nu1\ti2\t4\nu2\ti1\t5\nu1\ti1\t2\n")
         handlers = list(logging.getLogger("trustfactor").handlers)
