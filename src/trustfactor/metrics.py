@@ -18,29 +18,28 @@ def left_sum(values) -> float:
     return reduce(add, values, 0.0)
 
 
-def _errors(pairs) -> np.ndarray:
-    """actual - predicted over an (N, 2) array-like of (actual, predicted)."""
-    pairs = np.asarray(pairs, dtype=np.float64)
-    if pairs.size == 0:
-        raise ValueError("empty prediction set")
-    return pairs[:, 0] - pairs[:, 1]
-
-
-def mae(pairs) -> float:
-    """Mean absolute error over (actual, predicted) pairs."""
-    return float(np.mean(np.abs(_errors(pairs))))
-
-
-def rmse(pairs) -> float:
-    """Root mean squared error over (actual, predicted) pairs."""
-    errors = _errors(pairs)
-    return math.sqrt(float(np.mean(errors * errors)))
-
-
 def mae_rmse(actual: np.ndarray, predicted: np.ndarray):
     """(MAE, RMSE) of predictions against the actual ratings, as arrays."""
     errors = actual - predicted
     return float(np.mean(np.abs(errors))), math.sqrt(float(np.mean(errors * errors)))
+
+
+def _columns(pairs):
+    """The actual and predicted columns of an (N, 2) array-like of pairs."""
+    pairs = np.asarray(pairs, dtype=np.float64)
+    if pairs.size == 0:
+        raise ValueError("empty prediction set")
+    return pairs[:, 0], pairs[:, 1]
+
+
+def mae(pairs) -> float:
+    """Mean absolute error over (actual, predicted) pairs."""
+    return mae_rmse(*_columns(pairs))[0]
+
+
+def rmse(pairs) -> float:
+    """Root mean squared error over (actual, predicted) pairs."""
+    return mae_rmse(*_columns(pairs))[1]
 
 
 def evaluate_predictions(test: SparseRatings, raw: np.ndarray, clamp: bool = True):
