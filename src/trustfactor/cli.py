@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import FactorModel, Hyperparams, lazy_triplets, predict_many
+from .data import (LOSS_KINDS, SCHEDULES, SIGN_CONVENTIONS, FactorModel, Hyperparams,
+                   lazy_triplets, predict_many)
 from .experiments import (
     SplitSpec,
     SyntheticSpec,
@@ -87,11 +88,11 @@ FLAGS = {
     "--alpha": dict(type=float, default=1.0),
     "--beta": dict(type=float, default=1.0),
     "--eta": dict(type=float, default=0.01),
-    "--schedule": dict(default="constant", choices=("constant", "inverse-sqrt")),
+    "--schedule": dict(default="constant", choices=SCHEDULES),
     "--batch-size": dict(type=int, default=32),
     "--epochs": dict(type=int, default=200),
-    "--loss": dict(default="hinge", choices=("hinge", "logistic")),
-    "--sign-convention": dict(default="figure1", choices=("figure1", "paper-literal")),
+    "--loss": dict(default="hinge", choices=LOSS_KINDS),
+    "--sign-convention": dict(default="figure1", choices=SIGN_CONVENTIONS),
     "--no-clamp": dict(action="store_true", help="evaluate with raw dot products"),
     "--p": dict(type=int, help="trust propagation depth"),
     "--q": dict(type=int, help="distrust propagation depth"),

@@ -144,7 +144,6 @@ def _bin_label(count, edges):
 
 @dataclass
 class ConsistencyResult:
-    relation: str
     bins: dict  # label -> dict of metric name -> value, plus user count
 
 
@@ -193,7 +192,7 @@ def consistency_eval(ratings: SparseRatings, graph: SocialGraph, relation: str =
     names, seen, label = np.unique(labels, return_index=True, return_inverse=True)
     size = np.bincount(label)
     means = {key: (np.bincount(label, value) / size).tolist() for key, value in per_user.items()}
-    return ConsistencyResult(relation, {
+    return ConsistencyResult({
         str(names[b]): {**{key: mean[b] for key, mean in means.items()}, "users": int(size[b])}
         for b in np.argsort(seen).tolist()})
 
@@ -203,20 +202,8 @@ def consistency_eval(ratings: SparseRatings, graph: SocialGraph, relation: str =
 
 
 @dataclass
-class VoteRecord:
-    source: int
-    target: int
-    actual: int
-    n_plus: int
-    n_minus: int
-    predicted: int       # +1, -1, or 0 for abstain
-    aligned: bool | None  # None when abstaining
-
-
-@dataclass
 class MajorityVoteResult:
     rows: list           # (setting, relation type, share pct, vote alignment pct or None)
-    records: list
     n_heldout: int
     accuracy: float | None  # majority-prediction accuracy over non-abstentions
 
@@ -232,6 +219,8 @@ def majority_vote_eval(graph: SocialGraph, holdout_fraction: float = 0.3,
     fraction of votes agreeing with the true sign; the tie row has no
     alignment value.
     """
+    if not 0.0 < holdout_fraction < 1.0:
+        raise ValueError("holdout fraction must lie strictly between 0 and 1")
     trust, distrust = graph.trust_edge_array, graph.distrust_edge_array
     edges = np.concatenate((trust, distrust))
     if not len(edges):
@@ -254,11 +243,6 @@ def majority_vote_eval(graph: SocialGraph, holdout_fraction: float = 0.3,
         for e in (train.trust_edge_array, train.distrust_edge_array))
     actual = np.where(held < len(trust), 1, -1)
     predicted = np.sign(n_plus - n_minus)
-    records = [VoteRecord(source, target, sign, plus, minus, vote, (vote == sign) if vote else None)
-               for (source, target), sign, plus, minus, vote in zip(
-                   edges[held].tolist(), actual.tolist(), n_plus.tolist(), n_minus.tolist(),
-                   predicted.tolist())]
-
     rows = []
     for setting, side in (("n+>n-", predicted > 0), ("n+<n-", predicted < 0)):
         for sign in (1, -1):
@@ -271,7 +255,7 @@ def majority_vote_eval(graph: SocialGraph, holdout_fraction: float = 0.3,
     rows.append(("n+=n-", "any", 100.0 * int(np.sum(predicted == 0)) / n_hold, None))
     decided = int(np.sum(predicted != 0))
     accuracy = int(np.sum(predicted == actual)) / decided if decided else None
-    return MajorityVoteResult(rows, records, n_hold, accuracy)
+    return MajorityVoteResult(rows, n_hold, accuracy)
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,6 @@ class IdMap:
     def __len__(self):
         return len(self.ids)
 
-    def __getitem__(self, idx: int) -> str:
-        return self.ids[idx]
-
 
 class _Columns:
     """The data rows of a TSV file, before its first width fault, and the
@@ -252,15 +249,6 @@ def _build_ratings(user_idx, item_idx, values, n, m, r_min, r_max):
 def _build_graph(files, user_map):
     """Signed graph of the rows of the social files (as `_read_social` returns
     them); a repeated (u, v) keeps its first row and must repeat its sign."""
-    pairs, signs = _first_edges(files, user_map)
-    # compress picks rows several times faster than a boolean index does
-    return SocialGraph.from_edges(len(user_map), pairs.compress(signs > 0, axis=0),
-                                  pairs.compress(signs < 0, axis=0))
-
-
-def _first_edges(files, user_map):
-    """((u, v) index pairs, signs) of the first row of each (u, v) of the
-    social files, in file order."""
     n = len(user_map)
     pairs = np.concatenate([_indices(user_map, ids)[pairs] for _, pairs, ids, _ in files])
     signs = np.concatenate([signs for *_, signs in files])
@@ -270,12 +258,16 @@ def _first_edges(files, user_map):
     if len(clash):
         at = clash[np.argmin(order[clash])]
         row, head = order[at], order[starts[np.searchsorted(starts, at, "right") - 1]]
-        u, v = (user_map[int(idx)] for idx in pairs[row])
+        u, v = (user_map.ids[idx] for idx in pairs[row])
         raise ValueError(f"{_where(files, row)}: contradicts {_where(files, head)}: "
                          f"{u!r} cannot both trust and distrust {v!r}")
     if len(starts) < len(pairs):
         log.warning("%d duplicate social edges dropped", len(pairs) - len(starts))
-    return pairs[first], signs[first]
+    pairs, signs = pairs[first], signs[first]
+    del order, starts, first, ranked  # freed before from_edges builds the graph's own arrays
+    # compress picks rows several times faster than a boolean index does
+    return SocialGraph.from_edges(n, pairs.compress(signs > 0, axis=0),
+                                  pairs.compress(signs < 0, axis=0))
 
 
 def _where(files, row):

@@ -235,49 +235,41 @@ def _propagate(graph: SocialGraph, p: int, q: int):
 
 @dataclass(frozen=True, eq=False)
 class PropagatedSets:
-    """Propagated trust and distrust keys (n = graph.n) plus the source graph,
-    with the pool keys of the distrust variants as views."""
+    """Propagated trust and distrust keys (n = graph.n) plus the source graph."""
 
     graph: SocialGraph
     trust_keys: np.ndarray
     distrust_keys: np.ndarray
-    p: int
-    q: int
-
-    @cached_property
-    def filtered_keys(self) -> np.ndarray:
-        """nb-td-f: trusted and not distrusted."""
-        return drop(self.trust_keys, self.distrust_keys)
-
-    @cached_property
-    def debugged_keys(self) -> np.ndarray:
-        """nb-td-d: trusted, less the admissions contradicted by a direct
-        distrust edge."""
-        u, v = self.graph.distrust_edge_array.T
-        return drop(self.trust_keys, np.sort(u * self.graph.n + v))
 
 
 def build_propagated_sets(graph: SocialGraph, p: int = 1, q: int = 1) -> PropagatedSets:
-    return PropagatedSets(graph, *_propagate(graph, p, q), p, q)
+    return PropagatedSets(graph, *_propagate(graph, p, q))
 
 
-def _pool_keys(sets: PropagatedSets | None, variant: str):
-    """The variant's pool keys; None for nb, whose pool is every user with a
-    cached weight."""
+def _pool_keys(sets: PropagatedSets | None, variant: str, users):
+    """The variant's pool keys in the rows of `users`, so that a one-user call
+    forms one row; None for nb, whose pool is every user with a cached weight."""
     if variant == "nb":
         return None
     if sets is None:
         raise ValueError(f"variant {variant!r} needs propagated sets")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    return getattr(sets, {"nb-t": "trust_keys", "nb-td-f": "filtered_keys",
-                          "nb-td-d": "debugged_keys"}[variant])
+    n, lo, hi = sets.graph.n, users.min(initial=sets.graph.n), users.max(initial=-1) + 1
+    keys = sets.trust_keys[slice(*np.searchsorted(sets.trust_keys, (lo * n, hi * n)))]
+    if variant == "nb-t":  # the trusted
+        return keys
+    if variant == "nb-td-f":  # trusted and not distrusted
+        return drop(keys, sets.distrust_keys)
+    if variant == "nb-td-d":  # trusted, less the targets of direct distrust edges
+        start, stop = sets.graph.distrust_offsets[[min(lo, n), min(hi, n)]]
+        u, v = sets.graph.distrust_edge_array[start:stop].T
+        return drop(keys, np.sort(u * n + v))
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def neighbor_pool(sims: SimilarityCache, sets: PropagatedSets | None, u: int, variant: str):
     """Candidate neighbor pool for user u before the rated-item/positive-weight
     filters. Pools for the distrust variants are subsets of the trust pool."""
-    pool = _pool_keys(sets, variant)
+    pool = _pool_keys(sets, variant, np.array([u]))
     return set(sims.neighbors(u) if pool is None else row(pool, u, sets.graph.n))
 
 
@@ -300,7 +292,7 @@ def nb_predict_many(ratings: SparseRatings, sims: SimilarityCache | None,
         bad = index[(index < 0) | (index >= size)]
         if len(bad):
             raise IndexError(f"{name} index {bad[0]} out of range")
-    pool = _pool_keys(sets, variant)
+    pool = _pool_keys(sets, variant, users)
     raters, values, offsets = ratings.by_item
     # a user without ratings co-rates with nobody: no rater can weigh in
     counts = np.where(ratings.user_counts[users] > 0, offsets[items + 1] - offsets[items], 0)

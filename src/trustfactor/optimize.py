@@ -91,6 +91,8 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
     early_stop_monitor watches the validation RMSE from the last value of its
     flat start, if it has one.
     """
+    if eval_every < 1:
+        raise ValueError("eval_every must be at least 1")
     model = init_model(ratings.n, ratings.m, hp.k, seed) if model0 is None else model0.copy()
     result = step(model, True) if hp.epochs else _objective_pass(
         model, ratings, store, hp, need_grad=False, social=VALUE)

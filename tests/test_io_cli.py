@@ -689,7 +689,7 @@ class TestRoundtrips:
             save_id_map(tmp_path / "ids.tsv", user_map)
             with open(tmp_path / "r_ref.tsv", "w", encoding="utf-8") as handle:
                 for u, i, r in zip(ratings.users, ratings.items, ratings.values):
-                    handle.write(f"{user_map[int(u)]}\t{item_map[int(i)]}\t"
+                    handle.write(f"{user_map.ids[u]}\t{item_map.ids[i]}\t"
                                  f"{format_number(float(r))}\n")
             with open(tmp_path / "s_ref.tsv", "w", encoding="utf-8") as handle:
                 for sign, edges in (("1", graph.trust_edge_array),

@@ -122,6 +122,26 @@ class TestFitGd:
         assert all(b <= a + 1e-15 for a, b in zip(objectives, objectives[1:]))
         assert objectives[0] <= report.initial_objective
 
+    def test_elapsed_is_wall_clock_outside_the_signature(self):
+        ratings, graph = social_instance()
+        hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.0, epochs=8)
+        _, report = fit_gd(ratings, extract_triplets(graph), hp, seed=1)
+        elapsed = [rec.elapsed for rec in report.records]
+        assert elapsed[0] >= 0.0
+        assert elapsed == sorted(elapsed)
+        signature = report.signature()
+        for rec in report.records:
+            rec.elapsed += 1.0
+        assert report.signature() == signature
+
+    def test_eval_every_below_one_refused(self):
+        ratings, graph = social_instance()
+        hp = Hyperparams(k=3, social="triplet-margin", lambda_s=1.0, epochs=3, batch_size=4)
+        for fit in (fit_gd, fit_sgd):
+            for every in (0, -1):
+                with pytest.raises(ValueError, match="eval_every must be at least 1"):
+                    fit(ratings, lazy_triplets(graph), hp, eval_every=every)
+
     def test_zero_step_size_keeps_init(self):
         ratings = single_rating_instance()
         hp = Hyperparams(k=2, eta0=0.0, epochs=5)
