@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .keys import ranges, stable_order
+from .keys import ranges, sort_by_key, stable_order
 from .seeding import substream
 
 MATERIALIZED = "materialized"
@@ -103,6 +103,12 @@ class SparseRatings:
         return means
 
     @cached_property
+    def folds(self) -> tuple:
+        """(by user, by item): the entries' Fold for each side's sums."""
+        return (_fold(self.users, self.items, self.n, self.values),
+                _fold(self.items, self.users, self.m))
+
+    @cached_property
     def by_item(self) -> tuple:
         """Item-major view (users, values, offsets): the entries sorted by (item,
         user) in one packed sort, item i's raters being users[offsets[i]:offsets[i + 1]]."""
@@ -119,6 +125,43 @@ class SparseRatings:
             self.users[index], self.items[index], self.values[index],
             self.r_min, self.r_max,
         )
+
+
+@dataclass(frozen=True, eq=False)
+class Fold:
+    """One side's entries in the order of a left fold by key: by their rank
+    among their key's entries, in entry order, then by their key's place in
+    `keys`, the keys with entries by count, descending. So rank r is one run
+    with keys keys[:runs[r]], and sums[:runs[r]] += rows adds every key's r-th
+    term. `runs` holds the runs of at least FOLD_MIN_ROWS entries, the ranks
+    before the tail; `tail` holds the places of the tail entries' keys."""
+
+    order: np.ndarray  # the entry positions, in fold order
+    other: np.ndarray  # each entry's index on the other side, in fold order
+    values: np.ndarray | None  # each entry's rating, in fold order (by-user side only)
+    runs: tuple
+    keys: np.ndarray
+    tail: np.ndarray
+
+
+def _fold(keys, other, bound, values=None) -> Fold:
+    """The Fold of entries keyed in [0, bound): a position is a run start plus a place."""
+    counts, size = np.bincount(keys, minlength=bound), len(keys)
+    top = int(counts.max(initial=0))
+    by_count = stable_order(top - counts, top + 1)[:np.count_nonzero(counts)]
+    place = np.empty(bound, dtype=np.int64)
+    place[by_count] = np.arange(len(by_count))
+    sorted_keys, by_key = sort_by_key(keys, bound)
+    rank = np.arange(size) - (np.cumsum(counts) - counts)[sorted_keys]
+    runs = np.bincount(rank)
+    order = np.empty(size, dtype=np.int64)
+    order[(np.cumsum(runs) - runs)[rank] + place[sorted_keys]] = by_key
+    folded = runs[runs >= FOLD_MIN_ROWS]
+    index = np.int32 if max(size, bound) < 1 << 31 else np.int64
+    return Fold(*(_frozen_array(a, index) for a in (order, other[order])),
+                None if values is None else _frozen_array(values[order], np.float64),
+                tuple(folded.tolist()), _frozen_array(by_count, index),
+                _frozen_array(place[keys[order[folded.sum():]]], index))
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,6 +373,7 @@ def init_model(n: int, m: int, k: int, seed: int = 0, scale: float = INIT_SCALE)
 
 
 BLOCK_ROWS = 1 << 12  # rows a block gathers, so its (rows, k) arrays stay in cache
+FOLD_MIN_ROWS = 256  # a Fold adds shorter rank runs by np.add.at: a call per run costs more
 
 
 def predict_many(model: FactorModel, users, items, clamp: bool = True,

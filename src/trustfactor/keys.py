@@ -46,7 +46,7 @@ def member(keys, needles):
     """Whether each needle is in the sorted unique `keys`, all non-negative:
     read off a dense table up to the largest of them when it takes no more
     memory than two int64 copies of the needles, else found by binary search."""
-    span = max(keys.max(initial=-1), needles.max(initial=-1)) + 1
+    span = max(keys[-1] if len(keys) else -1, needles.max(initial=-1)) + 1
     if span > 16 * len(needles):
         return find(keys, needles) >= 0
     table = np.zeros(span, dtype=bool)

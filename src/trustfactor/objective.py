@@ -1,12 +1,12 @@
 """Losses, the social terms, and one kernel for the full objective and its
-analytic gradient, over blocks of BLOCK_ROWS ratings or edges whose products
-np.add.at adds into (k, n) sums, each weighted row formed once. Social terms
-read U through squared edge lengths ||U_s - U_t||^2 and share one edge
-scatter; a triplet (i, j, k) pairs its trust edge (i, j) with its distrust
-edge (i, k). Full hinge passes take each edge's count of active pairs from
-the CSR offsets when one comparison of the extreme lengths proves every pair
-active, else from the lengths sorted per user; logistic full passes list
-pairs in bounded blocks, and SGD batches are explicit pairs.
+analytic gradient. Rating sums fold over the ratings' cached data.Fold orders;
+edge products go to np.add.at in blocks of BLOCK_ROWS edges, each weighted row
+formed once. Social terms read U through squared edge lengths ||U_s - U_t||^2
+and share one edge scatter; a triplet (i, j, k) pairs its trust edge (i, j)
+with its distrust edge (i, k). Full hinge passes take each edge's count of
+active pairs from the CSR offsets when one comparison of the extreme lengths
+proves every pair active, else from the lengths sorted per user; logistic full
+passes list pairs in bounded blocks, and SGD batches are explicit pairs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BLOCK_ROWS, FactorModel, Hyperparams, SocialGraph, SparseRatings, TripletStore
+from .data import (BLOCK_ROWS, FactorModel, Hyperparams, SocialGraph, SparseRatings, TripletStore,
+                   predict_many)
 from .keys import ranges
 
 HINGE = "hinge"
@@ -268,40 +269,59 @@ class Pass:
         return self.rating + self.reg_u + self.reg_v + self.social
 
 
+def _fold_sums(fold, step_rows, reg):
+    """reg plus each key's left fold from zeros of its entries' rows, in entry
+    order, step_rows(entries, places) giving a step's rows: one add for a
+    folded rank, whose places are distinct, np.add.at for a tail block."""
+    sums, start = np.zeros((len(fold.keys), reg.shape[1])), 0
+    for run in fold.runs:
+        sums[:run] += step_rows(slice(start, start + run), slice(0, run))
+        start += run
+    for b in range(start, len(fold.order), BLOCK_ROWS):
+        places = fold.tail[b - start:b - start + BLOCK_ROWS]
+        _accumulate(sums.T, places, step_rows(slice(b, b + BLOCK_ROWS), places))
+    out = np.zeros_like(reg)
+    out[fold.keys] = sums
+    out += reg
+    return out
+
+
 def _objective_pass(model: FactorModel, ratings: SparseRatings, store: TripletStore | None,
                     hp: Hyperparams, need_grad: bool = True, social: str = GRADIENT) -> Pass:
     """The full training objective and, with need_grad, its gradient; `social`
     asks the social term for nothing (SKIP), its VALUE, or its value and its
-    GRADIENT, added to gU. A block's e-weighted V rows, then U rows, go into one
-    transposed scratch, so each column's np.add.at reads contiguous memory."""
+    GRADIENT, added to gU. The rating gradient folds over the ratings' cached
+    data.Fold orders: V rows gathered in user fold order give the predictions
+    and the users' sums, U rows gathered in item fold order the items'. Each
+    sum keeps np.add.at's bytes; a value-only pass predicts by predict_many."""
     U, V = model.U, model.V
-    n, k = U.shape
-    uu, ii = ratings.users, ratings.items
-    pred, e = np.empty(len(uu)), np.empty(len(uu))
     if need_grad:
-        g = np.zeros((k, n + len(V)))
-        rows, index = np.empty((k, 2 * BLOCK_ROWS)), np.empty(2 * BLOCK_ROWS, dtype=np.int64)
-    for b in range(0, len(uu), BLOCK_ROWS):
-        block = slice(b, b + BLOCK_ROWS)
-        u_rows, v_rows = np.take(U, uu[block], axis=0), np.take(V, ii[block], axis=0)
-        np.einsum("ij,ij->i", u_rows, v_rows, out=pred[block])
-        np.subtract(pred[block], ratings.values[block], out=e[block])
-        if need_grad:
-            size = len(u_rows)
-            np.multiply(v_rows.T, e[block], out=rows[:, :size])
-            np.multiply(u_rows.T, e[block], out=rows[:, size:2 * size])
-            index[:size] = uu[block]
-            np.add(ii[block], n, out=index[size:2 * size])
-            _accumulate(g, index[:2 * size], rows[:, :2 * size].T)
+        by_user, by_item = ratings.folds
+        fold_pred, fold_e = np.empty(ratings.nnz), np.empty(ratings.nnz)
+        key_rows = np.take(U, by_user.keys, axis=0)
+
+        def user_rows(at, places):
+            rows = np.take(V, by_user.other[at], axis=0)
+            np.einsum("ij,ij->i", key_rows[places], rows, out=fold_pred[at])
+            rows *= np.subtract(fold_pred[at], by_user.values[at], out=fold_e[at])[:, None]
+            return rows
+
+        gU = _fold_sums(by_user, user_rows, hp.lambda_u * U)
+        pred = fold_e  # spent, as fold_pred is below: their buffers take rating order
+        pred[by_user.order] = fold_pred
+    else:
+        pred, gU, fold_pred = (predict_many(model, ratings.users, ratings.items, clamp=False),
+                               None, None)
+    e = np.subtract(pred, ratings.values, out=fold_pred)
     value, g_social = (None, None) if social == SKIP else _social_term(
         U, store, hp, need_grad and social == GRADIENT)
     result = Pass(0.5 * float(e @ e), 0.5 * hp.lambda_u * float(np.sum(U * U)),
-                  0.5 * hp.lambda_v * float(np.sum(V * V)), value, None, None, pred)
+                  0.5 * hp.lambda_v * float(np.sum(V * V)), value, gU, None, pred)
     if need_grad:
-        result.gU = g[:, :n].T + hp.lambda_u * U
         if g_social is not None:  # gU is never -0.0, so adding zeros would change no byte
             result.gU += g_social
-        result.gV = g[:, n:].T + hp.lambda_v * V
+        result.gV = _fold_sums(by_item, lambda at, _: np.take(U, by_item.other[at], axis=0)
+                               * np.take(e, by_item.order[at])[:, None], hp.lambda_v * V)
     return result
 
 

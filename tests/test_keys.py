@@ -44,3 +44,20 @@ def test_member_find_and_drop_match_numpy(rng, monkeypatch):
         assert drop(sorted_keys, other).tolist() == np.setdiff1d(sorted_keys, other).tolist()
         assert drop(other, sorted_keys).tolist() == np.setdiff1d(other, sorted_keys).tolist()
 
+
+
+class NoScan(np.ndarray):
+    """A key array whose maximum may only be read off its end."""
+
+    def max(self, *args, **kwargs):
+        raise AssertionError("member scanned the sorted keys for their largest")
+
+
+def test_member_reads_the_largest_key_off_the_end():
+    empty = np.zeros(0, np.int64)
+    for sorted_keys, needles, expected in (
+            (empty, empty, []), (empty, np.array([0, 3, 3]), [False] * 3),
+            (np.array([2, 5]), empty, []), (np.array([2, 5]), np.array([5, 4, 2]), [1, 0, 1]),
+            (np.array([7]), np.array([1000]), [False])):
+        got = member(sorted_keys.view(NoScan), needles)
+        assert got.dtype == bool and got.tolist() == [bool(x) for x in expected]

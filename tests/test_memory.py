@@ -1,8 +1,9 @@
-"""Traced memory of the prediction path.
+"""Traced memory of the fit and the prediction path, and the bytes the
+rating folds hold.
 
 `python tests/test_memory.py` (with src on PYTHONPATH) prints the
-`tracemalloc` peak of `predict_many`, `evaluate_model` and the `eval` command
-over every rating of a set of the gd-margin benchmark's size: the same
+`tracemalloc` peak of the `fit` command, `predict_many`, `evaluate_model` and
+the `eval` command over a set of the gd-margin benchmark's size: the same
 figure on every run, where the process's peak RSS moves with the allocator.
 """
 
@@ -14,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
+from trustfactor import data
 from trustfactor.cli import run_cli
-from trustfactor.data import BLOCK_ROWS, FactorModel, predict_many
+from trustfactor.data import BLOCK_ROWS, FactorModel, SparseRatings, predict_many
 from trustfactor.fileio import load_dataset, load_model
 from trustfactor.metrics import evaluate_model
 
@@ -49,6 +51,28 @@ def test_predict_many_peak_is_its_output_and_two_blocks():
     assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
+def fold_bytes(ratings):
+    """Bytes of every array the ratings' two folds hold."""
+    return sum(array.nbytes for fold in ratings.folds
+               for array in (fold.order, fold.other, fold.values, fold.keys, fold.tail)
+               if array is not None)
+
+
+def test_folds_hold_at_most_24_bytes_per_rating_before_the_tail(monkeypatch):
+    """Per rating, an int32 position and other index on each side and a float64
+    rating on the by-user side: 24 bytes, plus 4 per key with ratings and 4 per
+    tail entry, which only power-law counts make many. 40 with int64 indices."""
+    rng = np.random.default_rng(5)
+    n, m, nnz = 4000, 2000, 200_000
+    keys = rng.choice(n * m, nnz, replace=False)
+    args = (n, m, keys // m, keys % m, rng.integers(1, 6, nnz).astype(float))
+    held = fold_bytes(SparseRatings(*args))
+    assert held < 25 * nnz, f"{held / nnz:.2f} bytes per rating"
+    monkeypatch.setattr(data, "FOLD_MIN_ROWS", nnz + 1)  # every entry in the tail
+    held = fold_bytes(SparseRatings(*args))
+    assert held == 32 * nnz + 4 * (n + m), f"{held / nnz:.2f} bytes per rating"
+
+
 def quiet_cli(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = run_cli([str(arg) for arg in argv])
@@ -57,11 +81,12 @@ def quiet_cli(argv):
 
 
 def gd_margin_peaks(root):
-    """[(call, pairs, traced peak in bytes)] over every rating of the set."""
+    """[(call, ratings, traced peak in bytes)]: the fit, then calls over every
+    rating of the set."""
     synth, fit = root / "synth", root / "fit"
     quiet_cli([*SYNTH, "--out", synth])
-    data = ["--ratings", synth / "ratings.tsv", "--social", synth / "social.tsv"]
-    quiet_cli([*FIT, *data, "--out", fit])
+    inputs = ["--ratings", synth / "ratings.tsv", "--social", synth / "social.tsv"]
+    fit_peak = traced_peak(lambda: quiet_cli([*FIT, *inputs, "--out", fit]))[1]
     ratings = load_dataset(synth / "ratings.tsv").ratings
     model = load_model(fit / "model.bin")
     calls = (("predict_many", lambda: predict_many(model, ratings.users, ratings.items)),
@@ -69,11 +94,12 @@ def gd_margin_peaks(root):
              ("eval command", lambda: quiet_cli(["eval", "--ratings", synth / "ratings.tsv",
                                                  "--model", fit / "model.bin",
                                                  "--out", root / "eval"])))
-    return [(name, ratings.nnz, traced_peak(call)[1]) for name, call in calls]
+    return [("fit command", ratings.nnz, fit_peak),
+            *((name, ratings.nnz, traced_peak(call)[1]) for name, call in calls)]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        print(f"{'call':<16}{'pairs':>8}{'traced peak MB':>16}")
-        for name, pairs, peak in gd_margin_peaks(Path(tmp)):
-            print(f"{name:<16}{pairs:>8}{peak / 1e6:>16.2f}")
+        print(f"{'call':<16}{'ratings':>8}{'traced peak MB':>16}")
+        for name, count, peak in gd_margin_peaks(Path(tmp)):
+            print(f"{name:<16}{count:>8}{peak / 1e6:>16.2f}")

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from trustfactor import data
 from trustfactor.data import (
     FactorModel,
     Hyperparams,
@@ -625,6 +626,118 @@ class TestBlockedPasses:
         finally:
             tracemalloc.stop()
         assert peak < nnz * k * 8, f"peak {peak / 1e6:.1f} MB"
+
+
+def add_at_reference(model, ratings, hp):
+    """(rating, pred, gU, gV) of the rating half as the pass took them before
+    the folds: the e-weighted rows added per column by np.add.at, in rating order."""
+    U, V = model.U, model.V
+    u_rows, v_rows = U[ratings.users], V[ratings.items]
+    pred = np.einsum("ij,ij->i", u_rows, v_rows)
+    e = pred - ratings.values
+    gU, gV = np.zeros((model.k, len(U))), np.zeros((model.k, len(V)))
+    for c in range(model.k):
+        np.add.at(gU[c], ratings.users, v_rows[:, c] * e)
+        np.add.at(gV[c], ratings.items, u_rows[:, c] * e)
+    return 0.5 * float(e @ e), pred, gU.T + hp.lambda_u * U, gV.T + hp.lambda_v * V
+
+
+def fold_instance(rng, nnz, k=3, hub=False):
+    """nnz ratings over 700 users and 500 items, in random entry order; the
+    last users and items have none, and with hub user 0 rates every other
+    item, most of the ratings when nnz is under 1000."""
+    n, m = 700, 500
+    size = nnz - (m - 3) * hub
+    flat = rng.choice((n - 6) * (m - 3), size, replace=False)
+    users, items = flat // (m - 3) + hub, flat % (m - 3)
+    if hub:
+        shuffle = rng.permutation(nnz)
+        users = np.concatenate((users, np.zeros(m - 3, np.int64)))[shuffle]
+        items = np.concatenate((items, np.arange(m - 3)))[shuffle]
+    ratings = SparseRatings(n, m, users, items, rng.integers(1, 6, nnz).astype(float))
+    model = FactorModel(rng.normal(0, 1, (n, k)), rng.normal(0, 1, (m, k)), k)
+    return ratings, model
+
+
+FOLD_MIN = data.FOLD_MIN_ROWS
+
+
+class TestRatingFold:
+    """The folded rating gradient against np.add.at in rating order, byte for byte."""
+
+    @staticmethod
+    def assert_matches_add_at(model, ratings, hp):
+        full = _objective_pass(model, ratings, None, hp, social=SKIP)
+        rating, pred, gU, gV = add_at_reference(model, ratings, hp)
+        assert np.float64(full.rating).tobytes() == np.float64(rating).tobytes()
+        assert np.float64(full.rating).tobytes() == np.float64(
+            reference_parts(model, ratings, None, hp)[0]).tobytes()
+        for got, want in ((full.pred, pred), (full.gU, gU), (full.gV, gV)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        only = _objective_pass(model, ratings, None, hp, need_grad=False, social=SKIP)
+        assert only.pred.tobytes() == pred.tobytes() and only.gU is None
+        assert np.float64(only.rating).tobytes() == np.float64(rating).tobytes()
+
+    @pytest.mark.parametrize("fold_min", [1, FOLD_MIN, 10**9])
+    @pytest.mark.parametrize("block", [7, objective.BLOCK_ROWS])
+    @pytest.mark.parametrize("nnz, hub", [(0, False), (1, False), (6000, False), (900, True)])
+    def test_bytes_equal_add_at(self, monkeypatch, fold_min, block, nnz, hub):
+        monkeypatch.setattr(data, "FOLD_MIN_ROWS", fold_min)
+        monkeypatch.setattr(objective, "BLOCK_ROWS", block)
+        rng = np.random.default_rng([fold_min % 1000, block, nnz, hub])
+        ratings, model = fold_instance(rng, nnz, hub=hub)  # fresh: the folds are cached
+        by_user, by_item = ratings.folds
+        for fold in (by_user, by_item):
+            folded = sum(fold.runs)
+            assert len(fold.tail) == nnz - folded  # the tail is every entry past the runs
+            assert all(run >= fold_min for run in fold.runs)
+            if fold_min == 1 or nnz == 0:
+                assert len(fold.tail) == 0
+            elif fold_min > nnz:
+                assert fold.runs == ()
+        if nnz > 1 and fold_min == FOLD_MIN:  # both a folded part and a tail
+            assert by_user.runs and len(by_user.tail) and by_item.runs and len(by_item.tail)
+        if hub:
+            assert np.count_nonzero(ratings.users == 0) > nnz // 2
+        hp = Hyperparams(k=3, lambda_u=0.3, lambda_v=0.2)
+        self.assert_matches_add_at(model, ratings, hp)
+        self.assert_matches_add_at(model, ratings, hp.replace(lambda_u=0.0, lambda_v=0.0))
+
+    @pytest.mark.parametrize("fold_min", [1, FOLD_MIN, 10**9])
+    def test_inf_and_nan_factor_rows(self, monkeypatch, fold_min):
+        monkeypatch.setattr(data, "FOLD_MIN_ROWS", fold_min)
+        rng = np.random.default_rng(fold_min % 1000)
+        ratings, model = fold_instance(rng, 6000)
+        users, items = ratings.users, ratings.items
+        model.U[users[:3]] = [np.inf, -np.inf, np.nan]
+        model.U[users[10], 1] = -np.inf
+        model.V[items[20]] = np.nan
+        model.V[items[30], 0] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.assert_matches_add_at(model, ratings, Hyperparams(k=3, lambda_u=0.3, lambda_v=0.2))
+
+    def test_folds_are_cached_and_read_only(self, monkeypatch, rng):
+        ratings, model = fold_instance(rng, 3000)
+        built = []
+        fold = data._fold
+        monkeypatch.setattr(data, "_fold", lambda *args: built.append(1) or fold(*args))
+        hp = Hyperparams(k=3, lambda_u=0.1)
+        _objective_pass(model, ratings, None, hp, need_grad=False)
+        assert built == []  # a value-only pass predicts in rating order
+        first = _objective_pass(model, ratings, None, hp)
+        folds = ratings.folds
+        second = _objective_pass(model, ratings, None, hp)
+        assert built == [1, 1] and ratings.folds is folds
+        assert first.gU.tobytes() == second.gU.tobytes()
+        for fold in folds:
+            arrays = [fold.order, fold.other, fold.keys, fold.tail]
+            arrays += [] if fold.values is None else [fold.values]
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[:1] = 0
+            assert isinstance(fold.runs, tuple)
+        assert folds[0].values is not None and folds[1].values is None
 
 
 class TestMarginKernel:
