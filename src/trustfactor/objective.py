@@ -307,7 +307,7 @@ def _objective_pass(model: FactorModel, ratings: SparseRatings, store: TripletSt
             return rows
 
         gU = _fold_sums(by_user, user_rows, hp.lambda_u * U)
-        pred = fold_e  # spent, as fold_pred is below: their buffers take rating order
+        pred = fold_e  # spent, as fold_pred is once scattered: they take pred and e
         pred[by_user.order] = fold_pred
     else:
         pred, gU, fold_pred = (predict_many(model, ratings.users, ratings.items, clamp=False),

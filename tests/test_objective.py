@@ -718,9 +718,8 @@ class TestRatingFold:
 
     def test_folds_are_cached_and_read_only(self, monkeypatch, rng):
         ratings, model = fold_instance(rng, 3000)
-        built = []
-        fold = data._fold
-        monkeypatch.setattr(data, "_fold", lambda *args: built.append(1) or fold(*args))
+        built, build = [], data._fold
+        monkeypatch.setattr(data, "_fold", lambda *args: built.append(1) or build(*args))
         hp = Hyperparams(k=3, lambda_u=0.1)
         _objective_pass(model, ratings, None, hp, need_grad=False)
         assert built == []  # a value-only pass predicts in rating order
