@@ -6,7 +6,7 @@ read-only) except FactorModel, which is mutated by exactly one fit at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -45,8 +45,9 @@ class SparseRatings:
     values: np.ndarray
     r_min: float = 1.0
     r_max: float = 5.0
+    _distinct: InitVar[bool] = False  # the entries are known to be distinct pairs
 
-    def __post_init__(self):
+    def __post_init__(self, _distinct):
         object.__setattr__(self, "users", _frozen_array(self.users, np.int64))
         object.__setattr__(self, "items", _frozen_array(self.items, np.int64))
         object.__setattr__(self, "values", _frozen_array(self.values, np.float64))
@@ -61,8 +62,8 @@ class SparseRatings:
                 raise ValueError("user index out of range")
             if self.items.min() < 0 or self.items.max() >= self.m:
                 raise ValueError("item index out of range")
-            keys = np.sort(self.users * self.m + self.items)
-            if np.any(keys[1:] == keys[:-1]):
+            keys = None if _distinct else np.sort(self.users * self.m + self.items)
+            if keys is not None and np.any(keys[1:] == keys[:-1]):
                 raise ValueError("duplicate (user, item) pair")
             lo, hi = self.values.min(), self.values.max()
             if lo < self.r_min or hi > self.r_max:
@@ -118,12 +119,14 @@ class SparseRatings:
                 _frozen_array(self.values[order], np.float64), _frozen_array(offsets, np.int64))
 
     def subset(self, index: np.ndarray) -> "SparseRatings":
-        """Ratings restricted to the given entry positions (same n, m)."""
+        """Ratings restricted to the given entry positions (same n, m); rising
+        positions pick distinct entries, so only others are checked for repeats."""
         index = np.asarray(index, dtype=np.int64)
         return SparseRatings(
             self.n, self.m,
             self.users[index], self.items[index], self.values[index],
             self.r_min, self.r_max,
+            _distinct=not len(index) or (index[0] >= 0 and bool(np.all(index[1:] > index[:-1]))),
         )
 
 
@@ -292,6 +295,11 @@ class TripletStore:
         if self.mode == MATERIALIZED and len(self.triplets) != self.total:
             raise ValueError("materialized triplet count mismatch")
 
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """Read-only cumsum(counts): u's triplets are listed at [ends[u] - counts[u], ends[u])."""
+        return _frozen_array(np.cumsum(self.counts), np.int64)
+
 
 def extract_triplets(graph: SocialGraph) -> TripletStore:
     """Materialize every (i, j, k) with j in N+(i) and k in N-(i).
@@ -318,15 +326,18 @@ def sample_triplets(store: TripletStore, rng: np.random.Generator, size: int) ->
     """Draw `size` triplets i.i.d. uniform over the constraint set.
 
     Each draw is an index t into the extract_triplets order, read off the
-    graph: the user u whose count range holds t, then t's offset within that
+    graph: the user u whose count range holds t (the draws searched in
+    sorted order in the cached store.ends), then t's offset within that
     range split by |N-(u)| into the positions of j in N+(u) and k in N-(u).
     The rows equal extract_triplets(store.graph).triplets[t] in either mode.
     """
     if store.total == 0:
         raise ValueError("no social constraints")
     t = rng.integers(0, store.total, size=size)
-    ends = np.cumsum(store.counts)
-    users = np.searchsorted(ends, t, side="right")
+    ends = store.ends
+    ordered, by_draw = sort_by_key(t, store.total)  # searched in sorted order, each near the last
+    users = np.empty(size, dtype=np.int64)
+    users[by_draw] = np.searchsorted(ends, ordered, side="right")
     g = store.graph
     minus = g.distrust_offsets[users]
     j, k = np.divmod(t - ends[users] + store.counts[users], g.distrust_offsets[users + 1] - minus)

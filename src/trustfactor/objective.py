@@ -1,23 +1,25 @@
 """Losses, the social terms, and one kernel for the full objective and its
 analytic gradient. Rating sums fold over the ratings' cached data.Fold orders;
 edge products go to np.add.at in blocks of BLOCK_ROWS edges, each weighted row
-formed once. Social terms read U through squared edge lengths ||U_s - U_t||^2
-and share one edge scatter; a triplet (i, j, k) pairs its trust edge (i, j)
-with its distrust edge (i, k). Full hinge passes take each edge's count of
-active pairs from the CSR offsets when one comparison of the extreme lengths
-proves every pair active, else from the lengths sorted per user; logistic full
-passes list pairs in bounded blocks, and SGD batches are explicit pairs.
+formed once. Social terms read U through squared edge lengths ||U_s - U_t||^2,
+summed in blocks of BLOCK_ROWS edges, and share one edge scatter; a triplet
+(i, j, k) pairs its trust edge (i, j) with its distrust edge (i, k). Full hinge
+passes take each edge's count of active pairs from the CSR offsets when one
+comparison of the extreme lengths proves every pair active, else by sorted
+searches of the lengths sorted per user; logistic full passes list pairs in
+bounded blocks, and SGD batches are explicit pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .data import (BLOCK_ROWS, FactorModel, Hyperparams, SocialGraph, SparseRatings, TripletStore,
                    predict_many)
-from .keys import ranges
+from .keys import ranges, sort_by_key
 
 HINGE = "hinge"
 LOGISTIC = "logistic"
@@ -91,6 +93,18 @@ def _differences(U, edges: np.ndarray) -> np.ndarray:
     return x
 
 
+def _lengths(U, edges: np.ndarray, keep: bool):
+    """(E,) squared lengths ||U_s - U_t||^2 of the edges (s, t), each row
+    squared and summed in blocks of BLOCK_ROWS, and with keep their (E, k)
+    differences (else None): a value-only pass forms no (E, k) array."""
+    x, out = _differences(U, edges) if keep else None, np.empty(len(edges))
+    for b in range(0, len(edges), BLOCK_ROWS):
+        block = slice(b, b + BLOCK_ROWS)
+        d = _differences(U, edges[block]) if x is None else x[block]
+        np.sum(d * d, axis=-1, out=out[block])
+    return out, x
+
+
 _BLOCK_PAIRS = 1 << 16  # bounds a full margin pass to a few MB of transient arrays
 
 
@@ -127,8 +141,7 @@ def _margin_term(U, trust, distrust, pairs, hp: Hyperparams, scale=None):
     summed per edge weight one edge scatter, since d||U_s - U_t||^2 / dU_s =
     2(U_s - U_t) = -d||U_s - U_t||^2 / dU_t.
     """
-    x = [_differences(U, edges) for edges in (trust, distrust)]
-    a, b = (np.sum(d * d, axis=-1) for d in x)
+    (a, b), x = zip(*(_lengths(U, edges, scale is not None) for edges in (trust, distrust)))
     slope_a, slope_b, total = np.zeros(len(a)), np.zeros(len(b)), 0.0
     for e, f in pairs:
         z = b[f] - a[e] if hp.sign_convention == FIGURE1 else a[e] - b[f]
@@ -178,7 +191,10 @@ def _hinge_counts(p, q, p_edges, q_edges, q_offsets):
     by_threshold, shorter = np.argsort(thresholds), np.empty(len(p), dtype=np.int64)
     shorter[by_threshold] = np.searchsorted(q[by_length], thresholds[by_threshold])
     starts = q_offsets[p_edges[:, 0]]
-    c_p = np.searchsorted(keys, p_edges[:, 0] * len(q) + shorter) - starts
+    needles, by_needle = sort_by_key(p_edges[:, 0] * len(q) + shorter, len(q_offsets) * len(q))
+    c_p = np.empty(len(p), dtype=np.int64)
+    c_p[by_needle] = np.searchsorted(keys, needles)
+    c_p -= starts
     # c_f: the prefixes [start, start + c_e) that cover f's sorted position
     cover = np.bincount(starts, minlength=len(q) + 1)
     cover -= np.bincount(starts + c_p, minlength=len(q) + 1)
@@ -202,8 +218,7 @@ def _hinge_term(U, graph: SocialGraph, hp: Hyperparams, scale=None):
     count, so the gradient bytes are the pair pass's.
     """
     trust, distrust = graph.trust_edge_array, graph.distrust_edge_array
-    x = [_differences(U, edges) for edges in (trust, distrust)]
-    a, b = (np.sum(d * d, axis=-1) for d in x)
+    (a, b), x = zip(*(_lengths(U, edges, scale is not None) for edges in (trust, distrust)))
     figure1 = hp.sign_convention == FIGURE1
     p, q, p_edges, q_edges = (a, b, trust, distrust) if figure1 else (b, a, distrust, trust)
     offsets = graph.trust_offsets, graph.distrust_offsets
@@ -251,18 +266,25 @@ def _social_term(U, store: TripletStore | None, hp: Hyperparams, need_grad: bool
     return value, _edge_scatter(len(U), [(edges, d, weight)]) if need_grad else None
 
 
+def _half_norm(weight, X) -> float:
+    return 0.5 * weight * float(np.sum(X * X))
+
+
 @dataclass
 class Pass:
     """One objective pass: the four parts whose sum, in this order, is `value`,
-    dL/dU and dL/dV (None without need_grad) and the raw predictions U[u] . V[i]."""
+    dL/dU and dL/dV (None without need_grad) and the raw predictions U[u] . V[i].
+    The regularizer parts are summed on first read, from the pass's factors,
+    which a fit replaces after a step but never writes in place."""
 
     rating: float  # 0.5 * the sum of squared raw residuals
-    reg_u: float  # lambda_u / 2 * ||U||_F^2
-    reg_v: float  # lambda_v / 2 * ||V||_F^2
     social: float | None  # None when the pass skipped the social term
     gU: np.ndarray | None
     gV: np.ndarray | None
     pred: np.ndarray
+    factors: tuple  # (lambda_u, U, lambda_v, V)
+    reg_u = cached_property(lambda self: _half_norm(*self.factors[:2]))  # lambda_u / 2 * ||U||_F^2
+    reg_v = cached_property(lambda self: _half_norm(*self.factors[2:]))  # lambda_v / 2 * ||V||_F^2
 
     @property
     def value(self) -> float:
@@ -315,8 +337,7 @@ def _objective_pass(model: FactorModel, ratings: SparseRatings, store: TripletSt
     e = np.subtract(pred, ratings.values, out=fold_pred)
     value, g_social = (None, None) if social == SKIP else _social_term(
         U, store, hp, need_grad and social == GRADIENT)
-    result = Pass(0.5 * float(e @ e), 0.5 * hp.lambda_u * float(np.sum(U * U)),
-                  0.5 * hp.lambda_v * float(np.sum(V * V)), value, gU, None, pred)
+    result = Pass(0.5 * float(e @ e), value, gU, None, pred, (hp.lambda_u, U, hp.lambda_v, V))
     if need_grad:
         if g_social is not None:  # gU is never -0.0, so adding zeros would change no byte
             result.gU += g_social

@@ -77,8 +77,9 @@ def early_stop_monitor(val_rmse_window, patience: int) -> bool:
 
 
 def _diverged(*factors) -> bool:
-    # a nan entry fails the comparison, as an inf one does
-    return not all(np.abs(x).max(initial=0.0) <= DIVERGENCE_LIMIT for x in factors)
+    # the extremes, not an |x| copy; a nan entry fails the comparisons, as an inf one does
+    limit = DIVERGENCE_LIMIT
+    return not all(x.max(initial=0.0) <= limit and -x.min(initial=0.0) <= limit for x in factors)
 
 
 def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model0):
@@ -102,8 +103,10 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
     opens = 0  # where the patience window opens
     for t in range(1, hp.epochs + 1):
         eta = hp.eta0 if hp.schedule == "constant" else hp.eta0 / np.sqrt(t)
-        # a diverged step is never adopted, so the model stays the last finite one
-        U, V = model.U - eta * result.gU, model.V - eta * result.gV
+        # a diverged step is never adopted, so the model stays the last finite one;
+        # the step's gradients, read by nothing after it, take the stepped factors
+        U, V = (np.subtract(x, np.multiply(eta, g, out=g), out=g)
+                for x, g in ((model.U, result.gU), (model.V, result.gV)))
         if _diverged(U, V):
             report.stop_reason = STOP_DIVERGENCE
             break

@@ -16,7 +16,7 @@ from trustfactor.data import (
 from trustfactor.keys import sort_by_key, stable_order
 from trustfactor.seeding import substream
 
-from conftest import random_graph
+from conftest import random_graph, random_ratings
 
 
 def predict_rating(model: FactorModel, u: int, i: int, clamp: bool = True,
@@ -109,6 +109,30 @@ class TestSparseRatings:
         r = SparseRatings.from_entries(1, 1, [(0, 0, 3.0)])
         with pytest.raises(ValueError):
             r.values[0] = 4.0
+
+    # entry positions with a repeat, none rising throughout, and a wrapped
+    # negative position that picks the last entry twice
+    @pytest.mark.parametrize("index", [[0, 0], [2, 1, 2], [3, 0, 1, 0], [0, 1, 1, 2], [-1, 3]])
+    def test_subset_rejects_repeated_positions(self, index):
+        r = SparseRatings.from_entries(3, 3, [(0, 0, 1.0), (1, 2, 2.0), (2, 1, 3.0), (0, 2, 4.0)])
+        with pytest.raises(ValueError, match=r"^duplicate \(user, item\) pair$"):
+            r.subset(np.array(index))
+
+    def test_subset_equals_the_checked_constructor(self, rng):
+        # rising positions skip the repeat check; every field is as the full
+        # constructor builds it, whichever path the positions take
+        full = random_ratings(rng, 30, 20, density=0.4)
+        for index in (np.flatnonzero(rng.random(full.nnz) < 0.5), np.arange(full.nnz),
+                      rng.permutation(full.nnz)[:40], np.zeros(0, np.int64), [3]):
+            got = full.subset(index)
+            want = SparseRatings(full.n, full.m, full.users[index], full.items[index],
+                                 full.values[index], full.r_min, full.r_max)
+            for name in ("n", "m", "r_min", "r_max"):
+                assert getattr(got, name) == getattr(want, name)
+            for name in ("users", "items", "values"):
+                array = getattr(got, name)
+                assert array.dtype == getattr(want, name).dtype and not array.flags.writeable
+                assert array.tobytes() == getattr(want, name).tobytes()
 
     def test_item_major_view(self):
         r = SparseRatings.from_entries(3, 4, [(2, 1, 4.0), (0, 3, 1.0), (0, 1, 2.0),
@@ -318,6 +342,36 @@ class TestSampling:
                         index = oracle.integers(0, listed.total, size=size)
                         assert np.array_equal(got, listed.triplets[index])
                     assert fast.integers(0, 2**62) == oracle.integers(0, 2**62)
+
+    def test_draws_at_every_count_boundary(self):
+        # a stub generator hands out chosen draws: the first and last index of
+        # every user's count range, repeated and in descending order
+        class Draws:
+            def __init__(self, t):
+                self.t = np.asarray(t, dtype=np.int64)
+
+            def integers(self, low, high, size):
+                assert (low, high, size) == (0, listed.total, len(self.t))
+                return self.t.copy()
+
+        graph = hub_graph(np.random.default_rng(7))
+        listed = extract_triplets(graph)
+        ends = np.cumsum(listed.counts)
+        edges = np.unique(np.concatenate((ends - 1, ends)))
+        edges = edges[(edges >= 0) & (edges < listed.total)]
+        for t in (edges, edges[::-1], np.repeat(edges, 3), np.tile(edges[::-1], 2),
+                  [listed.total - 1] * 5, [0], []):
+            for store in (lazy_triplets(graph), listed):
+                got = sample_triplets(store, Draws(t), len(t))
+                assert got.dtype == np.int64 and got.shape == (len(t), 3)
+                assert np.array_equal(got, listed.triplets[np.asarray(t, dtype=np.int64)])
+
+    def test_prefix_sum_is_cached_and_read_only(self):
+        for store in (lazy_triplets(figure_graph()), extract_triplets(figure_graph())):
+            assert store.ends is store.ends
+            assert store.ends.tolist() == np.cumsum(store.counts).tolist()
+            with pytest.raises(ValueError):
+                store.ends[0] = 0
 
     def test_single_triplet_store(self):
         g = SocialGraph.from_edges(3, [(0, 1)], [(0, 2)])

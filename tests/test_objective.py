@@ -536,6 +536,18 @@ class TestKernelOracle:
         assert full.gU.tobytes() == ref_gU.tobytes() and full.gV.tobytes() == ref_gV.tobytes()
 
 
+def test_regularizer_parts_are_summed_on_first_read(rng):
+    # an SGD step's pass skips the social term and no one reads its value
+    ratings = random_ratings(rng, 9, 5)
+    model = FactorModel(rng.normal(0, 1, (9, 2)), rng.normal(0, 1, (5, 2)), 2)
+    hp = Hyperparams(k=2, lambda_u=0.3, lambda_v=0.7)
+    result = _objective_pass(model, ratings, None, hp, social=SKIP)
+    assert "reg_u" not in vars(result) and "reg_v" not in vars(result)
+    assert result.reg_u == 0.5 * 0.3 * float(np.sum(model.U * model.U))
+    assert result.reg_v == 0.5 * 0.7 * float(np.sum(model.V * model.V))
+    assert vars(result)["reg_u"] == result.reg_u
+
+
 BLOCKS = [1, 7, objective.BLOCK_ROWS]
 MARGIN_CASES = [("triplet-margin", loss, convention) for loss in ("hinge", "logistic")
                 for convention in ("figure1", "paper-literal")]

@@ -171,6 +171,56 @@ class TestFitGd:
         assert report.stop_reason == "divergence"
         assert np.all(np.isfinite(model.U)) and np.all(np.isfinite(model.V))
 
+    def test_diverged_bounds(self):
+        limit, k = optimize.DIVERGENCE_LIMIT, 3
+        fine = np.zeros((4, k))
+        for edge in (limit, -limit):
+            assert not optimize._diverged(fine, np.full((2, k), edge))
+        for past in (np.nextafter(limit, np.inf), np.nextafter(-limit, -np.inf), np.nan,
+                     np.inf, -np.inf):
+            bad = fine.copy()
+            bad[2, 1] = past
+            assert optimize._diverged(bad, fine) and optimize._diverged(fine, bad)
+        assert not optimize._diverged(np.zeros((0, k)), np.zeros((0, k)))
+        assert optimize._diverged(np.zeros((0, k)), np.full((1, k), np.nan))
+
+    @pytest.mark.parametrize("optimizer", ["gd", "sgd"])
+    def test_negative_divergence_keeps_the_model_of_the_epoch_before(self, optimizer,
+                                                                     monkeypatch):
+        # the rejected step passes the limit below zero only; the fit returns
+        # the model an epoch-earlier fit ends at, though each step writes the
+        # stepped factors into its pass's gradient buffers
+        if optimizer == "gd":
+            ratings, store, fit = single_rating_instance(), None, fit_gd
+            hp = Hyperparams(k=1, eta0=50.0, epochs=200)
+            model0 = FactorModel(np.array([[2.0]]), np.array([[2.0]]), 1)
+        else:
+            ratings, graph = social_instance(seed=3)
+            store, fit = extract_triplets(graph), fit_sgd
+            hp = Hyperparams(k=4, social="triplet-margin", lambda_s=1.0, eta0=2.0, epochs=40,
+                             batch_size=16)
+            model0 = init_model(ratings.n, ratings.m, 4, seed=1)
+        checked = []
+
+        def spy(*factors):
+            checked.append([(x.max(initial=0.0), x.min(initial=0.0)) for x in factors])
+            return diverged(*factors)
+
+        diverged = optimize._diverged
+        monkeypatch.setattr(optimize, "_diverged", spy)
+        model, report = fit(ratings, store, hp, seed=1, model0=model0)
+        assert report.stop_reason == optimize.STOP_DIVERGENCE and len(report.records) > 1
+        limit = optimize.DIVERGENCE_LIMIT
+        assert all(hi <= limit for hi, _ in checked[-1])
+        assert min(lo for _, lo in checked[-1]) < -limit
+        before, before_report = fit(ratings, store, hp.replace(epochs=len(report.records)),
+                                    seed=1, model0=model0)
+        assert before_report.stop_reason == optimize.STOP_MAX_ITERS
+        assert before_report.signature()[2] == report.signature()[2]
+        assert model.U.tobytes() == before.U.tobytes()
+        assert model.V.tobytes() == before.V.tobytes()
+        assert np.all(np.abs(model.U) <= limit) and np.all(np.abs(model.V) <= limit)
+
     @pytest.mark.parametrize("social", ["trust-pull", "triplet-margin"])
     def test_record_objectives_are_at_the_recorded_models(self, social):
         # a record's objective comes from the pass that computes the next
