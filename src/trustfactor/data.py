@@ -377,10 +377,11 @@ class FactorModel:
 INIT_SCALE = 0.01
 
 
-def init_model(n: int, m: int, k: int, seed: int = 0, scale: float = INIT_SCALE) -> FactorModel:
-    """Gaussian init, mean 0 and small scale, from the named 'init' stream."""
+def init_model(n: int, m: int, k: int, seed: int = 0) -> FactorModel:
+    """Gaussian init, mean 0 and scale INIT_SCALE, from the named 'init' stream."""
     rng = substream(seed, "init")
-    return FactorModel(rng.normal(0.0, scale, (n, k)), rng.normal(0.0, scale, (m, k)), k, seed)
+    return FactorModel(rng.normal(0.0, INIT_SCALE, (n, k)), rng.normal(0.0, INIT_SCALE, (m, k)),
+                       k, seed)
 
 
 BLOCK_ROWS = 1 << 12  # rows a block gathers, so its (rows, k) arrays stay in cache
@@ -451,14 +452,10 @@ class Hyperparams:
             raise ValueError("epochs must be non-negative")
         if self.k < 1:
             raise ValueError("k must be positive")
-        if self.loss not in LOSS_KINDS:
-            raise ValueError(f"loss must be one of {LOSS_KINDS}")
-        if self.sign_convention not in SIGN_CONVENTIONS:
-            raise ValueError(f"sign_convention must be one of {SIGN_CONVENTIONS}")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"schedule must be one of {SCHEDULES}")
-        if self.social not in SOCIAL_TERMS:
-            raise ValueError(f"social must be one of {SOCIAL_TERMS}")
+        for name, choices in (("loss", LOSS_KINDS), ("sign_convention", SIGN_CONVENTIONS),
+                              ("schedule", SCHEDULES), ("social", SOCIAL_TERMS)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}")
 
     def replace(self, **kw) -> "Hyperparams":
         return replace(self, **kw)

@@ -135,13 +135,6 @@ def grid_search(train: SparseRatings, validation: SparseRatings,
 # consistency of social relations and rating information
 
 
-def _bin_label(count, edges):
-    for lo, hi in zip(edges, edges[1:]):
-        if lo <= count < hi:
-            return f"[{lo},{hi})"
-    return f">={edges[-1]}"
-
-
 @dataclass
 class ConsistencyResult:
     bins: dict  # label -> dict of metric name -> value, plus user count
@@ -158,7 +151,8 @@ def consistency_eval(ratings: SparseRatings, graph: SocialGraph, relation: str =
     relevant-first, then by candidate index (the optimistic ordering, needed
     because bivalent relations admit no intrinsic order). Users without any
     relevant candidate are skipped. Metrics are averaged within rating-count
-    bins, which keep the order in which ascending users first fill them.
+    bins of the ascending bin_edges, which keep the order in which ascending
+    users first fill them.
 
     Every metric depends only on the ranks of the relevant candidates, so no
     list is built: with hits the relevant count up to a rank, AP is the sum of
@@ -187,8 +181,9 @@ def consistency_eval(ratings: SparseRatings, graph: SocialGraph, relation: str =
     per_user = {"ndcg@10": ndcg(10), "ndcg@20": ndcg(20), "recall@10": within(10) / total,
                 "recall@20": within(20) / total, "recall@40": within(40) / total,
                 "map": np.bincount(owner, hits / rank) / total}
-    counts, at = np.unique(ratings.user_counts[scored], return_inverse=True)
-    labels = np.array([_bin_label(c, bin_edges) for c in counts.tolist()])[at]
+    # [lo,hi) of the last edge lo <= count, else >=last, where counts below the first edge go too
+    bins = np.array([*map("[{},{})".format, bin_edges, bin_edges[1:]), f">={bin_edges[-1]}"])
+    labels = bins[np.searchsorted(bin_edges, ratings.user_counts[scored], "right") - 1]
     names, seen, label = np.unique(labels, return_index=True, return_inverse=True)
     size = np.bincount(label)
     means = {key: (np.bincount(label, value) / size).tolist() for key, value in per_user.items()}
@@ -349,6 +344,11 @@ class SyntheticSpec:
             raise ValueError("rank must be at least the cluster count")
         if not 0.0 < self.density <= 1.0:
             raise ValueError("density must lie in (0, 1]")
+        for name, low in (("m", 1), ("n_trust", 0), ("n_distrust", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not self.noise_sigma >= 0.0:  # a NaN fails the comparison too
+            raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
         if self.clusters < 1 or self.n < self.clusters:
             raise ValueError("need at least one user per cluster")
         if self.item_low > self.item_high:

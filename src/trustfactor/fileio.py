@@ -355,44 +355,37 @@ def load_id_map(path) -> IdMap:
 
 
 def save_model(model: FactorModel, path):
-    header = struct.pack("<4sI", MODEL_MAGIC, MODEL_VERSION)
-    dims = struct.pack("<QQQ", model.n, model.m, model.k)
-    tail = struct.pack("<Q", int(model.seed) & 0xFFFFFFFFFFFFFFFF)
+    header = struct.pack("<4sIQQQ", MODEL_MAGIC, MODEL_VERSION, model.n, model.m, model.k)
     with open(path, "wb") as handle:
-        handle.write(header)
-        handle.write(dims)
-        handle.write(np.ascontiguousarray(model.U, dtype="<f8").tobytes())
-        handle.write(np.ascontiguousarray(model.V, dtype="<f8").tobytes())
-        handle.write(tail)
-
-
-def _read_exact(handle, count, path):
-    data = handle.read(count)
-    if len(data) != count:
-        raise ValueError(f"{path}: unexpected end of model file")
-    return data
+        handle.writelines((header, np.ascontiguousarray(model.U, dtype="<f8"),
+                           np.ascontiguousarray(model.V, dtype="<f8"),
+                           struct.pack("<Q", int(model.seed) & 0xFFFFFFFFFFFFFFFF)))
 
 
 def load_model(path) -> FactorModel:
     with open(path, "rb") as handle:
-        magic, version = struct.unpack("<4sI", _read_exact(handle, 8, path))
+        header = handle.read(32)
+        if len(header) < 8:
+            raise ValueError(f"{path}: unexpected end of model file")
+        magic, version = struct.unpack_from("<4sI", header)
         if magic != MODEL_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != MODEL_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
-        n, m, k = struct.unpack("<QQQ", _read_exact(handle, 24, path))
+        if len(header) < 32:
+            raise ValueError(f"{path}: unexpected end of model file")
+        n, m, k = struct.unpack_from("<QQQ", header, 8)
         # check the header against the file before sizing any read by it
-        need = 8 + 24 + 8 * (n + m) * k + 8
-        size = os.fstat(handle.fileno()).st_size
+        need, size = 32 + 8 * (n + m) * k + 8, os.fstat(handle.fileno()).st_size
         if size < need:
             raise ValueError(f"{path}: unexpected end of model file "
                              f"(header n={n} m={m} k={k} needs {need} bytes, file has {size})")
         if size > need:
             raise ValueError(f"{path}: trailing bytes after model payload")
-        U = np.frombuffer(_read_exact(handle, 8 * n * k, path), dtype="<f8").reshape(n, k)
-        V = np.frombuffer(_read_exact(handle, 8 * m * k, path), dtype="<f8").reshape(m, k)
-        (seed,) = struct.unpack("<Q", _read_exact(handle, 8, path))
-    return FactorModel(U.copy(), V.copy(), int(k), int(seed))
+        body = handle.read()
+    U, V = (np.frombuffer(body, "<f8", rows * k, 8 * start * k).reshape(rows, k).copy()
+            for start, rows in ((0, n), (n, m)))
+    return FactorModel(U, V, int(k), int(struct.unpack_from("<Q", body, 8 * (n + m) * k)[0]))
 
 
 # ---------------------------------------------------------------------------

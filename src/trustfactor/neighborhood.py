@@ -28,39 +28,28 @@ def RatingTable(ratings: SparseRatings) -> SparseRatings:
 class SimilarityCache:
     """Pearson weights of the co-rated user pairs, built once then read-only.
 
-    pairs[t] = (u, v), u < v, ascending, is the t-th pair of users sharing
-    co_counts[t] rated items, and pcc[t] their Pearson correlation, the
+    keys[t] = u * n + v, u < v, ascending, keys the t-th pair of users sharing
+    co_counts[t] rated items, and pcc[t] is their Pearson correlation, the
     cached weight, NaN where it is undefined or they share fewer than min_co.
-    n is the number of users and keys[t] = u * n + v the t-th pair's key.
+    n is the number of users.
     """
 
-    pairs: np.ndarray
+    keys: np.ndarray
     co_counts: np.ndarray
     pcc: np.ndarray
     min_co: int
     n: int
 
     @cached_property
-    def keys(self) -> np.ndarray:
-        return self.pairs[:, 0] * self.n + self.pairs[:, 1]
+    def pairs(self) -> np.ndarray:
+        """(P, 2) rows (u, v) of the keys."""
+        return np.column_stack(np.divmod(self.keys, self.n))
 
     @cached_property
     def weights(self) -> dict:
         """(u, v) with u < v -> cached weight."""
         cached = ~np.isnan(self.pcc)
         return dict(zip(map(tuple, self.pairs[cached].tolist()), self.pcc[cached].tolist()))
-
-    def weight(self, u, v):
-        return self.weights.get((u, v) if u < v else (v, u))
-
-    @cached_property
-    def _linked(self) -> np.ndarray:
-        u, v = self.pairs[~np.isnan(self.pcc)].T
-        return np.sort(np.concatenate((u * self.n + v, v * self.n + u)))
-
-    def neighbors(self, u):
-        """Users with a cached similarity to u, in ascending index order."""
-        return row(self._linked, u, self.n)
 
 
 def build_similarity_cache(ratings: SparseRatings, min_co: int = MIN_CO_RATED) -> SimilarityCache:
@@ -75,9 +64,7 @@ def _similarity_pass(ratings: SparseRatings, min_co: int, only=None) -> Similari
     parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
     blocks = ([_merged(ratings, min_co, only)] if only is not None and _merges(ratings, only)
               else _similarity_blocks(ratings, min_co, only))
-    keys, counts, pcc = map(np.concatenate, zip(*parts, *blocks))
-    return SimilarityCache(np.column_stack(np.divmod(keys, ratings.n)), counts, pcc,
-                           min_co, ratings.n)
+    return SimilarityCache(*map(np.concatenate, zip(*parts, *blocks)), min_co, ratings.n)
 
 
 def _merges(ratings: SparseRatings, only) -> bool:
@@ -270,7 +257,10 @@ def neighbor_pool(sims: SimilarityCache, sets: PropagatedSets | None, u: int, va
     """Candidate neighbor pool for user u before the rated-item/positive-weight
     filters. Pools for the distrust variants are subsets of the trust pool."""
     pool = _pool_keys(sets, variant, np.array([u]))
-    return set(sims.neighbors(u) if pool is None else row(pool, u, sets.graph.n))
+    if pool is not None:
+        return set(row(pool, u, sets.graph.n))
+    a, b = sims.pairs[~np.isnan(sims.pcc)].T  # the pairs with a cached weight
+    return set(b[a == u].tolist()) | set(a[b == u].tolist())
 
 
 def nb_predict_many(ratings: SparseRatings, sims: SimilarityCache | None,

@@ -22,7 +22,6 @@ from .data import (BLOCK_ROWS, FactorModel, Hyperparams, SocialGraph, SparseRati
 from .keys import ranges, sort_by_key
 
 HINGE = "hinge"
-LOGISTIC = "logistic"
 FIGURE1 = "figure1"
 PAPER_LITERAL = "paper-literal"
 SKIP, VALUE, GRADIENT = "skip", "value", "gradient"  # what a pass asks of the social term
@@ -37,18 +36,12 @@ def _loss(kind, z, need_slope=False):
     if kind == HINGE:
         slope = -(z < 1.0).astype(np.float64) if need_slope else None
         return np.maximum(0.0, 1.0 - z), slope
-    if kind != LOGISTIC:
-        raise ValueError(f"unknown loss kind {kind!r}")
     if not need_slope:
         return np.logaddexp(0.0, -z), None
-    # slope = -sigmoid(-z), with exp only ever taken of a non-positive number
-    x = -z
-    sigmoid = np.empty_like(x)
-    pos = x >= 0
-    sigmoid[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    sigmoid[~pos] = ex / (1.0 + ex)
-    return np.logaddexp(0.0, -z), -sigmoid
+    # slope = -sigmoid(-z), with exp only ever taken of -|z| (of -z at a NaN, keeping its sign)
+    low = z <= 0
+    ex = np.exp(np.where(low, z, -z))
+    return np.logaddexp(0.0, -z), -np.where(low, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def trace_identity_check(U, triplet) -> float:

@@ -111,31 +111,24 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
             report.stop_reason = STOP_DIVERGENCE
             break
         model.U, model.V = U, V
-        rec = None
-        if t % eval_every == 0 or t == hp.epochs:
-            rec = IterationRecord(iteration=t, objective=np.nan, train_rmse=np.nan)
-            if validation is not None and validation.nnz:
-                rec.val_mae, rec.val_rmse = evaluate_model(
-                    model, validation, hp.clamp_predictions)
-                val_history.append(rec.val_rmse)
-                # while every prediction clamps alike, the RMSE holds its first value
-                if opens == len(val_history) - 2 and val_history[-1] == val_history[opens]:
-                    opens += 1
-            report.records.append(rec)
-            if (
-                patience is not None
-                and val_history
-                and early_stop_monitor(val_history[opens:], patience)
-            ):
+        due = t % eval_every == 0 or t == hp.epochs
+        val_mae = val_rmse = None
+        if due and validation is not None and validation.nnz:
+            val_mae, val_rmse = evaluate_model(model, validation, hp.clamp_predictions)
+            val_history.append(val_rmse)
+            # while every prediction clamps alike, the RMSE holds its first value
+            if opens == len(val_history) - 2 and val_history[-1] == val_history[opens]:
+                opens += 1
+            if patience is not None and early_stop_monitor(val_history[opens:], patience):
                 report.stop_reason = STOP_EARLY
         last = t == hp.epochs or report.stop_reason == STOP_EARLY
         # the pass for step t + 1 is taken at the model this record describes
         result = _objective_pass(model, ratings, store, hp, need_grad=False, social=VALUE) \
-            if last else step(model, rec is not None)
-        if rec is not None:
-            rec.objective = result.value
-            rec.train_rmse = evaluate_predictions(ratings, result.pred, hp.clamp_predictions)[1]
-            rec.elapsed = time.perf_counter() - start
+            if last else step(model, due)
+        if due:
+            train_rmse = evaluate_predictions(ratings, result.pred, hp.clamp_predictions)[1]
+            report.records.append(IterationRecord(t, result.value, train_rmse, val_rmse, val_mae,
+                                                  time.perf_counter() - start))
         if last:
             break
     return model, report

@@ -216,6 +216,15 @@ class TestFitAndScore:
             fit_and_score(ratings, ratings, None, Hyperparams(k=2, epochs=1), "adam")
 
 
+def bin_label(count, edges):
+    """The rating-count bin of count: the first [lo,hi) of consecutive edges
+    that holds it, else >=last, which also takes counts below the first edge."""
+    for lo, hi in zip(edges, edges[1:]):
+        if lo <= count < hi:
+            return f"[{lo},{hi})"
+    return f">={edges[-1]}"
+
+
 def per_user_consistency(ratings, graph, relation, bin_edges=(0, 20, 40, 60, 80)):
     """consistency_eval's bins from a per-user loop over the scalar Pearson,
     the reference for the ranking over the similarity cache."""
@@ -234,10 +243,7 @@ def per_user_consistency(ratings, graph, relation, bin_edges=(0, 20, 40, 60, 80)
         flags = RankedList(tuple(1 if rel else 0 for _, rel, _ in scored))
         if flags.total_relevant == 0:
             continue
-        count = len(rated[u])
-        label = next((f"[{lo},{hi})" for lo, hi in zip(bin_edges, bin_edges[1:])
-                      if lo <= count < hi), f">={bin_edges[-1]}")
-        per_bin.setdefault(label, []).append({
+        per_bin.setdefault(bin_label(len(rated[u]), bin_edges), []).append({
             "ndcg@10": ndcg_at_k(flags, 10),
             "ndcg@20": ndcg_at_k(flags, 20),
             "recall@10": precision_recall_at_k(flags, 10)[1],
@@ -300,6 +306,23 @@ class TestConsistencyEval:
                     monkeypatch.setattr(neighborhood, "_BLOCK_CO_RATINGS", budget)
                     got = consistency_eval(ratings, graph, relation, bin_edges=(0, 2, 4))
                     assert list(got.bins.items()) == list(expected.items())
+
+    def test_bins_match_the_label_loop_on_ascending_edges(self, rng):
+        # repeated edges, a first edge above some users' rating counts, a
+        # single edge, float edges, then random ascending edges with repeats
+        fixed = [(3, 3, 5), (2, 4, 4, 4, 7), (5,), (0,), (2.5, 4.0), (6, 6)]
+        below = 0
+        for trial in range(30):
+            graph = random_graph(rng, n_max=14, edge_prob=0.2)
+            ratings = random_ratings(rng, graph.n, 8, density=0.5)
+            edges = fixed[trial] if trial < len(fixed) else tuple(
+                np.sort(rng.integers(0, 9, int(rng.integers(1, 6)))).tolist())
+            for relation in ("trust", "distrust"):
+                got = consistency_eval(ratings, graph, relation, bin_edges=edges)
+                assert list(got.bins.items()) == list(
+                    per_user_consistency(ratings, graph, relation, edges).items())
+            below += int(np.sum(ratings.user_counts < edges[0]))
+        assert below > 0
 
     def test_peak_memory_below_the_co_rating_listing(self):
         # 400 users rating half of 50 items co-rate about 2M times in both
@@ -568,6 +591,21 @@ class TestSynthGenerate:
         for name in ("trust_offsets", "trust_targets", "distrust_offsets", "distrust_targets"):
             assert np.array_equal(getattr(a_g, name), getattr(b_g, name))
         assert np.array_equal(a_u, b_u) and np.array_equal(a_v, b_v)
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", 0), ("m", -3), ("noise_sigma", float("nan")), ("noise_sigma", -1.0),
+        ("noise_sigma", -1e-300), ("n_trust", -1), ("n_distrust", -2)])
+    def test_bad_size_or_noise_names_its_field(self, field, value):
+        spec = dict(n=4, m=3, rank=2, clusters=2, density=0.5, noise_sigma=0.1,
+                    n_trust=1, n_distrust=1, seed=0)
+        with pytest.raises(ValueError, match=f"^{field} must be") as info:
+            SyntheticSpec(**{**spec, field: value})
+        assert "\n" not in str(info.value)
+
+    def test_zero_noise_and_edges_stay_valid(self):
+        ratings, graph, _ = small_synth(noise_sigma=0.0, n_trust=0, n_distrust=0, m=1)
+        assert ratings.m == 1 and graph.trust_count == graph.distrust_count == 0
+        assert np.all(ratings.values == np.rint(ratings.values))
 
     def test_infeasible_edge_count_errors(self):
         with pytest.raises(ValueError, match="cannot place"):

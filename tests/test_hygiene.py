@@ -8,9 +8,14 @@ the left-to-right order every output was written with). Nor does any module
 name `np.append`, which copies a whole array to add one element, or
 `np.lexsort`, several times slower than a packed sort (`keys.stable_order`).
 No module imports `threading` or `concurrent.futures`: numpy passes the GIL
-back and forth in small blocks, so threads never made the sweeps faster."""
+back and forth in small blocks, so threads never made the sweeps faster.
+
+`python tests/test_hygiene.py` prints each module's total, code, docstring,
+comment and blank lines (`line_kinds`), the counts the line budget is kept in."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -89,6 +94,32 @@ def _private_top_level(tree):
         yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
 
 
+def line_kinds(text):
+    """(total, code, docstring, comment, blank) line counts of a module's
+    source. Docstring lines are those of the first-statement string of the
+    module, a class or a function (`ast`); code lines hold any other token,
+    lines inside a multi-line string too; comment lines hold only a comment
+    (`tokenize`); blank lines hold only whitespace."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    code, comments = set(), set()
+    layout = (tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.COMMENT:
+            comments.add(token.start[0])
+        elif token.type not in layout:
+            code.update(range(token.start[0], token.end[0] + 1))
+    lines = text.splitlines()
+    blank = {row for row, line in enumerate(lines, 1) if not line.strip()}
+    code -= docs
+    return len(lines), len(code), len(docs), len(comments - docs - code), len(blank - docs - code)
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
@@ -130,6 +161,19 @@ def test_no_thread_import(path):
     assert not names, f"{path.name} imports {names}; see the module docstring"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_line_kinds_add_up(path):
+    total, *kinds = line_kinds(path.read_text(encoding="utf-8"))
+    assert sum(kinds) == total == len(path.read_bytes().splitlines())
+
+
+def test_line_kinds_by_hand():
+    text = ('"""Module\n\ndocstring."""\n\n# a comment\nx = """not\n\na docstring"""  # trailing\n'
+            'class A:\n    """One line."""\n\n    def f(self):\n        \'\'\'Two\n        lines\'\'\'\n'
+            '        return (1,\n\n                2)\n')
+    assert line_kinds(text) == (17, 7, 6, 1, 3)
+
+
 def test_the_guards_see_dead_code():
     tree = ast.parse("from __future__ import annotations\nimport os, numpy.linalg\n"
                      "from math import log as ln, pi\n_UNUSED = 1\n_USED = 2\n"
@@ -149,3 +193,10 @@ def test_the_guards_see_dead_code():
                      "import concurrent.futures as cf\nfrom .threading import x\nimport queue\n")
     assert sorted(_thread_imports(tree)) == ["concurrent.futures", "concurrent.futures",
                                              "threading"]
+
+
+if __name__ == "__main__":
+    print(f"{'module':<16}{'total':>7}{'code':>7}{'docstring':>11}{'comment':>9}{'blank':>7}")
+    counts = [(path.name, line_kinds(path.read_text(encoding="utf-8"))) for path in SOURCES]
+    for name, row in [*counts, ("all", [sum(col) for col in zip(*(row for _, row in counts))])]:
+        print(f"{name:<16}{row[0]:>7}{row[1]:>7}{row[2]:>11}{row[3]:>9}{row[4]:>7}")

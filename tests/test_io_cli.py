@@ -13,7 +13,8 @@ import pytest
 import trustfactor
 from trustfactor import cli, data, experiments, fileio
 from trustfactor.cli import run_cli
-from trustfactor.data import FactorModel, SocialGraph, SparseRatings, extract_triplets, init_model
+from trustfactor.data import (FactorModel, Hyperparams, SocialGraph, SparseRatings, extract_triplets,
+                              init_model)
 from trustfactor.experiments import cold_start_split
 from trustfactor.fileio import (
     IdMap,
@@ -28,6 +29,7 @@ from trustfactor.fileio import (
 )
 from trustfactor.metrics import evaluate_predictions
 from trustfactor.neighborhood import build_propagated_sets, nb_predict_many
+from trustfactor.optimize import fit_gd
 
 from conftest import random_graph
 
@@ -717,12 +719,28 @@ class TestRoundtrips:
         assert os.path.getsize(tmp_path / "m.bin") == 4 + 4 + 24 + 8 + 8 + 8
 
     def test_truncated_model_rejected(self, tmp_path):
+        # every cut: inside the magic and version, the dimensions, the factors and the seed
         model = init_model(4, 4, 2, seed=0)
         save_model(model, tmp_path / "m.bin")
         blob = (tmp_path / "m.bin").read_bytes()
-        (tmp_path / "cut.bin").write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(ValueError, match="unexpected end"):
-            load_model(tmp_path / "cut.bin")
+        for length in range(len(blob)):
+            (tmp_path / "cut.bin").write_bytes(blob[:length])
+            with pytest.raises(ValueError, match="unexpected end"):
+                load_model(tmp_path / "cut.bin")
+        (tmp_path / "long.bin").write_bytes(blob + b"\0")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_model(tmp_path / "long.bin")
+
+    def test_loaded_factors_are_writable_and_refit(self, tmp_path):
+        ratings = SparseRatings.from_entries(3, 2, [(0, 0, 4.0), (1, 1, 2.0), (2, 0, 5.0)])
+        save_model(init_model(3, 2, 2, seed=5), tmp_path / "m.bin")
+        loaded = load_model(tmp_path / "m.bin")
+        for x in (loaded.U, loaded.V):
+            assert x.flags.writeable and x.flags.owndata
+        U = loaded.U.copy()
+        model, report = fit_gd(ratings, None, Hyperparams(k=2, epochs=3), model0=loaded)
+        assert len(report.records) == 3 and not np.array_equal(model.U, U)
+        assert loaded.U.tobytes() == U.tobytes()  # the fit starts from a copy
 
     @pytest.mark.parametrize("dims", [(2**62, 2**62, 1), (10**5, 10**5, 64)])
     def test_header_dims_checked_against_file_size(self, tmp_path, capsys, dims):
@@ -908,6 +926,16 @@ class TestCli:
             reads.clear()
             cli.COMMANDS[name].run(Recording(**vars(args)), tmp_path / name)
             assert set(vars(args)) - {"command", "out"} - reads == unread.get(name, set()), name
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--m", "0"), ("--m", "-3"), ("--noise", "nan"), ("--noise", "-1"),
+        ("--trust-edges", "-1"), ("--distrust-edges", "-2")])
+    def test_synth_refuses_bad_sizes_and_noise(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "synth"
+        assert run_cli(["synth", "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / "ratings.tsv").exists()
 
     def test_bad_train_frac(self, tmp_path, capsys):
         out = _synth_dir(tmp_path)

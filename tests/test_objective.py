@@ -293,6 +293,31 @@ class TestLossValue:
         assert loss_value("logistic", 100.0) >= 0.0
 
 
+def masked_logistic_slope(z):
+    """-sigmoid(-z) by four masked assignments, exp only of a non-positive
+    number: the reference for _loss's logistic slope."""
+    x = -z
+    sigmoid = np.empty_like(x)
+    pos = x >= 0
+    sigmoid[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    sigmoid[~pos] = ex / (1.0 + ex)
+    return -sigmoid
+
+
+class TestLogisticSlope:
+    SPECIAL = [0.0, 1e-320, 1.0, 700.0, 745.0, 1e308, np.inf, np.nan]
+
+    def test_equals_masked_form_bit_for_bit(self, rng):
+        # -nan: inf - inf gives the NaN with the sign bit set on common hardware
+        special = np.array(self.SPECIAL + [-z for z in self.SPECIAL])
+        draws = [rng.normal(0.0, scale, 200_000) for scale in (1e-3, 1.0, 10.0, 100.0, 1e4)]
+        for z in [special, *draws, np.zeros(0)]:
+            with np.errstate(invalid="ignore"):  # the NaN and inf entries
+                slope = _loss("logistic", z, need_slope=True)[1]
+                assert slope.tobytes() == masked_logistic_slope(z).tobytes()
+
+
 class TestScatter:
     @pytest.mark.parametrize("size", [0, 1, 7, 500])
     def test_equals_add_at_bit_for_bit(self, rng, size):
