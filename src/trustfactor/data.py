@@ -181,8 +181,9 @@ class SocialGraph:
     trust_targets: np.ndarray
     distrust_offsets: np.ndarray
     distrust_targets: np.ndarray
+    _distinct: InitVar[bool] = False  # the edges are known distinct, each of one sign
 
-    def __post_init__(self):
+    def __post_init__(self, _distinct):
         keys = []
         for sign in ("trust", "distrust"):
             offsets = _frozen_array(getattr(self, f"{sign}_offsets"), np.int64)
@@ -200,11 +201,15 @@ class SocialGraph:
                                  f"neighbor index {v[bad[0]]} out of range")
             if np.any(u == v):
                 raise ValueError(f"self-edge at user {u[u == v][0]}")
+            if _distinct:  # the caller proved them distinct and of one sign each
+                continue
             key = np.sort(u * self.n + v)
             repeated = key[1:][key[1:] == key[:-1]]
             if len(repeated):
                 raise ValueError(f"duplicate neighbor for user {repeated[0] // self.n}")
             keys.append(key)
+        if _distinct:
+            return
         # both lists are sorted and free of repeats, so a stable sort merges them
         joined = np.sort(np.concatenate(keys), kind="stable")
         common = joined[1:][joined[1:] == joined[:-1]]
@@ -214,7 +219,7 @@ class SocialGraph:
             raise ValueError(f"user {u} both trusts and distrusts {both_ways}")
 
     @classmethod
-    def from_edges(cls, n, trust_edges=(), distrust_edges=()):
+    def from_edges(cls, n, trust_edges=(), distrust_edges=(), _distinct=False):
         """Build from (source, target) pair lists or (E, 2) arrays; each
         user's targets keep their input order (a stable order by source)."""
         signed = []
@@ -235,7 +240,7 @@ class SocialGraph:
         offsets = np.concatenate(([0], np.cumsum(np.bincount(lists, minlength=2 * n))))
         targets = np.concatenate((trust[:, 1], distrust[:, 1]))[stable_order(lists, 2 * n)]
         cut = len(trust)
-        return cls(n, offsets[:n + 1], targets[:cut], offsets[n:] - cut, targets[cut:])
+        return cls(n, offsets[:n + 1], targets[:cut], offsets[n:] - cut, targets[cut:], _distinct)
 
     @cached_property
     def trust_edge_array(self) -> np.ndarray:

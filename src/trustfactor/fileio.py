@@ -265,9 +265,10 @@ def _build_graph(files, user_map):
         log.warning("%d duplicate social edges dropped", len(pairs) - len(starts))
     pairs, signs = pairs[first], signs[first]
     del order, starts, first, ranked  # freed before from_edges builds the graph's own arrays
-    # compress picks rows several times faster than a boolean index does
+    # compress picks rows several times faster than a boolean index does; the
+    # edges are proved distinct and of one sign each, which the graph need not redo
     return SocialGraph.from_edges(n, pairs.compress(signs > 0, axis=0),
-                                  pairs.compress(signs < 0, axis=0))
+                                  pairs.compress(signs < 0, axis=0), _distinct=True)
 
 
 def _where(files, row):

@@ -35,7 +35,20 @@ def ranges(starts, lengths):
 
 
 def find(keys, needles):
-    """Position of each needle in the sorted unique `keys`, -1 where absent."""
+    """Position of each needle in the sorted unique `keys`, -1 where absent,
+    all non-negative: read off a dense int32 table of positions where it takes
+    no more memory than member's table, else found by binary search, of only
+    the needles member finds where its table serves."""
+    span = max(keys[-1] if len(keys) else -1, needles.max(initial=-1)) + 1
+    if span <= min(4 * len(needles), 1 << 31):
+        table = np.full(span, -1, np.int32)
+        table[keys] = np.arange(len(keys))
+        return table[needles]
+    if span <= 16 * len(needles):
+        found = np.full(len(needles), -1)
+        hit = np.flatnonzero(member(keys, needles))
+        found[hit] = np.searchsorted(keys, needles[hit])
+        return found
     at = np.searchsorted(keys, needles)
     found = at < len(keys)
     found[found] = keys[at[found]] == needles[found]

@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import SocialGraph, SparseRatings
-from .keys import drop, find, member, ranges, row, stable_order
+from .keys import drop, find, member, ranges, row, sort_by_key, stable_order
 
 VARIANTS = ("nb", "nb-t", "nb-td-f", "nb-td-d")
 
@@ -53,18 +53,20 @@ class SimilarityCache:
 
 
 def build_similarity_cache(ratings: SparseRatings, min_co: int = MIN_CO_RATED) -> SimilarityCache:
-    """Pearson correlation of every co-rated user pair in one array pass."""
-    return _similarity_pass(ratings, min_co)
+    """Pearson correlation of every co-rated user pair, the blocks of
+    _similarity_blocks joined; no pass holds all co-ratings."""
+    empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+    blocks = zip(empty, *_similarity_blocks(ratings, min_co))
+    return SimilarityCache(*map(np.concatenate, blocks), min_co, ratings.n)
 
 
-def _similarity_pass(ratings: SparseRatings, min_co: int, only=None) -> SimilarityCache:
-    """The similarity cache, of only the pairs keyed in the sorted `only` if given:
-    one _merged block where _merges, else the blocks of _similarity_blocks
-    joined; no pass holds all co-ratings."""
-    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-    blocks = ([_merged(ratings, min_co, only)] if only is not None and _merges(ratings, only)
+def _similarity_pass(ratings: SparseRatings, min_co: int, only):
+    """The (co-rating counts, weights) of the pairs keyed in the sorted `only`,
+    aligned with it: 0 and NaN for a pair never co-rated. One _merged block
+    where _merges, else the blocks of _similarity_blocks joined."""
+    blocks = ([_merged(ratings, min_co, only)] if _merges(ratings, only)
               else _similarity_blocks(ratings, min_co, only))
-    return SimilarityCache(*map(np.concatenate, zip(*parts, *blocks)), min_co, ratings.n)
+    return tuple(map(np.concatenate, zip((np.zeros(0, np.int64), np.zeros(0)), *blocks)))
 
 
 def _merges(ratings: SparseRatings, only) -> bool:
@@ -84,28 +86,28 @@ def _merged(ratings: SparseRatings, min_co: int, only):
     keys = ratings.users * m + ratings.items
     order = stable_order(keys, n * m)
     keys, values = keys[order], ratings.values[order]
-    u, v = np.divmod(only[only // n < only % n], n)
+    slot = np.flatnonzero(only // n < only % n)
+    u, v = np.divmod(only[slot], n)
     walk = np.where(counts[u] <= counts[v], u, v)
     reps = counts[walk]
     at = ranges((np.cumsum(counts) - counts)[walk], reps)
     found = find(keys, np.repeat(u + v - walk, reps) * m + keys[at] % m)
-    hit = found >= 0
-    return _weights(np.repeat(u * n + v, reps)[hit], values[at[hit]], values[found[hit]], min_co)
+    hit = np.flatnonzero(found >= 0)
+    return _weights(np.repeat(slot, reps)[hit], values[at[hit]], values[found[hit]], min_co,
+                    len(only))
 
 
-def _weights(key, x, y, min_co):
-    """(keys, counts, weights) of the pairs keyed in the sorted `key` from their
-    co-ratings' values x and y, each pair's in ascending item order."""
-    head = np.diff(key, prepend=-1) != 0
-    pid = np.cumsum(head) - 1
-    counts = np.bincount(pid)
-    x = x - (np.bincount(pid, x) / counts)[pid]
-    y = y - (np.bincount(pid, y) / counts)[pid]
-    sx, sy, sxy = np.bincount(pid, x * x), np.bincount(pid, y * y), np.bincount(pid, x * y)
-    pcc = np.full(len(counts), np.nan)
+def _weights(pid, x, y, min_co, size):
+    """(co-rating counts, weights) of `size` pairs from their co-ratings' values
+    x and y, co-rating t being pair pid[t]'s, each pair's in ascending item order."""
+    counts = np.bincount(pid, minlength=size)  # 0 for a pair never co-rated: no mean read
+    x = x - (np.bincount(pid, x, size) / np.maximum(counts, 1))[pid]
+    y = y - (np.bincount(pid, y, size) / np.maximum(counts, 1))[pid]
+    sx, sy, sxy = (np.bincount(pid, w, size) for w in (x * x, y * y, x * y))
+    pcc = np.full(size, np.nan)
     defined = (sx != 0.0) & (sy != 0.0) & (counts >= min_co)
     pcc[defined] = sxy[defined] / np.sqrt(sx[defined] * sy[defined])
-    return key[head], counts, pcc
+    return counts, pcc
 
 
 _BLOCK_CO_RATINGS = 1 << 16  # bounds a pass to a few MB of transient arrays
@@ -116,16 +118,18 @@ def _similarity_blocks(ratings: SparseRatings, min_co: int, only=None, both=Fals
     users u at a time: yields the block's sorted keys u * n + v, co-rating
     counts and weights (NaN where undefined or fewer than min_co co-ratings),
     blocks in ascending key order. Pairs have v > u, or every v != u with
-    `both`; with `only`, just the pairs keyed in the sorted `only`.
+    `both`. With `only`, yields the (counts, weights) of the block's keys in
+    the sorted `only`, aligned with them: count 0 for a pair never co-rated.
 
     A block lists at most _BLOCK_CO_RATINGS (pair, item) co-ratings unless one
     user alone has more, so memory no longer follows the sum over items of
     raters squared. Blocks are slices of one stable order of the raters by
     user, which keeps each user's items ascending: a pair's co-ratings are
     listed in ascending item order, the order a scalar left-fold Pearson takes,
-    kept by the stable order by pair key and added in it by bincount. A pair's
-    sums never span blocks, so each weight is bit-equal to that scalar's
-    whatever the blocks, and pcc(u, v) to pcc(v, u), whose products commute.
+    and added in it by bincount, over each key's slot in `only` or after a
+    stable order by key. A pair's sums never span blocks, so each weight is
+    bit-equal to that scalar's whatever the blocks, and pcc(u, v) to
+    pcc(v, u), whose products commute.
     """
     users, values, offsets = ratings.by_item
     n, sizes = ratings.n, np.diff(offsets)
@@ -153,12 +157,14 @@ def _similarity_blocks(ratings: SparseRatings, min_co: int, only=None, both=Fals
         key = np.repeat(users[t], reps) * n - base + users[second]
         x = np.repeat(values[t], reps)
         if only is not None:
-            kept = member(inner, key)
-            key, x, second = key[kept], x[kept], second[kept]
-        if not len(key):
-            continue
-        at = stable_order(key, hi * n - base)  # ties keep their ascending items
-        yield _weights(key[at] + base, x[at], values[second[at]], min_co)
+            slot = find(inner, key)
+            at = np.flatnonzero(slot >= 0)
+            yield _weights(slot[at], x[at], values[second[at]], min_co, len(inner))
+        elif len(key):
+            key, at = sort_by_key(key, hi * n - base)  # ties keep their ascending items
+            head = np.diff(key, prepend=-1) != 0
+            yield key[head] + base, *_weights(np.cumsum(head) - 1, x[at], values[second[at]],
+                                              min_co, np.count_nonzero(head))
 
 
 def relevant_ranks(ratings: SparseRatings, edges, sign: float):
@@ -274,8 +280,8 @@ def nb_predict_many(ratings: SparseRatings, sims: SimilarityCache | None,
     empty pool, to the global mean when the user has no ratings, and clamps
     to the rating bounds. With `sims` None, only the weights these sums read
     are computed, each bit-equal to build_similarity_cache(ratings)'s, by
-    merge or from the blocks (_similarity_pass). Rows are ordered by pair key
-    with one packed sort (keys.stable_order).
+    merge or from the blocks (_similarity_pass), once per distinct pair, as
+    one packed sort of the rows' pair keys (keys.sort_by_key) numbers them.
     """
     users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
     for name, index, size in (("user", users, ratings.n), ("item", items, ratings.m)):
@@ -284,28 +290,34 @@ def nb_predict_many(ratings: SparseRatings, sims: SimilarityCache | None,
             raise IndexError(f"{name} index {bad[0]} out of range")
     pool = _pool_keys(sets, variant, users)
     raters, values, offsets = ratings.by_item
+    n = ratings.n
     # a user without ratings co-rates with nobody: no rater can weigh in
     counts = np.where(ratings.user_counts[users] > 0, offsets[items + 1] - offsets[items], 0)
-    rows = np.repeat(np.arange(len(users)), counts)
-    at = ranges(offsets[items], counts)
+    at = ranges(offsets[items], counts)  # the join: each pair t with the raters of its item
+    if pool is None:
+        rows = np.repeat(np.arange(len(users)), counts)
+    else:  # the pool's rows of the join, by their keys users[t] * n + rater, come first
+        if sets.graph.n != n:
+            a, b = np.divmod(pool, sets.graph.n)
+            pool = (a * n + b)[(a < n) & (b < n)]
+        kept = np.flatnonzero(member(pool, np.repeat(users * n, counts) + raters[at]))
+        rows, at = np.searchsorted(np.cumsum(counts), kept, "right"), at[kept]
+    # the pair keys' sort numbers the distinct pairs; a row's raters v still
+    # come ascending in it, so each prediction sums in ascending neighbor order
     u, v = users[rows], raters[at]
-    if pool is not None:
-        n = sets.graph.n
-        inside = (u < n) & (v < n)
-        kept = inside & member(pool, np.where(inside, u * n + v, 0))
-        rows, at, u, v = rows[kept], at[kept], u[kept], v[kept]
-    # sorted by pair key, which rises with v for a fixed u: each prediction
-    # still sums in ascending neighbor order, and the weight search runs fast
-    pair = np.minimum(u, v) * ratings.n + np.maximum(u, v)
-    order = stable_order(pair, ratings.n ** 2)
-    rows, at, v, pair = rows[order], at[order], v[order], pair[order]
+    pair, order = sort_by_key(np.minimum(u, v) * n + np.maximum(u, v), n * n)
+    del u, v  # not held through the weights' pass
+    head = np.diff(pair, prepend=-1) != 0
+    pair, pid = pair[head], np.cumsum(head) - 1
     if sims is None:
-        sims = _similarity_pass(ratings, MIN_CO_RATED, pair[np.diff(pair, prepend=-1) != 0])
-    found = find(sims.keys, pair)
-    kept = found >= 0
-    kept[kept] = sims.pcc[found[kept]] > 0.0  # False where undefined (NaN)
-    rows, w = rows[kept], sims.pcc[found[kept]]
-    num = np.bincount(rows, w * (values[at[kept]] - ratings.user_means[v[kept]]), len(users))
+        pcc = _similarity_pass(ratings, MIN_CO_RATED, pair)[1]
+    else:  # one lookup per distinct pair; where drops what -1 reads
+        found = find(sims.keys, pair)
+        pcc = np.where(found >= 0, sims.pcc[found] if len(sims.pcc) else np.nan, np.nan)
+    kept = np.flatnonzero(pcc[pid] > 0.0)  # not where undefined (NaN)
+    w, kept = pcc[pid[kept]], order[kept]
+    rows, at = rows[kept], at[kept]
+    num = np.bincount(rows, w * (values[at] - ratings.user_means[raters[at]]), len(users))
     den = np.bincount(rows, w, len(users))
     # the user mean is the global mean for a user without ratings
     value = ratings.user_means[users] + np.divide(num, den, out=np.zeros(len(users)),

@@ -13,6 +13,7 @@ from trustfactor.data import (
     predict_many,
     sample_triplets,
 )
+from trustfactor.fileio import load_dataset
 from trustfactor.keys import sort_by_key, stable_order
 from trustfactor.seeding import substream
 
@@ -231,6 +232,32 @@ class TestSocialGraph:
         with pytest.raises(ValueError, match=rf"^trust edge \({source}, 1\): source index "
                                              rf"{source} out of range$"):
             SocialGraph.from_edges(3, [(0, 1), (source, 1)], [])
+
+    def test_distinct_flag_keeps_the_linear_checks(self, tmp_path, monkeypatch):
+        """The loader, which has proved its edges distinct and of one sign each,
+        skips the graph's sorted repeat and contradiction checks; the range and
+        self-edge checks still run, and the graph is the one built without it."""
+        flags = []
+        build = SocialGraph.from_edges.__func__
+
+        def spy(cls, n, trust_edges=(), distrust_edges=(), _distinct=False):
+            flags.append(_distinct)
+            return build(cls, n, trust_edges, distrust_edges, _distinct)
+
+        monkeypatch.setattr(SocialGraph, "from_edges", classmethod(spy))
+        (tmp_path / "r.tsv").write_text("a\ti\t3\nb\ti\t4\nc\ti\t5\n")
+        (tmp_path / "s.tsv").write_text("a\tb\t1\nb\tc\t-1\na\tc\t1\na\tb\t1\n")
+        graph = load_dataset(tmp_path / "r.tsv", social_path=tmp_path / "s.tsv").graph
+        assert flags == [True]
+        checked = SocialGraph.from_edges(3, graph.trust_edge_array, graph.distrust_edge_array)
+        for name in ("trust_offsets", "trust_targets", "distrust_offsets", "distrust_targets"):
+            assert getattr(graph, name).tolist() == getattr(checked, name).tolist()
+        with pytest.raises(ValueError, match="self-edge at user 1"):
+            SocialGraph.from_edges(3, [(0, 1)], [(1, 1)], _distinct=True)
+        with pytest.raises(ValueError, match=r"distrust edge \(1, 3\): neighbor index 3"):
+            SocialGraph.from_edges(3, [(0, 1)], [(1, 3)], _distinct=True)
+        with pytest.raises(ValueError, match="source index 3"):
+            SocialGraph.from_edges(3, [(3, 1)], [], _distinct=True)
 
     def test_rejects_malformed_input(self):
         with pytest.raises(ValueError, match="pairs"):

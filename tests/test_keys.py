@@ -61,3 +61,25 @@ def test_member_reads_the_largest_key_off_the_end():
             (np.array([7]), np.array([1000]), [False])):
         got = member(sorted_keys.view(NoScan), needles)
         assert got.dtype == bool and got.tolist() == [bool(x) for x in expected]
+
+
+def test_find_routes_match_numpy(rng, monkeypatch):
+    """find reads a dense int32 table while the span is at most 4 per needle
+    (member's bytes), searches only the needles member finds while member
+    reads its table (16 per needle), and searches every needle past that."""
+    calls = []
+    real_member, real_search = keys.member, np.searchsorted
+    monkeypatch.setattr(keys, "member", lambda *a: calls.append("member") or real_member(*a))
+    monkeypatch.setattr(np, "searchsorted", lambda *a: calls.append("search") or real_search(*a))
+    for length in (1, 7, 64, 500):
+        for ratio, route in ((1, []), (4, []), (5, ["member", "search"]),
+                             (16, ["member", "search"]), (17, ["search"])):
+            span = ratio * length
+            needles = rng.integers(0, span, length)
+            needles[rng.integers(0, length)] = span - 1  # the largest sets the span
+            sorted_keys = np.unique(rng.integers(0, span, length))
+            inside = np.isin(needles, sorted_keys)
+            expected = np.where(inside, real_search(sorted_keys, needles), -1).tolist()
+            calls.clear()
+            assert find(sorted_keys, needles).tolist() == expected
+            assert calls == route

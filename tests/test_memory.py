@@ -1,12 +1,13 @@
 """Traced memory of the fit and the prediction path, of a value-only hinge
-pass, and the bytes the rating folds hold.
+pass and of the restricted Pearson pass, and the bytes the rating folds hold.
 
 `python tests/test_memory.py` (with src on PYTHONPATH) prints the
 `tracemalloc` peak of the `fit` command, `predict_many`, `evaluate_model` and
-the `eval` command over a set of the gd-margin benchmark's size, and of a
-`fit_sgd` over a lazy store on a hub graph of the sgd-lazy-hubs benchmark's
-size: the same figure on every run, where the process's peak RSS moves with
-the allocator.
+the `eval` command over a set of the gd-margin benchmark's size, of the
+`fit --method nb --p 2 --q 2` command over a set of the nb-protocols
+benchmark's size, and of a `fit_sgd` over a lazy store on a hub graph of the
+sgd-lazy-hubs benchmark's size: the same figure on every run, where the
+process's peak RSS moves with the allocator.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trustfactor import data, objective
+from trustfactor import data, neighborhood, objective
 from trustfactor.cli import run_cli
 from trustfactor.data import (BLOCK_ROWS, FactorModel, Hyperparams, SocialGraph, SparseRatings,
                               lazy_triplets, predict_many)
@@ -84,6 +85,26 @@ def test_value_only_hinge_pass_forms_no_edge_by_factor_array(spread):
     assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
+def test_restricted_pass_reads_no_table_past_members_rule(monkeypatch):
+    """100,000 users with one rating each on average: a block of the pass lists
+    its 65,536 co-ratings over some 2,600 users, whose keys span some 2.6e8,
+    past member's rule (16 per needle), so each slot is found by binary search
+    and the pass holds its aligned outputs, their block pieces and one block's
+    listing: 32 bytes per asked pair and a few MB, where a dense slot table
+    would take about 1 GB per block."""
+    rng = np.random.default_rng(2)
+    n, m, nnz = 100_000, 2_000, 100_000
+    keys = rng.choice(n * m, nnz, replace=False)
+    ratings = SparseRatings(n, m, keys // m, keys % m, rng.integers(1, 6, nnz).astype(float))
+    full = neighborhood.build_similarity_cache(ratings, 1)
+    only = np.sort(rng.choice(full.keys, len(full.keys) // 4, replace=False))
+    monkeypatch.setattr(neighborhood, "_merges", lambda *_: False)  # the blocks
+    (counts, pcc), peak = traced_peak(lambda: neighborhood._similarity_pass(ratings, 1, only))
+    assert counts.tobytes() == full.co_counts[np.isin(full.keys, only)].tobytes()
+    bound = 4 * only.nbytes + 10 * 8 * neighborhood._BLOCK_CO_RATINGS
+    assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+
+
 def fold_bytes(ratings):
     """Bytes of every array the ratings' two folds hold."""
     return sum(array.nbytes for fold in ratings.folds
@@ -131,6 +152,22 @@ def gd_margin_peaks(root):
             *((name, ratings.nnz, traced_peak(call)[1]) for name, call in calls)]
 
 
+# the size of perfbench's nb-protocols inputs, and the flags of its fits
+NB_SYNTH = ["synth", "--seed", "1", "--n", "1500", "--m", "1000", "--rank", "5", "--clusters", "5",
+            "--density", "0.03", "--noise", "0.3", "--trust-edges", "8000",
+            "--distrust-edges", "8000"]
+NB_FIT = ["fit", "--seed", "1", "--method", "nb", "--p", "2", "--q", "2"]
+
+
+def nb_fit_peak(root):
+    """(ratings, traced peak in bytes) of the nb fit command at nb-protocols size."""
+    synth = root / "nb-synth"
+    quiet_cli([*NB_SYNTH, "--out", synth])
+    inputs = ["--ratings", synth / "ratings.tsv", "--social", synth / "social.tsv"]
+    peak = traced_peak(lambda: quiet_cli([*NB_FIT, *inputs, "--out", root / "nb-fit"]))[1]
+    return load_dataset(synth / "ratings.tsv").ratings.nnz, peak
+
+
 def hub_graph(rng, n, cap):
     """Zipf(1.8) out-degrees capped at `cap`, distinct targets, each edge's
     sign a fair coin: the few heaviest users carry most of the triplets."""
@@ -162,5 +199,7 @@ if __name__ == "__main__":
         print(f"{'call':<16}{'ratings':>8}{'traced peak MB':>16}")
         for name, count, peak in gd_margin_peaks(Path(tmp)):
             print(f"{name:<16}{count:>8}{peak / 1e6:>16.2f}")
+        count, peak = nb_fit_peak(Path(tmp))
+        print(f"{'fit nb command':<16}{count:>8}{peak / 1e6:>16.2f}   (--p 2 --q 2)")
     count, triplets, peak = sgd_hubs_peak()
     print(f"{'fit_sgd (hubs)':<16}{count:>8}{peak / 1e6:>16.2f}   ({triplets} triplets)")

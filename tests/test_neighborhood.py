@@ -17,6 +17,7 @@ from trustfactor.neighborhood import (
     nb_predict,
     nb_predict_many,
     neighbor_pool,
+    SimilarityCache,
 )
 
 from conftest import pearson, random_graph, random_ratings
@@ -25,6 +26,30 @@ from conftest import pearson, random_graph, random_ratings
 def weight(cache, u, v):
     """The cached weight of users u and v, in either order; None where there is none."""
     return cache.weights.get((min(u, v), max(u, v)))
+
+
+def aligned(cache, only):
+    """(co-rating counts, weights) of the cache's pairs keyed in `only`, key by
+    key: 0 and NaN where the cache lists no such key."""
+    at = dict(zip(cache.keys.tolist(), range(len(cache.keys))))
+    rows = [at.get(key) for key in only.tolist()]
+    return (np.array([0 if t is None else cache.co_counts[t] for t in rows], np.int64),
+            np.array([np.nan if t is None else cache.pcc[t] for t in rows], np.float64))
+
+
+def assert_aligned(part, only, cache, min_co):
+    """The restricted pass's (counts, weights) for `only` are the cache's rows
+    for those keys, byte for byte, with 0 and NaN for every other key."""
+    counts, pcc = part
+    listed = np.isin(cache.keys, only)
+    assert len(counts) == len(pcc) == len(only)
+    assert only[counts > 0].tobytes() == cache.keys[listed].tobytes()
+    assert counts[counts > 0].tobytes() == cache.co_counts[listed].tobytes()
+    assert pcc[counts > 0].tobytes() == cache.pcc[listed].tobytes()
+    assert not (counts[~np.isnan(pcc)] < min_co).any()
+    expected_counts, expected_pcc = aligned(cache, only)
+    assert counts.tobytes() == expected_counts.tobytes()
+    assert pcc.tobytes() == expected_pcc.tobytes()
 
 
 def _by_user(keys, n):
@@ -126,8 +151,8 @@ class TestSimilarityCache:
     def test_restricted_pass_equals_full_cache(self, rng, monkeypatch):
         # any sorted subset of pair keys, never co-rated pairs, pairs (u, u)
         # and the empty set included, yields exactly the full cache's rows for
-        # those pairs, weighed by the blocks or by merge; instances have users
-        # without ratings and constant raters
+        # those pairs, aligned with the subset, weighed by the blocks or by
+        # merge; instances have users without ratings and constant raters
         for trial in range(30):
             n, m = int(rng.integers(1, 10)), int(rng.integers(1, 10))
             r = random_ratings(rng, n, m, density=float(rng.uniform(0.1, 0.9)))
@@ -148,12 +173,7 @@ class TestSimilarityCache:
                                                replace=False)) for _ in range(4)]
                 for only, merges in product(subsets, (False, True)):
                     monkeypatch.setattr(neighborhood, "_merges", lambda *_: merges)
-                    part = _similarity_pass(r, min_co, only)
-                    rows = np.isin(full.keys, only)
-                    assert part.pairs.tobytes() == full.pairs[rows].tobytes()
-                    assert part.co_counts.tobytes() == full.co_counts[rows].tobytes()
-                    assert part.pcc.tobytes() == full.pcc[rows].tobytes()
-                    assert (part.min_co, part.n) == (min_co, n)
+                    assert_aligned(_similarity_pass(r, min_co, only), only, full, min_co)
                 monkeypatch.undo()
                 # merge where it walks fewer entries than the blocks list
                 # co-ratings, never for every pair: each pair walks its co-ratings
@@ -179,7 +199,7 @@ class TestSimilarityCache:
             for min_co in (1, 3):
                 monkeypatch.setattr(neighborhood, "_BLOCK_CO_RATINGS", 1 << 62)
                 assert len(list(_similarity_blocks(r, min_co))) <= 1
-                whole = _similarity_pass(r, min_co)
+                whole = build_similarity_cache(r, min_co)
                 for budget in (1, 7, 1000):
                     monkeypatch.setattr(neighborhood, "_BLOCK_CO_RATINGS", budget)
                     blocks = list(_similarity_blocks(r, min_co))
@@ -189,12 +209,12 @@ class TestSimilarityCache:
                                                       np.arange(n) * n + n - 1)))
                     edges = edges[(edges >= 0) & (edges < n * n)]
                     picked = np.sort(rng.choice(every, len(every) // 2, replace=False))
-                    for only in (None, every[:0], edges, picked):
-                        part = _similarity_pass(r, min_co, only)
-                        rows = slice(None) if only is None else np.isin(whole.keys, only)
-                        assert part.pairs.tobytes() == whole.pairs[rows].tobytes()
-                        assert part.co_counts.tobytes() == whole.co_counts[rows].tobytes()
-                        assert part.pcc.tobytes() == whole.pcc[rows].tobytes()
+                    part = build_similarity_cache(r, min_co)
+                    assert part.pairs.tobytes() == whole.pairs.tobytes()
+                    assert part.co_counts.tobytes() == whole.co_counts.tobytes()
+                    assert part.pcc.tobytes() == whole.pcc.tobytes()
+                    for only in (every[:0], edges, picked):
+                        assert_aligned(_similarity_pass(r, min_co, only), only, whole, min_co)
 
     def test_neighbors_symmetric(self, rng):
         r = random_ratings(rng, 8, 10, density=0.6)
@@ -526,7 +546,7 @@ class TestNbPredict:
         user, and the predictions equal the full-cache reference bit for bit."""
         asked = []
 
-        def spy(ratings, min_co, only=None):
+        def spy(ratings, min_co, only):
             asked.append(only)
             return _similarity_pass(ratings, min_co, only)
 
@@ -553,9 +573,43 @@ class TestNbPredict:
     def test_empty_restriction_lists_no_pairs(self, rng, monkeypatch):
         r = random_ratings(rng, 12, 8, density=0.7)
         monkeypatch.setattr(neighborhood, "ranges", None)  # the pair listing's helper
-        empty = _similarity_pass(r, 3, np.zeros(0, np.int64))
-        assert empty.pairs.shape == (0, 2) and len(empty.co_counts) == len(empty.pcc) == 0
-        assert empty.keys.dtype == np.int64
+        counts, pcc = _similarity_pass(r, 3, np.zeros(0, np.int64))
+        assert len(counts) == len(pcc) == 0
+        assert (counts.dtype, pcc.dtype) == (np.int64, np.float64)
+
+    def test_cache_without_a_positive_weight_gives_the_means(self, rng):
+        """A cache listing no pair, or only pairs whose weight is undefined,
+        zero or negative, weighs no neighbor: every prediction is the user's
+        mean, or the global mean for a user without ratings."""
+        for r, sets in self.instances(rng):
+            users, items = (a.ravel() for a in np.meshgrid(np.arange(r.n), np.arange(r.m)))
+            full = build_similarity_cache(r, 1)
+            means = np.minimum(np.maximum(r.user_means[users], r.r_min), r.r_max)
+            for pcc in (None, np.full(len(full.pcc), np.nan), -np.abs(full.pcc),
+                        np.where(np.isnan(full.pcc), np.nan, 0.0)):
+                sims = (SimilarityCache(full.keys[:0], full.co_counts[:0], full.pcc[:0], 1, r.n)
+                        if pcc is None else SimilarityCache(full.keys, full.co_counts, pcc, 1, r.n))
+                for variant in VARIANTS:
+                    got = nb_predict_many(r, sims, sets, users, items, variant)
+                    assert got.tobytes() == means.tobytes()
+
+    def test_no_self_weight(self, monkeypatch):
+        """A user who rated the asked item is no neighbor of their own: with
+        the other raters' weights undefined, the prediction is the user's
+        mean, by merge and by the blocks, with or without a cache (a self
+        weight of 1 would predict the user's own rating)."""
+        # users 0 and 1 co-rate items 0..3, user 1 constantly; only user 0 rated item 4
+        r = SparseRatings.from_entries(3, 5, [(0, i, v) for i, v in enumerate([1.0, 2, 4, 5, 5])]
+                                       + [(1, i, 3.0) for i in range(4)] + [(2, 0, 2.0)])
+        sets = build_propagated_sets(SocialGraph.from_edges(3, [(0, 1), (0, 2)], []), 2, 2)
+        users, items = np.array([0, 0, 0]), np.array([4, 0, 3])
+        for variant, merges in product(VARIANTS, (False, True)):
+            monkeypatch.setattr(neighborhood, "_merges", lambda *_: merges)
+            for sims in (None, build_similarity_cache(r, 1)):
+                got = nb_predict_many(r, sims, sets, users, items, variant)
+                assert got.tolist() == [r.user_means[0]] * 3
+            counts, pcc = _similarity_pass(r, 1, np.array([0, 1, 2, 4, 8]))  # keys u * 3 + v
+            assert counts.tolist() == [0, 4, 1, 0, 0] and np.isnan(pcc).all()
 
     def test_range_and_variant_checks(self):
         r = self.worked_example()
