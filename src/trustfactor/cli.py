@@ -112,6 +112,10 @@ FLAGS = {
     "--distrust-fracs": dict(default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"),
     "--batch-sizes": dict(default="1,8,64"),
 }
+# flag -> (lo, hi): its value must lie strictly between them, or with hi None
+# be at least lo; run_cli checks a command's bounded flags before its body
+BOUNDS = {"--train-frac": (0.0, 1.0), "--val-frac": (0.0, 1.0), "--cold-frac": (0.0, 1.0),
+          "--holdout-frac": (0.0, 1.0), "--repeats": (1, None), "--patience": (0, None)}
 DATA = ("--ratings", "--social", "--trust", "--distrust")
 # what a GD fit of the margin model reads; FIT adds what the other social
 # terms and SGD read
@@ -206,16 +210,6 @@ def _fit_one(train, test, graph, args, method, seed, patience=None):
     return None if report.stop_reason == STOP_DIVERGENCE else model, scores
 
 
-def _check_fraction(name, value, lo=0.0, hi=1.0):
-    if not lo < value < hi:
-        raise ValueError(f"{name} must lie strictly between {lo} and {hi}, got {value}")
-
-
-def _check_at_least(name, value, lo):
-    if value is not None and value < lo:
-        raise ValueError(f"{name} must be at least {lo}, got {value}")
-
-
 def _value_list(name, raw, what, convert=float):
     """The values of a comma-separated list flag, blank entries skipped; one
     error line when one does not convert, or the list is empty or repeats."""
@@ -263,12 +257,8 @@ def _cmd_synth(args, out):
 
 
 def _cmd_fit(args, out):
-    _check_fraction("--train-frac", args.train_frac)
-    _check_at_least("--repeats", args.repeats, 1)
-    _check_at_least("--patience", args.patience, 0)
     bundle = _load_bundle(args)
     rows = []
-    model = None
     for rep in range(args.repeats):
         train, test = split_ratings(
             bundle.ratings, SplitSpec(args.train_frac, args.seed, args.repeats), rep)
@@ -312,8 +302,6 @@ def _cmd_eval(args, out):
 
 
 def _cmd_split(args, out):
-    _check_fraction("--train-frac", args.train_frac)
-    _check_at_least("--repeats", args.repeats, 1)
     bundle = load_dataset(args.ratings)
     spec = SplitSpec(args.train_frac, args.seed, args.repeats)
     rows = []
@@ -327,8 +315,6 @@ def _cmd_split(args, out):
 
 
 def _cmd_grid(args, out):
-    _check_fraction("--train-frac", args.train_frac)
-    _check_fraction("--val-frac", args.val_frac)
     if bool(args.lambda_v_grid) == bool(args.lambda_u_grid):
         raise ValueError("provide exactly one of --lambda-v-grid / --lambda-u-grid")
     second_param = "lambda_v" if args.lambda_v_grid else "lambda_u"
@@ -358,8 +344,6 @@ def _cmd_grid(args, out):
 
 
 def _cmd_coldstart(args, out):
-    _check_fraction("--cold-frac", args.cold_frac)
-    _check_at_least("--repeats", args.repeats, 1)
     methods = _value_list("--methods", args.methods, "name distinct methods", str)
     bundle = _load_bundle(args)
     splits = [cold_start_split(bundle.ratings, args.cold_frac, args.seed, rep)[:2]
@@ -382,17 +366,15 @@ def _cmd_coldstart(args, out):
 def _cmd_consistency(args, out):
     bundle = _load_bundle(args)
     graph = _require_graph(bundle, "consistency")
-    result = consistency_eval(bundle.ratings, graph, args.relation)
+    bins = consistency_eval(bundle.ratings, graph, args.relation)
     header = ["bin", "users", "ndcg@10", "ndcg@20", "recall@10", "recall@20", "recall@40", "map"]
-    rows = [[label, *map(agg.get, header[1:])] for label, agg in sorted(result.bins.items())]
+    rows = [[label, *map(agg.get, header[1:])] for label, agg in sorted(bins.items())]
     write_csv(out / "consistency.csv", header, rows)
-    users = np.sum([agg["users"] for agg in result.bins.values()], dtype=np.int64)
-    print(f"{args.relation} alignment over {users} "
-          f"users in {len(result.bins)} bins; results in {out}")
+    users = np.sum([agg["users"] for agg in bins.values()], dtype=np.int64)
+    print(f"{args.relation} alignment over {users} users in {len(bins)} bins; results in {out}")
 
 
 def _cmd_majority_vote(args, out):
-    _check_fraction("--holdout-frac", args.holdout_frac)
     bundle = _load_bundle(args)
     graph = _require_graph(bundle, "majority-vote")
     result = majority_vote_eval(graph, args.holdout_frac, args.seed)
@@ -404,7 +386,6 @@ def _cmd_majority_vote(args, out):
 
 
 def _cmd_tradeoff(args, out):
-    _check_fraction("--train-frac", args.train_frac)
     bundle = _load_bundle(args)
     graph = _require_graph(bundle, "tradeoff")
     hp = _hyperparams(args, "mf-td")
@@ -423,7 +404,6 @@ def _cmd_tradeoff(args, out):
 
 
 def _cmd_batch_study(args, out):
-    _check_fraction("--train-frac", args.train_frac)
     sizes = _value_list("--batch-sizes", args.batch_sizes, "list distinct positive integers",
                         _positive_int)
     bundle = _load_bundle(args)
@@ -513,6 +493,12 @@ def run_cli(argv=None) -> int:
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        for flag in filter(BOUNDS.__contains__, COMMANDS[args.command].flags):
+            (lo, hi), value = BOUNDS[flag], getattr(args, flag[2:].replace("-", "_"))
+            if hi is not None and not lo < value < hi:
+                raise ValueError(f"{flag} must lie strictly between {lo} and {hi}, got {value}")
+            if hi is None and value is not None and value < lo:
+                raise ValueError(f"{flag} must be at least {lo}, got {value}")
         COMMANDS[args.command].run(args, out)
         return 0
     except (ValueError, OSError, IndexError, MemoryError) as exc:

@@ -135,15 +135,12 @@ def grid_search(train: SparseRatings, validation: SparseRatings,
 # consistency of social relations and rating information
 
 
-@dataclass
-class ConsistencyResult:
-    bins: dict  # label -> dict of metric name -> value, plus user count
-
-
 def consistency_eval(ratings: SparseRatings, graph: SocialGraph, relation: str = "trust",
-                     bin_edges=DEFAULT_BIN_EDGES) -> ConsistencyResult:
+                     bin_edges=DEFAULT_BIN_EDGES) -> dict:
     """Rank each user's co-raters by rating similarity and score how well the
-    ranking recovers the explicit trust (or distrust) list.
+    ranking recovers the explicit trust (or distrust) list: a dict of bin
+    label -> {metric name -> mean, "users" -> user count}, the metrics being
+    ndcg@10, ndcg@20, recall@10, recall@20, recall@40 and map.
 
     Candidates are users sharing at least one co-rated item, ordered by
     Pearson similarity, descending for trust and ascending for distrust; an
@@ -187,9 +184,8 @@ def consistency_eval(ratings: SparseRatings, graph: SocialGraph, relation: str =
     names, seen, label = np.unique(labels, return_index=True, return_inverse=True)
     size = np.bincount(label)
     means = {key: (np.bincount(label, value) / size).tolist() for key, value in per_user.items()}
-    return ConsistencyResult({
-        str(names[b]): {**{key: mean[b] for key, mean in means.items()}, "users": int(size[b])}
-        for b in np.argsort(seen).tolist()})
+    return {str(names[b]): {**{key: mean[b] for key, mean in means.items()}, "users": int(size[b])}
+            for b in np.argsort(seen).tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ File formats:
   social:   user_id<TAB>user_id<TAB>sign  with sign in {1, -1}; two-column
             files are accepted when the sign is supplied by the caller
   model:    magic 'MFTD', u32 version, u64 n/m/k (little endian), U then V as
-            row-major float64, u64 seed
+            row-major float64, i64 seed
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def _runs(keys, bound):
 
 def _build_ratings(user_idx, item_idx, values, n, m, r_min, r_max):
     """SparseRatings of the rating rows; a repeated (user, item) keeps its
-    first position and its last value."""
+    first position and its last value, so the pairs are proved distinct."""
     order, starts, first = _runs(user_idx * m + item_idx, n * m)
     last = np.empty_like(values)  # at each pair's first row, the value of its last
     last[order[starts]] = values[order[starts + np.diff(starts, append=len(order)) - 1]]
@@ -243,7 +243,8 @@ def _build_ratings(user_idx, item_idx, values, n, m, r_min, r_max):
     if not len(order):
         log.warning("no rating rows found")
     rows = np.flatnonzero(first)
-    return SparseRatings(n, m, user_idx[rows], item_idx[rows], last[rows], r_min, r_max)
+    return SparseRatings(n, m, user_idx[rows], item_idx[rows], last[rows], r_min, r_max,
+                         _distinct=True)
 
 
 def _build_graph(files, user_map):
@@ -386,7 +387,7 @@ def load_model(path) -> FactorModel:
         body = handle.read()
     U, V = (np.frombuffer(body, "<f8", rows * k, 8 * start * k).reshape(rows, k).copy()
             for start, rows in ((0, n), (n, m)))
-    return FactorModel(U, V, int(k), int(struct.unpack_from("<Q", body, 8 * (n + m) * k)[0]))
+    return FactorModel(U, V, int(k), struct.unpack_from("<q", body, 8 * (n + m) * k)[0])
 
 
 # ---------------------------------------------------------------------------

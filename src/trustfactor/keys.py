@@ -70,9 +70,3 @@ def member(keys, needles):
 def drop(keys, other):
     """The sorted `keys` that are not in the sorted unique `other`."""
     return keys[~member(other, keys)]
-
-
-def row(keys, u, n):
-    """The v, ascending, of the sorted keys u * n + v with the given u."""
-    lo, hi = np.searchsorted(keys, (u * n, (u + 1) * n))
-    return (keys[lo:hi] - u * n).tolist()

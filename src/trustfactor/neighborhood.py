@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import SocialGraph, SparseRatings
-from .keys import drop, find, member, ranges, row, sort_by_key, stable_order
+from .keys import drop, find, member, ranges, sort_by_key, stable_order
 
 VARIANTS = ("nb", "nb-t", "nb-td-f", "nb-td-d")
 
@@ -41,15 +41,11 @@ class SimilarityCache:
     n: int
 
     @cached_property
-    def pairs(self) -> np.ndarray:
-        """(P, 2) rows (u, v) of the keys."""
-        return np.column_stack(np.divmod(self.keys, self.n))
-
-    @cached_property
     def weights(self) -> dict:
         """(u, v) with u < v -> cached weight."""
         cached = ~np.isnan(self.pcc)
-        return dict(zip(map(tuple, self.pairs[cached].tolist()), self.pcc[cached].tolist()))
+        u, v = np.divmod(self.keys[cached], self.n)
+        return dict(zip(zip(u.tolist(), v.tolist()), self.pcc[cached].tolist()))
 
 
 def build_similarity_cache(ratings: SparseRatings, min_co: int = MIN_CO_RATED) -> SimilarityCache:
@@ -206,12 +202,21 @@ def _step(keys, n, offsets, targets):
     return keys[np.diff(keys, prepend=-1) != 0]  # np.unique is several times slower
 
 
-def _propagate(graph: SocialGraph, p: int, q: int):
-    """Keys of (trusted, distrusted): the users reached over 1..p trust edges,
-    and those reached by a trust path of length 0..q-1 followed by exactly one
-    distrust edge (distrust is terminal, never chained); nobody is in their
-    own sets. Each depth expands only the pairs new at the depth before, so a
-    user is admitted at its shortest depth and cycles are harmless."""
+@dataclass(frozen=True, eq=False)
+class PropagatedSets:
+    """Propagated trust and distrust keys (n = graph.n) plus the source graph."""
+
+    graph: SocialGraph
+    trust_keys: np.ndarray
+    distrust_keys: np.ndarray
+
+
+def build_propagated_sets(graph: SocialGraph, p: int = 1, q: int = 1) -> PropagatedSets:
+    """Keys of the trusted, the users reached over 1..p trust edges, and of
+    the distrusted, those reached by a trust path of length 0..q-1 followed by
+    exactly one distrust edge (distrust is terminal, never chained); nobody is
+    in their own sets. Each depth expands only the pairs new at the depth
+    before, so a user is admitted at its shortest depth and cycles are harmless."""
     if min(p, q) < 1:
         raise ValueError("propagation depth must be at least 1")
     n = graph.n
@@ -223,20 +228,7 @@ def _propagate(graph: SocialGraph, p: int, q: int):
         reach.append(seen)
     distrusted = _step(reach[q - 1], n, graph.distrust_offsets, graph.distrust_targets)
     # u * n + u is the only key in [0, n * n) that n + 1 divides
-    return tuple(keys[keys % (n + 1) != 0] for keys in (reach[p], distrusted))
-
-
-@dataclass(frozen=True, eq=False)
-class PropagatedSets:
-    """Propagated trust and distrust keys (n = graph.n) plus the source graph."""
-
-    graph: SocialGraph
-    trust_keys: np.ndarray
-    distrust_keys: np.ndarray
-
-
-def build_propagated_sets(graph: SocialGraph, p: int = 1, q: int = 1) -> PropagatedSets:
-    return PropagatedSets(graph, *_propagate(graph, p, q))
+    return PropagatedSets(graph, *(keys[keys % (n + 1) != 0] for keys in (reach[p], distrusted)))
 
 
 def _pool_keys(sets: PropagatedSets | None, variant: str, users):
@@ -263,9 +255,9 @@ def neighbor_pool(sims: SimilarityCache, sets: PropagatedSets | None, u: int, va
     """Candidate neighbor pool for user u before the rated-item/positive-weight
     filters. Pools for the distrust variants are subsets of the trust pool."""
     pool = _pool_keys(sets, variant, np.array([u]))
-    if pool is not None:
-        return set(row(pool, u, sets.graph.n))
-    a, b = sims.pairs[~np.isnan(sims.pcc)].T  # the pairs with a cached weight
+    if pool is not None:  # u's row alone
+        return set((pool - u * sets.graph.n).tolist())
+    a, b = np.divmod(sims.keys[~np.isnan(sims.pcc)], sims.n)  # the pairs with a cached weight
     return set(b[a == u].tolist()) | set(a[b == u].tolist())
 
 
@@ -297,9 +289,9 @@ def nb_predict_many(ratings: SparseRatings, sims: SimilarityCache | None,
     if pool is None:
         rows = np.repeat(np.arange(len(users)), counts)
     else:  # the pool's rows of the join, by their keys users[t] * n + rater, come first
-        if sets.graph.n != n:
+        if sets.graph.n != n:  # the pool's rows are the asked users', all below n
             a, b = np.divmod(pool, sets.graph.n)
-            pool = (a * n + b)[(a < n) & (b < n)]
+            pool = (a * n + b)[b < n]
         kept = np.flatnonzero(member(pool, np.repeat(users * n, counts) + raters[at]))
         rows, at = np.searchsorted(np.cumsum(counts), kept, "right"), at[kept]
     # the pair keys' sort numbers the distinct pairs; a row's raters v still

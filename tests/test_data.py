@@ -7,6 +7,7 @@ from trustfactor.data import (
     Hyperparams,
     SocialGraph,
     SparseRatings,
+    TripletStore,
     extract_triplets,
     init_model,
     lazy_triplets,
@@ -134,6 +135,34 @@ class TestSparseRatings:
                 array = getattr(got, name)
                 assert array.dtype == getattr(want, name).dtype and not array.flags.writeable
                 assert array.tobytes() == getattr(want, name).tobytes()
+
+    def test_distinct_flag_keeps_the_linear_checks(self, tmp_path, monkeypatch, caplog):
+        """The loader, which keeps each (user, item) pair's first row only,
+        skips the ratings' sorted repeat check; the length, range and finite
+        checks still run, and a repeated pair still warns and keeps its last value."""
+        flags = []
+        init = SparseRatings.__init__
+
+        def spy(self, *args, _distinct=False, **kwargs):
+            flags.append(_distinct)
+            init(self, *args, _distinct=_distinct, **kwargs)
+
+        monkeypatch.setattr(SparseRatings, "__init__", spy)
+        (tmp_path / "r.tsv").write_text("a\ti\t3\nb\ti\t4\na\ti\t5\nb\tj\t2\n")
+        with caplog.at_level("WARNING", logger="trustfactor.fileio"):
+            ratings = load_dataset(tmp_path / "r.tsv").ratings
+        assert flags == [True]
+        assert [rec.message for rec in caplog.records] == [
+            "1 duplicate (user, item) rows; last occurrence wins"]
+        assert ratings.users.tolist() == [0, 1, 1] and ratings.items.tolist() == [0, 0, 1]
+        assert ratings.values.tolist() == [5.0, 4.0, 2.0]
+        for args, message in (((1, 1, [0], [0], [6.0]), "outside"),
+                              ((1, 1, [0], [0], [np.nan]), "finite"),
+                              ((1, 1, [1], [0], [3.0]), "user index out of range"),
+                              ((1, 1, [0], [1], [3.0]), "item index out of range"),
+                              ((1, 1, [0], [0, 0], [3.0]), "equal length")):
+            with pytest.raises(ValueError, match=message):
+                SparseRatings(*args, _distinct=True)
 
     def test_item_major_view(self):
         r = SparseRatings.from_entries(3, 4, [(2, 1, 4.0), (0, 3, 1.0), (0, 1, 2.0),
@@ -504,6 +533,28 @@ class TestPredict:
             with pytest.raises(IndexError) as info:
                 predict_many(model, users, items)
             assert str(info.value) == message
+
+
+# the constructors' one-line diagnostics, word for word
+@pytest.mark.parametrize("build, message", [
+    (lambda: SparseRatings(2, 2, [0, 1], [0], [3.0, 4.0]),
+     "users, items, values must have equal length"),
+    (lambda: SparseRatings(2, 2, [0], [0], [3.0], 5.0, 5.0), "r_min must be smaller than r_max"),
+    (lambda: SparseRatings(2, 2, [0], [2], [3.0]), "item index out of range"),
+    (lambda: TripletStore("listed", figure_graph(), np.zeros(7), 0), "unknown mode 'listed'"),
+    (lambda: TripletStore("lazy", figure_graph(), np.ones(7), 8),
+     "per-user counts do not sum to total"),
+    (lambda: TripletStore("materialized", figure_graph(), [8, 0, 0, 0, 0, 0, 0], 8,
+                          np.zeros((7, 3))), "materialized triplet count mismatch"),
+    (lambda: FactorModel(np.zeros(3), np.zeros((2, 1)), 1), "U and V must be 2-d"),
+    (lambda: FactorModel(np.zeros((3, 2)), np.zeros((2, 1)), 1), "latent dimension mismatch"),
+    (lambda: Hyperparams(epochs=-1), "epochs must be non-negative"),
+    (lambda: Hyperparams(k=0), "k must be positive"),
+])
+def test_constructor_diagnostics(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 class TestHyperparams:

@@ -39,6 +39,43 @@ def small_synth(seed=0, **overrides):
     return synth_generate(SyntheticSpec(**spec))
 
 
+TWO = SparseRatings.from_entries(2, 2, [(0, 0, 3.0), (1, 1, 4.0)])
+SPEC = dict(n=6, m=4, rank=2, clusters=2, density=0.6, noise_sigma=0.1, n_trust=2, n_distrust=2)
+
+
+# the protocols' one-line diagnostics, word for word; the synth sizes hold
+# 12 intra-cluster and 18 inter-cluster pairs
+@pytest.mark.parametrize("call, message", [
+    (lambda: SplitSpec(1.0), "train fraction must lie strictly between 0 and 1"),
+    (lambda: SplitSpec(0.5, repetitions=0), "repetitions must be positive"),
+    (lambda: cold_start_split(TWO, 0.0),
+     "cold-start user fraction must lie strictly between 0 and 1"),
+    (lambda: grid_search(TWO, TWO, None, Hyperparams(), "lambda_s", [1.0], [1.0]),
+     "second_param must be lambda_v or lambda_u"),
+    (lambda: grid_search(TWO, TWO, None, Hyperparams(), "lambda_v", [], [1.0]), "empty grid"),
+    (lambda: consistency_eval(TWO, SocialGraph.from_edges(2, [(0, 1)], []), "neutral"),
+     "relation must be 'trust' or 'distrust'"),
+    (lambda: majority_vote_eval(SocialGraph.from_edges(2, [], [])), "empty social graph"),
+    (lambda: SyntheticSpec(**{**SPEC, "rank": 1}), "rank must be at least the cluster count"),
+    (lambda: SyntheticSpec(**{**SPEC, "density": 0.0}), "density must lie in (0, 1]"),
+    (lambda: SyntheticSpec(**{**SPEC, "n": 1}), "need at least one user per cluster"),
+    (lambda: SyntheticSpec(**{**SPEC, "item_low": 3, "item_high": 2}),
+     "item_low must not exceed item_high"),
+    (lambda: SyntheticSpec(**SPEC, light_user_fraction=1.0),
+     "light_user_fraction must lie in [0, 1)"),
+    (lambda: SyntheticSpec(**SPEC, light_density_scale=1.5),
+     "light_density_scale must lie in [0, 1]"),
+    (lambda: SyntheticSpec(**SPEC, light_user_fraction=0.5, light_density_scale=0.0),
+     "heavy-user density exceeds 1; lower the skew"),
+    (lambda: synth_generate(SyntheticSpec(**{**SPEC, "n_distrust": 19})),
+     "cannot place 19 distrust edges; only 18 inter-cluster pairs"),
+])
+def test_diagnostics(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestSplitRatings:
     def test_floor_counting(self, rng):
         ratings = random_ratings(rng, 5, 4, density=0.6)
@@ -273,12 +310,12 @@ class TestConsistencyEval:
         graph = SocialGraph.from_edges(3, [(0, 1)], [(0, 2)])
         result = consistency_eval(ratings, graph, "trust")
         label = "[0,20)"
-        assert result.bins[label]["ndcg@10"] == 1.0
-        assert result.bins[label]["map"] == 1.0
+        assert result[label]["ndcg@10"] == 1.0
+        assert result[label]["map"] == 1.0
         distrust = consistency_eval(ratings, graph, "distrust")
-        assert distrust.bins[label]["map"] == 1.0
+        assert distrust[label]["map"] == 1.0
         # nobody has a relevant co-rater: every user is skipped
-        assert consistency_eval(ratings, SocialGraph.from_edges(3, [], []), "trust").bins == {}
+        assert consistency_eval(ratings, SocialGraph.from_edges(3, [], []), "trust") == {}
 
     def test_matches_brute_force_on_ten_users(self, rng):
         ratings = random_ratings(rng, 10, 12, density=0.6)
@@ -288,9 +325,9 @@ class TestConsistencyEval:
         for relation in ("trust", "distrust"):
             result = consistency_eval(ratings, graph, relation)
             expected = per_user_consistency(ratings, graph, relation)
-            assert list(result.bins.items()) == list(expected.items())
-            assert all(0.0 <= agg["map"] <= 1.0 for agg in result.bins.values())
-            assert all(0.0 <= agg["ndcg@10"] <= 1.0 for agg in result.bins.values())
+            assert list(result.items()) == list(expected.items())
+            assert all(0.0 <= agg["map"] <= 1.0 for agg in result.values())
+            assert all(0.0 <= agg["ndcg@10"] <= 1.0 for agg in result.values())
 
     def test_matches_per_user_loop_with_ties(self, rng, monkeypatch):
         # two-level ratings on few items tie many similarities, constant
@@ -305,7 +342,7 @@ class TestConsistencyEval:
                 for budget in (1 << 62, 1, 7, 1000):
                     monkeypatch.setattr(neighborhood, "_BLOCK_CO_RATINGS", budget)
                     got = consistency_eval(ratings, graph, relation, bin_edges=(0, 2, 4))
-                    assert list(got.bins.items()) == list(expected.items())
+                    assert list(got.items()) == list(expected.items())
 
     def test_bins_match_the_label_loop_on_ascending_edges(self, rng):
         # repeated edges, a first edge above some users' rating counts, a
@@ -319,7 +356,7 @@ class TestConsistencyEval:
                 np.sort(rng.integers(0, 9, int(rng.integers(1, 6)))).tolist())
             for relation in ("trust", "distrust"):
                 got = consistency_eval(ratings, graph, relation, bin_edges=edges)
-                assert list(got.bins.items()) == list(
+                assert list(got.items()) == list(
                     per_user_consistency(ratings, graph, relation, edges).items())
             below += int(np.sum(ratings.user_counts < edges[0]))
         assert below > 0
@@ -349,7 +386,7 @@ class TestConsistencyEval:
             ratings, graph, _ = small_synth(seed=seed, n=24, m=12, density=0.6,
                                             n_trust=40, n_distrust=30)
             result = consistency_eval(ratings, graph, "trust")
-            observed = np.mean([agg["map"] for agg in result.bins.values()])
+            observed = np.mean([agg["map"] for agg in result.values()])
             rng = np.random.default_rng(seed)
             perm = rng.permutation(graph.n)
             shuffled = SocialGraph.from_edges(
@@ -359,7 +396,7 @@ class TestConsistencyEval:
                 [],
             )
             control = consistency_eval(ratings, shuffled, "trust")
-            baseline = np.mean([agg["map"] for agg in control.bins.values()])
+            baseline = np.mean([agg["map"] for agg in control.values()])
             wins += observed > baseline
         assert wins >= 14
 

@@ -9,6 +9,8 @@ name `np.append`, which copies a whole array to add one element, or
 `np.lexsort`, several times slower than a packed sort (`keys.stable_order`).
 No module imports `threading` or `concurrent.futures`: numpy passes the GIL
 back and forth in small blocks, so threads never made the sweeps faster.
+Every public top-level name of the package-internal `keys` module is
+imported by another module, so a helper goes with its last caller.
 
 `python tests/test_hygiene.py` prints each module's total, code, docstring,
 comment and blank lines (`line_kinds`), the counts the line budget is kept in."""
@@ -159,6 +161,21 @@ def test_no_slow_numpy_call(path):
 def test_no_thread_import(path):
     names = sorted(set(_thread_imports(ast.parse(path.read_text(encoding="utf-8")))))
     assert not names, f"{path.name} imports {names}; see the module docstring"
+
+
+def _public_top_level(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+
+
+def test_every_keys_helper_is_imported():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    imported = {alias.name for stem, tree in trees.items() if stem != "keys"
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "keys" and node.level == 1 for alias in node.names}
+    unused = sorted(set(_public_top_level(trees["keys"])) - imported)
+    assert not unused, f"keys defines {unused} and no other module imports them"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

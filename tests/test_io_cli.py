@@ -713,6 +713,12 @@ class TestRoundtrips:
         assert loaded.V.tobytes() == model.V.tobytes()
         assert loaded.k == 3 and loaded.seed == 123
 
+    @pytest.mark.parametrize("seed", [77, -2, -2**63, 2**63 - 1])
+    def test_model_seed_roundtrips_as_int64(self, tmp_path, seed):
+        save_model(FactorModel(np.array([[2.0]]), np.array([[3.0]]), 1, seed), tmp_path / "m.bin")
+        assert (tmp_path / "m.bin").read_bytes()[-8:] == struct.pack("<q", seed)
+        assert load_model(tmp_path / "m.bin").seed == seed
+
     def test_model_file_length(self, tmp_path):
         model = FactorModel(np.array([[2.0]]), np.array([[3.0]]), 1, seed=9)
         save_model(model, tmp_path / "m.bin")
@@ -756,6 +762,15 @@ class TestRoundtrips:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        save_model(init_model(2, 2, 1, seed=0), tmp_path / "m.bin")
+        blob = bytearray((tmp_path / "m.bin").read_bytes())
+        blob[4:8] = struct.pack("<I", 2)
+        (tmp_path / "m.bin").write_bytes(bytes(blob))
+        with pytest.raises(ValueError) as info:
+            load_model(tmp_path / "m.bin")
+        assert str(info.value) == f"{tmp_path / 'm.bin'}: unsupported format version 2"
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "bad.bin").write_bytes(b"NOPE" + b"\x00" * 60)
@@ -955,6 +970,32 @@ class TestCli:
                         "--out", str(tmp_path / "zero")])
         assert code == 1
         assert capsys.readouterr().err == "error: --repeats must be at least 1, got 0\n"
+
+    # (argv, exit status, stderr) of diagnostics no other test reaches; {d} is a
+    # synth directory, where unknown.tsv rates an item none of its users rated
+    @pytest.mark.parametrize("argv, code, err", [
+        (["grid", "--ratings", "{d}/ratings.tsv", "--social", "{d}/social.tsv", "--method", "nb",
+          "--lambda-s-grid", "1", "--lambda-v-grid", "0.1"], 1,
+         "error: nb is not a factorization method\n"),
+        (["consistency", "--ratings", "{d}/ratings.tsv"], 1,
+         "error: consistency needs a social graph (--social/--trust/--distrust)\n"),
+        (["eval", "--ratings", "{d}/unknown.tsv", "--model", "{d}/planted.bin"], 1,
+         "warning: skipped 1 pairs with ids unknown to the model\nerror: no evaluable pairs\n"),
+        (["grid", "--ratings", "{d}/ratings.tsv", "--social", "{d}/social.tsv",
+          "--lambda-s-grid", "1", "--lambda-v-grid", "0.1", "--lambda-u-grid", "0.1"], 1,
+         "error: provide exactly one of --lambda-v-grid / --lambda-u-grid\n"),
+        (["grid", "--ratings", "{d}/ratings.tsv", "--social", "{d}/social.tsv",
+          "--lambda-s-grid", "1"], 1,
+         "error: provide exactly one of --lambda-v-grid / --lambda-u-grid\n"),
+        (["fit", "--ratings", "{d}/ratings.tsv", "--method", "mf", "--p", "2", "--epochs", "2"],
+         0, "warning: propagation depths ignored for mf\n"),
+    ])
+    def test_unreached_diagnostics(self, tmp_path, capsys, argv, code, err):
+        d = _synth_dir(tmp_path)
+        write(d / "unknown.tsv", "u00\tnew\t3\n")
+        capsys.readouterr()
+        assert run_cli([arg.format(d=d) for arg in argv] + ["--out", str(tmp_path / "run")]) == code
+        assert capsys.readouterr().err == err
 
     def test_unallocatable_model_is_one_line(self, tmp_path, capsys):
         # n * k * 8 bytes beyond 2**48 exceeds the address space: nothing is allocated

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from trustfactor.metrics import RankedList, average_precision, mae, ndcg_at_k, rmse
+from trustfactor.data import SparseRatings
+from trustfactor.metrics import (RankedList, average_precision, evaluate_predictions, mae,
+                                 ndcg_at_k, rmse)
 
 from conftest import precision_recall_at_k
 
@@ -126,3 +128,15 @@ class TestNdcg:
     def test_binary_flags_enforced(self):
         with pytest.raises(ValueError):
             RankedList((0, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: evaluate_predictions(SparseRatings(1, 1, [], [], []), np.zeros(0)), "empty test set"),
+    (lambda: RankedList((1, 0, 1), total_relevant=1),
+     "total_relevant smaller than observed relevant count"),
+    (lambda: ndcg_at_k(RankedList((1,)), 0), "k must be at least 1"),
+])
+def test_diagnostics(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -62,12 +62,12 @@ def _by_user(keys, n):
 
 def propagate_trust(graph: SocialGraph, p: int):
     """Trust reachability to depth p, one set per user."""
-    return _by_user(neighborhood._propagate(graph, p, 1)[0], graph.n)
+    return _by_user(build_propagated_sets(graph, p, 1).trust_keys, graph.n)
 
 
 def propagate_distrust(graph: SocialGraph, q: int):
     """The distrusted set at depth q, one per user."""
-    return _by_user(neighborhood._propagate(graph, 1, q)[1], graph.n)
+    return _by_user(build_propagated_sets(graph, 1, q).distrust_keys, graph.n)
 
 
 class TestPearson:
@@ -136,7 +136,8 @@ class TestSimilarityCache:
             rated = [set(r.items[r.users == u].tolist()) for u in range(r.n)]
             for min_co in range(5):
                 cache = build_similarity_cache(r, min_co=min_co)
-                counts = dict(zip(map(tuple, cache.pairs.tolist()), cache.co_counts.tolist()))
+                first, second = np.divmod(cache.keys, r.n)
+                counts = dict(zip(zip(first.tolist(), second.tolist()), cache.co_counts.tolist()))
                 for u in range(r.n):
                     for v in range(u + 1, r.n):
                         assert weight(cache, u, v) == pearson(r, u, v, min_co=min_co)
@@ -145,7 +146,7 @@ class TestSimilarityCache:
                     assert neighbor_pool(cache, None, u, "nb") == {
                         v for v in range(r.n)
                         if v != u and pearson(r, u, v, min_co=min_co) is not None}
-                assert len(counts) == len(cache.pairs)
+                assert len(counts) == len(cache.keys)
                 assert all(c > 0 for c in counts.values())
 
     def test_restricted_pass_equals_full_cache(self, rng, monkeypatch):
@@ -210,7 +211,7 @@ class TestSimilarityCache:
                     edges = edges[(edges >= 0) & (edges < n * n)]
                     picked = np.sort(rng.choice(every, len(every) // 2, replace=False))
                     part = build_similarity_cache(r, min_co)
-                    assert part.pairs.tobytes() == whole.pairs.tobytes()
+                    assert part.keys.tobytes() == whole.keys.tobytes()
                     assert part.co_counts.tobytes() == whole.co_counts.tobytes()
                     assert part.pcc.tobytes() == whole.pcc.tobytes()
                     for only in (every[:0], edges, picked):
@@ -610,6 +611,32 @@ class TestNbPredict:
                 assert got.tolist() == [r.user_means[0]] * 3
             counts, pcc = _similarity_pass(r, 1, np.array([0, 1, 2, 4, 8]))  # keys u * 3 + v
             assert counts.tolist() == [0, 4, 1, 0, 0] and np.isnan(pcc).all()
+
+    def test_graph_of_another_size_is_rekeyed(self, rng):
+        """A graph whose n differs from the ratings' (users only in the social
+        files, or raters it lacks) predicts as the graph rebuilt at ratings.n
+        from the edges among its users does. An outside user's edges all leave
+        it or all reach it, so no path runs through one and the propagated
+        sets among the ratings' users are the rebuilt graph's."""
+        for trial in range(16):
+            n = int(rng.integers(2, 10))
+            r = random_ratings(rng, n, int(rng.integers(4, 10)), density=0.8)
+            size = int(rng.integers(1, 2 * n + 1)) if trial % 2 else n + int(rng.integers(1, 5))
+            leaves = rng.random(size) < 0.5  # an outside user's edges leave it, else reach it
+            pairs = [(u, v) for u in range(size) for v in range(size) if u != v
+                     and (u < n or leaves[u]) and (v < n or not leaves[v])]
+            draw = rng.random(len(pairs))
+            trust = [e for e, x in zip(pairs, draw) if x < 0.3]
+            distrust = [e for e, x in zip(pairs, draw) if 0.3 <= x < 0.5]
+            inside = [[(u, v) for u, v in edges if max(u, v) < n] for edges in (trust, distrust)]
+            p, q = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            sets = build_propagated_sets(SocialGraph.from_edges(size, trust, distrust), p, q)
+            rebuilt = build_propagated_sets(SocialGraph.from_edges(n, *inside), p, q)
+            users, items = (a.ravel() for a in np.meshgrid(np.arange(r.n), np.arange(r.m)))
+            for variant, sims in product(VARIANTS[1:], (None, build_similarity_cache(r))):
+                got = nb_predict_many(r, sims, sets, users, items, variant)
+                assert got.tobytes() == nb_predict_many(r, sims, rebuilt, users, items,
+                                                        variant).tobytes()
 
     def test_range_and_variant_checks(self):
         r = self.worked_example()

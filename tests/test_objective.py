@@ -380,6 +380,13 @@ class TestTraceIdentity:
 
 
 class TestObjectiveValue:
+    def test_social_term_needs_a_store(self):
+        ratings = SparseRatings.from_entries(1, 1, [(0, 0, 4.0)])
+        model = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)), 2)
+        with pytest.raises(ValueError) as info:
+            objective_value(model, ratings, None, Hyperparams(k=2, social="trust-pull"))
+        assert str(info.value) == "social term requires a triplet store (carrying the graph)"
+
     def test_single_rating_zero_factors(self):
         ratings = SparseRatings.from_entries(1, 1, [(0, 0, 4.0)])
         model = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)), 2)
