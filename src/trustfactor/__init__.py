@@ -24,14 +24,13 @@ from .experiments import (
     cold_start_split,
     consistency_eval,
     distrust_tradeoff_run,
-    evaluate_model,
     grid_search,
     majority_vote_eval,
     split_ratings,
     synth_generate,
 )
 from .fileio import load_dataset, load_model, save_model
-from .metrics import RankedList, average_precision, mae, ndcg_at_k, rmse
+from .metrics import RankedList, average_precision, evaluate_model, mae, ndcg_at_k, rmse
 from .neighborhood import (
     PropagatedSets,
     SimilarityCache,

@@ -15,6 +15,7 @@ import logging
 import math
 import statistics
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -127,21 +128,13 @@ FIT = ("--optimizer", *MARGIN, "--alpha", "--beta", "--batch-size")
 def _hyperparams(args, method):
     if method not in SOCIAL_FOR_METHOD:
         raise ValueError(f"{method} is not a factorization method")
-    return Hyperparams(
-        k=args.k,
-        lambda_u=args.lambda_u,
-        lambda_v=args.lambda_v,
-        lambda_s=args.lambda_s,
-        eta0=args.eta,
-        schedule=args.schedule,
-        epochs=args.epochs,
-        loss=args.loss,
-        sign_convention=args.sign_convention,
-        clamp_predictions=not args.no_clamp,
-        social=SOCIAL_FOR_METHOD[method],
-        # a command without one of these fits no term that reads it
-        **{name: getattr(args, name) for name in ("alpha", "beta", "batch_size") if name in args},
-    )
+    # the fields set by the flag of their name; a command without --alpha,
+    # --beta or --batch-size fits no term that reads it
+    named = ("k", "lambda_u", "lambda_v", "lambda_s", "schedule", "epochs", "loss",
+             "sign_convention", "alpha", "beta", "batch_size")
+    return Hyperparams(eta0=args.eta, clamp_predictions=not args.no_clamp,
+                       social=SOCIAL_FOR_METHOD[method],
+                       **{name: getattr(args, name) for name in named if name in args})
 
 
 def _load_bundle(args):
@@ -167,24 +160,6 @@ def _mean_std_rows(rows, label, numeric_from):
     return [[label + "-mean"] + pad + means, [label + "-std"] + pad + stds]
 
 
-def _nb_eval(train, test, graph, variant, p, q):
-    """(MAE, RMSE) of an nb variant. When no test user has a training rating,
-    as on a cold-start split, every prediction is the user-mean fallback,
-    whatever the pool: the propagated sets are not built."""
-    sets = None
-    if variant != "nb":
-        if graph is None:
-            raise ValueError(f"{variant} needs a social graph")
-        p, q = 1 if p is None else p, 1 if q is None else q
-        if min(p, q) < 1:
-            raise ValueError("propagation depth must be at least 1")
-        if train.user_counts[test.users].any():
-            sets = build_propagated_sets(graph, p, q)
-    pred = nb_predict_many(train, None, sets, test.users, test.items,
-                           "nb" if sets is None else variant)
-    return evaluate_predictions(test, pred, clamp=False)
-
-
 def _warn_if_stopped(report, label, seed, epochs):
     if report.stop_reason != STOP_MAX_ITERS:
         done = report.records[-1].iteration if report.records else 0
@@ -192,22 +167,41 @@ def _warn_if_stopped(report, label, seed, epochs):
               f"after {done} of {epochs} iterations", file=sys.stderr)
 
 
-def _fit_one(train, test, graph, args, method, seed, patience=None):
-    """(model, (MAE, RMSE)); the model is None for a neighborhood method and
-    for a diverged fit, whose last finite model is not the fitted point."""
+def _scorer(graph, args, method, patience=None):
+    """score(train, test, seed) -> (model, (MAE, RMSE)) of one method, its flags
+    checked and warned about once. The model is None for an nb method and for a
+    diverged fit (its last finite model is not the fitted point). A trust variant
+    builds its propagated sets once, on the first split where a test user has
+    training ratings; without one, as on a cold-start split, every prediction
+    is the user-mean fallback, whatever the pool."""
     if method in VARIANTS:
         for flag, value in (("optimizer", args.optimizer), ("patience", patience)):
             if value is not None:
                 print(f"warning: {flag} ignored for {method}", file=sys.stderr)
-        return None, _nb_eval(train, test, graph, method, args.p, args.q)
+        p, q = (1 if depth is None else depth for depth in (args.p, args.q))
+        if method != "nb" and graph is None:
+            raise ValueError(f"{method} needs a social graph")
+        if method != "nb" and min(p, q) < 1:
+            raise ValueError("propagation depth must be at least 1")
+        pool = cache(lambda: build_propagated_sets(graph, p, q))
+
+        def score(train, test, seed):
+            sets = pool() if method != "nb" and train.user_counts[test.users].any() else None
+            pred = nb_predict_many(train, None, sets, test.users, test.items,
+                                   "nb" if sets is None else method)
+            return None, evaluate_predictions(test, pred, clamp=False)
+        return score
     if args.p is not None or args.q is not None:
         print(f"warning: propagation depths ignored for {method}", file=sys.stderr)
     hp = _hyperparams(args, method)
     store = None if graph is None else lazy_triplets(graph)
-    model, report, scores = fit_and_score(train, test, store, hp, args.optimizer or "gd", seed,
-                                          patience)
-    _warn_if_stopped(report, method, seed, hp.epochs)
-    return None if report.stop_reason == STOP_DIVERGENCE else model, scores
+
+    def score(train, test, seed):
+        model, report, scores = fit_and_score(train, test, store, hp, args.optimizer or "gd",
+                                              seed, patience)
+        _warn_if_stopped(report, method, seed, hp.epochs)
+        return None if report.stop_reason == STOP_DIVERGENCE else model, scores
+    return score
 
 
 def _value_list(name, raw, what, convert=float):
@@ -258,12 +252,10 @@ def _cmd_synth(args, out):
 
 def _cmd_fit(args, out):
     bundle = _load_bundle(args)
-    rows = []
+    score = _scorer(bundle.graph, args, args.method, args.patience)
+    spec, rows = SplitSpec(args.train_frac, args.seed, args.repeats), []
     for rep in range(args.repeats):
-        train, test = split_ratings(
-            bundle.ratings, SplitSpec(args.train_frac, args.seed, args.repeats), rep)
-        model, (m, r) = _fit_one(train, test, bundle.graph, args, args.method,
-                                 args.seed + rep, args.patience)
+        model, (m, r) = score(*split_ratings(bundle.ratings, spec, rep), args.seed + rep)
         rows.append([args.method, rep, args.seed + rep, m, r])
     mean, std = _mean_std_rows(rows, args.method, 3)
     write_csv(out / "metrics.csv", ["method", "repetition", "seed", "mae", "rmse"],
@@ -321,13 +313,13 @@ def _cmd_grid(args, out):
     second_values = _value_list(f"--{second_param.replace('_', '-')}-grid",
                                 args.lambda_v_grid or args.lambda_u_grid, "list distinct numbers")
     ls_values = _value_list("--lambda-s-grid", args.lambda_s_grid, "list distinct numbers")
+    hp = _hyperparams(args, args.method)
     bundle = _load_bundle(args)
     graph = _require_graph(bundle, "grid")
     train_all, _ = split_ratings(
         bundle.ratings, SplitSpec(args.train_frac, args.seed, 1))
     train, validation = split_ratings(
         train_all, SplitSpec(1.0 - args.val_frac, args.seed + 1, 1))
-    hp = _hyperparams(args, args.method)
     result = grid_search(train, validation, lazy_triplets(graph), hp, second_param, ls_values,
                          second_values, optimizer=args.optimizer or "gd", seed=args.seed)
     for (ls, second, _), report in zip(result.rows, result.reports):
@@ -352,8 +344,8 @@ def _cmd_coldstart(args, out):
         raise ValueError("cold-start test side is empty")
     rows, lines = [], []
     for method in methods:
-        method_rows = [[method, rep, args.seed + rep,
-                        *_fit_one(train, test, bundle.graph, args, method, args.seed + rep)[1]]
+        score = _scorer(bundle.graph, args, method)
+        method_rows = [[method, rep, args.seed + rep, *score(train, test, args.seed + rep)[1]]
                        for rep, (train, test) in enumerate(splits)]
         mean, std = _mean_std_rows(method_rows, method, 3)
         rows += [*method_rows, mean, std]
@@ -493,6 +485,10 @@ def run_cli(argv=None) -> int:
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        # every seed a run uses, --seed + rep up to the last repetition, is an int64
+        last = 2**63 - getattr(args, "repeats", 1)
+        if not -2**63 <= args.seed <= last:
+            raise ValueError(f"--seed must lie in [{-2**63}, {last}], got {args.seed}")
         for flag in filter(BOUNDS.__contains__, COMMANDS[args.command].flags):
             (lo, hi), value = BOUNDS[flag], getattr(args, flag[2:].replace("-", "_"))
             if hi is not None and not lo < value < hi:

@@ -184,7 +184,6 @@ class SocialGraph:
     _distinct: InitVar[bool] = False  # the edges are known distinct, each of one sign
 
     def __post_init__(self, _distinct):
-        keys = []
         for sign in ("trust", "distrust"):
             offsets = _frozen_array(getattr(self, f"{sign}_offsets"), np.int64)
             targets = _frozen_array(getattr(self, f"{sign}_targets"), np.int64)
@@ -201,18 +200,18 @@ class SocialGraph:
                                  f"neighbor index {v[bad[0]]} out of range")
             if np.any(u == v):
                 raise ValueError(f"self-edge at user {u[u == v][0]}")
-            if _distinct:  # the caller proved them distinct and of one sign each
-                continue
-            key = np.sort(u * self.n + v)
-            repeated = key[1:][key[1:] == key[:-1]]
-            if len(repeated):
-                raise ValueError(f"duplicate neighbor for user {repeated[0] // self.n}")
-            keys.append(key)
-        if _distinct:
+        if _distinct:  # the caller proved them distinct and of one sign each
             return
-        # both lists are sorted and free of repeats, so a stable sort merges them
-        joined = np.sort(np.concatenate(keys), kind="stable")
-        common = joined[1:][joined[1:] == joined[:-1]]
+        keys = [edges[:, 0] * self.n + edges[:, 1]
+                for edges in (self.trust_edge_array, self.distrust_edge_array)]
+        # one stable sort puts a repeated pair's copies side by side, trust copies first
+        key, order = sort_by_key(np.concatenate(keys), self.n * self.n)
+        same = np.flatnonzero(key[1:] == key[:-1])
+        first_trusts, second_trusts = order[same] < len(keys[0]), order[same + 1] < len(keys[0])
+        for repeated in (second_trusts, ~first_trusts):  # trust, then distrust duplicates
+            if repeated.any():
+                raise ValueError(f"duplicate neighbor for user {key[same[repeated][0]] // self.n}")
+        common = key[same]  # the rest: a trust copy beside a distrust copy
         if len(common):
             u = common[0] // self.n
             both_ways = set((common[common // self.n == u] % self.n).tolist())

@@ -357,11 +357,13 @@ def load_id_map(path) -> IdMap:
 
 
 def save_model(model: FactorModel, path):
+    if not -2**63 <= model.seed < 2**63:
+        raise ValueError(f"model seed {model.seed} does not fit in int64")
     header = struct.pack("<4sIQQQ", MODEL_MAGIC, MODEL_VERSION, model.n, model.m, model.k)
     with open(path, "wb") as handle:
         handle.writelines((header, np.ascontiguousarray(model.U, dtype="<f8"),
                            np.ascontiguousarray(model.V, dtype="<f8"),
-                           struct.pack("<Q", int(model.seed) & 0xFFFFFFFFFFFFFFFF)))
+                           struct.pack("<q", model.seed)))
 
 
 def load_model(path) -> FactorModel:

@@ -248,6 +248,37 @@ class TestSocialGraph:
         with pytest.raises(ValueError, match="duplicate neighbor for user 1"):
             SocialGraph.from_edges(3, [(0, 2)], [(1, 0), (1, 2), (1, 0)])
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_repeats_are_named_in_the_per_sign_order(self, seed):
+        # a trust duplicate before a distrust duplicate, either before a
+        # contradiction, each at its lowest user
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        trust, distrust = ([pairs[i] for i in rng.integers(0, len(pairs), rng.integers(0, 2 * n))]
+                           for _ in range(2))
+        expected = [f"duplicate neighbor for user {min(u for u, v in e if e.count((u, v)) > 1)}"
+                    for e in (trust, distrust) if len(set(e)) < len(e)]
+        clashes = set(trust) & set(distrust)
+        if clashes:
+            u = min(clashes)[0]
+            both = set(v for s, v in clashes if s == u)
+            expected.append(f"user {u} both trusts and distrusts {both}")
+        if not expected:
+            SocialGraph.from_edges(n, trust, distrust)
+            return
+        with pytest.raises(ValueError) as err:
+            SocialGraph.from_edges(n, trust, distrust)
+        assert str(err.value) == expected[0]
+
+    def test_range_and_self_edge_checks_precede_the_repeat_check(self):
+        # both signs' offset, range and self-edge checks run before the one
+        # sort that finds repeats, so a trust duplicate is not named first
+        with pytest.raises(ValueError, match="^self-edge at user 1$"):
+            SocialGraph.from_edges(3, [(0, 1), (0, 1)], [(1, 1)])
+        with pytest.raises(ValueError, match=r"^distrust edge \(1, 3\): neighbor index 3 out of"):
+            SocialGraph.from_edges(3, [(0, 1), (0, 1)], [(1, 3)])
+
     @pytest.mark.parametrize("sign", ["trust", "distrust"])
     @pytest.mark.parametrize("target", [3, -1])
     def test_rejects_target_out_of_range(self, sign, target):

@@ -1,8 +1,10 @@
 """Guards over the package source, by the standard `ast` module: no module
 imports a name it never uses, and no module defines a private top-level name
 it never reads. `__init__.py` only re-exports, so its imports are exempt, as
-is `from __future__`. No module imports another's private name, apart from
-the objective kernel that `optimize` drives, and none calls the builtin
+is `from __future__`; each name it re-exports is defined, by def, class or
+assignment, in the module it names, not imported there from a third. No
+module imports another's private name, apart from the objective kernel that
+`optimize` drives, and none calls the builtin
 `sum`, whose float rounding changed in Python 3.12 (`metrics.left_sum` keeps
 the left-to-right order every output was written with). Nor does any module
 name `np.append`, which copies a whole array to add one element, or
@@ -84,16 +86,19 @@ def _thread_imports(tree):
         yield from (name for name in names if name.split(".")[0] in THREAD_MODULES)
 
 
-def _private_top_level(tree):
+def _top_level(tree):
+    """Names a module defines at its top level, by def, class or assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def _private_top_level(tree):
+    return (name for name in _top_level(tree)
+            if name.startswith("_") and not name.startswith("__"))
 
 
 def line_kinds(text):
@@ -178,6 +183,15 @@ def test_every_keys_helper_is_imported():
     assert not unused, f"keys defines {unused} and no other module imports them"
 
 
+def test_reexports_come_from_the_defining_module():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    borrowed = sorted(f"{node.module}.{alias.name}" for node in trees["__init__"].body
+                      if isinstance(node, ast.ImportFrom) and node.level == 1
+                      for alias in node.names
+                      if alias.name not in set(_top_level(trees[node.module])))
+    assert not borrowed, f"__init__.py re-exports {borrowed}, which their modules only import"
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_line_kinds_add_up(path):
     total, *kinds = line_kinds(path.read_text(encoding="utf-8"))
@@ -198,6 +212,7 @@ def test_the_guards_see_dead_code():
                      "print(_Alive)\n")
     assert sorted(set(_imported_names(tree)) - _loaded_names(tree)) == ["ln", "numpy", "os"]
     assert sorted(set(_private_top_level(tree)) - _loaded_names(tree)) == ["_UNUSED", "_dead"]
+    assert sorted(_top_level(tree)) == ["_Alive", "_UNUSED", "_USED", "_dead"]
     tree = ast.parse("from .data import _ranges, __version__, public\n"
                      "from trustfactor.keys import _find\nfrom numpy import _private\n"
                      "total = sum(x) + np.sum(x) + y.sum()\n")

@@ -719,6 +719,14 @@ class TestRoundtrips:
         assert (tmp_path / "m.bin").read_bytes()[-8:] == struct.pack("<q", seed)
         assert load_model(tmp_path / "m.bin").seed == seed
 
+    @pytest.mark.parametrize("seed", [2**63, 2**64 + 5, -2**63 - 1])
+    def test_model_seed_outside_int64_is_refused(self, tmp_path, seed):
+        # masked to 64 bits, these would load back as -2**63, 5 and 2**63 - 1
+        with pytest.raises(ValueError, match=f"^model seed {seed} does not fit in int64$"):
+            save_model(FactorModel(np.array([[2.0]]), np.array([[3.0]]), 1, seed),
+                       tmp_path / "m.bin")
+        assert not (tmp_path / "m.bin").exists()
+
     def test_model_file_length(self, tmp_path):
         model = FactorModel(np.array([[2.0]]), np.array([[3.0]]), 1, seed=9)
         save_model(model, tmp_path / "m.bin")
@@ -997,6 +1005,35 @@ class TestCli:
         assert run_cli([arg.format(d=d) for arg in argv] + ["--out", str(tmp_path / "run")]) == code
         assert capsys.readouterr().err == err
 
+    def test_grid_refuses_a_neighborhood_method_before_reading(self, tmp_path, capsys):
+        assert run_cli(["grid", "--method", "nb", "--ratings", str(tmp_path / "missing.tsv"),
+                        "--lambda-s-grid", "1", "--lambda-v-grid", "0.1",
+                        "--out", str(tmp_path / "grid")]) == 1
+        assert capsys.readouterr().err == "error: nb is not a factorization method\n"
+
+    @pytest.mark.parametrize("command, seed, repeats", [
+        ("fit", 2**63, 1), ("fit", 2**64 + 5, 1), ("fit", -2**63 - 1, 1), ("fit", 2**63 - 1, 2),
+        ("coldstart", 2**63 - 2, 3), ("grid", -2**63 - 1, None), ("synth", 2**63, None)])
+    def test_seed_outside_int64_is_refused_before_reading(self, tmp_path, capsys, command, seed,
+                                                          repeats):
+        # fit saves the model of seed --seed + rep, so every repetition's seed must fit
+        argv = {"synth": [], "grid": ["--ratings", str(tmp_path / "missing.tsv"),
+                                      "--lambda-s-grid", "1", "--lambda-v-grid", "0.1"]}.get(
+            command, ["--ratings", str(tmp_path / "missing.tsv"), "--repeats", str(repeats)])
+        assert run_cli([command, *argv, f"--seed={seed}", "--out", str(tmp_path / "run")]) == 1
+        last = 2**63 - (repeats or 1)
+        assert capsys.readouterr().err == \
+            f"error: --seed must lie in [{-2**63}, {last}], got {seed}\n"
+        assert [path.name for path in (tmp_path / "run").iterdir()] == []
+
+    @pytest.mark.parametrize("seed", [-2**63, 2**63 - 1])
+    def test_int64_extreme_seeds_fit_and_round_trip(self, tmp_path, seed):
+        out = _synth_dir(tmp_path)
+        assert run_cli(["fit", "--ratings", str(out / "ratings.tsv"), "--method", "mf",
+                        "--epochs", "2", f"--seed={seed}", "--out", str(tmp_path / "fit")]) == 0
+        assert load_model(tmp_path / "fit" / "model.bin").seed == seed
+        assert read_csv(tmp_path / "fit" / "metrics.csv")[1][2] == str(seed)
+
     def test_unallocatable_model_is_one_line(self, tmp_path, capsys):
         # n * k * 8 bytes beyond 2**48 exceeds the address space: nothing is allocated
         out = _synth_dir(tmp_path)
@@ -1271,18 +1308,51 @@ class TestCli:
 
     @pytest.mark.parametrize("variant", ["nb", "nb-t", "nb-td-f", "nb-td-d"])
     def test_nb_eval_matches_always_built_sets(self, tmp_path, variant):
-        # the skip of propagation for test users without training ratings
-        # changes no byte against a pass that always builds the sets
+        # the skip of propagation for test users without training ratings,
+        # and the reuse of the sets once built, change no byte against a pass
+        # that always builds them
         ratings, social = self.nb_golden_inputs(tmp_path)[1:4:2]
         bundle = load_dataset(ratings, social_path=social)
         splits = [cold_start_split(bundle.ratings, 0.2, 2, rep)[:2] for rep in range(2)]
         splits += [experiments.split_ratings(bundle.ratings, experiments.SplitSpec(0.9, seed, 1))
                    for seed in range(2)]
-        for train, test in splits:
+        score = cli._scorer(bundle.graph, argparse.Namespace(optimizer=None, p=2, q=2), variant)
+        for train, test in [*splits, *splits[:2]]:  # the cold splits again, once the sets exist
             sets = None if variant == "nb" else build_propagated_sets(bundle.graph, 2, 2)
             pred = nb_predict_many(train, None, sets, test.users, test.items, variant)
             expected = evaluate_predictions(test, pred, clamp=False)
-            assert cli._nb_eval(train, test, bundle.graph, variant, 2, 2) == expected
+            assert score(train, test, 0) == (None, expected)
+
+    def test_scorer_builds_the_propagated_sets_at_most_once(self, tmp_path, monkeypatch):
+        # the sets depend on the graph and the depths alone: fit builds them
+        # once over its repetitions, and coldstart, whose test users have no
+        # training ratings, never
+        data = self.nb_golden_inputs(tmp_path)
+        calls = []
+
+        def spy(graph, p, q):
+            calls.append((p, q))
+            return build_propagated_sets(graph, p, q)
+
+        monkeypatch.setattr(cli, "build_propagated_sets", spy)
+        assert run_cli(["fit", *data, "--method", "nb-td-f", "--repeats", "3",
+                        "--out", str(tmp_path / "fit")]) == 0
+        assert calls == [(2, 2)]
+        assert run_cli(["coldstart", *data, "--methods", "nb-t,nb-td-f",
+                        "--out", str(tmp_path / "cold")]) == 0
+        assert calls == [(2, 2)]
+
+    @pytest.mark.parametrize("argv, warning", [
+        (["fit", "--method", "nb", "--optimizer", "gd", "--repeats", "3"],
+         "optimizer ignored for nb"),
+        (["coldstart", "--methods", "mf,nb-t", "--p", "2", "--epochs", "2", "--repeats", "2"],
+         "propagation depths ignored for mf")])
+    def test_an_ignored_flag_warns_once_per_method(self, tmp_path, capsys, argv, warning):
+        out = _synth_dir(tmp_path)
+        capsys.readouterr()
+        assert run_cli([*argv, "--ratings", str(out / "ratings.tsv"),
+                        "--social", str(out / "social.tsv"), "--out", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().err == f"warning: {warning}\n"
 
     def test_split_deterministic(self, tmp_path):
         out = _synth_dir(tmp_path)
@@ -1373,7 +1443,7 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise AssertionError("coldstart fitted before checking every cold split")
 
-        monkeypatch.setattr(cli, "_fit_one", refuse)
+        monkeypatch.setattr(cli, "_scorer", refuse)
         code = run_cli(["coldstart", "--ratings", str(out / "ratings.tsv"),
                         "--social", str(out / "social.tsv"), "--cold-frac", "0.01",
                         "--out", str(tmp_path / "cold")])
