@@ -49,7 +49,7 @@ from .fileio import (
 )
 from .metrics import evaluate_predictions, left_sum, mae_rmse
 from .neighborhood import VARIANTS, build_propagated_sets, nb_predict_many
-from .optimize import STOP_DIVERGENCE, STOP_MAX_ITERS, fit_gd, fit_sgd
+from .optimize import STOP_DIVERGENCE, STOP_MAX_ITERS
 
 SOCIAL_FOR_METHOD = {
     "mf": "none",
@@ -174,6 +174,8 @@ def _scorer(graph, args, method, patience=None):
     builds its propagated sets once, on the first split where a test user has
     training ratings; without one, as on a cold-start split, every prediction
     is the user-mean fallback, whatever the pool."""
+    if (method == "nb" or method not in VARIANTS) and (args.p, args.q) != (None, None):
+        print(f"warning: propagation depths ignored for {method}", file=sys.stderr)
     if method in VARIANTS:
         for flag, value in (("optimizer", args.optimizer), ("patience", patience)):
             if value is not None:
@@ -191,8 +193,6 @@ def _scorer(graph, args, method, patience=None):
                                    "nb" if sets is None else method)
             return None, evaluate_predictions(test, pred, clamp=False)
         return score
-    if args.p is not None or args.q is not None:
-        print(f"warning: propagation depths ignored for {method}", file=sys.stderr)
     hp = _hyperparams(args, method)
     store = None if graph is None else lazy_triplets(graph)
 
@@ -404,11 +404,10 @@ def _cmd_batch_study(args, out):
     hp = _hyperparams(args, "mf-td")
     store = lazy_triplets(graph)
     rows = []
-    # each row reads a record of its fit, so the fits run here rather than in fit_and_score
-    fits = [("gd", store.total, fit_gd, hp),
-            *((f"sgd-{batch}", batch, fit_sgd, hp.replace(batch_size=batch)) for batch in sizes)]
-    for label, batch, fit, fit_hp in fits:
-        _, report = fit(train, store, fit_hp, validation=test, seed=args.seed)
+    fits = [("gd", store.total, "gd", hp),
+            *((f"sgd-{batch}", batch, "sgd", hp.replace(batch_size=batch)) for batch in sizes)]
+    for label, batch, optimizer, fit_hp in fits:
+        report = fit_and_score(train, test, store, fit_hp, optimizer, args.seed, validation=test)[1]
         _warn_if_stopped(report, label, args.seed, hp.epochs)
         rows += [[label, batch, rec.iteration, rec.val_rmse, rec.val_mae] for rec in report.records]
     write_csv(out / "batch_study.csv",

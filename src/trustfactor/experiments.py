@@ -76,16 +76,15 @@ def cold_start_split(ratings: SparseRatings, user_fraction: float, seed: int = 0
 
 def fit_and_score(train: SparseRatings, scored: SparseRatings, store: TripletStore | None,
                   hp: Hyperparams, optimizer: str = "gd", seed: int = 0,
-                  patience: int | None = None):
+                  patience: int | None = None, validation: SparseRatings | None = None):
     """(model, report, (MAE, RMSE)): a fit_gd or fit_sgd fit on `train`, scored
-    on `scored`. With `patience`, early stopping watches a tenth of `train`
-    held out, and the model fits the rest. A fit stopped by divergence scores
-    (inf, inf): its last finite model is not the fitted point."""
+    on `scored`. Its records and early stopping read `validation`, or with
+    `patience` and no `validation` a tenth of `train` held out from the fit. A
+    diverged fit scores (inf, inf): its last finite model is not the fitted point."""
     fit = {"gd": fit_gd, "sgd": fit_sgd}.get(optimizer)
     if fit is None:
         raise ValueError(f"unknown optimizer {optimizer!r}")
-    validation = None
-    if patience is not None:
+    if patience is not None and validation is None:
         train, validation = split_ratings(train, SplitSpec(0.9, seed + 1, 1))
     model, report = fit(train, store, hp, validation, seed=seed, patience=patience)
     if report.stop_reason == STOP_DIVERGENCE:

@@ -264,12 +264,11 @@ def _build_graph(files, user_map):
                          f"{u!r} cannot both trust and distrust {v!r}")
     if len(starts) < len(pairs):
         log.warning("%d duplicate social edges dropped", len(pairs) - len(starts))
-    pairs, signs = pairs[first], signs[first]
-    del order, starts, first, ranked  # freed before from_edges builds the graph's own arrays
-    # compress picks rows several times faster than a boolean index does; the
-    # edges are proved distinct and of one sign each, which the graph need not redo
-    return SocialGraph.from_edges(n, pairs.compress(signs > 0, axis=0),
-                                  pairs.compress(signs < 0, axis=0), _distinct=True)
+    # compress picks each sign's first copies several times faster than a boolean index
+    trust, distrust = (pairs.compress(first & keep, axis=0) for keep in (signs > 0, signs < 0))
+    del pairs, order, starts, first, ranked  # freed before from_edges builds the graph's own arrays
+    # the edges are proved distinct and of one sign each, which the graph need not redo
+    return SocialGraph.from_edges(n, trust, distrust, _distinct=True)
 
 
 def _where(files, row):

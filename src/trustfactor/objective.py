@@ -221,7 +221,7 @@ def _hinge_term(U, graph: SocialGraph, hp: Hyperparams, scale=None):
         c_q = np.diff(p_offsets)[q_edges[:, 0]]
     else:
         c_p, c_q = _hinge_counts(p, q, p_edges, q_edges, q_offsets)
-    total = float(c_p.sum()) - (float(c_q @ q) - float(c_p @ p))
+    total = float(c_p.sum()) - float(np.einsum("i,i->", c_q, q) - np.einsum("i,i->", c_p, p))
     if not np.isfinite(total):  # an inf or NaN length: only the pairs tell which add
         total = _margin_term(U, trust, distrust, _pair_blocks(graph), hp)[0]
     if scale is None:
@@ -330,7 +330,8 @@ def _objective_pass(model: FactorModel, ratings: SparseRatings, store: TripletSt
     e = np.subtract(pred, ratings.values, out=fold_pred)
     value, g_social = (None, None) if social == SKIP else _social_term(
         U, store, hp, need_grad and social == GRADIENT)
-    result = Pass(0.5 * float(e @ e), value, gU, None, pred, (hp.lambda_u, U, hp.lambda_v, V))
+    result = Pass(0.5 * float(np.einsum("i,i->", e, e)), value, gU, None, pred,
+                  (hp.lambda_u, U, hp.lambda_v, V))
     if need_grad:
         if g_social is not None:  # gU is never -0.0, so adding zeros would change no byte
             result.gU += g_social

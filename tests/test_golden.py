@@ -1,6 +1,6 @@
 """Golden bytes for every command: the exit code, stdout, stderr and the
 sha256 of every output file of in-process `run_cli` calls on the default
-`synth --seed 3` set.
+`synth --seed 3` set and on a larger one.
 
 The bytes rest on this build's numpy reductions and `einsum`, so the hashes
 are compared only on the build they were taken on (BUILD); elsewhere the
@@ -28,6 +28,8 @@ from trustfactor.cli import run_cli
 BUILD = {"python": "3.11.7", "numpy": "2.4.6", "machine": "x86_64"}
 
 DATA = ["--ratings", "{root}/synth/ratings.tsv", "--social", "{root}/synth/social.tsv"]
+LARGE = ["--ratings", "{root}/synth-large/ratings.tsv", "--social",
+         "{root}/synth-large/social.tsv"]
 FIT = ["--eta", "0.01", "--epochs", "40"]
 # the flags at which every fit of tradeoff and batch-study diverges
 DIVERGE = ["--eta", "0.05", "--epochs", "30"]
@@ -61,6 +63,11 @@ RUNS = {
                       "--lambda-v-grid", "0.1"],
     "tradeoff-diverged": ["tradeoff", *DATA, *DIVERGE, "--distrust-fracs", "0.5,1"],
     "batch-study-diverged": ["batch-study", *DATA, *DIVERGE, "--batch-sizes", "1,8"],
+    # a larger set, whose fits reach the folded ranks of the rating folds and
+    # the restricted Pearson blocks of the neighborhood predictor
+    "synth-large": ["synth", "--seed", "3", "--n", "400", "--m", "300", "--density", "0.05"],
+    "fit-large-mf-td": ["fit", *LARGE, "--method", "mf-td", *FIT],
+    "fit-large-nb": ["fit", *LARGE, "--method", "nb"],
 }
 
 
@@ -289,6 +296,35 @@ GOLDEN = {
          'warning: sgd-8 fit (seed 0) stopped by divergence after 7 of 30 iterations\n'),
         {
             'batch_study.csv': '9cd9bd5c5353c31392e555c9f5ab6311757f91936795007cbd9c93024c2e6c7e',
+        }),
+    'synth-large': (
+        0,
+        ('wrote 5971 ratings, 300 trust and 300 distrust edges to {root}/synth-large\n'),
+        (''),
+        {
+            'item_ids.tsv': 'ea9f6415f51f47391af8217e758008e4efe6c9893aa7b2e8bd598c1b277e02f0',
+            'planted.bin': '0991917d4658908727b96f7b859b04f352d1f78329fdafbf48cdf2dfe14972de',
+            'ratings.tsv': '6063bbff3fe828c60c219d86134e65a3bfb8de1d1c381b23a868c250d667bd15',
+            'social.tsv': '26635c9da8ea7225497b8535f1de6d2b3170ccf1ef02f44b3b0327abea9492d2',
+            'synth.csv': 'e07c556255dad3765446af1770c897682453f75c15432917c7f7b4219cce6f54',
+            'user_ids.tsv': '66964ab5d83ca29f820f5272196cb88260dec112ba92e7c6bf2960d2e8ee787e',
+        }),
+    'fit-large-mf-td': (
+        0,
+        ('mf-td: MAE 0.8998  RMSE 1.1394 over 1 repetition(s); results in {root}/fit-large-mf-td\n'),
+        (''),
+        {
+            'item_ids.tsv': '93b05817c3cf38a76edb872d225424497566301d17fec0a6a597e4ef0b9a59ec',
+            'metrics.csv': '5033ba509fc7907cf0a039096288cb57c78276c3622b4d207ea306a8aec9df18',
+            'model.bin': '6f74cc890efe9cacc86397c8f651a67274749d5b6b07a85964498328eb2ba5e0',
+            'user_ids.tsv': '66964ab5d83ca29f820f5272196cb88260dec112ba92e7c6bf2960d2e8ee787e',
+        }),
+    'fit-large-nb': (
+        0,
+        ('nb: MAE 1.1741  RMSE 1.4228 over 1 repetition(s); results in {root}/fit-large-nb\n'),
+        (''),
+        {
+            'metrics.csv': 'fbba37f13567ca2bc3aa83835cc2849844070d050cddc6901d4e91f4de9d393c',
         }),
 }
 

@@ -12,7 +12,9 @@ name `np.append`, which copies a whole array to add one element, or
 No module imports `threading` or `concurrent.futures`: numpy passes the GIL
 back and forth in small blocks, so threads never made the sweeps faster.
 Every public top-level name of the package-internal `keys` module is
-imported by another module, so a helper goes with its last caller.
+imported by another module, so a helper goes with its last caller. Only
+`optimize`, which defines `fit_gd` and `fit_sgd`, and `experiments`, whose
+`fit_and_score` is the one path every command fits through, read either name.
 
 `python tests/test_hygiene.py` prints each module's total, code, docstring,
 comment and blank lines (`line_kinds`), the counts the line budget is kept in."""
@@ -168,6 +170,26 @@ def test_no_thread_import(path):
     assert not names, f"{path.name} imports {names}; see the module docstring"
 
 
+OPTIMIZERS = {"fit_gd", "fit_sgd"}
+FIT_PATH = {"optimize", "experiments"}  # the modules that may read OPTIMIZERS
+
+
+def _optimizer_reads(tree):
+    """Lines that read a name of OPTIMIZERS, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in OPTIMIZERS
+            and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr in OPTIMIZERS]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem not in FIT_PATH],
+                         ids=lambda p: p.name)
+def test_only_the_fit_path_reads_the_optimizers(path):
+    lines = _optimizer_reads(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, (f"{path.name} reads fit_gd or fit_sgd at lines {lines}; "
+                       "fit through experiments.fit_and_score")
+
+
 def _public_top_level(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
@@ -225,6 +247,10 @@ def test_the_guards_see_dead_code():
                      "import concurrent.futures as cf\nfrom .threading import x\nimport queue\n")
     assert sorted(_thread_imports(tree)) == ["concurrent.futures", "concurrent.futures",
                                              "threading"]
+    tree = ast.parse("from .optimize import fit_gd\nfits = {'gd': fit_gd}\n"
+                     "model = optimize.fit_sgd(r)\nfit_gd_label = 'fit_sgd'\n"
+                     "def fit_gd(fit_sgd=None):\n    pass\n")
+    assert _optimizer_reads(tree) == [2, 3]
 
 
 if __name__ == "__main__":

@@ -997,6 +997,8 @@ class TestCli:
          "error: provide exactly one of --lambda-v-grid / --lambda-u-grid\n"),
         (["fit", "--ratings", "{d}/ratings.tsv", "--method", "mf", "--p", "2", "--epochs", "2"],
          0, "warning: propagation depths ignored for mf\n"),
+        (["fit", "--ratings", "{d}/ratings.tsv", "--method", "nb", "--p", "0"],
+         0, "warning: propagation depths ignored for nb\n"),
     ])
     def test_unreached_diagnostics(self, tmp_path, capsys, argv, code, err):
         d = _synth_dir(tmp_path)
@@ -1302,6 +1304,7 @@ class TestCli:
                         "--out", str(tmp_path / "cold")]) == 0
         assert (tmp_path / "cold" / "coldstart.csv").read_bytes() == \
             b"method,repetition,seed,mae,rmse\r\n" + self.COLDSTART_GOLDEN
+        assert capsys.readouterr().err == "warning: propagation depths ignored for nb\n"
         assert run_cli(["coldstart", *data[:2], "--methods", "nb-t",
                         "--out", str(tmp_path / "alone")]) == 1
         assert capsys.readouterr().err == "error: nb-t needs a social graph\n"
@@ -1345,6 +1348,8 @@ class TestCli:
     @pytest.mark.parametrize("argv, warning", [
         (["fit", "--method", "nb", "--optimizer", "gd", "--repeats", "3"],
          "optimizer ignored for nb"),
+        (["fit", "--method", "nb", "--p", "2", "--q", "3", "--repeats", "3"],
+         "propagation depths ignored for nb"),
         (["coldstart", "--methods", "mf,nb-t", "--p", "2", "--epochs", "2", "--repeats", "2"],
          "propagation depths ignored for mf")])
     def test_an_ignored_flag_warns_once_per_method(self, tmp_path, capsys, argv, warning):

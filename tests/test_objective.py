@@ -162,7 +162,7 @@ def reference_parts(model, ratings, store, hp):
     """The rating, U-regularizer, V-regularizer and social values of the objective."""
     U, V = model.U, model.V
     e = np.einsum("ij,ij->i", U[ratings.users], V[ratings.items]) - ratings.values
-    return (0.5 * float(e @ e), 0.5 * hp.lambda_u * float(np.sum(U * U)),
+    return (0.5 * float(np.einsum("i,i->", e, e)), 0.5 * hp.lambda_u * float(np.sum(U * U)),
             0.5 * hp.lambda_v * float(np.sum(V * V)), reference_social_term(U, store, hp, False)[0])
 
 
@@ -180,7 +180,7 @@ def reference_value_and_grad(model, ratings, store, hp, need_grad=True):
     uu, ii = ratings.users, ratings.items
     u_rows, v_rows = U[uu], V[ii]
     e = np.einsum("ij,ij->i", u_rows, v_rows) - ratings.values
-    value = 0.5 * float(e @ e)
+    value = 0.5 * float(np.einsum("i,i->", e, e))
     value += 0.5 * hp.lambda_u * float(np.sum(U * U))
     value += 0.5 * hp.lambda_v * float(np.sum(V * V))
     social, g_social = reference_social_term(U, store, hp, need_grad)
@@ -683,7 +683,8 @@ def add_at_reference(model, ratings, hp):
     for c in range(model.k):
         np.add.at(gU[c], ratings.users, v_rows[:, c] * e)
         np.add.at(gV[c], ratings.items, u_rows[:, c] * e)
-    return 0.5 * float(e @ e), pred, gU.T + hp.lambda_u * U, gV.T + hp.lambda_v * V
+    return (0.5 * float(np.einsum("i,i->", e, e)), pred, gU.T + hp.lambda_u * U,
+            gV.T + hp.lambda_v * V)
 
 
 def fold_instance(rng, nnz, k=3, hub=False):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -587,3 +591,29 @@ class TestDeterminism:
         m1, _ = fit_sgd(ratings, store, hp, seed=1)
         m2, _ = fit_sgd(ratings, store, hp, seed=2)
         assert not np.array_equal(m1.U, m2.U)
+
+    # OpenBLAS splits a long dot product across its threads, which can change
+    # the last bits of the sum. The rating residuals (about 30,000) and the
+    # distrust edges (45,000) are long enough here, and a spread start with a
+    # heavy social weight lets the hinge sums show in the objective
+    THREADED_FIT = """
+from trustfactor.data import Hyperparams, init_model, lazy_triplets
+from trustfactor.experiments import SyntheticSpec, synth_generate
+from trustfactor.optimize import fit_gd
+ratings, graph, _ = synth_generate(SyntheticSpec(
+    n=400, m=300, rank=4, clusters=4, density=0.25, noise_sigma=0.3,
+    n_trust=12000, n_distrust=45000, seed=1))
+hp = Hyperparams(k=8, lambda_u=0.1, lambda_v=0.1, lambda_s=1e4, eta0=1e-4, epochs=3,
+                 social="triplet-margin")
+model0 = init_model(ratings.n, ratings.m, hp.k, seed=1)
+model0.U *= 100
+print(repr(fit_gd(ratings, lazy_triplets(graph), hp, seed=1, model0=model0)[1].signature()))
+"""
+
+    def test_report_does_not_depend_on_the_blas_thread_count(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        signatures = {subprocess.run(
+            [sys.executable, "-c", self.THREADED_FIT], check=True, capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}).stdout
+            for threads in ("1", "2")}
+        assert len(signatures) == 1, signatures
