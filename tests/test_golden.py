@@ -68,6 +68,13 @@ RUNS = {
     "synth-large": ["synth", "--seed", "3", "--n", "400", "--m", "300", "--density", "0.05"],
     "fit-large-mf-td": ["fit", *LARGE, "--method", "mf-td", *FIT],
     "fit-large-nb": ["fit", *LARGE, "--method", "nb"],
+    # routes the runs above miss: an early stop that fires after a flat start
+    # (at iteration 14), SGD's paper-literal batch scaling, and the hit-only
+    # search of keys.find
+    "fit-mf-td-early-stop": ["fit", *DATA, "--method", "mf-td", "--patience", "1", *FIT],
+    "fit-sgd-paper-literal": ["fit", *DATA, "--method", "mf-td", "--optimizer", "sgd",
+                              "--batch-size", "8", "--sign-convention", "paper-literal", *FIT],
+    "fit-nb-t": ["fit", *DATA, "--method", "nb-t"],
 }
 
 
@@ -326,6 +333,33 @@ GOLDEN = {
         {
             'metrics.csv': 'fbba37f13567ca2bc3aa83835cc2849844070d050cddc6901d4e91f4de9d393c',
         }),
+    'fit-mf-td-early-stop': (
+        0,
+        ('mf-td: MAE 0.9858  RMSE 1.2090 over 1 repetition(s); results in {root}/fit-mf-td-early-stop\n'),
+        ('warning: mf-td fit (seed 0) stopped by early-stop after 14 of 40 iterations\n'),
+        {
+            'item_ids.tsv': 'cd664ed5249240448ddbcaab7813673fc217985d09f10cf4c8f9e7d821a68f58',
+            'metrics.csv': '1334cb744b143a260d312aa13eb53e244d22dde2bfd5e012cc9ceed353c0c7b4',
+            'model.bin': '9f404ba884bf863a5a5bda637dbf6c50a4dc886de16546c06fa50da81acb2bca',
+            'user_ids.tsv': '08788e1697fb76e4a8da7c593b95cae81e2e5dad3215918f0d7605ef6081099b',
+        }),
+    'fit-sgd-paper-literal': (
+        0,
+        ('mf-td: MAE 0.2685  RMSE 0.3262 over 1 repetition(s); results in {root}/fit-sgd-paper-literal\n'),
+        (''),
+        {
+            'item_ids.tsv': 'cd664ed5249240448ddbcaab7813673fc217985d09f10cf4c8f9e7d821a68f58',
+            'metrics.csv': 'ba4b1580d3e0f852bbb452f3acaed767621cb040ec7861c461b1488b3869b576',
+            'model.bin': '4e6461a5b6c6da83869ef1d3f9dbe24421f45bb90a99747c5df0f0f8f295aedd',
+            'user_ids.tsv': '08788e1697fb76e4a8da7c593b95cae81e2e5dad3215918f0d7605ef6081099b',
+        }),
+    'fit-nb-t': (
+        0,
+        ('nb-t: MAE 1.0393  RMSE 1.3138 over 1 repetition(s); results in {root}/fit-nb-t\n'),
+        (''),
+        {
+            'metrics.csv': '5f82c08ada9daef9ec3c7ac37e1b4267c435e47718ae56876d3e4449081b4eaa',
+        }),
 }
 
 
@@ -345,6 +379,34 @@ def test_gd_sgd_and_mf_fits_write_different_rows(runs):
     fitted = [rows(root, name, "metrics.csv")[1] for name in ("fit-mf-td", "fit-mf-td-sgd",
                                                               "fit-mf")]
     assert len({tuple(row[3:]) for row in fitted}) == 3, fitted
+
+
+def long_id(short):
+    """A 17 to 33 byte id for a golden id such as u005, all of them sharing
+    their first 12 bytes, of lengths that vary with the number."""
+    return f"trustfactor-{'x' * (int(short[1:]) % 17)}-{short}"
+
+
+def test_long_ids_and_crlf_fit_as_the_golden_set(runs):
+    # ids longer than 7 bytes take fileio._intern's multi-word steps, and CRLF
+    # line ends its universal newlines; the fit reads the same indices
+    root, _ = runs
+    (root / "synth-long").mkdir()
+    for name in ("ratings.tsv", "social.tsv"):
+        lines = (root / "synth" / name).read_text().splitlines()
+        (root / "synth-long" / name).write_bytes(b"".join(
+            f"{long_id(u)}\t{long_id(v)}\t{value}\r\n".encode()
+            for u, v, value in (line.split("\t") for line in lines)))
+    out = root / "fit-long"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(["fit", *(arg.replace("{root}/synth", str(root / "synth-long"))
+                                 for arg in DATA), "--method", "mf-td", *FIT, "--out", str(out)])
+    assert code == 0
+    for name in ("metrics.csv", "model.bin"):
+        assert (out / name).read_bytes() == (root / "fit-mf-td" / name).read_bytes(), name
+    short = (root / "fit-mf-td" / "user_ids.tsv").read_text().splitlines()
+    assert (out / "user_ids.tsv").read_text().splitlines() == [
+        f"{index}\t{long_id(user)}" for index, user in (line.split("\t") for line in short)]
 
 
 def test_diverged_fits_score_inf_and_say_so(runs):

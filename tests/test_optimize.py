@@ -102,6 +102,52 @@ class TestEarlyStop:
         assert early_stop_monitor([1.0, 1.0], patience=0)
 
 
+def reference_stop(script, patience):
+    """The evaluation (1-based) at which early_stop_monitor stops a fit whose
+    validation RMSEs are `script`, reading them from the last value of their
+    flat start; None if it never stops."""
+    for j in range(1, len(script) + 1):
+        seen = script[:j]
+        flat = next((i for i, x in enumerate(seen) if x != seen[0]), j)
+        if early_stop_monitor(seen[flat - 1:], patience):
+            return j
+    return None
+
+
+# flat starts, exact ties with the best, and returns to the first value after a rise
+SCRIPTS = [
+    [2.0, 2.0, 2.0, 1.5, 1.5, 1.4, 1.6, 1.6, 1.7, 1.3, 1.3, 1.3, 1.2],
+    [2.0, 2.0, 2.5, 2.0, 2.0, 1.9, 2.0, 2.0, 2.0],
+    [3.0, 3.0, 3.0, 3.0, 3.0, 3.0],
+    [1.0, 1.1, 1.0, 0.9, 0.9, 0.8, 0.8, 0.8, 0.7],
+    [1.0, 0.9, 1.0, 0.9, 0.8, 0.8, 0.9, 0.7, 0.7, 0.7],
+    [2.0, 1.0, 1.0, 2.0, 2.0, 1.0, 0.5],
+    [1.0, 1.0, 0.5, 0.5, 1.0, 0.5, 0.4, 1.0, 1.0, 1.0],
+    [1.0, 1.2, 1.1, 1.0, 1.0, 0.9],
+]
+
+
+class TestStallRule:
+    @pytest.mark.parametrize("patience", [0, 1, 2, 3])
+    def test_stop_iteration_is_the_reference_rules(self, monkeypatch, patience):
+        rng = np.random.default_rng(5)
+        # short draws from three values tie often, repeat the first and come back to it
+        scripts = SCRIPTS + [[1.0] * int(rng.integers(0, 4))
+                             + rng.choice([0.9, 1.0, 1.1], int(rng.integers(1, 10))).tolist()
+                             for _ in range(150)]
+        ratings = SparseRatings.from_entries(2, 2, [(0, 0, 3.0), (1, 1, 4.0)])
+        for script in scripts:
+            calls = iter(script)
+            monkeypatch.setattr(optimize, "evaluate_model",
+                                lambda model, validation, clamp: (0.0, next(calls)))
+            _, report = fit_gd(ratings, None, Hyperparams(k=1, epochs=len(script)), ratings,
+                               patience=patience)
+            expected = reference_stop(script, patience)
+            stopped = report.records[-1].iteration if report.stop_reason == "early-stop" else None
+            assert stopped == expected, (script, patience)
+            assert [r.val_rmse for r in report.records] == script[:expected or len(script)]
+
+
 class TestFitGd:
     def test_one_dimensional_contraction(self):
         # k=1, single rating r, lambdas 0: the residual e = uv - r follows
