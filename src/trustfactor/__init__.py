@@ -40,7 +40,7 @@ from .neighborhood import (
     nb_predict_many,
 )
 from .objective import grad, objective_value, trace_identity_check
-from .optimize import FitReport, early_stop_monitor, fit_gd, fit_sgd
+from .optimize import FitReport, fit_gd, fit_sgd
 
 __version__ = "0.1.0"
 
@@ -55,5 +55,5 @@ __all__ = [
     "PropagatedSets", "SimilarityCache", "build_propagated_sets",
     "build_similarity_cache", "nb_predict", "nb_predict_many",
     "grad", "objective_value", "trace_identity_check",
-    "FitReport", "early_stop_monitor", "fit_gd", "fit_sgd",
+    "FitReport", "fit_gd", "fit_sgd",
 ]

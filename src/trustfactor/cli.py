@@ -142,10 +142,12 @@ def _load_bundle(args):
                         distrust_path=args.distrust)
 
 
-def _require_graph(bundle, command):
+def _require_graph(args):
+    """(ratings, graph) of the command's data; one error line without a graph."""
+    bundle = _load_bundle(args)
     if bundle.graph is None:
-        raise ValueError(f"{command} needs a social graph (--social/--trust/--distrust)")
-    return bundle.graph
+        raise ValueError(f"{args.command} needs a social graph (--social/--trust/--distrust)")
+    return bundle.ratings, bundle.graph
 
 
 def _mean_std_rows(rows, label, numeric_from):
@@ -314,10 +316,8 @@ def _cmd_grid(args, out):
                                 args.lambda_v_grid or args.lambda_u_grid, "list distinct numbers")
     ls_values = _value_list("--lambda-s-grid", args.lambda_s_grid, "list distinct numbers")
     hp = _hyperparams(args, args.method)
-    bundle = _load_bundle(args)
-    graph = _require_graph(bundle, "grid")
-    train_all, _ = split_ratings(
-        bundle.ratings, SplitSpec(args.train_frac, args.seed, 1))
+    ratings, graph = _require_graph(args)
+    train_all, _ = split_ratings(ratings, SplitSpec(args.train_frac, args.seed, 1))
     train, validation = split_ratings(
         train_all, SplitSpec(1.0 - args.val_frac, args.seed + 1, 1))
     result = grid_search(train, validation, lazy_triplets(graph), hp, second_param, ls_values,
@@ -356,9 +356,7 @@ def _cmd_coldstart(args, out):
 
 
 def _cmd_consistency(args, out):
-    bundle = _load_bundle(args)
-    graph = _require_graph(bundle, "consistency")
-    bins = consistency_eval(bundle.ratings, graph, args.relation)
+    bins = consistency_eval(*_require_graph(args), args.relation)
     header = ["bin", "users", "ndcg@10", "ndcg@20", "recall@10", "recall@20", "recall@40", "map"]
     rows = [[label, *map(agg.get, header[1:])] for label, agg in sorted(bins.items())]
     write_csv(out / "consistency.csv", header, rows)
@@ -367,9 +365,7 @@ def _cmd_consistency(args, out):
 
 
 def _cmd_majority_vote(args, out):
-    bundle = _load_bundle(args)
-    graph = _require_graph(bundle, "majority-vote")
-    result = majority_vote_eval(graph, args.holdout_frac, args.seed)
+    result = majority_vote_eval(_require_graph(args)[1], args.holdout_frac, args.seed)
     write_csv(out / "majority_vote.csv",
               ["setting", "relation", "share_pct", "vote_alignment_pct"],
               [list(row) for row in result.rows])
@@ -378,12 +374,11 @@ def _cmd_majority_vote(args, out):
 
 
 def _cmd_tradeoff(args, out):
-    bundle = _load_bundle(args)
-    graph = _require_graph(bundle, "tradeoff")
+    ratings, graph = _require_graph(args)
     hp = _hyperparams(args, "mf-td")
     fractions = _value_list("--distrust-fracs", args.distrust_fracs, "list distinct numbers")
     result = distrust_tradeoff_run(
-        bundle.ratings, graph, hp, trust_keep=args.trust_keep,
+        ratings, graph, hp, trust_keep=args.trust_keep,
         distrust_fractions=fractions, train_fraction=args.train_frac,
         optimizer=args.optimizer or "gd", seed=args.seed)
     for (method, trust, distrust, *_), report in zip(result.rows, result.reports):
@@ -398,9 +393,8 @@ def _cmd_tradeoff(args, out):
 def _cmd_batch_study(args, out):
     sizes = _value_list("--batch-sizes", args.batch_sizes, "list distinct positive integers",
                         _positive_int)
-    bundle = _load_bundle(args)
-    graph = _require_graph(bundle, "batch-study")
-    train, test = split_ratings(bundle.ratings, SplitSpec(args.train_frac, args.seed, 1))
+    ratings, graph = _require_graph(args)
+    train, test = split_ratings(ratings, SplitSpec(args.train_frac, args.seed, 1))
     hp = _hyperparams(args, "mf-td")
     store = lazy_triplets(graph)
     rows = []

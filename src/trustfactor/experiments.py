@@ -55,19 +55,18 @@ def cold_start_split(ratings: SparseRatings, user_fraction: float, seed: int = 0
                      repetition: int = 0):
     """Move every rating of a sampled user subset to the test side.
 
-    Returns (train, test, cold_users). Cold users keep their social edges;
-    that is the side information meant to rescue them.
+    Returns (train, test, cold_users), the cold users a sorted array. Cold users
+    keep their social edges; that is the side information meant to rescue them.
     """
     if not 0.0 < user_fraction < 1.0:
         raise ValueError("cold-start user fraction must lie strictly between 0 and 1")
     rng = substream(seed, f"coldstart:{repetition}")
     n_cold = int(user_fraction * ratings.n)
     cold = np.sort(rng.permutation(ratings.n)[:n_cold])
-    cold_set = set(cold.tolist())
     is_cold = member(cold, ratings.users)
     train = ratings.subset(np.flatnonzero(~is_cold))
     test = ratings.subset(np.flatnonzero(is_cold))
-    return train, test, cold_set
+    return train, test, cold
 
 
 # ---------------------------------------------------------------------------

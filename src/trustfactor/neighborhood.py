@@ -30,14 +30,13 @@ class SimilarityCache:
 
     keys[t] = u * n + v, u < v, ascending, keys the t-th pair of users sharing
     co_counts[t] rated items, and pcc[t] is their Pearson correlation, the
-    cached weight, NaN where it is undefined or they share fewer than min_co.
-    n is the number of users.
+    cached weight, NaN where it is undefined or they share fewer than the
+    min_co it was built with. n is the number of users.
     """
 
     keys: np.ndarray
     co_counts: np.ndarray
     pcc: np.ndarray
-    min_co: int
     n: int
 
     @cached_property
@@ -53,7 +52,7 @@ def build_similarity_cache(ratings: SparseRatings, min_co: int = MIN_CO_RATED) -
     _similarity_blocks joined; no pass holds all co-ratings."""
     empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
     blocks = zip(empty, *_similarity_blocks(ratings, min_co))
-    return SimilarityCache(*map(np.concatenate, blocks), min_co, ratings.n)
+    return SimilarityCache(*map(np.concatenate, blocks), ratings.n)
 
 
 def _similarity_pass(ratings: SparseRatings, min_co: int, only):

@@ -59,23 +59,6 @@ class FitReport:
         )
 
 
-def early_stop_monitor(val_rmse_window, patience: int) -> bool:
-    """True once validation RMSE has failed to improve for `patience`
-    consecutive evaluations (patience 0 stops at the first non-improvement)."""
-    threshold = max(int(patience), 1)
-    best = np.inf
-    streak = 0
-    for value in val_rmse_window:
-        if value < best:
-            best = value
-            streak = 0
-        else:
-            streak += 1
-            if streak >= threshold:
-                return True
-    return False
-
-
 def _diverged(*factors) -> bool:
     # the extremes, not an |x| copy; a nan entry fails the comparisons, as an inf one does
     limit = DIVERGENCE_LIMIT
@@ -89,8 +72,9 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
     whose gradients make the next update, its value set if need_value is. A
     record reads its objective and train RMSE from the step taken at its
     model, or from a value-only pass when no step follows. With `patience`,
-    early_stop_monitor watches the validation RMSE from the last value of its
-    flat start, if it has one.
+    the fit stops once `patience` evaluations (at least one) in a row have not
+    lowered the validation RMSE; while every prediction clamps alike the RMSE
+    holds its first value, and a repeat of it before any other value is no stall.
     """
     if eval_every < 1:
         raise ValueError("eval_every must be at least 1")
@@ -99,8 +83,7 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
         model, ratings, store, hp, need_grad=False, social=VALUE)
     report = FitReport(initial_objective=result.value)
     start = time.perf_counter()
-    val_history = []
-    opens = 0  # where the patience window opens
+    best, stall = np.inf, -1  # the RMSE to beat, evaluations since; -1 while all equal the first
     for t in range(1, hp.epochs + 1):
         eta = hp.eta0 if hp.schedule == "constant" else hp.eta0 / np.sqrt(t)
         # a diverged step is never adopted, so the model stays the last finite one;
@@ -115,11 +98,11 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
         val_mae = val_rmse = None
         if due and validation is not None and validation.nnz:
             val_mae, val_rmse = evaluate_model(model, validation, hp.clamp_predictions)
-            val_history.append(val_rmse)
-            # while every prediction clamps alike, the RMSE holds its first value
-            if opens == len(val_history) - 2 and val_history[-1] == val_history[opens]:
-                opens += 1
-            if patience is not None and early_stop_monitor(val_history[opens:], patience):
+            if val_rmse < best:
+                best, stall = val_rmse, -1 if best == np.inf else 0
+            elif val_rmse > best or stall >= 0:
+                stall = max(stall, 0) + 1
+            if patience is not None and stall >= max(patience, 1):
                 report.stop_reason = STOP_EARLY
         last = t == hp.epochs or report.stop_reason == STOP_EARLY
         # the pass for step t + 1 is taken at the model this record describes

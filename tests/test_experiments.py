@@ -118,9 +118,9 @@ class TestColdStartSplit:
     def test_cold_users_have_no_training_ratings(self, rng):
         ratings = random_ratings(rng, 10, 6, density=0.6)
         train, test, cold = cold_start_split(ratings, 0.3, seed=2)
-        assert len(cold) == 3
-        assert not set(train.users.tolist()) & cold
-        assert set(test.users.tolist()) <= cold
+        assert cold.tolist() == sorted(set(cold.tolist())) and len(cold) == 3
+        assert not np.isin(train.users, cold).any()
+        assert np.isin(test.users, cold).all()
         assert train.nnz + test.nnz == ratings.nnz
 
     def test_single_cold_user(self, rng):

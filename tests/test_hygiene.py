@@ -15,6 +15,9 @@ Every public top-level name of the package-internal `keys` module is
 imported by another module, so a helper goes with its last caller. Only
 `optimize`, which defines `fit_gd` and `fit_sgd`, and `experiments`, whose
 `fit_and_score` is the one path every command fits through, read either name.
+Every field of a dataclass in the package, InitVars apart, is read as an
+attribute somewhere in the package, its tests or the benchmark, so no state
+is kept that no caller reads.
 
 `python tests/test_hygiene.py` prints each module's total, code, docstring,
 comment and blank lines (`line_kinds`), the counts the line budget is kept in."""
@@ -26,7 +29,10 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "trustfactor").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "trustfactor").glob("*.py"))
+READERS = [*SOURCES, *(path for folder in ("tests", "perfbench")
+                       for path in sorted((ROOT / folder).glob("*.py")))]
 
 
 def _loaded_names(tree):
@@ -196,6 +202,35 @@ def _public_top_level(tree):
             yield node.name
 
 
+def _dataclass_fields(tree):
+    """(class, field) of each field of a @dataclass class, InitVars apart."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "dataclass" or isinstance(d, ast.Call)
+                and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+                for d in node.decorator_list):
+            for stmt in node.body:
+                kind = getattr(stmt, "annotation", None)
+                kind = kind.value if isinstance(kind, ast.Subscript) else kind
+                if isinstance(stmt, ast.AnnAssign) and not (isinstance(kind, ast.Name)
+                                                            and kind.id == "InitVar"):
+                    yield node.name, stmt.target.id
+
+
+def _attribute_reads(tree):
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    read = set().union(*(_attribute_reads(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in READERS))
+    unread = sorted(f"{path.stem}.{cls}.{name}" for path in SOURCES for cls, name
+                    in _dataclass_fields(ast.parse(path.read_text(encoding="utf-8")))
+                    if name not in read)
+    assert not unread, f"no module, test or benchmark reads the dataclass fields {unread}"
+
+
 def test_every_keys_helper_is_imported():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     imported = {alias.name for stem, tree in trees.items() if stem != "keys"
@@ -251,6 +286,12 @@ def test_the_guards_see_dead_code():
                      "model = optimize.fit_sgd(r)\nfit_gd_label = 'fit_sgd'\n"
                      "def fit_gd(fit_sgd=None):\n    pass\n")
     assert _optimizer_reads(tree) == [2, 3]
+    tree = ast.parse("@dataclass(eq=False)\nclass A:\n    kept: int\n    stored: int\n"
+                     "    flag: InitVar[bool] = False\n    LIMIT = 3\n"
+                     "@dataclass\nclass B:\n    x: int\nclass C:\n    y: int\n"
+                     "a.kept + B(1).x\na.stored = 2\n")
+    assert list(_dataclass_fields(tree)) == [("A", "kept"), ("A", "stored"), ("B", "x")]
+    assert _attribute_reads(tree) == {"kept", "x"}
 
 
 if __name__ == "__main__":

@@ -556,7 +556,6 @@ class TestNbPredict:
             g = random_graph(rng, n_max=14)
             train, test, cold = cold_start_split(random_ratings(rng, g.n, 9, density=0.6),
                                                  0.4, seed=trial)
-            cold = np.array(sorted(cold), np.int64)
             sims, sets = build_similarity_cache(train), build_propagated_sets(g, 2, 2)
             warm = rng.permutation(train.nnz)[:10]
             for users, items in ((test.users, test.items),
@@ -588,8 +587,8 @@ class TestNbPredict:
             means = np.minimum(np.maximum(r.user_means[users], r.r_min), r.r_max)
             for pcc in (None, np.full(len(full.pcc), np.nan), -np.abs(full.pcc),
                         np.where(np.isnan(full.pcc), np.nan, 0.0)):
-                sims = (SimilarityCache(full.keys[:0], full.co_counts[:0], full.pcc[:0], 1, r.n)
-                        if pcc is None else SimilarityCache(full.keys, full.co_counts, pcc, 1, r.n))
+                sims = (SimilarityCache(full.keys[:0], full.co_counts[:0], full.pcc[:0], r.n)
+                        if pcc is None else SimilarityCache(full.keys, full.co_counts, pcc, r.n))
                 for variant in VARIANTS:
                     got = nb_predict_many(r, sims, sets, users, items, variant)
                     assert got.tobytes() == means.tobytes()

@@ -28,7 +28,7 @@ from trustfactor.objective import (
     social_gradient,
     triplet_batch_gradient,
 )
-from trustfactor.optimize import early_stop_monitor, fit_gd, fit_sgd
+from trustfactor.optimize import fit_gd, fit_sgd
 from trustfactor.seeding import substream
 
 from conftest import random_graph
@@ -87,6 +87,25 @@ class TestStepSchedule:
         assert report.signature() == ref_report.signature()
         assert model.U.tobytes() == ref_model.U.tobytes()
         assert model.V.tobytes() == ref_model.V.tobytes()
+
+
+def early_stop_monitor(val_rmse_window, patience: int) -> bool:
+    """True once validation RMSE has failed to improve for `patience`
+    consecutive evaluations (patience 0 stops at the first non-improvement);
+    the reference loop's stall rule, as the fit loop kept it before counting
+    its stall in place."""
+    threshold = max(int(patience), 1)
+    best = np.inf
+    streak = 0
+    for value in val_rmse_window:
+        if value < best:
+            best = value
+            streak = 0
+        else:
+            streak += 1
+            if streak >= threshold:
+                return True
+    return False
 
 
 class TestEarlyStop:
