@@ -147,14 +147,8 @@ def consistency_eval(ratings: SparseRatings, graph: SocialGraph, relation: str =
     because bivalent relations admit no intrinsic order). Users without any
     relevant candidate are skipped. Metrics are averaged within rating-count
     bins of the ascending bin_edges, which keep the order in which ascending
-    users first fill them.
-
-    Every metric depends only on the ranks of the relevant candidates, so no
-    list is built: with hits the relevant count up to a rank, AP is the sum of
-    hits / rank over relevant ranks, over their number R; recall@k counts the
-    relevant ranks up to k, and DCG@k sums their discounts. The sums run in
-    rank order and the bin means in user order, the orders of the scalar
-    metrics over RankedList, so each value is bit-equal to theirs.
+    users first fill them. Each metric is read off the relevant candidates'
+    ranks, summed in rank order and averaged in user order, as RankedList's are.
     """
     if relation not in ("trust", "distrust"):
         raise ValueError("relation must be 'trust' or 'distrust'")

@@ -115,16 +115,8 @@ def _similarity_blocks(ratings: SparseRatings, min_co: int, only=None, both=Fals
     blocks in ascending key order. Pairs have v > u, or every v != u with
     `both`. With `only`, yields the (counts, weights) of the block's keys in
     the sorted `only`, aligned with them: count 0 for a pair never co-rated.
-
     A block lists at most _BLOCK_CO_RATINGS (pair, item) co-ratings unless one
-    user alone has more, so memory no longer follows the sum over items of
-    raters squared. Blocks are slices of one stable order of the raters by
-    user, which keeps each user's items ascending: a pair's co-ratings are
-    listed in ascending item order, the order a scalar left-fold Pearson takes,
-    and added in it by bincount, over each key's slot in `only` or after a
-    stable order by key. A pair's sums never span blocks, so each weight is
-    bit-equal to that scalar's whatever the blocks, and pcc(u, v) to
-    pcc(v, u), whose products commute.
+    user alone has more; a pair's co-ratings add in ascending item order.
     """
     users, values, offsets = ratings.by_item
     n, sizes = ratings.n, np.diff(offsets)

@@ -198,17 +198,9 @@ def _hinge_counts(p, q, p_edges, q_edges, q_offsets):
 
 def _hinge_term(U, graph: SocialGraph, hp: Hyperparams, scale=None):
     """_margin_term of the hinge loss over every triplet of the graph, from
-    per-edge counts of active pairs instead of a pass over the pairs.
-
-    Write z = q - p: p = a and q = b under figure1, the reverse under
-    paper-literal. fl(q - p) rises with q and falls with p, so when
-    fl(max q - min p) < 1 every pair is active and each edge's count is its
-    source's number of other-sign edges; else (or on a NaN) _hinge_counts
-    counts. The value, the sum of 1 + p - q over active pairs, is taken as
-    sum c_e - (sum c_f q_f - sum c_e p_e), which keeps a p too small to move
-    1 + p; the pair pass gives it when that is not finite (a zero count
-    times an inf length reads NaN). Each edge's slope sum is its negated
-    count, so the gradient bytes are the pair pass's.
+    per-edge counts of active pairs (z = q - p < 1) instead of a pass over the
+    pairs: every pair is active when fl(max q - min p) < 1. A value that is not
+    finite is the pair pass's.
     """
     trust, distrust = graph.trust_edge_array, graph.distrust_edge_array
     (a, b), x = zip(*(_lengths(U, edges, scale is not None) for edges in (trust, distrust)))

@@ -264,7 +264,14 @@ def bin_label(count, edges):
 
 def per_user_consistency(ratings, graph, relation, bin_edges=(0, 20, 40, 60, 80)):
     """consistency_eval's bins from a per-user loop over the scalar Pearson,
-    the reference for the ranking over the similarity cache."""
+    the reference for the ranking over the similarity cache.
+
+    consistency_eval builds no list: every metric depends only on the ranks of
+    the relevant candidates. With hits the relevant count up to a rank, AP is
+    the sum of hits / rank over relevant ranks, over their number R; recall@k
+    counts the relevant ranks up to k, and DCG@k sums their discounts. Its sums
+    run in rank order and its bin means in user order, the orders of the scalar
+    metrics over RankedList here, so each of its values is bit-equal to these."""
     rated = [set(ratings.items[ratings.users == u].tolist()) for u in range(ratings.n)]
     adj = graph.trust_adj if relation == "trust" else graph.distrust_adj
     sign = -1.0 if relation == "trust" else 1.0

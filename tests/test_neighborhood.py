@@ -185,6 +185,14 @@ class TestSimilarityCache:
                 assert not neighborhood._merges(r, every)
 
     def test_blocks_bit_equal_to_one_block(self, rng, monkeypatch):
+        """Blocks bound memory, which no longer follows the sum over items of
+        raters squared. They are slices of one stable order of the raters by
+        user, which keeps each user's items ascending: a pair's co-ratings are
+        listed in ascending item order, the order a scalar left-fold Pearson
+        takes, and added in it by bincount, over each key's slot in `only` or
+        after a stable order by key. A pair's sums never span blocks, so each
+        weight is bit-equal to that scalar's whatever the blocks, and pcc(u, v)
+        to pcc(v, u), whose products commute."""
         # budgets of 1, 7 and 1,000 co-ratings against one block; user 0 rates
         # every item in half the instances, so its co-ratings alone exceed the
         # small budgets; restrictions: none, empty, and keys at block edges

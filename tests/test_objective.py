@@ -937,7 +937,18 @@ def pair_pass(U, graph, hp, scale=None):
 
 
 class TestHingeTerm:
-    """The hinge pass from per-edge counts against the pair pass."""
+    """The hinge pass from per-edge counts against the pair pass.
+
+    Write z = q - p: p = a and q = b under figure1, the reverse under
+    paper-literal. fl(q - p) rises with q and falls with p, so when
+    fl(max q - min p) < 1 every pair is active and each edge's count is its
+    source's number of other-sign edges; else (or on a NaN) _hinge_counts
+    counts. The value, the sum of 1 + p - q over active pairs, is taken as
+    sum c_e - (sum c_f q_f - sum c_e p_e), which keeps a p too small to move
+    1 + p; the pair pass gives it when that is not finite (a zero count times
+    an inf length reads NaN). Each edge's slope sum is its negated count, so
+    the gradient bytes are the pair pass's.
+    """
 
     @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
     def test_gradient_bytes_and_value_match_pairs(self, rng, convention):
