@@ -72,8 +72,8 @@ def _run(ratings, store, hp, validation, seed, step, patience, eval_every, model
     whose gradients make the next update, its value set if need_value is. A
     record reads its objective and train RMSE from the step taken at its
     model, or from a value-only pass when no step follows. With `patience`,
-    the fit stops once `patience` evaluations (at least one) in a row have not
-    lowered the validation RMSE; while every prediction clamps alike the RMSE
+    the fit stops once max(patience, 1) evaluations in a row have not beaten
+    the best validation RMSE; while every prediction clamps alike the RMSE
     holds its first value, and a repeat of it before any other value is no stall.
     """
     if eval_every < 1:

@@ -205,16 +205,11 @@ def _public_top_level(tree):
 def _dataclass_fields(tree):
     """(class, field) of each field of a @dataclass class, InitVars apart."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and any(
-                isinstance(d, ast.Name) and d.id == "dataclass" or isinstance(d, ast.Call)
-                and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
-                for d in node.decorator_list):
-            for stmt in node.body:
-                kind = getattr(stmt, "annotation", None)
-                kind = kind.value if isinstance(kind, ast.Subscript) else kind
-                if isinstance(stmt, ast.AnnAssign) and not (isinstance(kind, ast.Name)
-                                                            and kind.id == "InitVar"):
-                    yield node.name, stmt.target.id
+        if isinstance(node, ast.ClassDef) and "dataclass" in {
+                ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list}:
+            yield from ((node.name, stmt.target.id) for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign)
+                        and not ast.unparse(stmt.annotation).startswith("InitVar"))
 
 
 def _attribute_reads(tree):

@@ -555,11 +555,8 @@ def reference_run(ratings, store, hp, validation, seed, step, patience, eval_eve
                     model, validation, hp.clamp_predictions)
                 val_history.append(rec.val_rmse)
             report.records.append(rec)
-            # the patience window opens at the last value of the flat start
-            flat = next((j for j, x in enumerate(val_history) if x != val_history[0]),
-                        len(val_history))
-            if patience is not None and val_history and early_stop_monitor(
-                    val_history[flat - 1:], patience):
+            if patience is not None and val_history and reference_stop(
+                    val_history, patience) == len(val_history):
                 report.stop_reason = optimize.STOP_EARLY
         last = t == hp.epochs or report.stop_reason == optimize.STOP_EARLY
         value, gU, gV = (None, None, None) if last else step(model)
