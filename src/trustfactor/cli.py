@@ -36,7 +36,6 @@ from .experiments import (
     synth_generate,
 )
 from .fileio import (
-    IdMap,
     load_dataset,
     load_id_map,
     load_model,
@@ -238,12 +237,12 @@ def _cmd_synth(args, out):
     ratings, graph, (u_star, v_star) = synth_generate(spec)
     width_u = len(str(args.n))
     width_i = len(str(args.m))
-    user_map = IdMap(f"u{idx:0{width_u}d}" for idx in range(args.n))
-    item_map = IdMap(f"i{idx:0{width_i}d}" for idx in range(args.m))
-    save_ratings(out / "ratings.tsv", ratings, user_map, item_map)
-    save_social(out / "social.tsv", graph, user_map)
-    save_id_map(out / "user_ids.tsv", user_map)
-    save_id_map(out / "item_ids.tsv", item_map)
+    user_ids = [f"u{idx:0{width_u}d}" for idx in range(args.n)]
+    item_ids = [f"i{idx:0{width_i}d}" for idx in range(args.m)]
+    save_ratings(out / "ratings.tsv", ratings, user_ids, item_ids)
+    save_social(out / "social.tsv", graph, user_ids)
+    save_id_map(out / "user_ids.tsv", user_ids)
+    save_id_map(out / "item_ids.tsv", item_ids)
     save_model(FactorModel(u_star, v_star, spec.rank, args.seed), out / "planted.bin")
     write_csv(out / "synth.csv",
               ["users", "items", "ratings", "trust_edges", "distrust_edges", "seed"],
@@ -264,8 +263,8 @@ def _cmd_fit(args, out):
               [*rows, mean, std])
     if model is not None:
         save_model(model, out / "model.bin")
-        save_id_map(out / "user_ids.tsv", bundle.user_map)
-        save_id_map(out / "item_ids.tsv", bundle.item_map)
+        save_id_map(out / "user_ids.tsv", bundle.user_ids)
+        save_id_map(out / "item_ids.tsv", bundle.item_ids)
     else:  # an earlier run's model left in --out would pass for this run's
         for name in ("model.bin", "user_ids.tsv", "item_ids.tsv"):
             (out / name).unlink(missing_ok=True)
@@ -279,9 +278,9 @@ def _cmd_fit(args, out):
 def _cmd_eval(args, out):
     model_path = Path(args.model)
     model = load_model(model_path)
-    user_map = load_id_map(model_path.parent / "user_ids.tsv")
-    item_map = load_id_map(model_path.parent / "item_ids.tsv")
-    users, items, values = load_ratings_with_maps(args.ratings, user_map, item_map)
+    user_ids = load_id_map(model_path.parent / "user_ids.tsv")
+    item_ids = load_id_map(model_path.parent / "item_ids.tsv")
+    users, items, values = load_ratings_with_maps(args.ratings, user_ids, item_ids)
     known = (users >= 0) & (users < model.n) & (items >= 0) & (items < model.m)
     skipped = int(np.count_nonzero(~known))
     if skipped:
@@ -301,8 +300,8 @@ def _cmd_split(args, out):
     rows = []
     for rep in range(args.repeats):
         train, test = split_ratings(bundle.ratings, spec, rep)
-        save_ratings(out / f"train_{rep}.tsv", train, bundle.user_map, bundle.item_map)
-        save_ratings(out / f"test_{rep}.tsv", test, bundle.user_map, bundle.item_map)
+        save_ratings(out / f"train_{rep}.tsv", train, bundle.user_ids, bundle.item_ids)
+        save_ratings(out / f"test_{rep}.tsv", test, bundle.user_ids, bundle.item_ids)
         rows.append([rep, train.nnz, test.nnz])
     write_csv(out / "splits.csv", ["repetition", "train_ratings", "test_ratings"], rows)
     print(f"wrote {args.repeats} split(s) of {bundle.ratings.nnz} ratings to {out}")

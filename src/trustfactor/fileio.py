@@ -15,7 +15,7 @@ import logging
 import os
 import struct
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,18 +27,6 @@ log = logging.getLogger(__name__)
 
 MODEL_MAGIC = b"MFTD"
 MODEL_VERSION = 1
-
-
-class IdMap:
-    """Insertion-ordered bijection between external ids and dense indices;
-    a repeated id keeps the index of its first appearance."""
-
-    def __init__(self, ids=()):
-        self.ids = list(dict.fromkeys(ids))
-        self.index = dict(zip(self.ids, range(len(self.ids))))
-
-    def __len__(self):
-        return len(self.ids)
 
 
 class _Columns:
@@ -216,11 +204,6 @@ def _read_social(path, sign=None):
     return (table.path, table.linenos), pairs, ids, signs[codes]
 
 
-def _indices(id_map, ids):
-    """Index of each id; -1 for an id the map lacks."""
-    return np.fromiter(map(id_map.index.get, ids, repeat(-1)), np.int64, len(ids))
-
-
 def _runs(keys, bound):
     """(order, starts, first): the stable order of int64 keys in [0, bound),
     where each run of equal keys starts in it, and a mask of each run's first
@@ -247,11 +230,12 @@ def _build_ratings(user_idx, item_idx, values, n, m, r_min, r_max):
                          _distinct=True)
 
 
-def _build_graph(files, user_map):
-    """Signed graph of the rows of the social files (as `_read_social` returns
-    them); a repeated (u, v) keeps its first row and must repeat its sign."""
-    n = len(user_map)
-    pairs = np.concatenate([_indices(user_map, ids)[pairs] for _, pairs, ids, _ in files])
+def _build_graph(files, user_ids):
+    """Signed graph of the rows of the social files, each given as its (path,
+    line numbers), (E, 2) codes, the index in `user_ids` of each code and its
+    signs; a repeated (u, v) keeps its first row and must repeat its sign."""
+    n = len(user_ids)
+    pairs = np.concatenate([numbers[codes] for _, codes, numbers, _ in files])
     signs = np.concatenate([signs for *_, signs in files])
     order, starts, first = _runs(pairs[:, 0] * n + pairs[:, 1], n * n)
     ranked = signs[order]
@@ -259,7 +243,7 @@ def _build_graph(files, user_map):
     if len(clash):
         at = clash[np.argmin(order[clash])]
         row, head = order[at], order[starts[np.searchsorted(starts, at, "right") - 1]]
-        u, v = (user_map.ids[idx] for idx in pairs[row])
+        u, v = (user_ids[idx] for idx in pairs[row])
         raise ValueError(f"{_where(files, row)}: contradicts {_where(files, head)}: "
                          f"{u!r} cannot both trust and distrust {v!r}")
     if len(starts) < len(pairs):
@@ -281,12 +265,13 @@ def _where(files, row):
 
 @dataclass
 class DatasetBundle:
-    """Ratings plus graph under one shared user indexing."""
+    """Ratings plus graph under one shared user indexing; the external id of
+    user (item) index i is user_ids[i] (item_ids[i])."""
 
     ratings: SparseRatings
     graph: SocialGraph | None
-    user_map: IdMap
-    item_map: IdMap
+    user_ids: list[str]
+    item_ids: list[str]
 
 
 def load_dataset(ratings_path, social_path=None, trust_path=None, distrust_path=None,
@@ -300,42 +285,53 @@ def load_dataset(ratings_path, social_path=None, trust_path=None, distrust_path=
     files = [_read_social(path, sign)
              for path, sign in ((social_path, None), (trust_path, 1), (distrust_path, -1))
              if path is not None]
-    # users are numbered in the ratings first, so their codes are their indices
-    user_map, item_map = IdMap(chain(user_ids, *(ids for _, _, ids, _ in files))), IdMap(item_ids)
-    ratings = _build_ratings(users, items, values, len(user_map), len(item_map), r_min, r_max)
-    graph = _build_graph(files, user_map) if any(len(signs) for *_, signs in files) else None
-    return DatasetBundle(ratings, graph, user_map, item_map)
+    # users are numbered in the ratings first, so their codes are their indices;
+    # a user first seen in a social file takes the next index (the one dict of
+    # the user space, built after the reads so that it is not alive at their peak)
+    index = dict(zip(user_ids, range(len(user_ids))))
+    files = [(where, codes, np.array([index.setdefault(id_, len(index)) for id_ in ids], np.int64),
+              signs) for where, codes, ids, signs in files]
+    user_ids = list(index)
+    ratings = _build_ratings(users, items, values, len(user_ids), len(item_ids), r_min, r_max)
+    graph = _build_graph(files, user_ids) if any(len(signs) for *_, signs in files) else None
+    return DatasetBundle(ratings, graph, user_ids, item_ids)
 
 
-def load_ratings_with_maps(path, user_map: IdMap, item_map: IdMap):
-    """(users, items, values) arrays of a ratings file mapped through saved
-    id maps; an id the map lacks becomes index -1. Rows are kept as read."""
-    (users, user_ids), (items, item_ids), values = _read_ratings(path, 1.0, 5.0)
-    return _indices(user_map, user_ids)[users], _indices(item_map, item_ids)[items], values
+def load_ratings_with_maps(path, user_ids, item_ids):
+    """(users, items, values) arrays of a ratings file mapped through saved id
+    lists; an id its list lacks becomes index -1. Rows are kept as read."""
+    (users, seen_users), (items, seen_items), values = _read_ratings(path, 1.0, 5.0)
+    return _indices(user_ids, seen_users)[users], _indices(item_ids, seen_items)[items], values
 
 
-def save_ratings(path, ratings: SparseRatings, user_map: IdMap, item_map: IdMap):
+def _indices(ids, wanted):
+    """Index in `ids` of each of `wanted`; -1 for one `ids` lacks."""
+    index = dict(zip(ids, range(len(ids))))
+    return np.fromiter(map(index.get, wanted, repeat(-1)), np.int64, len(wanted))
+
+
+def save_ratings(path, ratings: SparseRatings, user_ids, item_ids):
     # ratings are finite, where format_number is the .6g format
     Path(path).write_text("".join(map(
-        "{}\t{}\t{:.6g}\n".format, map(user_map.ids.__getitem__, ratings.users.tolist()),
-        map(item_map.ids.__getitem__, ratings.items.tolist()), ratings.values.tolist())),
+        "{}\t{}\t{:.6g}\n".format, map(user_ids.__getitem__, ratings.users.tolist()),
+        map(item_ids.__getitem__, ratings.items.tolist()), ratings.values.tolist())),
         encoding="utf-8")
 
 
-def save_social(path, graph: SocialGraph, user_map: IdMap):
+def save_social(path, graph: SocialGraph, user_ids):
     sources, targets = np.concatenate((graph.trust_edge_array, graph.distrust_edge_array)).T
     Path(path).write_text("".join(map(
-        "{}\t{}\t{}\n".format, map(user_map.ids.__getitem__, sources.tolist()),
-        map(user_map.ids.__getitem__, targets.tolist()),
+        "{}\t{}\t{}\n".format, map(user_ids.__getitem__, sources.tolist()),
+        map(user_ids.__getitem__, targets.tolist()),
         ["1"] * graph.trust_count + ["-1"] * graph.distrust_count)), encoding="utf-8")
 
 
-def save_id_map(path, id_map: IdMap):
-    Path(path).write_text("".join(map("{}\t{}\n".format, range(len(id_map)), id_map.ids)),
+def save_id_map(path, ids):
+    Path(path).write_text("".join(map("{}\t{}\n".format, range(len(ids)), ids)),
                           encoding="utf-8")
 
 
-def load_id_map(path) -> IdMap:
+def load_id_map(path) -> list[str]:
     table = _Columns(path, 2, lambda fields: "expected 2 tab-separated fields")
     codes, tokens, first = table.intern(0)
     numbers = list(map(_parse, repeat(int), tokens))
@@ -348,7 +344,7 @@ def load_id_map(path) -> IdMap:
     table.check(np.flatnonzero(codes != np.arange(len(codes))),
                 lambda row: f"id {ids[codes[row]]!r} already has index {codes[row]}")
     table.raise_fault()
-    return IdMap(ids)
+    return ids
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from trustfactor.data import (FactorModel, Hyperparams, SocialGraph, SparseRatin
                               init_model)
 from trustfactor.experiments import cold_start_split
 from trustfactor.fileio import (
-    IdMap,
     load_dataset,
     load_id_map,
     load_model,
@@ -41,8 +40,8 @@ def load_ratings(path, r_min: float = 1.0, r_max: float = 5.0) -> SparseRatings:
 
 def load_social(path, sign: int | None = None) -> SocialGraph:
     """Parse a signed social file (or an unsigned one with `sign` supplied)."""
-    social = fileio._read_social(path, sign)
-    return fileio._build_graph([social], IdMap(social[2]))
+    where, codes, ids, signs = fileio._read_social(path, sign)
+    return fileio._build_graph([(where, codes, np.arange(len(ids)), signs)], ids)
 
 
 def write(path, text):
@@ -364,8 +363,8 @@ class TestLoaderOracle:
         ratings, graph, user_ids, item_ids, warnings = ref_load_dataset(ratings_path, **social)
         with caplog.at_level(logging.WARNING, logger="trustfactor.fileio"):
             bundle = load_dataset(ratings_path, **social)
-        assert bundle.user_map.ids == user_ids
-        assert bundle.item_map.ids == item_ids
+        assert bundle.user_ids == user_ids
+        assert bundle.item_ids == item_ids
         _assert_same_ratings(bundle.ratings, ratings)
         assert (bundle.graph is None) == (graph is None)
         if graph is not None:
@@ -535,20 +534,20 @@ class TestIntern:
 
 
 def test_ratings_with_maps_match_per_row_lookup(tmp_path):
-    """Each id through the saved map as a per-row dict lookup would map it,
+    """Each id through the saved id list as a per-row search would map it,
     unknown ids -1, repeated ids and rows kept as read."""
     rng = np.random.default_rng(5)
-    user_map = IdMap(["a", "b", "ü", "long-user-id-0001", ""])
-    item_map = IdMap(["x", "y", "x" * 30])
+    user_ids = ["a", "b", "ü", "long-user-id-0001", ""]
+    item_ids = ["x", "y", "x" * 30]
     users = ["a", "b", "ü", "long-user-id-0001", "", "c", "long-user-id-0002", "üü"]
     items = ["x", "y", "x" * 30, "z", "x" * 31, ""]
     rows = [(users[u], items[i], str(1 + r % 5))
             for u, i, r in zip(rng.integers(len(users), size=60),
                                rng.integers(len(items), size=60), range(60))]
     path = write(tmp_path / "r.tsv", "".join("\t".join(row) + "\n" for row in rows))
-    got = fileio.load_ratings_with_maps(path, user_map, item_map)
-    want = (np.array([user_map.index.get(u, -1) for u, _, _ in rows], np.int64),
-            np.array([item_map.index.get(i, -1) for _, i, _ in rows], np.int64),
+    got = fileio.load_ratings_with_maps(path, user_ids, item_ids)
+    want = (np.array([user_ids.index(u) if u in user_ids else -1 for u, _, _ in rows], np.int64),
+            np.array([item_ids.index(i) if i in item_ids else -1 for _, i, _ in rows], np.int64),
             np.array([float(r) for _, _, r in rows]))
     for array, expected in zip(got, want):
         assert array.dtype == expected.dtype and array.tobytes() == expected.tobytes()
@@ -639,8 +638,8 @@ class TestRoundtrips:
         bundle = load_dataset(ratings_path, social_path=social_path)
         out_r = tmp_path / "r2.tsv"
         out_s = tmp_path / "s2.tsv"
-        save_ratings(out_r, bundle.ratings, bundle.user_map, bundle.item_map)
-        save_social(out_s, bundle.graph, bundle.user_map)
+        save_ratings(out_r, bundle.ratings, bundle.user_ids, bundle.item_ids)
+        save_social(out_s, bundle.graph, bundle.user_ids)
         orig_r = set(open(ratings_path).read().strip().splitlines())
         got_r = set(out_r.read_text().strip().splitlines())
         assert orig_r == got_r
@@ -649,10 +648,9 @@ class TestRoundtrips:
         assert orig_s == got_s
 
     def test_id_map_roundtrip(self, tmp_path):
-        id_map = IdMap(["alpha", "beta", "gamma"])
-        save_id_map(tmp_path / "ids.tsv", id_map)
-        loaded = load_id_map(tmp_path / "ids.tsv")
-        assert loaded.ids == id_map.ids
+        ids = ["alpha", "beta", "gamma"]
+        save_id_map(tmp_path / "ids.tsv", ids)
+        assert load_id_map(tmp_path / "ids.tsv") == ids
 
     @pytest.mark.parametrize("text,message", [
         ("0\tu1\nx\tu2\n", "2: index 'x' is not an integer"),
@@ -676,30 +674,31 @@ class TestRoundtrips:
         letters = list("abcxyz\u00e9\u4e2d_-.0123456789")
         for trial in range(5):
             n, m = int(rng.integers(1, 40)), int(rng.integers(1, 30))
-            user_map, item_map = (IdMap("".join(rng.choice(letters, int(rng.integers(1, 8))))
-                                        for _ in range(size * 3)) for size in (n, m))
-            n, m = len(user_map), len(item_map)
+            user_ids, item_ids = (list(dict.fromkeys(
+                "".join(rng.choice(letters, int(rng.integers(1, 8)))) for _ in range(size * 3)))
+                for size in (n, m))
+            n, m = len(user_ids), len(item_ids)
             mask = rng.random((n, m)) < 0.4
             users, items = np.nonzero(mask)
             values = rng.uniform(1.0, 5.0, len(users))
             values[::3] = np.round(values[::3])
             ratings = SparseRatings(n, m, users, items, values)
             graph = random_graph(rng, n_max=max(n, 2)) if n >= 2 else SocialGraph.from_edges(n)
-            ids = IdMap(list(user_map.ids) + [f"extra{t}" for t in range(graph.n - n)])
-            save_ratings(tmp_path / "r.tsv", ratings, user_map, item_map)
+            ids = user_ids + [f"extra{t}" for t in range(graph.n - n)]
+            save_ratings(tmp_path / "r.tsv", ratings, user_ids, item_ids)
             save_social(tmp_path / "s.tsv", graph, ids)
-            save_id_map(tmp_path / "ids.tsv", user_map)
+            save_id_map(tmp_path / "ids.tsv", user_ids)
             with open(tmp_path / "r_ref.tsv", "w", encoding="utf-8") as handle:
                 for u, i, r in zip(ratings.users, ratings.items, ratings.values):
-                    handle.write(f"{user_map.ids[u]}\t{item_map.ids[i]}\t"
+                    handle.write(f"{user_ids[u]}\t{item_ids[i]}\t"
                                  f"{format_number(float(r))}\n")
             with open(tmp_path / "s_ref.tsv", "w", encoding="utf-8") as handle:
                 for sign, edges in (("1", graph.trust_edge_array),
                                     ("-1", graph.distrust_edge_array)):
-                    handle.writelines(f"{ids.ids[u]}\t{ids.ids[v]}\t{sign}\n"
+                    handle.writelines(f"{ids[u]}\t{ids[v]}\t{sign}\n"
                                       for u, v in edges.tolist())
             with open(tmp_path / "ids_ref.tsv", "w", encoding="utf-8") as handle:
-                for idx, external in enumerate(user_map.ids):
+                for idx, external in enumerate(user_ids):
                     handle.write(f"{idx}\t{external}\n")
             for name in ("r", "s", "ids"):
                 assert (tmp_path / f"{name}.tsv").read_bytes() == \
@@ -1187,8 +1186,8 @@ class TestCli:
         model = FactorModel(np.array([[1.0, 0.5], [2.0, -1.0]]),
                             np.array([[1.5, 1.0], [0.2, 3.0]]), 2, seed=4)
         save_model(model, tmp_path / "model.bin")
-        save_id_map(tmp_path / "user_ids.tsv", IdMap(["a", "b"]))
-        save_id_map(tmp_path / "item_ids.tsv", IdMap(["x", "y"]))
+        save_id_map(tmp_path / "user_ids.tsv", ["a", "b"])
+        save_id_map(tmp_path / "item_ids.tsv", ["x", "y"])
         ratings = write(tmp_path / "r.tsv", "a\tx\t2\nb\ty\t1\nc\tx\t3\na\tz\t4\nb\tx\t5\n")
         code = run_cli(["eval", "--ratings", ratings, "--model", str(tmp_path / "model.bin"),
                         "--out", str(tmp_path / "ev")])
