@@ -177,13 +177,13 @@ def _scorer(graph, args, method, patience=None):
     is the user-mean fallback, whatever the pool."""
     if (method == "nb" or method not in VARIANTS) and (args.p, args.q) != (None, None):
         print(f"warning: propagation depths ignored for {method}", file=sys.stderr)
+    if graph is None and method in {*SOCIAL_FOR_METHOD, *VARIANTS} - {"mf", "nb"}:
+        raise ValueError(f"{method} needs a social graph")
     if method in VARIANTS:
         for flag, value in (("optimizer", args.optimizer), ("patience", patience)):
             if value is not None:
                 print(f"warning: {flag} ignored for {method}", file=sys.stderr)
         p, q = (1 if depth is None else depth for depth in (args.p, args.q))
-        if method != "nb" and graph is None:
-            raise ValueError(f"{method} needs a social graph")
         if method != "nb" and min(p, q) < 1:
             raise ValueError("propagation depth must be at least 1")
         pool = cache(lambda: build_propagated_sets(graph, p, q))
@@ -341,9 +341,9 @@ def _cmd_coldstart(args, out):
               for rep in range(args.repeats)]
     if any(test.nnz == 0 for _, test in splits):
         raise ValueError("cold-start test side is empty")
+    scorers = {method: _scorer(bundle.graph, args, method) for method in methods}
     rows, lines = [], []
-    for method in methods:
-        score = _scorer(bundle.graph, args, method)
+    for method, score in scorers.items():
         method_rows = [[method, rep, args.seed + rep, *score(train, test, args.seed + rep)[1]]
                        for rep, (train, test) in enumerate(splits)]
         mean, std = _mean_std_rows(method_rows, method, 3)

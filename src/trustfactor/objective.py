@@ -1,8 +1,8 @@
 """Losses, the social terms, and one kernel for the full objective and its
 analytic gradient. Rating sums fold over the ratings' cached data.Fold orders;
 edge products go to np.add.at in blocks of BLOCK_ROWS edges, each weighted row
-formed once. Social terms read U through squared edge lengths ||U_s - U_t||^2,
-summed in blocks of BLOCK_ROWS edges, and share one edge scatter; a triplet
+formed once. Every social term reads U through squared edge lengths
+||U_s - U_t||^2, summed in blocks of BLOCK_ROWS edges, and one scatter; a triplet
 (i, j, k) pairs its trust edge (i, j) with its distrust edge (i, k). Full hinge
 passes take each edge's count of active pairs from the CSR offsets when one
 comparison of the extreme lengths proves every pair active, else by sorted
@@ -124,17 +124,30 @@ def _add_sums(out: np.ndarray, index: np.ndarray, weights: np.ndarray):
     out[lo:lo + len(sums)] += sums
 
 
-def _margin_term(U, trust, distrust, pairs, hp: Hyperparams, scale=None):
-    """Sum of the penalties of the triplets that `pairs` yields, in (e, f)
-    blocks of positions in the `trust` and `distrust` edge arrays, and, when
-    scale is given, the gradient of scale * that sum wrt U (else None).
-
-    With a = ||U_i - U_j||^2 per trust edge and b = ||U_i - U_k||^2 per
-    distrust edge, z = b_f - a_e (figure1) or a_e - b_f. The loss slopes
-    summed per edge weight one edge scatter, since d||U_s - U_t||^2 / dU_s =
-    2(U_s - U_t) = -d||U_s - U_t||^2 / dU_t.
+def _edge_term(U, sets, weigh, need_grad: bool):
+    """(value, gradient wrt U if need_grad else None) of a social term read
+    through the squared lengths of the edge sets `sets`, each gathered once,
+    with its (E, k) differences only if need_grad. weigh(*lengths) gives the
+    value and, per set, the scatter weights 2 * d term / d length (one or per
+    edge) of one edge scatter: d||U_s - U_t||^2 / dU_s = 2(U_s - U_t) = -d / dU_t.
     """
-    (a, b), x = zip(*(_lengths(U, edges, scale is not None) for edges in (trust, distrust)))
+    lengths, x = zip(*(_lengths(U, edges, need_grad) for edges in sets))
+    value, weights = weigh(*lengths)
+    return value, _edge_scatter(len(U), list(zip(sets, x, weights))) if need_grad else None
+
+
+def _margin_weights(slope_a, slope_b, hp: Hyperparams, scale):
+    """Scatter weights of scale * a margin sum from its loss slopes summed per edge."""
+    # figure1: dz/da = -1 and dz/db = 1; paper-literal negates both
+    weight = 2.0 * scale * (1.0 if hp.sign_convention == FIGURE1 else -1.0)
+    return -weight * slope_a, weight * slope_b
+
+
+def _pair_sums(a, b, pairs, hp: Hyperparams, scale=None):
+    """Sum of the penalties of the triplets that `pairs` yields, in (e, f)
+    blocks of positions in the trust lengths a and distrust lengths b, with
+    z = b_f - a_e (figure1) or a_e - b_f, and, when scale is given, the
+    scatter weights of scale * that sum (else None)."""
     slope_a, slope_b, total = np.zeros(len(a)), np.zeros(len(b)), 0.0
     for e, f in pairs:
         z = b[f] - a[e] if hp.sign_convention == FIGURE1 else a[e] - b[f]
@@ -143,18 +156,7 @@ def _margin_term(U, trust, distrust, pairs, hp: Hyperparams, scale=None):
         if scale is not None:
             _add_sums(slope_a, e, slope)
             _add_sums(slope_b, f, slope)
-    if scale is None:
-        return total, None
-    return total, _margin_gradient(U, trust, distrust, x, slope_a, slope_b, hp, scale)
-
-
-def _margin_gradient(U, trust, distrust, x, slope_a, slope_b, hp: Hyperparams, scale):
-    """Gradient of scale * a margin sum wrt U, from the summed loss slopes of
-    the trust and distrust edges and their (E, k) differences x."""
-    # figure1: dz/da = -1 and dz/db = 1; paper-literal negates both
-    weight = 2.0 * scale * (1.0 if hp.sign_convention == FIGURE1 else -1.0)
-    return _edge_scatter(len(U), [(trust, x[0], -weight * slope_a),
-                                  (distrust, x[1], weight * slope_b)])
+    return total, None if scale is None else _margin_weights(slope_a, slope_b, hp, scale)
 
 
 def _hinge_threshold(p: np.ndarray) -> np.ndarray:
@@ -196,14 +198,13 @@ def _hinge_counts(p, q, p_edges, q_edges, q_offsets):
     return c_p, c_q
 
 
-def _hinge_term(U, graph: SocialGraph, hp: Hyperparams, scale=None):
-    """_margin_term of the hinge loss over every triplet of the graph, from
+def _hinge_sums(a, b, graph: SocialGraph, hp: Hyperparams, scale=None):
+    """_pair_sums of the hinge loss over every triplet of the graph, from
     per-edge counts of active pairs (z = q - p < 1) instead of a pass over the
     pairs: every pair is active when fl(max q - min p) < 1. A value that is not
-    finite is the pair pass's.
+    finite is the pair pass's over the same lengths.
     """
     trust, distrust = graph.trust_edge_array, graph.distrust_edge_array
-    (a, b), x = zip(*(_lengths(U, edges, scale is not None) for edges in (trust, distrust)))
     figure1 = hp.sign_convention == FIGURE1
     p, q, p_edges, q_edges = (a, b, trust, distrust) if figure1 else (b, a, distrust, trust)
     offsets = graph.trust_offsets, graph.distrust_offsets
@@ -215,11 +216,11 @@ def _hinge_term(U, graph: SocialGraph, hp: Hyperparams, scale=None):
         c_p, c_q = _hinge_counts(p, q, p_edges, q_edges, q_offsets)
     total = float(c_p.sum()) - float(np.einsum("i,i->", c_q, q) - np.einsum("i,i->", c_p, p))
     if not np.isfinite(total):  # an inf or NaN length: only the pairs tell which add
-        total = _margin_term(U, trust, distrust, _pair_blocks(graph), hp)[0]
+        total = _pair_sums(a, b, _pair_blocks(graph), hp)[0]
     if scale is None:
         return total, None
     c_a, c_b = (c_p, c_q) if figure1 else (c_q, c_p)
-    return total, _margin_gradient(U, trust, distrust, x, -c_a, -c_b, hp, scale)
+    return total, _margin_weights(-c_a, -c_b, hp, scale)
 
 
 def _social_term(U, store: TripletStore | None, hp: Hyperparams, need_grad: bool):
@@ -236,19 +237,16 @@ def _social_term(U, store: TripletStore | None, hp: Hyperparams, need_grad: bool
         if store.total == 0:
             return 0.0, None
         scale = hp.lambda_s / store.total
-        if hp.loss == HINGE:
-            value, g = _hinge_term(U, graph, hp, scale if need_grad else None)
-        else:
-            value, g = _margin_term(U, graph.trust_edge_array, graph.distrust_edge_array,
-                                    _pair_blocks(graph), hp, scale if need_grad else None)
+        grad_scale = scale if need_grad else None
+        value, g = _edge_term(U, (graph.trust_edge_array, graph.distrust_edge_array), lambda a, b: (
+            _hinge_sums(a, b, graph, hp, grad_scale) if hp.loss == HINGE
+            else _pair_sums(a, b, _pair_blocks(graph), hp, grad_scale)), need_grad)
         return scale * value, g
     if hp.social == "trust-pull":
         weight, edges = hp.alpha, graph.trust_edge_array
     else:
         weight, edges = -hp.beta, graph.distrust_edge_array
-    d = _differences(U, edges)
-    value = 0.5 * weight * float(np.sum(d * d))  # before the scatter scales d
-    return value, _edge_scatter(len(U), [(edges, d, weight)]) if need_grad else None
+    return _edge_term(U, [edges], lambda a: (0.5 * weight * float(np.sum(a)), [weight]), need_grad)
 
 
 def _half_norm(weight, X) -> float:
@@ -355,4 +353,5 @@ def triplet_batch_gradient(U, triplets: np.ndarray, hp: Hyperparams, scale: floa
     """Gradient of `scale * sum of triplet penalties` over the given batch:
     row t is the pair of its own edges (i, j) and (i, k)."""
     rows = np.arange(len(triplets))
-    return _margin_term(U, triplets[:, :2], triplets[:, ::2], [(rows, rows)], hp, scale)[1]
+    return _edge_term(U, (triplets[:, :2], triplets[:, ::2]),
+                      lambda a, b: _pair_sums(a, b, [(rows, rows)], hp, scale), True)[1]

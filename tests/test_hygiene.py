@@ -17,7 +17,8 @@ imported by another module, so a helper goes with its last caller. Only
 `fit_and_score` is the one path every command fits through, read either name.
 Every field of a dataclass in the package, InitVars apart, is read as an
 attribute somewhere in the package, its tests or the benchmark, so no state
-is kept that no caller reads.
+is kept that no caller reads. Every flag of `cli.FLAGS` is quoted in some
+test file other than this one, so some test passes each flag.
 
 `python tests/test_hygiene.py` prints each module's total, code, docstring,
 comment and blank lines (`line_kinds`), the counts the line budget is kept in."""
@@ -226,6 +227,28 @@ def test_every_dataclass_field_is_read():
     assert not unread, f"no module, test or benchmark reads the dataclass fields {unread}"
 
 
+def _dict_keys(tree, name):
+    """The keys of the dict literal the tree's top level assigns to `name`."""
+    return [key.value for node in tree.body if isinstance(node, ast.Assign)
+            and [ast.unparse(target) for target in node.targets] == [name]
+            for key in node.value.keys]
+
+
+def _string_literals(tree):
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_flag_is_quoted_in_a_test():
+    flags = _dict_keys(ast.parse((ROOT / "src" / "trustfactor" / "cli.py").read_text(
+        encoding="utf-8")), "FLAGS")
+    quoted = set().union(*(_string_literals(ast.parse(path.read_text(encoding="utf-8")))
+                           for path in sorted((ROOT / "tests").glob("*.py"))
+                           if path.name != Path(__file__).name))
+    unpassed = [flag for flag in flags if flag not in quoted]
+    assert flags and not unpassed, f"no test quotes the flags {unpassed}"
+
+
 def test_every_keys_helper_is_imported():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     imported = {alias.name for stem, tree in trees.items() if stem != "keys"
@@ -287,6 +310,12 @@ def test_the_guards_see_dead_code():
                      "a.kept + B(1).x\na.stored = 2\n")
     assert list(_dataclass_fields(tree)) == [("A", "kept"), ("A", "stored"), ("B", "x")]
     assert _attribute_reads(tree) == {"kept", "x"}
+    tree = ast.parse("FLAGS = {'--seen': dict(), '--unseen': dict(type=int)}\n"
+                     "OTHER = {'--other': 1}\nFLAGS2 = FLAGS, {'--more': 2}\n")
+    tests = ast.parse("run(['fit', '--seen', f'--{name}'])  # '--unseen'\n"
+                      "x = '--unseen-too'\n")
+    assert _dict_keys(tree, "FLAGS") == ["--seen", "--unseen"]
+    assert sorted(set(_dict_keys(tree, "FLAGS")) - _string_literals(tests)) == ["--unseen"]
 
 
 if __name__ == "__main__":

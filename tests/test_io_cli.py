@@ -1027,6 +1027,111 @@ class TestCli:
             f"error: --seed must lie in [{-2**63}, {last}], got {seed}\n"
         assert [path.name for path in (tmp_path / "run").iterdir()] == []
 
+    # (command, flag, out-of-range value, the rest of the error line): one row
+    # per flag of cli.BOUNDS
+    BOUNDED = [("fit", "--train-frac", "1.0", "must lie strictly between 0.0 and 1.0, got 1.0"),
+               ("grid", "--val-frac", "0", "must lie strictly between 0.0 and 1.0, got 0.0"),
+               ("coldstart", "--cold-frac", "1.5",
+                "must lie strictly between 0.0 and 1.0, got 1.5"),
+               ("majority-vote", "--holdout-frac", "-0.2",
+                "must lie strictly between 0.0 and 1.0, got -0.2"),
+               ("split", "--repeats", "0", "must be at least 1, got 0"),
+               ("fit", "--patience", "-1", "must be at least 0, got -1")]
+
+    @pytest.mark.parametrize("command, flag, value, message", BOUNDED)
+    def test_a_bounded_flag_out_of_range_is_refused_before_reading(self, tmp_path, capsys,
+                                                                   command, flag, value, message):
+        assert [row[1] for row in self.BOUNDED] == list(cli.BOUNDS)
+        grid = ["--lambda-s-grid", "1", "--lambda-v-grid", "0.1"] if command == "grid" else []
+        assert run_cli([command, "--ratings", str(tmp_path / "missing.tsv"), *grid, flag, value,
+                        "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {flag} {message}\n"
+        assert [path.name for path in (tmp_path / "run").iterdir()] == []
+
+    @pytest.mark.parametrize("argv, method", [
+        (["fit", "--method", "mf-t"], "mf-t"), (["fit", "--method", "mf-d"], "mf-d"),
+        (["fit", "--method", "mf-td"], "mf-td"),
+        (["fit", "--method", "mf-td", "--optimizer", "sgd"], "mf-td"),
+        (["coldstart", "--methods", "mf,mf-td"], "mf-td")])
+    def test_a_social_method_without_a_graph_is_refused_before_any_fit(
+            self, tmp_path, capsys, monkeypatch, argv, method):
+        out = _synth_dir(tmp_path)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return experiments.fit_and_score(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_and_score", spy)
+        capsys.readouterr()
+        assert run_cli([*argv, "--ratings", str(out / "ratings.tsv"), "--epochs", "2",
+                        "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {method} needs a social graph\n"
+        assert calls == []
+        assert [path.name for path in (tmp_path / "run").iterdir()] == []
+
+    def test_trust_and_distrust_files_fit_as_the_social_file(self, tmp_path):
+        # the golden synth set's signed edges, one two-column file per sign
+        assert run_cli(["synth", "--seed", "3", "--out", str(tmp_path / "synth")]) == 0
+        ratings, social = tmp_path / "synth" / "ratings.tsv", tmp_path / "synth" / "social.tsv"
+        rows = [line.split("\t") for line in social.read_text().splitlines()]
+        for name, sign in (("trust.tsv", "1"), ("distrust.tsv", "-1")):
+            write(tmp_path / name, "".join(f"{s}\t{t}\n" for s, t, mark in rows if mark == sign))
+        fit = ["fit", "--ratings", str(ratings), "--method", "mf-td", "--epochs", "5"]
+        assert run_cli([*fit, "--social", str(social), "--out", str(tmp_path / "signed")]) == 0
+        assert run_cli([*fit, "--trust", str(tmp_path / "trust.tsv"), "--distrust",
+                        str(tmp_path / "distrust.tsv"), "--out", str(tmp_path / "split")]) == 0
+        for name in ("metrics.csv", "model.bin", "user_ids.tsv", "item_ids.tsv"):
+            assert (tmp_path / "split" / name).read_bytes() == \
+                (tmp_path / "signed" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("argv, held_out", [([], 180), (["--holdout-frac", "0.5"], 300)])
+    def test_holdout_frac_sets_the_held_out_edges(self, tmp_path, capsys, argv, held_out):
+        # the golden synth set has 300 trust and 300 distrust edges
+        assert run_cli(["synth", "--seed", "3", "--out", str(tmp_path / "synth")]) == 0
+        capsys.readouterr()
+        assert run_cli(["majority-vote", "--ratings", str(tmp_path / "synth" / "ratings.tsv"),
+                        "--social", str(tmp_path / "synth" / "social.tsv"), *argv,
+                        "--out", str(tmp_path / "vote")]) == 0
+        assert f" over {held_out} held-out edges; " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("val_frac", ["0.25", "0.5"])
+    def test_val_frac_sets_the_validation_side(self, tmp_path, monkeypatch, val_frac):
+        out = _synth_dir(tmp_path)
+        sides = []
+
+        def spy(train, validation, *args, **kwargs):
+            sides.append((train.nnz, validation.nnz))
+            return experiments.grid_search(train, validation, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "grid_search", spy)
+        assert run_cli(["grid", "--ratings", str(out / "ratings.tsv"), "--social",
+                        str(out / "social.tsv"), "--epochs", "2", "--lambda-s-grid", "1",
+                        "--lambda-v-grid", "0.1", "--val-frac", val_frac,
+                        "--out", str(tmp_path / "grid")]) == 0
+        train_all = int(0.9 * load_dataset(out / "ratings.tsv").ratings.nnz)  # --train-frac
+        train = int((1.0 - float(val_frac)) * train_all)
+        assert sides == [(train, train_all - train)]
+
+    @pytest.mark.parametrize("relation", ["trust", "distrust"])
+    def test_relation_picks_the_scored_edges(self, tmp_path, capsys, relation):
+        out = _synth_dir(tmp_path)
+        argv = ["consistency", "--ratings", str(out / "ratings.tsv"), "--social",
+                str(out / "social.tsv"), "--relation", relation, "--out", str(tmp_path / "c")]
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        bundle = load_dataset(out / "ratings.tsv", social_path=out / "social.tsv")
+        bins = experiments.consistency_eval(bundle.ratings, bundle.graph, relation)
+        assert [row[:2] for row in read_csv(tmp_path / "c" / "consistency.csv")[1:]] == \
+            [[label, str(agg["users"])] for label, agg in sorted(bins.items())]
+        assert capsys.readouterr().out.startswith(f"{relation} alignment over ")
+
+    def test_item_low_and_high_bound_the_planted_item_factors(self, tmp_path):
+        assert run_cli(["synth", "--item-low", "2", "--item-high", "3",
+                        "--out", str(tmp_path / "synth")]) == 0
+        V = load_model(tmp_path / "synth" / "planted.bin").V
+        assert set(np.unique(V)) == {2.0, 3.0}
+
     @pytest.mark.parametrize("seed", [-2**63, 2**63 - 1])
     def test_int64_extreme_seeds_fit_and_round_trip(self, tmp_path, seed):
         out = _synth_dir(tmp_path)

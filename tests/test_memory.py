@@ -1,5 +1,5 @@
-"""Traced memory of the fit and the prediction path, of a value-only hinge
-pass and of the restricted Pearson pass, and the bytes the rating folds hold.
+"""Traced memory of the fit and the prediction path, of value-only social
+passes and of the restricted Pearson pass, and the bytes the rating folds hold.
 
 `python tests/test_memory.py` (with src on PYTHONPATH) prints the
 `tracemalloc` peak of the `fit` command, `predict_many`, `evaluate_model` and
@@ -66,19 +66,25 @@ def signed_graph(rng, n, edges):
     return SocialGraph.from_edges(n, pairs[:edges // 2], pairs[edges // 2:])
 
 
-@pytest.mark.parametrize("spread", [0.01, 1.0])
-def test_value_only_hinge_pass_forms_no_edge_by_factor_array(spread):
+@pytest.mark.parametrize("social, spread", [
+    pytest.param("triplet-margin", 0.01, id="0.01"), pytest.param("triplet-margin", 1.0, id="1.0"),
+    pytest.param("trust-pull", 1.0, id="trust-pull"),
+    pytest.param("distrust-push", 1.0, id="distrust-push")])
+def test_value_only_hinge_pass_forms_no_edge_by_factor_array(social, spread):
     """With 8 * BLOCK_ROWS edges per sign, the value pass holds each sign's
     lengths and counts and one block's rows, less than one (E, k) array of
     float64 beyond its two (E,) length arrays; it held three (E, k) arrays
     when it formed every difference row at once. A small spread makes every
-    pair active, a wide one sends the pass through the sorted counts."""
+    pair active, a wide one sends the pass through the sorted counts. The
+    trust pull and distrust push read one sign's lengths the same way; they
+    held two (E, k) arrays when they formed every difference row."""
     rng = np.random.default_rng(3)
     n, edges, k = 2000, 16 * BLOCK_ROWS, 32
     graph = signed_graph(rng, n, edges)
+    store = lazy_triplets(graph)
     U = rng.normal(0.0, spread, (n, k))
-    hp = Hyperparams(k=k, social="triplet-margin", lambda_s=1.0)
-    value, peak = traced_peak(lambda: objective._hinge_term(U, graph, hp))
+    hp = Hyperparams(k=k, social=social, lambda_s=1.0)
+    value, peak = traced_peak(lambda: objective._social_term(U, store, hp, need_grad=False))
     assert value[1] is None and np.isfinite(value[0])
     per_sign = edges // 2
     bound = per_sign * k * 8 + 2 * per_sign * 8

@@ -23,12 +23,13 @@ from trustfactor.objective import (
     VALUE,
     _accumulate,
     _add_sums,
+    _edge_term,
     _hinge_counts,
-    _hinge_term,
+    _hinge_sums,
     _hinge_threshold,
     _loss,
-    _margin_term,
     _objective_pass,
+    _pair_sums,
     _pair_blocks,
     _social_term,
     grad,
@@ -155,7 +156,7 @@ def reference_social_term(U, store, hp, need_grad):
     d = U[edges[:, 0]] - U[edges[:, 1]]
     if need_grad:
         g = reference_edge_scatter(len(U), edges, weight * d)
-    return 0.5 * weight * float(np.sum(d * d)), g
+    return 0.5 * weight * float(np.sum(np.sum(d * d, axis=-1))), g  # a sum of edge lengths
 
 
 def reference_parts(model, ratings, store, hp):
@@ -784,6 +785,21 @@ class TestRatingFold:
         assert folds[0].values is not None and folds[1].values is None
 
 
+def margin_term(U, trust, distrust, pairs, hp, scale=None):
+    """The margin sum over `pairs` of positions in the trust and distrust
+    edges and, with scale, the gradient of scale * that sum, as the
+    objective's passes take them: _pair_sums through _edge_term."""
+    return _edge_term(U, (trust, distrust), lambda a, b: _pair_sums(a, b, pairs, hp, scale),
+                      scale is not None)
+
+
+def hinge_term(U, graph, hp, scale=None):
+    """margin_term of the hinge loss over every triplet of the graph, by
+    _hinge_sums through _edge_term."""
+    return _edge_term(U, (graph.trust_edge_array, graph.distrust_edge_array),
+                      lambda a, b: _hinge_sums(a, b, graph, hp, scale), scale is not None)
+
+
 class TestMarginKernel:
     """The edge-pair margin kernel against the per-triplet oracle."""
 
@@ -879,8 +895,8 @@ class TestMarginKernel:
         assert np.all(g[2] == 0.0)  # in no triplet: its edges add nothing
         empty = SocialGraph.from_edges(4)
         no_edges = empty.trust_edge_array
-        value, g = _margin_term(rng.normal(0, 1, (4, 3)), no_edges, no_edges,
-                                _pair_blocks(empty), hp, 1.0)
+        value, g = margin_term(rng.normal(0, 1, (4, 3)), no_edges, no_edges,
+                               _pair_blocks(empty), hp, 1.0)
         assert value == 0.0 and g.shape == (4, 3) and np.all(g == 0.0)
 
     @pytest.mark.parametrize("loss", ["hinge", "logistic"])
@@ -932,8 +948,8 @@ def counting_calls(monkeypatch):
 
 def pair_pass(U, graph, hp, scale=None):
     """Oracle: the margin sum (and gradient) over the listed pairs."""
-    return _margin_term(U, graph.trust_edge_array, graph.distrust_edge_array,
-                        _pair_blocks(graph), hp, scale)
+    return margin_term(U, graph.trust_edge_array, graph.distrust_edge_array,
+                       _pair_blocks(graph), hp, scale)
 
 
 class TestHingeTerm:
@@ -960,11 +976,11 @@ class TestHingeTerm:
             U = (rng.normal(0, 1, (graph.n, 3)),
                  rng.integers(-1, 2, (graph.n, 3)).astype(float),
                  rng.normal(0, 2.0 ** -27, (graph.n, 3)))[trial % 3]
-            value, g = _hinge_term(U, graph, hp, 0.7)
+            value, g = hinge_term(U, graph, hp, 0.7)
             ref_value, ref_g = pair_pass(U, graph, hp, 0.7)
             assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
             assert g.tobytes() == ref_g.tobytes()
-            assert _hinge_term(U, graph, hp) == (value, None)
+            assert hinge_term(U, graph, hp) == (value, None)
 
     @pytest.mark.parametrize("convention", ["figure1", "paper-literal"])
     def test_one_ulp_below_the_kink_is_active(self, monkeypatch, convention):
@@ -977,7 +993,7 @@ class TestHingeTerm:
             3, *((short, long) if convention == "figure1" else (long, short)))
         hp = Hyperparams(k=2, social="triplet-margin", sign_convention=convention)
         calls = counting_calls(monkeypatch)
-        value, g = _hinge_term(U, graph, hp, 1.0)
+        value, g = hinge_term(U, graph, hp, 1.0)
         assert not calls
         ref_value, ref_g = pair_pass(U, graph, hp, 1.0)
         assert value == ref_value == 2.0 ** -53
@@ -997,8 +1013,8 @@ class TestHingeTerm:
         for trust, distrust in (((), ()), ([(0, 1)], ()), ((), [(0, 1)])):
             graph = SocialGraph.from_edges(4, trust, distrust)
             for convention in ("figure1", "paper-literal"):
-                value, g = _hinge_term(rng.normal(0, 1, (4, 3)), graph,
-                                       hp.replace(sign_convention=convention), 1.0)
+                value, g = hinge_term(rng.normal(0, 1, (4, 3)), graph,
+                                      hp.replace(sign_convention=convention), 1.0)
                 assert value == 0.0 and g.shape == (4, 3) and np.all(g == 0.0)
 
     @pytest.mark.parametrize("name", ["_pair_blocks", "_loss"])
@@ -1072,7 +1088,7 @@ class TestAllActiveHinge:
             4, *((short, long) if convention == "figure1" else (long, short)))
         hp = Hyperparams(k=2, social="triplet-margin", sign_convention=convention)
         calls = counting_calls(monkeypatch)
-        value, g = _hinge_term(U, graph, hp, 1.0)
+        value, g = hinge_term(U, graph, hp, 1.0)
         assert len(calls) == 1
         ref_value, ref_g = pair_pass(U, graph, hp, 1.0)
         assert value == ref_value == 0.25
